@@ -9,9 +9,9 @@ matrix entries are polynomials in the deformation parameter with
 coefficients in the ring of rationals extended by square roots of integers.
 """
 
-from .coupling import (alpha_coeff, alpha_table, coupled_basis, coupled_bra,
-                       coupled_ladder, coupled_spins, decompose,
-                       intermediate_bra, intermediate_ket, sl2_cgc,
+from .coupling import (alpha_coeff, alpha_table, cgc_matrix, coupled_basis,
+                       coupled_bra, coupled_ket, coupled_ladder, coupled_spins,
+                       decompose, intermediate_bra, intermediate_ket, sl2_cgc,
                        triangle_allowed, uh_cgc, uh_cgc_bra,
                        verify_alpha_orthogonality,
                        verify_intermediate_action,
@@ -69,6 +69,7 @@ __all__ = [
     "verify_hopf_axioms",
     "alpha_coeff", "alpha_table", "intermediate_ket", "intermediate_bra",
     "coupled_ladder", "coupled_spins", "coupled_basis", "coupled_bra",
+    "coupled_ket", "cgc_matrix",
     "decompose", "sl2_cgc", "uh_cgc", "uh_cgc_bra", "triangle_allowed",
     "verify_alpha_orthogonality", "verify_intermediate_orthonormality",
     "verify_intermediate_action",

@@ -20,11 +20,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .coupling import (alpha_table, decompose, sl2_cgc, uh_cgc, uh_cgc_bra,
+from .coupling import (SelectionRuleError, alpha_table, coupled_bra,
+                       coupled_ket, decompose, product_labels, sl2_cgc,
+                       triangle_allowed, uh_cgc, uh_cgc_bra,
                        verify_alpha_orthogonality,
                        verify_intermediate_action,
                        verify_intermediate_orthonormality)
-from .halfint import HalfInt, half, weight_range
+from .halfint import HalfInt, half
 from .irreps import (casimir_matrix, irrep, verify_casimir,
                      verify_defining_relations, verify_hopf_axioms)
 from .polymatrix import PolyMatrix
@@ -271,8 +273,13 @@ def _cmd_irrep(args) -> int:
 def _cmd_alpha(args) -> int:
     j1, j2 = args.j1, args.j2
     table = alpha_table(j1, j2)
-    single = all(v is not None for v in (args.k1, args.k2, args.m1, args.m2))
-    if single:
+    indices = {"--k1": args.k1, "--k2": args.k2, "--m1": args.m1,
+               "--m2": args.m2}
+    missing = [opt for opt, v in indices.items() if v is None]
+    if 0 < len(missing) < len(indices):
+        raise ValueError(f"--k1, --k2, --m1 and --m2 go together; missing "
+                         f"{', '.join(missing)}")
+    if not missing:
         value = table.value(args.k1, args.k2, args.m1, args.m2)
         if args.format == "json":
             payload = {"j1": str(j1), "j2": str(j2),
@@ -289,14 +296,10 @@ def _cmd_alpha(args) -> int:
             _emit(f"alpha[{args.k1},{args.k2}; {args.m1},{args.m2}] = {value}",
                   args.out)
         return 0
-    entries = []
-    for m1 in weight_range(j1):
-        for m2 in weight_range(j2):
-            for k1 in weight_range(j1):
-                for k2 in weight_range(j2):
-                    v = table.value(k1, k2, m1, m2)
-                    if v:
-                        entries.append((k1, k2, m1, m2, v))
+    labels = product_labels(j1, j2)
+    entries = [(k1, k2, m1, m2, table.ket.entry(r, c))
+               for c, (m1, m2) in enumerate(labels)
+               for r, (k1, k2) in enumerate(labels) if table.ket.entry(r, c)]
     if args.format == "json":
         payload = {"j1": str(j1), "j2": str(j2),
                    "entries": [{"k1": str(k1), "k2": str(k2), "m1": str(m1),
@@ -318,26 +321,24 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_cgc(args) -> int:
-    j1, j2, j = args.j1, args.j2, args.j
-    if args.classical:
-        fn = lambda k1, k2: sl2_cgc(j1, j2, j, k1, k2)  # noqa: E731
-        kind = "classical"
-    elif args.bra:
-        if args.m is None:
-            raise ValueError("--m is required for deformed coefficients")
-        fn = lambda k1, k2: uh_cgc_bra(j1, j2, j, k1, k2, args.m)  # noqa: E731
-        kind = "bra"
+    j1, j2, j, m = args.j1, args.j2, args.j, args.m
+    kind = "classical" if args.classical else "bra" if args.bra else "ket"
+    if kind == "classical":
+        if not triangle_allowed(j1, j2, j):
+            raise SelectionRuleError(f"spin {j} does not occur in {j1} (x) {j2}")
+    elif m is None:
+        raise ValueError("--m is required for deformed coefficients")
+    single = args.k1 is not None and args.k2 is not None
+    labels = [(args.k1, args.k2)] if single else product_labels(j1, j2)
+    if kind == "classical":
+        values = [sl2_cgc(j1, j2, j, k1, k2) for k1, k2 in labels]
+    elif single:
+        values = [(uh_cgc_bra if args.bra else uh_cgc)(j1, j2, j, *labels[0], m)]
+    elif kind == "bra":
+        values = coupled_bra(j1, j2, j, m).entries[0]
     else:
-        if args.m is None:
-            raise ValueError("--m is required for deformed coefficients")
-        fn = lambda k1, k2: uh_cgc(j1, j2, j, k1, k2, args.m)  # noqa: E731
-        kind = "ket"
-    if args.k1 is not None and args.k2 is not None:
-        cells = [(args.k1, args.k2, fn(args.k1, args.k2))]
-    else:
-        cells = [(k1, k2, fn(k1, k2))
-                 for k1 in weight_range(j1) for k2 in weight_range(j2)]
-        cells = [(k1, k2, v) for k1, k2, v in cells if v]
+        values = [c for (c,) in coupled_ket(j1, j2, j, m).entries]
+    cells = [(k1, k2, v) for (k1, k2), v in zip(labels, values) if v or single]
     m_text = str(args.m) if args.m is not None else "k1+k2"
     if args.format == "json":
         payload = {"j1": str(j1), "j2": str(j2), "j": str(j), "m": m_text,

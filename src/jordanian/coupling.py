@@ -8,14 +8,21 @@ h-monomial coefficients
     alpha[k1 k2; m1 m2] = (-1)^(k2-m2) (h/2)^(k1+k2-m1-m2) D (b - b')
 
 with D a square root of a factorial ratio and b, b' products of extended
-binomial coefficients.  The "intermediate" vectors they define transform
-under the coupled ladder operators exactly like classical product vectors,
-so classical Clebsch-Gordan coefficients finish the job.
+binomial coefficients, zero unless k1 >= m1 and k2 >= m2.  The
+"intermediate" vectors they define transform under the coupled ladder
+operators exactly like classical product vectors, so classical
+Clebsch-Gordan coefficients finish the job.
 
-Index conventions: subscripts (k1, k2) label the product basis vector, the
-superscripts (m1, m2) label the intermediate vector.  alpha vanishes
-whenever k1 < m1 or k2 < m2, so sums over (k1, k2) may always run over the
-full weight ranges.
+Three matrices hold it all, with weight pairs in product order
+(product_labels) and coupled vectors in coupled_labels order.  K has
+alpha[k; m] at (k, m): its columns are the intermediate kets.  B = P K^T P,
+with P reversing the weight order, has alpha[-k; -m] at (m, k): its rows
+are the intermediate bras.  C has <j1 n1; j2 n2 | j m> at (n, (j, m)).
+Coupled kets are the columns of K C, coupled bras the rows of C^T B.  The
+verifiers slice residuals of B K = 1 (alpha orthogonality, intermediate
+orthonormality), of Delta(Z) K = K S and B Delta(Z) = S B for Z = H, Zp,
+Zm with S = Z (x) 1 + 1 (x) Z classical (intermediate action), and of
+Casimir (K C) = (K C) diag(j(j+1)) (decompose).
 """
 
 from __future__ import annotations
@@ -28,11 +35,15 @@ from math import factorial
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
                       weight_index, weight_range)
 from .hpoly import HPoly
-from .irreps import (GenMatrices, casimir_from_gens, coproduct_gens, irrep,
-                     ladder_factor, sl2_from_gens)
-from .polymatrix import PolyMatrix
+from .irreps import (casimir_from_gens, coproduct_gens, irrep, sl2_from_gens,
+                     sl2_irrep)
+from .polymatrix import PolyMatrix, kron
 from .radical import RadScalar, falling_binomial, sqrt_factorial_ratio
-from .report import Check, Report, scalar_check, zero_check
+from .report import Report, scalar_check, zero_check
+
+
+class SelectionRuleError(ValueError):
+    """The requested spins admit no coupling channel."""
 
 
 def binom_ext(n, m) -> Fraction:
@@ -58,22 +69,36 @@ def _b_coeff(k1: HalfInt, k2: HalfInt, m1: HalfInt, m2: HalfInt) -> Fraction:
             * falling_binomial((m2 + k2).as_int(), (k1 - m1).as_int()))
 
 
+def product_weight_index(j1, j2, k1, k2) -> int:
+    """Index of |j1 k1>(x)|j2 k2> in the product basis (first factor major)."""
+    j2 = as_half(j2)
+    return (weight_index(as_half(j1), as_half(k1)) * dim_of(j2)
+            + weight_index(j2, as_half(k2)))
+
+
+def product_labels(j1, j2) -> tuple[tuple[HalfInt, HalfInt], ...]:
+    """The weight pairs (k1, k2) in product-basis order."""
+    return tuple((k1, k2) for k1 in weight_range(as_half(j1))
+                 for k2 in weight_range(as_half(j2)))
+
+
 @dataclass(frozen=True)
 class AlphaTable:
-    """All alpha coefficients of a (j1, j2) pair, keyed (k1, k2, m1, m2)."""
+    """All alpha coefficients of a (j1, j2) pair as the matrix K."""
 
     j1: HalfInt
     j2: HalfInt
-    values: dict[tuple[HalfInt, HalfInt, HalfInt, HalfInt], HPoly]
+    ket: PolyMatrix
+
+    @property
+    def bra(self) -> PolyMatrix:
+        """B = P K^T P."""
+        return PolyMatrix([col[::-1] for col in zip(*self.ket.entries)][::-1])
 
     def value(self, k1, k2, m1, m2) -> HPoly:
-        key = (as_half(k1), as_half(k2), as_half(m1), as_half(m2))
-        try:
-            return self.values[key]
-        except KeyError:
-            raise ValueError(
-                f"indices {key} out of range for spins ({self.j1}, {self.j2})"
-            ) from None
+        """alpha[k1 k2; m1 m2]; ValueError for a weight off its ladder."""
+        return self.ket.entry(product_weight_index(self.j1, self.j2, k1, k2),
+                              product_weight_index(self.j1, self.j2, m1, m2))
 
 
 def alpha_table(j1, j2) -> AlphaTable:
@@ -82,13 +107,10 @@ def alpha_table(j1, j2) -> AlphaTable:
 
 @lru_cache(maxsize=None)
 def _alpha_table_cached(j1: HalfInt, j2: HalfInt) -> AlphaTable:
-    values = {}
-    for k1 in weight_range(j1):
-        for k2 in weight_range(j2):
-            for m1 in weight_range(j1):
-                for m2 in weight_range(j2):
-                    values[(k1, k2, m1, m2)] = _alpha_raw(j1, j2, k1, k2, m1, m2)
-    return AlphaTable(j1, j2, values)
+    labels = product_labels(j1, j2)
+    return AlphaTable(j1, j2, PolyMatrix(
+        [[_alpha_raw(j1, j2, k1, k2, m1, m2) for m1, m2 in labels]
+         for k1, k2 in labels]))
 
 
 def _alpha_raw(j1, j2, k1, k2, m1, m2) -> HPoly:
@@ -116,38 +138,15 @@ def alpha_coeff(j1, j2, k1, k2, m1, m2) -> HPoly:
     return alpha_table(j1, j2).value(k1, k2, m1, m2)
 
 
-def product_weight_index(j1: HalfInt, j2: HalfInt, k1: HalfInt, k2: HalfInt) -> int:
-    """Index of |j1 k1>(x)|j2 k2> in the product basis (first factor major)."""
-    return weight_index(j1, k1) * dim_of(j2) + weight_index(j2, k2)
-
-
 def intermediate_ket(j1, j2, m1, m2) -> PolyMatrix:
-    """The intermediate ket as a column over the product basis."""
-    j1, j2, m1, m2 = as_half(j1), as_half(j2), as_half(m1), as_half(m2)
-    table = alpha_table(j1, j2)
-    col = [[HPoly.zero()] for _ in range(dim_of(j1) * dim_of(j2))]
-    for k1 in weight_range(j1):
-        for k2 in weight_range(j2):
-            v = table.value(k1, k2, m1, m2)
-            if v:
-                col[product_weight_index(j1, j2, k1, k2)][0] = v
-    return PolyMatrix(col)
+    """The intermediate ket as a column over the product basis (of K)."""
+    return alpha_table(j1, j2).ket.column(product_weight_index(j1, j2, m1, m2))
 
 
 def intermediate_bra(j1, j2, m1, m2) -> PolyMatrix:
-    """The intermediate bra as a row over the product basis.
-
-    The bra coefficients are the alpha values with every index negated.
-    """
-    j1, j2, m1, m2 = as_half(j1), as_half(j2), as_half(m1), as_half(m2)
-    table = alpha_table(j1, j2)
-    row = [HPoly.zero()] * (dim_of(j1) * dim_of(j2))
-    for k1 in weight_range(j1):
-        for k2 in weight_range(j2):
-            v = table.value(-k1, -k2, -m1, -m2)
-            if v:
-                row[product_weight_index(j1, j2, k1, k2)] = v
-    return PolyMatrix([row])
+    """The intermediate bra as a row over the product basis (of B): the
+    alpha values with every index negated."""
+    return alpha_table(j1, j2).bra.row(product_weight_index(j1, j2, m1, m2))
 
 
 def coupled_ladder(j1, j2) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
@@ -157,102 +156,94 @@ def coupled_ladder(j1, j2) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     return zp, zm, gg.h
 
 
+def _slot_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    return (kron(a, PolyMatrix.identity(b.rows))
+            + kron(PolyMatrix.identity(a.rows), b))
+
+
+def slot_sums(j1, j2) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+    """S = Z (x) 1 + 1 (x) Z for the classical (Zp, Zm, H) of spins j1, j2:
+    the action that intermediate vectors carry."""
+    return tuple(_slot_sum(a, b)
+                 for a, b in zip(sl2_irrep(as_half(j1)), sl2_irrep(as_half(j2))))
+
+
+def _unit_checks(report: Report, j1, j2, name, by_bra: bool) -> Report:
+    """Slice B K = 1 into one scalar check per entry (n, m), named
+    name(m, n); the outer loop runs over the bras n if by_bra, else over
+    the kets m."""
+    table = alpha_table(j1, j2)
+    bk = table.bra @ table.ket
+    labels = list(enumerate(product_labels(j1, j2)))
+    for (r, n), (c, m) in ((o, i) if by_bra else (i, o)
+                           for o in labels for i in labels):
+        want = HPoly.one() if r == c else HPoly.zero()
+        report.add(scalar_check(name(m, n), bk.entry(r, c), want))
+    return report
+
+
 def verify_alpha_orthogonality(j1, j2) -> Report:
     """sum_k alpha[k; m] alpha[-k; -n] = delta(m, n), over all m, n pairs."""
     j1, j2 = as_half(j1), as_half(j2)
-    table = alpha_table(j1, j2)
-    report = Report(f"alpha orthogonality for spins ({j1}, {j2})")
-    ws1, ws2 = weight_range(j1), weight_range(j2)
-    for m1 in ws1:
-        for m2 in ws2:
-            for n1 in ws1:
-                for n2 in ws2:
-                    acc = HPoly.zero()
-                    for k1 in ws1:
-                        for k2 in ws2:
-                            left = table.value(k1, k2, m1, m2)
-                            if not left:
-                                continue
-                            right = table.value(-k1, -k2, -n1, -n2)
-                            if right:
-                                acc = acc + left * right
-                    want = HPoly.one() if (m1 == n1 and m2 == n2) else HPoly.zero()
-                    report.add(scalar_check(
-                        f"sum_k alpha[k;({m1},{m2})] alpha[-k;({-n1},{-n2})]",
-                        acc, want))
-    return report
+    return _unit_checks(
+        Report(f"alpha orthogonality for spins ({j1}, {j2})"), j1, j2,
+        lambda m, n: f"sum_k alpha[k;({m[0]},{m[1]})] alpha[-k;({-n[0]},{-n[1]})]",
+        by_bra=False)
 
 
 def verify_intermediate_orthonormality(j1, j2) -> Report:
     """<(n1 n2)|(m1 m2)> = delta(m, n) for the intermediate bra/ket pairs."""
     j1, j2 = as_half(j1), as_half(j2)
-    report = Report(f"intermediate orthonormality for spins ({j1}, {j2})")
-    kets = {(m1, m2): intermediate_ket(j1, j2, m1, m2)
-            for m1 in weight_range(j1) for m2 in weight_range(j2)}
-    bras = {(n1, n2): intermediate_bra(j1, j2, n1, n2)
-            for n1 in weight_range(j1) for n2 in weight_range(j2)}
-    for (n1, n2), bra in bras.items():
-        for (m1, m2), ket in kets.items():
-            value = (bra @ ket).scalar()
-            want = HPoly.one() if (m1 == n1 and m2 == n2) else HPoly.zero()
-            report.add(scalar_check(
-                f"<({n1},{n2})|({m1},{m2})>", value, want))
-    return report
+    return _unit_checks(
+        Report(f"intermediate orthonormality for spins ({j1}, {j2})"), j1, j2,
+        lambda m, n: f"<({n[0]},{n[1]})|({m[0]},{m[1]})>", by_bra=True)
+
+
+def _second_slot_variant(j1: HalfInt, j2: HalfInt, sign: int):
+    """Z (x) 1 + 1 (x) W, W with sqrt((j1 -+ m2)(j2 +- m2 + 1)) in place of
+    the j2 ladder coefficient, and the (doubled) m2 where that is defined."""
+    ws = weight_range(j2)
+    w, defined = [[HPoly.zero()] * len(ws) for _ in ws], set()
+    for col, m2 in enumerate(ws):
+        a, b = (j1 - m2, j2 + m2 + 1) if sign > 0 else (j1 + m2, j2 - m2 + 1)
+        if a.is_integer and a.twice >= 0 and 0 <= col - sign < len(ws):
+            w[col - sign][col] = HPoly.constant(
+                RadScalar.sqrt(a.as_int() * b.as_int()))
+            defined.add(m2.twice)
+    return _slot_sum(sl2_irrep(j1)[(1 - sign) // 2], PolyMatrix(w)), defined
 
 
 def verify_intermediate_action(j1, j2) -> Report:
     """The coupled ladder operators act on intermediate kets and bras with
-    the classical product-basis matrix elements.
+    the classical product-basis matrix elements: one check per column of
+    Delta(Z) K - K S and per row of B Delta(Z) - S B.
 
-    The raising/lowering coefficient on the second slot uses the second
-    spin label (the j2 form); the report records whether the variant with
-    the first spin label in that slot also matches, to document which form
-    the exact computation actually satisfies.
+    The second-slot ladder coefficient uses the second spin label (the j2
+    form); the report records whether the variant with the first spin label
+    in that slot also matches, to document which form actually holds.
     """
     j1, j2 = as_half(j1), as_half(j2)
     report = Report(f"intermediate-vector ladder action for spins ({j1}, {j2})")
+    k, b = alpha_table(j1, j2).ket, alpha_table(j1, j2).bra
     zp, zm, dh = coupled_ladder(j1, j2)
-    dim = dim_of(j1) * dim_of(j2)
-    zero_ket = PolyMatrix.zeros(dim, 1)
-    zero_bra = PolyMatrix.zeros(1, dim)
-    kets = {(m1, m2): intermediate_ket(j1, j2, m1, m2)
-            for m1 in weight_range(j1) for m2 in weight_range(j2)}
-    bras = {(m1, m2): intermediate_bra(j1, j2, m1, m2)
-            for m1 in weight_range(j1) for m2 in weight_range(j2)}
-
-    def ket_at(m1, m2):
-        return kets.get((m1, m2), zero_ket)
-
-    def bra_at(m1, m2):
-        return bras.get((m1, m2), zero_bra)
-
-    variant_agrees = True
-    variant_applicable = False
-    for (m1, m2), ket in kets.items():
-        weight = Fraction((m1 + m2).twice)
-        report.add(zero_check(f"H ket ({m1},{m2})", dh @ ket - ket * weight))
-        report.add(zero_check(f"H bra ({m1},{m2})",
-                              bras[(m1, m2)] @ dh - bras[(m1, m2)] * weight))
-        for sign, z in ((+1, zp), (-1, zm)):
-            tag = "Zp" if sign > 0 else "Zm"
-            want = (ket_at(m1 + sign, m2) * ladder_factor(j1, m1, sign)
-                    + ket_at(m1, m2 + sign) * ladder_factor(j2, m2, sign))
-            report.add(zero_check(f"{tag} ket ({m1},{m2})", z @ ket - want))
-            # Variant second-slot coefficient sqrt((j1 -+ m2)(j2 +- m2 + 1)):
-            # tracked, not asserted.
-            a = (j1 - m2 if sign > 0 else j1 + m2)
-            b = (j2 + m2 if sign > 0 else j2 - m2) + 1
-            if a.is_integer and a.as_int() >= 0 and abs((m2 + sign).twice) <= j2.twice:
-                variant_applicable = True
-                vfac = RadScalar.sqrt(a.as_int() * b.as_int())
-                vwant = (ket_at(m1 + sign, m2) * ladder_factor(j1, m1, sign)
-                         + ket_at(m1, m2 + sign) * vfac)
-                if not (z @ ket - vwant).is_zero:
-                    variant_agrees = False
-            bra = bras[(m1, m2)]
-            bwant = (bra_at(m1 - sign, m2) * ladder_factor(j1, m1 - sign, sign)
-                     + bra_at(m1, m2 - sign) * ladder_factor(j2, m2 - sign, sign))
-            report.add(zero_check(f"{tag} bra ({m1},{m2})", bra @ z - bwant))
+    sp, sm, sh = slot_sums(j1, j2)
+    labels = product_labels(j1, j2)
+    residuals, variant_agrees, variant_applicable = [], True, False
+    for tag, sign, z, s in (("H", 0, dh, sh), ("Zp", 1, zp, sp),
+                            ("Zm", -1, zm, sm)):
+        zk = z @ k
+        residuals.append((tag, zk - k @ s, b @ z - s @ b))
+        if sign and j1 != j2:  # tracked, not asserted
+            v, defined = _second_slot_variant(j1, j2, sign)
+            cols = [c for c, (_, m2) in enumerate(labels) if m2.twice in defined]
+            variant_applicable = variant_applicable or bool(cols)
+            variant = zk - k @ v
+            variant_agrees &= not any(row[c] for row in variant.entries
+                                      for c in cols)
+    for c, (m1, m2) in enumerate(labels):
+        for tag, kets, bras in residuals:
+            report.add(zero_check(f"{tag} ket ({m1},{m2})", kets.column(c)))
+            report.add(zero_check(f"{tag} bra ({m1},{m2})", bras.row(c)))
     if j1 == j2:
         report.note("second-slot coefficient: spin labels coincide, the j1/j2 "
                     "variants are identical")
@@ -317,40 +308,55 @@ def coupled_spins(j1: HalfInt, j2: HalfInt) -> tuple[HalfInt, ...]:
     return tuple(HalfInt.from_twice(t) for t in range(top.twice, bottom.twice - 2, -2))
 
 
+def coupled_labels(j1, j2) -> tuple[tuple[HalfInt, HalfInt], ...]:
+    """The coupled vectors (j, m), spins j1+j2 down to |j1-j2| and weights
+    j..-j: the column order of C and K C."""
+    return tuple((j, m) for j in coupled_spins(as_half(j1), as_half(j2))
+                 for m in weight_range(j))
+
+
+def coupled_index(j1, j2, j, m) -> int:
+    """Position of |j m> in coupled_labels; SelectionRuleError when the
+    product holds no such vector."""
+    j1, j2, j, m = as_half(j1), as_half(j2), as_half(j), as_half(m)
+    try:
+        return coupled_labels(j1, j2).index((j, m))
+    except ValueError:
+        raise SelectionRuleError(
+            f"no vector |{j} {m}> in {j1} (x) {j2}") from None
+
+
+def _cgc_row(j1, j2, j, m) -> PolyMatrix:
+    """Row (j, m) of C^T, from the sl2_cgc memo."""
+    coupled_index(j1, j2, j, m)
+    twice, zero = as_half(m).twice, HPoly.zero()
+    return PolyMatrix([[HPoly.constant(sl2_cgc(j1, j2, j, n1, n2))
+                        if n1.twice + n2.twice == twice else zero
+                        for n1, n2 in product_labels(j1, j2)]])
+
+
+def cgc_matrix(j1, j2) -> PolyMatrix:
+    """C, rows in product order and columns in coupled_labels order."""
+    return PolyMatrix([_cgc_row(j1, j2, j, m).entries[0]
+                       for j, m in coupled_labels(j1, j2)]).transpose()
+
+
 @dataclass(frozen=True)
 class CoupledBasis:
-    """Coupled weight vectors |j m> of a product module, as columns."""
+    """Coupled weight vectors |j m> of a product module: the columns of K C."""
 
     j1: HalfInt
     j2: HalfInt
-    blocks: dict[HalfInt, tuple[PolyMatrix, ...]]  # j -> kets for m = j..-j
+    matrix: PolyMatrix
 
     def ket(self, j, m) -> PolyMatrix:
-        j, m = as_half(j), as_half(m)
-        return self.blocks[j][weight_index(j, m)]
+        return self.matrix.column(coupled_index(self.j1, self.j2, j, m))
 
 
 def coupled_basis(j1, j2) -> CoupledBasis:
-    """Couple intermediate kets with classical CGCs."""
+    """Couple intermediate kets with classical CGCs: K C."""
     j1, j2 = as_half(j1), as_half(j2)
-    dim = dim_of(j1) * dim_of(j2)
-    kets = {(m1, m2): intermediate_ket(j1, j2, m1, m2)
-            for m1 in weight_range(j1) for m2 in weight_range(j2)}
-    blocks = {}
-    for j in coupled_spins(j1, j2):
-        vecs = []
-        for m in weight_range(j):
-            acc = PolyMatrix.zeros(dim, 1)
-            for m1 in weight_range(j1):
-                m2 = m - m1
-                if abs(m2.twice) > j2.twice:
-                    continue
-                c = sl2_cgc(j1, j2, j, m1, m2)
-                if c:
-                    acc = acc + kets[(m1, m2)] * c
-            vecs.append(acc)
-        blocks[j] = tuple(vecs)
-    return CoupledBasis(j1, j2, blocks)
+    return CoupledBasis(j1, j2, alpha_table(j1, j2).ket @ cgc_matrix(j1, j2))
 
 
 def decompose(j1, j2) -> list[tuple[HalfInt, int]]:
@@ -360,63 +366,36 @@ def decompose(j1, j2) -> list[tuple[HalfInt, int]]:
     eigenvalue j(j+1); any mismatch raises.  Each spin occurs once.
     """
     j1, j2 = as_half(j1), as_half(j2)
-    basis = coupled_basis(j1, j2)
+    kc = coupled_basis(j1, j2).matrix
     cas = casimir_from_gens(coproduct_gens(irrep(j1).gens(), irrep(j2).gens()))
-    for j, vecs in basis.blocks.items():
-        for m, ket in zip(weight_range(j), vecs):
-            residual = cas @ ket - ket * casimir_eigenvalue(j)
-            if not residual.is_zero:
-                raise ArithmeticError(
-                    f"coupled Casimir eigenvalue mismatch at j={j}, m={m}")
+    labels = coupled_labels(j1, j2)
+    eigen = PolyMatrix.diagonal([casimir_eigenvalue(j) for j, _ in labels])
+    bad = (cas @ kc - kc @ eigen).transpose().first_nonzero()
+    if bad:
+        raise ArithmeticError("coupled Casimir eigenvalue mismatch at "
+                              "j={}, m={}".format(*labels[bad[0]]))
     return [(j, 1) for j in coupled_spins(j1, j2)]
+
+
+def coupled_ket(j1, j2, j, m) -> PolyMatrix:
+    """The coupled ket |j m> as a column over the product basis (of K C)."""
+    return alpha_table(j1, j2).ket @ _cgc_row(j1, j2, j, m).transpose()
+
+
+def coupled_bra(j1, j2, j, m) -> PolyMatrix:
+    """The coupled bra <j m| as a row over the product basis (of C^T B)."""
+    return _cgc_row(j1, j2, j, m) @ alpha_table(j1, j2).bra
 
 
 def uh_cgc(j1, j2, j, k1, k2, m) -> HPoly:
     """Deformed Clebsch-Gordan coefficient: the coefficient of the product
-    ket |j1 k1>(x)|j2 k2> in the coupled ket |j m>."""
-    j1, j2, j = as_half(j1), as_half(j2), as_half(j)
-    k1, k2, m = as_half(k1), as_half(k2), as_half(m)
-    table = alpha_table(j1, j2)
-    acc = HPoly.zero()
-    for m1 in weight_range(j1):
-        m2 = m - m1
-        if abs(m2.twice) > j2.twice:
-            continue
-        c = sl2_cgc(j1, j2, j, m1, m2)
-        if c:
-            a = table.value(k1, k2, m1, m2)
-            if a:
-                acc = acc + a * c
-    return acc
+    ket |j1 k1>(x)|j2 k2> in the coupled ket |j m>, as row k of K times
+    column (j, m) of C."""
+    row = alpha_table(j1, j2).ket.row(product_weight_index(j1, j2, k1, k2))
+    return (row @ _cgc_row(j1, j2, j, m).transpose()).scalar()
 
 
 def uh_cgc_bra(j1, j2, j, k1, k2, m) -> HPoly:
     """Coefficient of <j1 k1|(x)<j2 k2| in the coupled bra <j m|."""
-    j1, j2, j = as_half(j1), as_half(j2), as_half(j)
-    k1, k2, m = as_half(k1), as_half(k2), as_half(m)
-    table = alpha_table(j1, j2)
-    acc = HPoly.zero()
-    for m1 in weight_range(j1):
-        m2 = m - m1
-        if abs(m2.twice) > j2.twice:
-            continue
-        c = sl2_cgc(j1, j2, j, m1, m2)
-        if c:
-            a = table.value(-k1, -k2, -m1, -m2)
-            if a:
-                acc = acc + a * c
-    return acc
-
-
-def coupled_bra(j1, j2, j, m) -> PolyMatrix:
-    """The coupled bra <j m| as a row over the product basis."""
-    j1, j2, j, m = as_half(j1), as_half(j2), as_half(j), as_half(m)
-    acc = PolyMatrix.zeros(1, dim_of(j1) * dim_of(j2))
-    for m1 in weight_range(j1):
-        m2 = m - m1
-        if abs(m2.twice) > j2.twice:
-            continue
-        c = sl2_cgc(j1, j2, j, m1, m2)
-        if c:
-            acc = acc + intermediate_bra(j1, j2, m1, m2) * c
-    return acc
+    return coupled_bra(j1, j2, j, m).entry(
+        0, product_weight_index(j1, j2, k1, k2))

@@ -29,7 +29,11 @@ def _coerce_row(row):
 
 
 class PolyMatrix:
-    """An immutable rows x cols matrix of HPoly entries."""
+    """An immutable rows x cols matrix of HPoly entries.
+
+    Memoized modules and tables hand out shared instances, so the slots are
+    frozen once set.
+    """
 
     __slots__ = ("rows", "cols", "entries", "row_weights", "col_weights")
 
@@ -37,18 +41,27 @@ class PolyMatrix:
         entries = tuple(_coerce_row(r) for r in rows_data)
         if not entries or not entries[0]:
             raise ShapeError("matrices must have at least one row and column")
-        cols = len(entries[0])
+        rows, cols = len(entries), len(entries[0])
         if any(len(r) != cols for r in entries):
             raise ShapeError("ragged rows")
-        self.entries = entries
-        self.rows = len(entries)
-        self.cols = cols
-        if row_weights is not None and len(row_weights) != self.rows:
-            raise ShapeError(f"{len(row_weights)} row weights for {self.rows} rows")
-        if col_weights is not None and len(col_weights) != self.cols:
-            raise ShapeError(f"{len(col_weights)} col weights for {self.cols} cols")
-        self.row_weights = tuple(row_weights) if row_weights is not None else None
-        self.col_weights = tuple(col_weights) if col_weights is not None else None
+        if row_weights is not None and len(row_weights) != rows:
+            raise ShapeError(f"{len(row_weights)} row weights for {rows} rows")
+        if col_weights is not None and len(col_weights) != cols:
+            raise ShapeError(f"{len(col_weights)} col weights for {cols} cols")
+        init = object.__setattr__
+        init(self, "entries", entries)
+        init(self, "rows", rows)
+        init(self, "cols", cols)
+        init(self, "row_weights",
+             tuple(row_weights) if row_weights is not None else None)
+        init(self, "col_weights",
+             tuple(col_weights) if col_weights is not None else None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PolyMatrix is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PolyMatrix is immutable: cannot delete {name!r}")
 
     # -- constructors -----------------------------------------------------
 

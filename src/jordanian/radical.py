@@ -12,7 +12,7 @@ factors) lives in this ring, so identities are decided exactly by comparing
 canonical forms.  Division is supported only by single-term scalars
 q*sqrt(n), which is all the library ever needs.
 
->>> print(rad_normalize(1, 8))
+>>> print(RadScalar.of(1, 8))
 (2)*sqrt(2)
 >>> print(RadScalar.sqrt(2) * RadScalar.sqrt(6))
 (2)*sqrt(3)
@@ -86,13 +86,18 @@ def _primes_up_to(n: int) -> list[int]:
 def sqrt_factorial_ratio(fact_num=(), fact_den=(), int_num=(), int_den=()) -> "RadScalar":
     """Exact square root of (prod int_num / prod int_den) * (prod a! / prod b!).
 
-    The value under the root must be a nonnegative rational; the factorial
-    arguments must be nonnegative integers.  Works through prime exponent
-    bookkeeping, so no large-integer factorization ever happens.
+    The value under the root must be a nonnegative rational: the factorial
+    arguments and int_num entries must be nonnegative integers (a zero in
+    int_num makes the value zero), the int_den entries positive ones.
+    Works through prime exponent bookkeeping, so no large-integer
+    factorization ever happens.
     """
-    for a in (*fact_num, *fact_den):
+    for a in (*fact_num, *fact_den, *int_num):
         if a < 0:
-            raise ValueError(f"factorial argument must be nonnegative, got {a}")
+            raise ValueError(f"argument must be nonnegative, got {a}")
+    for n in int_den:
+        if n <= 0:
+            raise ValueError(f"integer denominator must be positive, got {n}")
     exps: dict[int, int] = {}
     top = max(list(fact_num) + list(fact_den), default=0)
     for p in _primes_up_to(top):
@@ -350,13 +355,3 @@ def as_rad(value) -> "RadScalar":
         return RadScalar.from_rational(value)
     return NotImplemented
 
-
-def rad_normalize(q, n: int = 1) -> RadScalar:
-    """Canonical form of q*sqrt(n): squarefree radicand, merged terms.
-
-    >>> print(rad_normalize(Fraction(1, 2), 12))
-    (1)*sqrt(3)
-    >>> print(rad_normalize(3, 1))
-    (3)
-    """
-    return RadScalar.of(q, n)

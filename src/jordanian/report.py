@@ -68,11 +68,6 @@ def zero_check(name: str, residual) -> Check:
                  f"residual degree {residual.max_degree()}; entry ({i},{k}) = {p}")
 
 
-def equality_check(name: str, left, right) -> Check:
-    """A check that two matrices agree entrywise, exactly."""
-    return zero_check(name, left - right)
-
-
 def scalar_check(name: str, left, right) -> Check:
     """A check that two scalars agree exactly."""
     if left == right:

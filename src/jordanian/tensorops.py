@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coupling import uh_cgc
+from .coupling import coupled_ket, product_labels
 from .halfint import HalfInt, as_half, dim_of, half, weight_index, weight_range
 from .hpoly import HPoly
 from .irreps import (GenMatrices, Generator, antipode_matrix, coproduct_terms,
@@ -79,11 +79,6 @@ def adjoint_action(gen: Generator, t: PolyMatrix, ctx: OpSpaceContext) -> PolyMa
     return acc
 
 
-def _ad_exp(sign: int, t: PolyMatrix, ctx: OpSpaceContext) -> PolyMatrix:
-    gen = Generator.EXP_HX if sign > 0 else Generator.EXP_MHX
-    return adjoint_action(gen, t, ctx)
-
-
 def verify_adjoint_is_representation(ctx: OpSpaceContext, samples,
                                      label: str = "") -> Report:
     """The defining relations hold for the adjoint action on operators.
@@ -97,20 +92,20 @@ def verify_adjoint_is_representation(ctx: OpSpaceContext, samples,
     def ad(g, t):
         return adjoint_action(g, t, ctx)
 
+    ep, em = Generator.EXP_HX, Generator.EXP_MHX
     for idx, t in enumerate(samples):
         r1 = (ad(Generator.X, ad(Generator.Y, t))
               - ad(Generator.Y, ad(Generator.X, t))
               - ad(Generator.H, t))
         report.add(zero_check(f"[ad X, ad Y] = ad H on sample {idx}", r1))
-        sinh_t = (_ad_exp(+1, t, ctx) - _ad_exp(-1, t, ctx)) * Fraction(1, 2)
+        sinh_t = (ad(ep, t) - ad(em, t)) * Fraction(1, 2)
         r2 = (ad(Generator.H, ad(Generator.X, t))
               - ad(Generator.X, ad(Generator.H, t))
               - sinh_t.divide_h(1) * 2)
         report.add(zero_check(f"[ad H, ad X] = 2 ad sinh(hX)/h on sample {idx}", r2))
-        cosh_t_y = (_ad_exp(+1, ad(Generator.Y, t), ctx)
-                    + _ad_exp(-1, ad(Generator.Y, t), ctx)) * Fraction(1, 2)
-        y_cosh_t = ad(Generator.Y,
-                      (_ad_exp(+1, t, ctx) + _ad_exp(-1, t, ctx)) * Fraction(1, 2))
+        cosh_t_y = (ad(ep, ad(Generator.Y, t))
+                    + ad(em, ad(Generator.Y, t))) * Fraction(1, 2)
+        y_cosh_t = ad(Generator.Y, (ad(ep, t) + ad(em, t)) * Fraction(1, 2))
         r3 = (ad(Generator.H, ad(Generator.Y, t))
               - ad(Generator.Y, ad(Generator.H, t))
               + y_cosh_t + cosh_t_y)
@@ -537,25 +532,24 @@ def couple_tensor_ops(fam_a: TensorOpFamily, fam_b: TensorOpFamily,
 
     fam_b acts first; its target module must be fam_a's source module.
     Components are the deformed-CGC combinations of the products, mirroring
-    the coupled-basis construction on the operator space.
+    the coupled-basis construction on the operator space: the coefficients
+    of component m are the coupled ket |j m> (a column of K C).  A rank j
+    outside the coupling range raises SelectionRuleError.
     """
     j = as_half(j)
     ja, jb = fam_a.rank, fam_b.rank
     if fam_a.ctx.source.x.shape != fam_b.ctx.target.x.shape or \
             fam_a.ctx.source.x != fam_b.ctx.target.x:
         raise ValueError("families do not compose: middle modules differ")
-    if not ((ja + jb - j).is_integer and abs((ja - jb).twice) <= j.twice <= (ja + jb).twice):
-        raise ValueError(f"rank {j} is not in the coupling range of {ja} and {jb}")
     comps = []
     for m in weight_range(j):
         acc = None
-        for k1 in weight_range(ja):
-            for k2 in weight_range(jb):
-                c = uh_cgc(ja, jb, j, k1, k2, m)
-                if not c:
-                    continue
-                term = (fam_a.component(k1) @ fam_b.component(k2)) * c
-                acc = term if acc is None else acc + term
+        column = coupled_ket(ja, jb, j, m).entries
+        for (k1, k2), (c,) in zip(product_labels(ja, jb), column):
+            if not c:
+                continue
+            term = (fam_a.component(k1) @ fam_b.component(k2)) * c
+            acc = term if acc is None else acc + term
         if acc is None:
             acc = PolyMatrix.zeros(fam_a.ctx.target.dim, fam_b.ctx.source.dim)
         comps.append(acc)

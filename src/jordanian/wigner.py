@@ -12,29 +12,30 @@ I is exactly the coefficient of <j1 m1| (x) <j2 m2| in the coupled bra
 <j m|, so the identity reads: matrix elements are reduced-element multiples
 of the deformed bra Clebsch-Gordan coefficients.
 
-The factorization is established here the same way it is proved: the
-alpha-combinations phi(n1,n2) of the operator columns transform like an
-intermediate basis under the target module action, so their overlaps with
-the target weight basis obey the classical CGC recurrences.
+The factorization is established the way it is proved, through the
+alpha-combinations phi(n1,n2) of the operator columns.  With K,
+B = P K^T P and C as in the coupling module, and T holding
+t_{m1}|j2 m2> as column (m1, m2), they are the columns of Phi = T K.
+verify_phi_recurrence slices Z Phi = Phi S (target H, Zp, Zm; classical
+slot sums S) by columns, verify_overlap_recurrence by entries.
+verify_wigner_eckart slices Phi = I C_j (C_j the spin-j rows of C^T),
+T = Phi B, T = I W with W = C_j B, W (K C) = E_j (the spin-j rows of the
+identity) and (C^T B)(K C) = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coupling import (alpha_table, coupled_bra, coupled_spins,
-                       product_weight_index, sl2_cgc, triangle_allowed,
-                       uh_cgc, uh_cgc_bra)
-from .halfint import HalfInt, as_half, weight_index, weight_range
+from .coupling import (SelectionRuleError, alpha_table, cgc_matrix,
+                       coupled_index, product_labels, product_weight_index,
+                       sl2_cgc, slot_sums, triangle_allowed, uh_cgc_bra)
+from .halfint import HalfInt, as_half, dim_of, weight_index, weight_range
 from .hpoly import HPoly
 from .irreps import irrep
 from .polymatrix import PolyMatrix
 from .report import Check, Report, scalar_check, zero_check
 from .tensorops import TensorOpFamily
-
-
-class SelectionRuleError(ValueError):
-    """The requested spins admit no coupling channel."""
 
 
 class ChannelMismatch(ArithmeticError):
@@ -77,56 +78,33 @@ def matrix_element(fam: TensorOpFamily, m, m1, m2) -> HPoly:
 
 
 def wigner_eckart_weight(j1, j2, j, m1, m2, m) -> HPoly:
-    """The coefficient multiplying the reduced matrix element.
+    """The coefficient multiplying the reduced matrix element, defined by
+    sum_n alpha[(-m1,-m2); (-n1,-n2)] C(n1,n2,m): the coupled-bra
+    coefficient uh_cgc_bra(j1, j2, j, m1, m2, m), an entry of C^T B."""
+    return uh_cgc_bra(j1, j2, j, m1, m2, m)
 
-    Computed from its defining sum over classical channels,
-    sum_n alpha[(-m1,-m2); (-n1,-n2)] C(n1,n2,m); it coincides with the
-    coupled-bra coefficient uh_cgc_bra(j1, j2, j, m1, m2, m).
-    """
-    j1, j2, j = as_half(j1), as_half(j2), as_half(j)
-    m1, m2, m = as_half(m1), as_half(m2), as_half(m)
-    table = alpha_table(j1, j2)
-    acc = HPoly.zero()
-    for n1 in weight_range(j1):
-        n2 = m - n1
-        if abs(n2.twice) > j2.twice:
-            continue
-        c = sl2_cgc(j1, j2, j, n1, n2)
-        if c:
-            a = table.value(-m1, -m2, -n1, -n2)
-            if a:
-                acc = acc + a * c
-    return acc
+
+def _t_phi(fam: TensorOpFamily) -> tuple[PolyMatrix, PolyMatrix]:
+    """T, with t_{m1}|j2 m2> as column (m1, m2), and Phi = T K."""
+    t = PolyMatrix([[p for comp in fam.components for p in comp.entries[row]]
+                    for row in range(fam.ctx.target.dim)])
+    return t, t @ alpha_table(fam.rank, fam.ctx.source_j).ket
 
 
 def phi_vector(fam: TensorOpFamily, n1, n2) -> PolyMatrix:
     """The intermediate combination sum_k alpha[k; n] t_{k1} |j2 k2>."""
-    j1, j2 = fam.rank, fam.ctx.source_j
-    n1, n2 = as_half(n1), as_half(n2)
-    table = alpha_table(j1, j2)
-    acc = PolyMatrix.zeros(fam.ctx.target.dim, 1)
-    for k1 in weight_range(j1):
-        comp = fam.component(k1)
-        for col, k2 in enumerate(weight_range(j2)):
-            a = table.value(k1, k2, n1, n2)
-            if a:
-                acc = acc + comp.column(col) * a
-    return acc
+    return _t_phi(fam)[1].column(
+        product_weight_index(fam.rank, fam.ctx.source_j, n1, n2))
 
 
-def _phi_table(fam: TensorOpFamily) -> dict[tuple[HalfInt, HalfInt], PolyMatrix]:
-    j1, j2 = fam.rank, fam.ctx.source_j
-    return {(n1, n2): phi_vector(fam, n1, n2)
-            for n1 in weight_range(j1) for n2 in weight_range(j2)}
-
-
-def _overlap(phi: dict, j: HalfInt, n1: HalfInt, n2: HalfInt, m: HalfInt,
-             j1: HalfInt, j2: HalfInt) -> HPoly:
-    """<j m|phi(n1, n2)>, zero for out-of-range labels."""
-    if abs(n1.twice) > j1.twice or abs(n2.twice) > j2.twice \
-            or abs(m.twice) > j.twice:
-        return HPoly.zero()
-    return phi[(n1, n2)].entry(weight_index(j, m), 0)
+def _ladder_sides(fam: TensorOpFamily) -> list[tuple[PolyMatrix, PolyMatrix]]:
+    """(Z Phi, Phi S) for the target's Z = H, Zp, Zm and the slot sums S."""
+    j2, j = _require_ladder_basis(fam)
+    phi = _t_phi(fam)[1]
+    rep = irrep(j)
+    sp, sm, sh = slot_sums(fam.rank, j2)
+    return [(z @ phi, phi @ s)
+            for z, s in ((rep.hm, sh), (rep.zp, sp), (rep.zm, sm))]
 
 
 def verify_phi_recurrence(fam: TensorOpFamily, label: str = "") -> Report:
@@ -136,32 +114,13 @@ def verify_phi_recurrence(fam: TensorOpFamily, label: str = "") -> Report:
     Z+- phi(n1,n2) = sqrt((j1-+n1)(j1+-n1+1)) phi(n1+-1,n2)
                    + sqrt((j2-+n2)(j2+-n2+1)) phi(n1,n2+-1).
     """
-    from .irreps import ladder_factor
-
-    j2, j = _require_ladder_basis(fam)
-    j1 = fam.rank
-    rep = irrep(j)
-    phi = _phi_table(fam)
-    zero = PolyMatrix.zeros(rep.dim, 1)
-
-    def at(n1, n2):
-        if abs(n1.twice) > j1.twice or abs(n2.twice) > j2.twice:
-            return zero
-        return phi[(n1, n2)]
-
+    rh, rp, rm = (left - right for left, right in _ladder_sides(fam))
     report = Report(f"intermediate action on operator combinations {label}".rstrip())
-    one = HalfInt(1)
-    for (n1, n2), vec in phi.items():
-        r = rep.hm @ vec - vec * (2 * (n1 + n2).as_fraction())
-        report.add(zero_check(f"H phi({n1},{n2}) = 2({n1}+{n2}) phi", r))
-        for sign, sym in ((+1, "Z+"), (-1, "Z-")):
-            zmat = rep.zp if sign > 0 else rep.zm
-            step = one if sign > 0 else -one
-            want = (at(n1 + step, n2) * ladder_factor(j1, n1, sign)
-                    + at(n1, n2 + step) * ladder_factor(j2, n2, sign))
-            report.add(zero_check(
-                f"{sym} phi({n1},{n2}) follows the two-slot ladder rule",
-                zmat @ vec - want))
+    for col, (n1, n2) in enumerate(product_labels(fam.rank, fam.ctx.source_j)):
+        rule = f"phi({n1},{n2}) follows the two-slot ladder rule"
+        for name, residual in ((f"H phi({n1},{n2}) = 2({n1}+{n2}) phi", rh),
+                               (f"Z+ {rule}", rp), (f"Z- {rule}", rm)):
+            report.add(zero_check(name, residual.column(col)))
     return report
 
 
@@ -169,27 +128,23 @@ def verify_overlap_recurrence(fam: TensorOpFamily, label: str = "") -> Report:
     """The overlaps <j m|phi(n1,n2)> obey the classical CGC recurrences:
     sqrt((j-+m)(j+-m+1)) <jm|phi(n1,n2)>
       = sqrt((j1-+n1)(j1+-n1+1)) <j m+-1|phi(n1+-1,n2)>
-      + sqrt((j2-+n2)(j2+-n2+1)) <j m+-1|phi(n1,n2+-1)>.
+      + sqrt((j2-+n2)(j2+-n2+1)) <j m+-1|phi(n1,n2+-1)>,
+    which is entry (m+-1, n) of Z Phi = Phi S; both sides vanish when
+    m+-1 leaves the ladder.
     """
-    from .irreps import ladder_factor
-
-    j2, j = _require_ladder_basis(fam)
-    j1 = fam.rank
-    phi = _phi_table(fam)
+    _, raising, lowering = _ladder_sides(fam)
+    j = fam.ctx.target_j
+    zero = HPoly.zero()
     report = Report(f"overlap recurrences {label}".rstrip())
-    one = HalfInt(1)
-    for n1 in weight_range(j1):
-        for n2 in weight_range(j2):
-            for m in weight_range(j):
-                for sign, sym in ((+1, "raising"), (-1, "lowering")):
-                    step = one if sign > 0 else -one
-                    lhs = _overlap(phi, j, n1, n2, m, j1, j2) * ladder_factor(j, m, sign)
-                    rhs = (_overlap(phi, j, n1 + step, n2, m + step, j1, j2)
-                           * ladder_factor(j1, n1, sign)
-                           + _overlap(phi, j, n1, n2 + step, m + step, j1, j2)
-                           * ladder_factor(j2, n2, sign))
-                    report.add(scalar_check(
-                        f"{sym} recurrence at n=({n1},{n2}), m={m}", lhs, rhs))
+    for col, (n1, n2) in enumerate(product_labels(fam.rank, fam.ctx.source_j)):
+        for m in weight_range(j):
+            for sym, sign, sides in (("raising", 1, raising),
+                                     ("lowering", -1, lowering)):
+                row = weight_index(j, m) - sign  # the weight m + sign
+                lhs, rhs = (side.entry(row, col) if 0 <= row < dim_of(j)
+                            else zero for side in sides)
+                report.add(scalar_check(
+                    f"{sym} recurrence at n=({n1},{n2}), m={m}", lhs, rhs))
     return report
 
 
@@ -206,24 +161,20 @@ def reduced_matrix_element(fam: TensorOpFamily) -> ReducedMatrixElement:
     if not triangle_allowed(j1, j2, j):
         raise SelectionRuleError(
             f"rank {j1} cannot connect spin {j2} to spin {j}")
-    phi = _phi_table(fam)
-    value = None
-    origin = None
-    for (n1, n2), vec in phi.items():
+    phi = _t_phi(fam)[1]
+    value = origin = None
+    for col, (n1, n2) in enumerate(product_labels(j1, j2)):
         m = n1 + n2
-        if abs(m.twice) > j.twice:
-            continue
-        c = sl2_cgc(j1, j2, j, n1, n2)
+        c = sl2_cgc(j1, j2, j, n1, n2)  # zero unless |j m> exists
         if not c:
             continue
-        candidate = _overlap(phi, j, n1, n2, m, j1, j2) / c
+        candidate = phi.entry(weight_index(j, m), col) / c
+        channel = f"channel n=({n1},{n2}), m={m}"
         if value is None:
-            value, origin = candidate, (n1, n2, m)
+            value, origin = candidate, channel
         elif candidate != value:
-            raise ChannelMismatch(
-                f"channel n=({n1},{n2}), m={m} gives {candidate}, but "
-                f"channel n=({origin[0]},{origin[1]}), m={origin[2]} "
-                f"gives {value}")
+            raise ChannelMismatch(f"{channel} gives {candidate}, but "
+                                  f"{origin} gives {value}")
     if value is None:
         raise SelectionRuleError(
             f"no classical channel connects spin {j2} to spin {j} at rank {j1}")
@@ -231,16 +182,11 @@ def reduced_matrix_element(fam: TensorOpFamily) -> ReducedMatrixElement:
 
 
 def verify_wigner_eckart(fam: TensorOpFamily, label: str = "") -> Report:
-    """Full factorization check for one family.
-
-    Covers: channel-consistent extraction of I; the proportionality
-    <jm|phi(n)> = I C(n,m) on every channel; reconstruction of the operator
-    columns from the phi vectors through the inverse alpha table; the
-    factorization of every matrix element through the bra coefficient; and
-    the identification of that coefficient with the coupled-bra expansion
-    (checked against the independently built coupled bra, and through
-    duality with the deformed ket coefficients).
-    """
+    """Full factorization check for one family: channel-consistent
+    extraction of I, then Phi = I C_j, T = Phi B (the operator rebuilt
+    through the inverse table), T = I W (matrix elements through the bra
+    coefficients W = C_j B), W (K C) = E_j (W is the coupled bra) and
+    (C^T B)(K C) = 1 (all coupled bras and kets are dual)."""
     report = Report(f"factorization of matrix elements {label}".rstrip())
     j2, j = _require_ladder_basis(fam)
     j1 = fam.rank
@@ -253,66 +199,37 @@ def verify_wigner_eckart(fam: TensorOpFamily, label: str = "") -> Report:
     report.add(Check("reduced matrix element extraction", "pass",
                      f"I = {ivalue}"))
 
-    phi = _phi_table(fam)
-    for (n1, n2), vec in phi.items():
-        for m in weight_range(j):
-            got = _overlap(phi, j, n1, n2, m, j1, j2)
-            want = ivalue * HPoly.constant(sl2_cgc(j1, j2, j, n1, n2)) \
-                if m == n1 + n2 else HPoly.zero()
+    labels = product_labels(j1, j2)
+    bra = alpha_table(j1, j2).bra
+    t, phi = _t_phi(fam)
+    c = cgc_matrix(j1, j2)
+    ct = c.transpose()
+    top = coupled_index(j1, j2, j, j)  # row of <j j| in C^T
+    for col, (n1, n2) in enumerate(labels):
+        for row, m in enumerate(weight_range(j)):
             report.add(scalar_check(
                 f"<{j} {m}|phi({n1},{n2})> = I C at n=({n1},{n2}), m={m}",
-                got, want))
+                phi.entry(row, col), ivalue * ct.entry(top + row, col)))
 
-    table = alpha_table(j1, j2)
-    for m1 in weight_range(j1):
-        comp = fam.component(m1)
-        for col, m2 in enumerate(weight_range(j2)):
-            acc = PolyMatrix.zeros(fam.ctx.target.dim, 1)
-            for n1 in weight_range(j1):
-                for n2 in weight_range(j2):
-                    a = table.value(-m1, -m2, -n1, -n2)
-                    if a:
-                        acc = acc + phi[(n1, n2)] * a
-            report.add(zero_check(
-                f"t_({m1})|{j2} {m2}> rebuilt from phi via the inverse table",
-                comp.column(col) - acc))
+    rebuilt = t - phi @ bra
+    for col, (m1, m2) in enumerate(labels):
+        report.add(zero_check(
+            f"t_({m1})|{j2} {m2}> rebuilt from phi via the inverse table",
+            rebuilt.column(col)))
 
-    for m in weight_range(j):
-        for m1 in weight_range(j1):
-            for m2 in weight_range(j2):
-                got = matrix_element(fam, m, m1, m2)
-                weight = uh_cgc_bra(j1, j2, j, m1, m2, m)
-                report.add(scalar_check(
-                    f"<{j} {m}|t_({m1})|{j2} {m2}> = I * bra coefficient",
-                    got, ivalue * weight))
+    bras = ct @ bra  # coupled bras; the spin-j rows are the weights W
+    for row, m in enumerate(weight_range(j)):
+        for col, (m1, m2) in enumerate(labels):
+            report.add(scalar_check(
+                f"<{j} {m}|t_({m1})|{j2} {m2}> = I * bra coefficient",
+                t.entry(row, col), ivalue * bras.entry(top + row, col)))
 
-    remark_ok = True
-    for m in weight_range(j):
-        bra = coupled_bra(j1, j2, j, m)
-        for m1 in weight_range(j1):
-            for m2 in weight_range(j2):
-                w = wigner_eckart_weight(j1, j2, j, m1, m2, m)
-                if w != uh_cgc_bra(j1, j2, j, m1, m2, m):
-                    remark_ok = False
-                if w != bra.entry(0, product_weight_index(j1, j2, m1, m2)):
-                    remark_ok = False
-    report.add(Check(
-        "the factorization weight is the coupled-bra coefficient",
-        "pass" if remark_ok else "fail", "exact" if remark_ok else ""))
-
-    duality_ok = True
-    for jp in coupled_spins(j1, j2):
-        for m in weight_range(j):
-            for mp in weight_range(jp):
-                s = HPoly.zero()
-                for m1 in weight_range(j1):
-                    for m2 in weight_range(j2):
-                        s = s + (uh_cgc_bra(j1, j2, j, m1, m2, m)
-                                 * uh_cgc(j1, j2, jp, m1, m2, mp))
-                want = HPoly.one() if (jp == j and m == mp) else HPoly.zero()
-                if s != want:
-                    duality_ok = False
-    report.add(Check(
-        "bra and ket deformed coefficients are dual",
-        "pass" if duality_ok else "fail", "exact" if duality_ok else ""))
+    dual = bras @ (alpha_table(j1, j2).ket @ c)
+    one = PolyMatrix.identity(len(labels))
+    spin_j = range(top, top + dim_of(j))
+    for name, ok in (
+            ("the factorization weight is the coupled-bra coefficient",
+             all(dual.entries[r] == one.entries[r] for r in spin_j)),
+            ("bra and ket deformed coefficients are dual", dual == one)):
+        report.add(Check(name, "pass" if ok else "fail", "exact" if ok else ""))
     return report

@@ -6,6 +6,7 @@ negative-value preprocessing, and the output formatting are all exercised
 exactly as a shell invocation would.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -130,7 +131,29 @@ def test_alpha_full_table_json(capsys):
         2, RadScalar.from_rational(Fraction(1, 4)))
 
 
+def test_alpha_partial_indices_are_a_usage_error(capsys):
+    code, out, err = run(capsys, "alpha", "--j1", "1/2", "--j2", "1/2",
+                         "--k1", "1/2", "--m2", "-1/2")
+    assert code == 2
+    assert out == ""
+    assert "missing --k2, --m1" in err
+
+
 # -- cgc ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spin_args", [
+    ("--j", "5", "--m", "0"),
+    ("--j", "1/2", "--m", "1/2"),
+    ("--j", "1", "--m", "1/2"),
+    ("--j", "5", "--classical"),
+], ids=["triangle", "parity", "m-off-ladder", "classical-triangle"])
+def test_cgc_without_coupling_channel_exits_2(capsys, spin_args):
+    code, out, err = run(capsys, "cgc", "--j1", "1/2", "--j2", "1/2",
+                         *spin_args)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "in 1/2 (x) 1/2" in err
 
 
 def test_cgc_requires_m_for_deformed(capsys):
@@ -342,6 +365,24 @@ def test_verify_json_is_deterministic(capsys):
     assert first == second
     assert first["passed"] is True
     assert first["max_j"] == "1/2"
+
+
+# SHA-256 of `verify --max-j 3/2 --format json` with every elapsed_s removed
+# and the rest re-serialized by json.dumps: 97 reports, 3 307 checks and 14
+# NOTE lines.  Any change to a check name, order, detail or count, or to a
+# NOTE line, changes it.
+VERIFY_3_2_DIGEST = \
+    "60cd74d68ca1716fa2b6da22d70c709745e7241b77722f619f932aa4736d7946"
+
+
+def test_verify_json_matches_recorded_digest(capsys):
+    code, out, _ = run(capsys, "verify", "--max-j", "3/2", "--format", "json")
+    assert code == 0
+    payload = _strip_elapsed(json.loads(out))
+    assert len(payload["suites"]) == 97
+    assert sum(len(s["notes"]) for s in payload["suites"]) == 14
+    digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+    assert digest == VERIFY_3_2_DIGEST
 
 
 # -- output plumbing ------------------------------------------------------------

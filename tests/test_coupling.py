@@ -4,16 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from alpha_oracle import orthogonality_sum, uh_cgc_bra_sum, uh_cgc_sum
 from jordanian.coupling import (alpha_coeff, alpha_table, binom_ext,
-                                coupled_basis, coupled_bra, coupled_ladder,
-                                coupled_spins, decompose, intermediate_bra,
-                                intermediate_ket, product_weight_index,
+                                coupled_basis, coupled_bra, coupled_labels,
+                                coupled_ladder, coupled_spins, decompose,
+                                intermediate_bra, intermediate_ket,
+                                product_labels, product_weight_index,
                                 sl2_cgc, triangle_allowed, uh_cgc, uh_cgc_bra,
                                 verify_alpha_orthogonality,
                                 verify_intermediate_action,
                                 verify_intermediate_orthonormality)
 from jordanian.halfint import dim_of, half, weight_range
 from jordanian.hpoly import HPoly
+from jordanian.irreps import irrep
 from jordanian.polymatrix import PolyMatrix
 from jordanian.radical import RadScalar
 
@@ -234,6 +237,7 @@ def test_coupled_biorthonormality(j1, j2):
 
 
 def test_uh_cgc_matches_coupled_ket_entries():
+    # Both are read off K C, so each is held against the defining sum.
     j1, j2 = half(1), H12
     basis = coupled_basis(j1, j2)
     for j in coupled_spins(j1, j2):
@@ -242,7 +246,9 @@ def test_uh_cgc_matches_coupled_ket_entries():
             for k1 in weight_range(j1):
                 for k2 in weight_range(j2):
                     idx = product_weight_index(j1, j2, k1, k2)
-                    assert uh_cgc(j1, j2, j, k1, k2, m) == ket.entry(idx, 0)
+                    want = uh_cgc_sum(j1, j2, j, k1, k2, m)
+                    assert uh_cgc(j1, j2, j, k1, k2, m) == want
+                    assert ket.entry(idx, 0) == want
 
 
 def test_uh_cgc_frozen_singlet_value():
@@ -280,3 +286,54 @@ def test_uh_cgc_weight_support():
                         assert not uh_cgc(j1, j2, j, k1, k2, m)
                     if (k1 + k2) > m:
                         assert not uh_cgc_bra(j1, j2, j, k1, k2, m)
+
+
+# -- the matrix core against the defining index sums --------------------------
+
+SPINS_UP_TO_2 = [half(t, 2) for t in range(5)]
+
+
+@pytest.mark.parametrize("j1,j2", [(a, b) for a in SPINS_UP_TO_2
+                                   for b in SPINS_UP_TO_2], ids=str)
+def test_matrix_core_matches_defining_sums(j1, j2):
+    # B K against sum_k alpha[k; m] alpha[-k; -n]; K C and C^T B, each
+    # through both the full product and the single-cell path, against the
+    # channel sums that define uh_cgc and uh_cgc_bra.
+    table = alpha_table(j1, j2)
+    bk = table.bra @ table.ket
+    labels = product_labels(j1, j2)
+    for r, (n1, n2) in enumerate(labels):
+        for c, (m1, m2) in enumerate(labels):
+            assert bk.entry(r, c) == orthogonality_sum(j1, j2, m1, m2, n1, n2)
+    kc = coupled_basis(j1, j2).matrix
+    for c, (j, m) in enumerate(coupled_labels(j1, j2)):
+        bra = coupled_bra(j1, j2, j, m)
+        for r, (k1, k2) in enumerate(labels):
+            ket_sum = uh_cgc_sum(j1, j2, j, k1, k2, m)
+            bra_sum = uh_cgc_bra_sum(j1, j2, j, k1, k2, m)
+            assert kc.entry(r, c) == ket_sum
+            assert uh_cgc(j1, j2, j, k1, k2, m) == ket_sum
+            assert bra.entry(0, r) == bra_sum
+            assert uh_cgc_bra(j1, j2, j, k1, k2, m) == bra_sum
+
+
+def test_memoized_tables_are_read_only():
+    # The memo hands every caller the same objects; none of them can be
+    # changed in place, so later results stay as they were.
+    table = alpha_table(1, 1)
+    before = table.value(1, 1, 1, 0)
+    assert before == HPoly.h(1, -RadScalar.sqrt(2))
+    with pytest.raises(AttributeError):
+        table.values[(half(1), half(1), half(1), half(0))] = HPoly.zero()
+    with pytest.raises(AttributeError):
+        table.ket = PolyMatrix.zeros(9, 9)
+    with pytest.raises(AttributeError):
+        table.ket.entries = ()
+    with pytest.raises(TypeError):
+        table.ket.entries[0][1] = HPoly.zero()
+    with pytest.raises(AttributeError):
+        irrep(1).x.entries = ()
+    assert alpha_table(1, 1) is table
+    assert alpha_table(1, 1).value(1, 1, 1, 0) == before
+    assert verify_alpha_orthogonality(1, 1).ok
+    assert uh_cgc(1, 1, 2, 1, 1, 2) == HPoly.one()

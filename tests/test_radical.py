@@ -144,6 +144,20 @@ def test_sqrt_factorial_ratio_zero_and_negative():
         sqrt_factorial_ratio(fact_den=(-2,))
 
 
+def test_sqrt_factorial_ratio_rejects_bad_integer_factors():
+    # A negative integer numerator or a zero or negative integer
+    # denominator has no real square root to give; a zero numerator is
+    # still a legal zero.
+    with pytest.raises(ValueError):
+        sqrt_factorial_ratio(int_num=(-4,))
+    with pytest.raises(ValueError):
+        sqrt_factorial_ratio(int_den=(0,))
+    with pytest.raises(ValueError):
+        sqrt_factorial_ratio(fact_num=(3,), int_den=(-2,))
+    assert not sqrt_factorial_ratio(fact_num=(3,), int_num=(0,), int_den=(5,))
+    assert sqrt_factorial_ratio(int_num=(8,), int_den=(2,)) == RadScalar.of(2)
+
+
 def test_sqrt_factorial_ratio_large_inputs_stay_exact():
     val = sqrt_factorial_ratio(fact_num=(40,), fact_den=(20, 20))
     sq = val * val

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from jordanian.coupling import uh_cgc_bra
+from alpha_oracle import phi_sum, uh_cgc_bra_sum
+from jordanian.coupling import product_labels, uh_cgc_bra
 from jordanian.halfint import half, weight_range
 from jordanian.hpoly import HPoly
 from jordanian.polymatrix import PolyMatrix
@@ -14,7 +15,8 @@ from jordanian.tensorops import (OpSpaceContext, TensorOpFamily,
                                  fermion_realization, fermion_wigner_families,
                                  identity_family, rank1_generators)
 from jordanian.wigner import (ChannelMismatch, SelectionRuleError,
-                              matrix_element, reduced_matrix_element,
+                              matrix_element, phi_vector,
+                              reduced_matrix_element,
                               verify_overlap_recurrence, verify_phi_recurrence,
                               verify_wigner_eckart, wigner_eckart_weight)
 
@@ -100,13 +102,26 @@ def test_wigner_eckart_factorization(label, fam):
 
 
 def test_weight_equals_deformed_bra_coefficient():
+    # The weight is read off C^T B; hold it against its defining sum
+    # sum_n alpha[(-m1,-m2); (-n1,-n2)] C(n1,n2,m).
     for j1, j2, j in [(H12, H12, half(0)), (H12, H12, half(1)),
                       (H12, half(1), half(3, 2)), (half(1), half(1), half(1))]:
         for m1 in weight_range(j1):
             for m2 in weight_range(j2):
                 for m in weight_range(j):
                     assert wigner_eckart_weight(j1, j2, j, m1, m2, m) == \
-                        uh_cgc_bra(j1, j2, j, m1, m2, m)
+                        uh_cgc_bra_sum(j1, j2, j, m1, m2, m)
+
+
+@pytest.mark.parametrize("label,fam", ZOO)
+def test_phi_and_weights_match_defining_sums(label, fam):
+    j1, j2, j = fam.rank, fam.ctx.source_j, fam.ctx.target_j
+    for n1, n2 in product_labels(j1, j2):
+        assert phi_vector(fam, n1, n2) == phi_sum(fam, n1, n2)
+    for m in weight_range(j):
+        for m1, m2 in product_labels(j1, j2):
+            assert wigner_eckart_weight(j1, j2, j, m1, m2, m) == \
+                uh_cgc_bra_sum(j1, j2, j, m1, m2, m)
 
 
 def test_fermion_matrix_elements_factor_by_hand():
