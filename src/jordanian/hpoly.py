@@ -19,7 +19,11 @@ from .radical import RadScalar, as_rad, format_terms
 
 
 class HPoly:
-    """A polynomial sum_k c_k h**k with RadScalar coefficients."""
+    """A polynomial sum_k c_k h**k with RadScalar coefficients.
+
+    Instances are immutable: memoized matrices share their entries with
+    every caller, so the slot is frozen once set.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -32,7 +36,23 @@ class HPoly:
             out.append(r)
         while out and not out[-1]:
             out.pop()
-        self.coeffs = tuple(out)
+        object.__setattr__(self, "coeffs", tuple(out))
+
+    @staticmethod
+    def _canonical(coeffs: tuple) -> "HPoly":
+        """Wrap a tuple of RadScalars that is already trimmed."""
+        self = HPoly.__new__(HPoly)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HPoly is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"HPoly is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return HPoly._canonical, (self.coeffs,)
 
     @classmethod
     def zero(cls) -> "HPoly":

@@ -3,15 +3,35 @@
 Matrices carry optional weight labels on rows and columns (the half-integer
 m of each basis vector) so representation-theoretic indexing stays explicit.
 All operations are exact; a zero residual matrix is literally zero.
+
+The arithmetic (``@``, ``kron``, ``+``, ``-``, scalar ``*`` and ``/``) runs
+as one fused exact kernel instead of composing the scalar ring operators:
+
+* each operand entry is read once, as a flat list of
+  (h-power, radicand, coefficient) terms.  For products the coefficients
+  are Python-int numerators over a common denominator: one per row of the
+  left operand, one for the whole right operand;
+* each output entry is summed in a single dict keyed by
+  (h-power, radicand).  Radicands multiply as in ``RadScalar.__mul__``:
+  sqrt(n1)*sqrt(n2) = g*sqrt((n1/g)*(n2/g)) with g = gcd(n1, n2);
+* each output entry then becomes exactly one canonical ``HPoly`` (zero
+  coefficients dropped, trailing h-powers trimmed), built by the private
+  constructors of ``HPoly`` and ``RadScalar``;
+* zero entries add nothing, and a sum with a zero entry returns the other
+  entry itself.
+
+The left operand is flattened row by row, and no flat copy outlives the
+operation, so storage is the tuple of tuples of ``HPoly`` it always was.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .halfint import HalfInt
 from .hpoly import HPoly, as_hpoly
+from .radical import RadScalar
 
 
 class ShapeError(ValueError):
@@ -26,6 +46,102 @@ def _coerce_row(row):
             raise TypeError(f"bad matrix entry {x!r}")
         out.append(p)
     return tuple(out)
+
+
+# -- the kernel -----------------------------------------------------------------
+
+_ZERO = HPoly.zero()
+_RAD_ZERO = RadScalar.zero()
+
+
+def _flatten(rows):
+    """Read rows of HPoly entries once, over one common denominator.
+
+    Returns (den, flat): flat[i] lists (column, terms) for the nonzero
+    entries of row i, each term an (h-power, radicand, numerator) triple
+    whose value is numerator / den.
+    """
+    den = 1
+    fracs = []
+    for row in rows:
+        frow = []
+        for c, p in enumerate(row):
+            if p.coeffs:
+                terms = [(k, n, q) for k, r in enumerate(p.coeffs)
+                         for n, q in r.terms.items()]
+                for _, _, q in terms:
+                    den = lcm(den, q.denominator)
+                frow.append((c, terms))
+        fracs.append(frow)
+    return den, [[(c, [(k, n, q.numerator * (den // q.denominator))
+                        for k, n, q in terms])
+                  for c, terms in frow] for frow in fracs]
+
+
+def _accumulate(acc, aterms, bterms):
+    """Add the product of two flat term lists into acc."""
+    get = acc.get
+    for k1, n1, a in aterms:
+        for k2, n2, b in bterms:
+            if n1 == 1:
+                key, v = (k1 + k2, n2), a * b
+            elif n2 == 1:
+                key, v = (k1 + k2, n1), a * b
+            elif n1 == n2:
+                key, v = (k1 + k2, 1), a * b * n1
+            else:
+                g = gcd(n1, n2)
+                key, v = (k1 + k2, (n1 // g) * (n2 // g)), a * b * g
+            acc[key] = get(key, 0) + v
+
+
+def _hpoly(acc, den=None):
+    """The canonical HPoly of {(h-power, radicand): value}.
+
+    Values are int numerators over den, or Fractions when den is None;
+    zero values are dropped.
+    """
+    powers = {}
+    for (k, n), v in acc.items():
+        if v:
+            if den is not None:
+                v = Fraction(v) if den == 1 else Fraction(v, den)
+            t = powers.get(k)
+            if t is None:
+                powers[k] = t = {}
+            t[n] = v
+    if not powers:
+        return _ZERO
+    coeffs = [_RAD_ZERO] * (max(powers) + 1)
+    for k, t in powers.items():
+        coeffs[k] = RadScalar._canonical(t)
+    return HPoly._canonical(tuple(coeffs))
+
+
+def _neg(p):
+    if not p.coeffs:
+        return p
+    return HPoly._canonical(tuple(
+        RadScalar._canonical({n: -q for n, q in r.terms.items()}) if r.terms else r
+        for r in p.coeffs))
+
+
+def _sum(a, b, sign):
+    """a + sign*b for two HPoly entries."""
+    if not b.coeffs:
+        return a
+    if not a.coeffs:
+        return b if sign > 0 else _neg(b)
+    acc = {(k, n): q for k, r in enumerate(a.coeffs) for n, q in r.terms.items()}
+    get = acc.get
+    for k, r in enumerate(b.coeffs):
+        for n, q in r.terms.items():
+            key = (k, n)
+            v = get(key)
+            if sign < 0:
+                q = -q
+            acc[key] = q if v is None else v + q
+    return _hpoly(acc)
 
 
 class PolyMatrix:
@@ -62,6 +178,22 @@ class PolyMatrix:
 
     def __delattr__(self, name):
         raise AttributeError(f"PolyMatrix is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return PolyMatrix._of, (self.entries, self.row_weights, self.col_weights)
+
+    @classmethod
+    def _of(cls, entries, row_weights, col_weights):
+        """Wrap rows that are already tuples of HPoly (kernel results);
+        weights are tuples or None."""
+        self = object.__new__(cls)
+        init = object.__setattr__
+        init(self, "entries", entries)
+        init(self, "rows", len(entries))
+        init(self, "cols", len(entries[0]))
+        init(self, "row_weights", row_weights)
+        init(self, "col_weights", col_weights)
+        return self
 
     # -- constructors -----------------------------------------------------
 
@@ -108,61 +240,64 @@ class PolyMatrix:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _same_shape(self, other):
+    def _entrywise_sum(self, other, sign):
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
+        return PolyMatrix._of(
+            tuple(tuple(_sum(a, b, sign) for a, b in zip(ra, rb))
+                  for ra, rb in zip(self.entries, other.entries)),
+            self.row_weights if self.row_weights == other.row_weights else None,
+            self.col_weights if self.col_weights == other.col_weights else None)
 
     def __add__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        self._same_shape(other)
-        return PolyMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            self.row_weights if self.row_weights == other.row_weights else None,
-            self.col_weights if self.col_weights == other.col_weights else None)
+        return self._entrywise_sum(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        self._same_shape(other)
-        return PolyMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            self.row_weights if self.row_weights == other.row_weights else None,
-            self.col_weights if self.col_weights == other.col_weights else None)
+        return self._entrywise_sum(other, -1)
 
     def __neg__(self):
-        return self.map_entries(lambda p: -p)
+        return PolyMatrix._of(tuple(tuple(_neg(p) for p in row)
+                                    for row in self.entries),
+                              self.row_weights, self.col_weights)
 
     def __mul__(self, scalar):
         s = as_hpoly(scalar)
         if s is NotImplemented:
             return NotImplemented
-        return self.map_entries(lambda p: p * s)
+        # A scalar multiple is the Kronecker product with a 1x1 matrix.
+        return PolyMatrix._of(_kron_entries(self, PolyMatrix._of(((s,),), None, None)),
+                              self.row_weights, self.col_weights)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return self.map_entries(lambda p: p / scalar)
+        return self * (HPoly.one() / scalar)
 
     def __matmul__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        zero = HPoly.zero()
+        bden, bflat = _flatten(other.entries)
+        cols = other.cols
         out = []
-        for i in range(self.rows):
-            arow = self.entries[i]
-            orow = [zero] * other.cols
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = other.entries[k]
-                for c, b in enumerate(brow):
-                    if b:
-                        orow[c] = orow[c] + a * b
-            out.append(orow)
-        return PolyMatrix(out, self.row_weights, other.col_weights)
+        for row in self.entries:
+            aden, (aflat,) = _flatten((row,))
+            accs = {}
+            for k, aterms in aflat:
+                for c, bterms in bflat[k]:
+                    acc = accs.get(c)
+                    if acc is None:
+                        accs[c] = acc = {}
+                    _accumulate(acc, aterms, bterms)
+            orow = [_ZERO] * cols
+            den = aden * bden
+            for c, acc in accs.items():
+                orow[c] = _hpoly(acc, den)
+            out.append(tuple(orow))
+        return PolyMatrix._of(tuple(out), self.row_weights, other.col_weights)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -179,9 +314,8 @@ class PolyMatrix:
                           self.row_weights, self.col_weights)
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[i][k] for i in range(self.rows)]
-                           for k in range(self.cols)],
-                          self.col_weights, self.row_weights)
+        return PolyMatrix._of(tuple(zip(*self.entries)),
+                              self.col_weights, self.row_weights)
 
     def submatrix(self, row_idx, col_idx) -> "PolyMatrix":
         rw = tuple(self.row_weights[i] for i in row_idx) if self.row_weights else None
@@ -238,22 +372,36 @@ class PolyMatrix:
 
 def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Kronecker product; the first factor owns the major index."""
-    zero = HPoly.zero()
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [[zero] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for k in range(a.cols):
-            aik = a.entries[i][k]
-            if not aik:
-                continue
-            for r in range(b.rows):
-                brow = b.entries[r]
-                orow = out[i * b.rows + r]
-                for c in range(b.cols):
-                    if brow[c]:
-                        orow[k * b.cols + c] = aik * brow[c]
-    return PolyMatrix(out)
+    return PolyMatrix._of(_kron_entries(a, b), None, None)
+
+
+def _kron_entries(a, b):
+    """The entries of kron(a, b).  An entry that is 1 times an entry of the
+    other factor is that entry itself."""
+    bden, bflat = _flatten(b.entries)
+    bcols = b.cols
+    cols = a.cols * bcols
+    out = []
+    b_one = [(0, 1, bden)]
+    for arow in a.entries:
+        aden, (aflat,) = _flatten((arow,))
+        den = aden * bden
+        a_one = [(0, 1, aden)]
+        for r, brow in enumerate(bflat):
+            orow = [_ZERO] * cols
+            for k, aterms in aflat:
+                base = k * bcols
+                for c, bterms in brow:
+                    if aterms == a_one:
+                        orow[base + c] = b.entries[r][c]
+                    elif bterms == b_one:
+                        orow[base + c] = arow[k]
+                    else:
+                        acc = {}
+                        _accumulate(acc, aterms, bterms)
+                        orow[base + c] = _hpoly(acc, den)
+            out.append(tuple(orow))
+    return tuple(out)
 
 
 def commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

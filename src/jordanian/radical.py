@@ -164,11 +164,25 @@ def format_terms(triples) -> str:
     return " ".join(parts)
 
 
+class _ReadOnlyTerms(dict):
+    """A dict that refuses every change: the terms of a RadScalar."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("RadScalar terms are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 class RadScalar:
     """A finite sum of terms q*sqrt(n), q rational, n squarefree natural.
 
     The terms mapping (radicand -> coefficient) is canonical: no zero
-    coefficients, all radicands squarefree.  Instances are immutable.
+    coefficients, all radicands squarefree.  Instances are immutable, the
+    slot frozen and the mapping read-only: memoized matrices share their
+    scalars with every caller.
 
     >>> x = RadScalar.of(Fraction(1, 2), 12)
     >>> print(x)
@@ -194,13 +208,28 @@ class RadScalar:
                 canon[s] = acc
             else:
                 canon.pop(s, None)
-        self.terms = canon
+        object.__setattr__(self, "terms", _ReadOnlyTerms(canon))
 
     @staticmethod
     def _make(terms: dict[int, Fraction]) -> "RadScalar":
+        return RadScalar._canonical({n: q for n, q in terms.items() if q})
+
+    @staticmethod
+    def _canonical(terms: dict[int, Fraction]) -> "RadScalar":
+        """The scalar of a dict that is already canonical (no zero
+        coefficient, squarefree radicands)."""
         self = RadScalar.__new__(RadScalar)
-        self.terms = {n: q for n, q in terms.items() if q}
+        object.__setattr__(self, "terms", _ReadOnlyTerms(terms))
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RadScalar is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RadScalar is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return RadScalar._canonical, (dict(self.terms),)
 
     @classmethod
     def zero(cls) -> "RadScalar":
@@ -249,19 +278,19 @@ class RadScalar:
         other = as_rad(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
+        out = self.terms.copy()
         for n, q in other.terms.items():
             acc = out.get(n, Fraction(0)) + q
             if acc:
                 out[n] = acc
             else:
                 out.pop(n, None)
-        return RadScalar._make(out)
+        return RadScalar._canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RadScalar._make({n: -q for n, q in self.terms.items()})
+        return RadScalar._canonical({n: -q for n, q in self.terms.items()})
 
     def __sub__(self, other):
         other = as_rad(other)
@@ -289,7 +318,7 @@ class RadScalar:
                     out[key] = acc
                 else:
                     out.pop(key, None)
-        return RadScalar._make(out)
+        return RadScalar._canonical(out)
 
     __rmul__ = __mul__
 

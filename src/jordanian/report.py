@@ -60,12 +60,26 @@ class Report:
 
 
 def zero_check(name: str, residual) -> Check:
-    """A check that passes iff the residual matrix is exactly zero."""
+    """A check that passes iff the residual matrix is exactly zero.
+
+    A failure names the first nonzero entry, with its row and column
+    weights where the residual carries them, and counts the nonzero
+    entries.
+    """
     if residual.is_zero:
         return Check(name, "pass", "exact zero")
     i, k, p = residual.first_nonzero()
+    labels = []
+    if residual.row_weights is not None:
+        labels.append(f"row m={residual.row_weights[i]}")
+    if residual.col_weights is not None:
+        labels.append(f"col m={residual.col_weights[k]}")
+    where = f"({i},{k})" + (f" [{', '.join(labels)}]" if labels else "")
+    nonzero = sum(1 for row in residual.entries for q in row if q)
     return Check(name, "fail",
-                 f"residual degree {residual.max_degree()}; entry ({i},{k}) = {p}")
+                 f"residual degree {residual.max_degree()}; {nonzero} of "
+                 f"{residual.rows * residual.cols} entries nonzero; "
+                 f"first {where} = {p}")
 
 
 def scalar_check(name: str, left, right) -> Check:

@@ -1,0 +1,93 @@
+"""Entrywise reference for the matrix kernel, built from HPoly + and * only.
+
+``PolyMatrix`` arithmetic runs as a fused kernel over flat term lists and
+integer numerators.  The functions here compute the same matrices the slow
+way, one scalar ring operation at a time, and attach weights by the rules
+the library documents.  Tests compare the two.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+from jordanian.hpoly import HPoly
+from jordanian.polymatrix import PolyMatrix
+
+MINUS_ONE = HPoly.constant(-1)
+
+
+def _matrix(rows, row_weights=None, col_weights=None) -> PolyMatrix:
+    return PolyMatrix(rows, row_weights, col_weights)
+
+
+def _same_or_none(u, v):
+    return u if u == v else None
+
+
+def matmul(a, b) -> PolyMatrix:
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for c in range(b.cols):
+            acc = HPoly.zero()
+            for k in range(a.cols):
+                acc = acc + a.entries[i][k] * b.entries[k][c]
+            row.append(acc)
+        rows.append(row)
+    return _matrix(rows, a.row_weights, b.col_weights)
+
+
+def kron(a, b) -> PolyMatrix:
+    return _matrix([[a.entries[i][k] * b.entries[r][c]
+                     for k in range(a.cols) for c in range(b.cols)]
+                    for i in range(a.rows) for r in range(b.rows)])
+
+
+def add(a, b) -> PolyMatrix:
+    return _matrix([[x + y for x, y in zip(ra, rb)]
+                    for ra, rb in zip(a.entries, b.entries)],
+                   _same_or_none(a.row_weights, b.row_weights),
+                   _same_or_none(a.col_weights, b.col_weights))
+
+
+def scale(a, s) -> PolyMatrix:
+    s = HPoly.constant(s) if not isinstance(s, HPoly) else s
+    return _matrix([[x * s for x in row] for row in a.entries],
+                   a.row_weights, a.col_weights)
+
+
+def neg(a) -> PolyMatrix:
+    return scale(a, MINUS_ONE)
+
+
+def sub(a, b) -> PolyMatrix:
+    return add(a, neg(b))
+
+
+def commutator(a, b) -> PolyMatrix:
+    return sub(matmul(a, b), matmul(b, a))
+
+
+def identity(n, weights=None) -> PolyMatrix:
+    return _matrix([[HPoly.one() if i == k else HPoly.zero() for k in range(n)]
+                    for i in range(n)], weights, weights)
+
+
+def exp_nilpotent(a, factor) -> PolyMatrix:
+    """sum_k (factor a)^k / k!, summed to the matrix size."""
+    acc = power = identity(a.rows, a.row_weights)
+    fk = HPoly.one()
+    for k in range(1, a.rows + 1):
+        power = matmul(power, a)
+        fk = fk * factor
+        acc = add(acc, scale(power, fk * HPoly.constant(Fraction(1, factorial(k)))))
+    return acc
+
+
+def unipotent_inverse(m) -> PolyMatrix:
+    """sum_k (-(m - 1))^k, summed to the matrix size."""
+    n = sub(m, identity(m.rows, m.row_weights))
+    acc = power = identity(m.rows, m.row_weights)
+    for _ in range(1, m.rows + 1):
+        power = matmul(power, neg(n))
+        acc = add(acc, power)
+    return acc

@@ -333,6 +333,26 @@ def test_memoized_tables_are_read_only():
         table.ket.entries[0][1] = HPoly.zero()
     with pytest.raises(AttributeError):
         irrep(1).x.entries = ()
+    # Scalars are shared too: a sum with zero hands back the memo's entry.
+    entry = irrep(1).x.entry(0, 1)
+    shared = (irrep(1).x + PolyMatrix.zeros(3, 3)).entry(0, 1)
+    assert shared is entry
+    with pytest.raises(TypeError):
+        entry.coeffs[0].terms[2] = Fraction(5)
+    with pytest.raises(TypeError):
+        del shared.coeffs[0].terms[2]
+    with pytest.raises(AttributeError):
+        entry.coeffs[0].terms = {}
+    with pytest.raises(AttributeError):
+        entry.coeffs = ()
+    zero = (irrep(1).x @ irrep(1).x).entry(2, 0)
+    with pytest.raises(AttributeError):
+        zero.coeffs = (RadScalar.one(),)
+    with pytest.raises(AttributeError):
+        del zero.coeffs
+    assert not (irrep(1).x @ irrep(1).x).entry(2, 1)
+    assert irrep(1).x.entry(0, 1) == HPoly.constant(RadScalar.sqrt(2))
+    assert (irrep(1).x @ irrep(1).x).entry(0, 2) == HPoly.constant(2)
     assert alpha_table(1, 1) is table
     assert alpha_table(1, 1).value(1, 1, 1, 0) == before
     assert verify_alpha_orthogonality(1, 1).ok

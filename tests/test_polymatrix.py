@@ -1,5 +1,7 @@
 """Dense exact matrices: shapes, weights, products, exp/inverse series."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from jordanian.hpoly import HPoly
 from jordanian.polymatrix import (PolyMatrix, ShapeError, anticommutator,
                                   commutator, exp_nilpotent, kron,
                                   unipotent_inverse)
+from jordanian.radical import RadScalar
 
 
 def test_shape_validation():
@@ -76,6 +79,15 @@ def test_weights_propagate_through_products_and_slices():
     other = PolyMatrix([[1, 0], [0, 1]], row_weights=(half(3), half(1)))
     assert (m + other).row_weights is None
     assert (m + m).row_weights == w
+
+
+def test_pickle_and_deepcopy_round_trip():
+    w = (half(1), half(-1))
+    m = PolyMatrix([[HPoly.h(1, RadScalar.of(Fraction(1, 2), 8)), 0], [3, 4]], w, w)
+    for back in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert back == m and back.row_weights == w and back.col_weights == w
+        with pytest.raises(TypeError):
+            back.entry(0, 0).coeffs[1].terms[2] = Fraction(1)
 
 
 def test_equality_ignores_weights():

@@ -1,0 +1,35 @@
+"""Check details: a failing zero check says where its residual is nonzero."""
+
+from jordanian.hpoly import HPoly
+from jordanian.irreps import irrep
+from jordanian.polymatrix import PolyMatrix, commutator, kron
+from jordanian.report import zero_check
+
+
+def _perturbed_relation():
+    """[X, Y] - H on spin 1, with h*3 added at (row m=0, col m=-1)."""
+    rep = irrep(1)
+    bump = PolyMatrix([[0, 0, 0], [0, 0, HPoly.h(1, 3)], [0, 0, 0]],
+                      rep.weights, rep.weights)
+    return commutator(rep.x, rep.y) - rep.hm + bump
+
+
+def test_passing_check_detail_is_unchanged():
+    rep = irrep(1)
+    check = zero_check("[X,Y] = H", commutator(rep.x, rep.y) - rep.hm)
+    assert (check.status, check.detail) == ("pass", "exact zero")
+
+
+def test_failure_names_weights_and_counts_nonzero_entries():
+    check = zero_check("[X,Y] = H", _perturbed_relation())
+    assert check.status == "fail"
+    assert check.detail == ("residual degree 1; 1 of 9 entries nonzero; "
+                            "first (1,2) [row m=0, col m=-1] = (3)*h")
+
+
+def test_failure_without_weights_gives_indices_only():
+    residual = kron(_perturbed_relation(), PolyMatrix.identity(2))
+    assert residual.row_weights is None
+    check = zero_check("lifted", residual)
+    assert check.detail == ("residual degree 1; 2 of 36 entries nonzero; "
+                            "first (2,4) = (3)*h")
