@@ -92,8 +92,9 @@ class AlphaTable:
 
     @property
     def bra(self) -> PolyMatrix:
-        """B = P K^T P."""
-        return PolyMatrix([col[::-1] for col in zip(*self.ket.entries)][::-1])
+        """B = P K^T P: K transposed, rows and columns in reverse order."""
+        reverse = range(self.ket.rows - 1, -1, -1)
+        return self.ket.transpose().submatrix(reverse, reverse)
 
     def value(self, k1, k2, m1, m2) -> HPoly:
         """alpha[k1 k2; m1 m2]; ValueError for a weight off its ladder."""
@@ -275,6 +276,8 @@ def triangle_allowed(j1, j2, j) -> bool:
 
 @lru_cache(maxsize=None)
 def _sl2_cgc_cached(j1, j2, j, m1, m2) -> RadScalar:
+    for spin in (j1, j2, j):
+        dim_of(spin)  # raises for a negative spin
     if not _triangle_ok(j1, j2, j):
         return RadScalar.zero()
     m = m1 + m2

@@ -122,7 +122,7 @@ def dim_of(j: HalfInt) -> int:
 
 def weight_range(j: HalfInt) -> tuple[HalfInt, ...]:
     """Weights j, j-1, ..., -j in the fixed (descending) basis order."""
-    return tuple(HalfInt.from_twice(t) for t in range(j.twice, -j.twice - 2, -2))
+    return tuple(HalfInt.from_twice(j.twice - 2 * i) for i in range(dim_of(j)))
 
 
 def weight_index(j: HalfInt, m: HalfInt) -> int:

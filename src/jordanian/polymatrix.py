@@ -1,27 +1,31 @@
-"""Dense matrices over the exact polynomial scalars.
+"""Exact matrices over the polynomial scalars, stored as integers.
 
 Matrices carry optional weight labels on rows and columns (the half-integer
 m of each basis vector) so representation-theoretic indexing stays explicit.
 All operations are exact; a zero residual matrix is literally zero.
 
-The arithmetic (``@``, ``kron``, ``+``, ``-``, scalar ``*`` and ``/``) runs
-as one fused exact kernel instead of composing the scalar ring operators:
+Storage.  A matrix holds one positive int ``den`` and ``data``: for each
+row, a tuple of ``(col, terms)`` pairs for its nonzero entries, in column
+order.  ``terms`` is a sorted tuple of ``(h-power, radicand, numerator)``
+triples with squarefree radicands and nonzero int numerators, and the
+entry is the sum of numerator/den * sqrt(radicand) * h**power over them.
+``den`` is kept minimal: its gcd with every numerator is 1, and the zero
+matrix has den 1.  Equal matrices therefore have equal storage, which is
+what ``==`` and ``hash`` compare.
 
-* each operand entry is read once, as a flat list of
-  (h-power, radicand, coefficient) terms.  For products the coefficients
-  are Python-int numerators over a common denominator: one per row of the
-  left operand, one for the whole right operand;
-* each output entry is summed in a single dict keyed by
-  (h-power, radicand).  Radicands multiply as in ``RadScalar.__mul__``:
-  sqrt(n1)*sqrt(n2) = g*sqrt((n1/g)*(n2/g)) with g = gcd(n1, n2);
-* each output entry then becomes exactly one canonical ``HPoly`` (zero
-  coefficients dropped, trailing h-powers trimmed), built by the private
-  constructors of ``HPoly`` and ``RadScalar``;
-* zero entries add nothing, and a sum with a zero entry returns the other
-  entry itself.
+Arithmetic (``@``, ``kron``, ``+``, ``-``, scalar ``*`` and ``/``,
+``transpose``, ``submatrix``/``column``/``row``, ``divide_h``) works on
+this storage directly.  A product multiplies numerators and sums each
+output row in one dict keyed by (col, h-power, radicand); radicands
+multiply as in ``RadScalar.__mul__``, sqrt(n1)*sqrt(n2) =
+g*sqrt((n1/g)*(n2/g)) with g = gcd(n1, n2).  Every result is brought to
+its minimal denominator.  A sum with an all-zero operand returns the other
+operand.
 
-The left operand is flattened row by row, and no flat copy outlives the
-operation, so storage is the tuple of tuples of ``HPoly`` it always was.
+``HPoly`` is the boundary type.  The public constructor reads HPoly entries
+(or anything ``as_hpoly`` accepts) once.  ``entries`` and ``entry()`` read
+a tuple of tuples of canonical ``HPoly``, built on first read and then kept
+on the instance; matrices that share storage share it.
 """
 
 from __future__ import annotations
@@ -48,130 +52,157 @@ def _coerce_row(row):
     return tuple(out)
 
 
-# -- the kernel -----------------------------------------------------------------
+# -- storage --------------------------------------------------------------------
 
 _ZERO = HPoly.zero()
 _RAD_ZERO = RadScalar.zero()
 
 
-def _flatten(rows):
-    """Read rows of HPoly entries once, over one common denominator.
-
-    Returns (den, flat): flat[i] lists (column, terms) for the nonzero
-    entries of row i, each term an (h-power, radicand, numerator) triple
-    whose value is numerator / den.
-    """
+def _flatten(entries):
+    """(den, data) of rows of HPoly entries, den their least common
+    denominator (which is minimal)."""
     den = 1
-    fracs = []
-    for row in rows:
-        frow = []
-        for c, p in enumerate(row):
-            if p.coeffs:
-                terms = [(k, n, q) for k, r in enumerate(p.coeffs)
-                         for n, q in r.terms.items()]
-                for _, _, q in terms:
-                    den = lcm(den, q.denominator)
-                frow.append((c, terms))
-        fracs.append(frow)
-    return den, [[(c, [(k, n, q.numerator * (den // q.denominator))
-                        for k, n, q in terms])
-                  for c, terms in frow] for frow in fracs]
+    for row in entries:
+        for p in row:
+            for r in p.coeffs:
+                for q in r.terms.values():
+                    if q.denominator != 1:
+                        den = lcm(den, q.denominator)
+    return den, tuple(
+        tuple((c, tuple(sorted((k, n, q.numerator * (den // q.denominator))
+                               for k, r in enumerate(p.coeffs)
+                               for n, q in r.terms.items())))
+              for c, p in enumerate(row) if p.coeffs)
+        for row in entries)
 
 
-def _accumulate(acc, aterms, bterms):
-    """Add the product of two flat term lists into acc."""
-    get = acc.get
-    for k1, n1, a in aterms:
-        for k2, n2, b in bterms:
-            if n1 == 1:
-                key, v = (k1 + k2, n2), a * b
-            elif n2 == 1:
-                key, v = (k1 + k2, n1), a * b
-            elif n1 == n2:
-                key, v = (k1 + k2, 1), a * b * n1
-            else:
-                g = gcd(n1, n2)
-                key, v = (k1 + k2, (n1 // g) * (n2 // g)), a * b * g
-            acc[key] = get(key, 0) + v
-
-
-def _hpoly(acc, den=None):
-    """The canonical HPoly of {(h-power, radicand): value}.
-
-    Values are int numerators over den, or Fractions when den is None;
-    zero values are dropped.
-    """
+def _hpoly(terms, den):
+    """The canonical HPoly of one stored entry."""
     powers = {}
-    for (k, n), v in acc.items():
-        if v:
-            if den is not None:
-                v = Fraction(v) if den == 1 else Fraction(v, den)
-            t = powers.get(k)
-            if t is None:
-                powers[k] = t = {}
-            t[n] = v
-    if not powers:
-        return _ZERO
-    coeffs = [_RAD_ZERO] * (max(powers) + 1)
+    for k, n, v in terms:
+        t = powers.get(k)
+        if t is None:
+            powers[k] = t = {}
+        t[n] = Fraction(v, den)
+    coeffs = [_RAD_ZERO] * (terms[-1][0] + 1)
     for k, t in powers.items():
         coeffs[k] = RadScalar._canonical(t)
     return HPoly._canonical(tuple(coeffs))
 
 
-def _neg(p):
-    if not p.coeffs:
-        return p
-    return HPoly._canonical(tuple(
-        RadScalar._canonical({n: -q for n, q in r.terms.items()}) if r.terms else r
-        for r in p.coeffs))
+def _minimal(den, data):
+    """(den, data) with den divided by its gcd with every numerator."""
+    if den == 1:
+        return den, data
+    g = den
+    for row in data:
+        for _, terms in row:
+            for t in terms:
+                g = gcd(g, t[2])
+                if g == 1:
+                    return den, data
+    return den // g, tuple(tuple((c, tuple((k, n, v // g) for k, n, v in terms))
+                                 for c, terms in row) for row in data)
 
 
-def _sum(a, b, sign):
-    """a + sign*b for two HPoly entries."""
-    if not b.coeffs:
-        return a
-    if not a.coeffs:
-        return b if sign > 0 else _neg(b)
-    acc = {(k, n): q for k, r in enumerate(a.coeffs) for n, q in r.terms.items()}
+def _accumulate(acc, c, aterms, bterms):
+    """Add the product of two entries' terms into acc, keyed by
+    (col, h-power, radicand)."""
     get = acc.get
-    for k, r in enumerate(b.coeffs):
-        for n, q in r.terms.items():
-            key = (k, n)
-            v = get(key)
-            if sign < 0:
-                q = -q
-            acc[key] = q if v is None else v + q
-    return _hpoly(acc)
+    for k1, n1, a in aterms:
+        for k2, n2, b in bterms:
+            g = gcd(n1, n2)
+            key = (c, k1 + k2, (n1 // g) * (n2 // g))
+            acc[key] = get(key, 0) + a * b * g
+
+
+def _row(acc, g=1):
+    """The stored row of {(col, h-power, radicand): numerator}, numerators
+    divided by g; zero values are dropped."""
+    row = []
+    last = None
+    for (c, k, n), v in sorted(acc.items()):
+        if v:
+            if c != last:
+                terms = []
+                row.append((c, terms))
+                last = c
+            terms.append((k, n, v // g if g != 1 else v))
+    return tuple([(c, tuple(terms)) for c, terms in row])
+
+
+def _scaled_row(row, f):
+    """A stored row with every numerator multiplied by the int f."""
+    return row if f == 1 else tuple((c, tuple((k, n, v * f) for k, n, v in terms))
+                                    for c, terms in row)
+
+
+def _kron_data(a, b):
+    """(den, data) of kron(a, b)."""
+    bcols = b.cols
+    out = []
+    for arow in a.data:
+        for brow in b.data:
+            orow = []
+            for k, aterms in arow:
+                base = k * bcols
+                for c, bterms in brow:
+                    if len(aterms) == 1 == len(bterms):
+                        ((k1, n1, x),), ((k2, n2, y),) = aterms, bterms
+                        g = gcd(n1, n2)
+                        orow.append((base + c,
+                                     ((k1 + k2, (n1 // g) * (n2 // g), x * y * g),)))
+                    else:
+                        acc = {}
+                        _accumulate(acc, base + c, aterms, bterms)
+                        orow.extend(_row(acc))
+            out.append(tuple(orow))
+    return _minimal(a.den * b.den, tuple(out))
 
 
 class PolyMatrix:
-    """An immutable rows x cols matrix of HPoly entries.
+    """An immutable rows x cols matrix of polynomial entries.
 
     Memoized modules and tables hand out shared instances, so the slots are
     frozen once set.
     """
 
-    __slots__ = ("rows", "cols", "entries", "row_weights", "col_weights")
+    __slots__ = ("rows", "cols", "row_weights", "col_weights", "den", "data",
+                 "_view")
 
     def __init__(self, rows_data, row_weights=None, col_weights=None):
         entries = tuple(_coerce_row(r) for r in rows_data)
-        if not entries or not entries[0]:
-            raise ShapeError("matrices must have at least one row and column")
-        rows, cols = len(entries), len(entries[0])
+        cols = len(entries[0]) if entries else 0
         if any(len(r) != cols for r in entries):
             raise ShapeError("ragged rows")
+        self._set(len(entries), cols, *_flatten(entries),
+                  row_weights, col_weights)
+
+    def _set(self, rows, cols, den, data, row_weights, col_weights, view=None):
+        if rows < 1 or cols < 1:
+            raise ShapeError("matrices must have at least one row and column")
         if row_weights is not None and len(row_weights) != rows:
             raise ShapeError(f"{len(row_weights)} row weights for {rows} rows")
         if col_weights is not None and len(col_weights) != cols:
             raise ShapeError(f"{len(col_weights)} col weights for {cols} cols")
         init = object.__setattr__
-        init(self, "entries", entries)
         init(self, "rows", rows)
         init(self, "cols", cols)
         init(self, "row_weights",
              tuple(row_weights) if row_weights is not None else None)
         init(self, "col_weights",
              tuple(col_weights) if col_weights is not None else None)
+        init(self, "den", den)
+        init(self, "data", data)
+        # One cell for the HPoly view, shared by matrices that share storage.
+        init(self, "_view", view if view is not None else [None])
+
+    @classmethod
+    def _of(cls, rows, cols, den, data, row_weights, col_weights, view=None):
+        """Wrap storage that is already minimal (kernel results)."""
+        self = object.__new__(cls)
+        self._set(rows, cols, den, data, row_weights, col_weights, view)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PolyMatrix is immutable: cannot set {name!r}")
@@ -180,34 +211,27 @@ class PolyMatrix:
         raise AttributeError(f"PolyMatrix is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        return PolyMatrix._of, (self.entries, self.row_weights, self.col_weights)
+        return PolyMatrix._of, (self.rows, self.cols, self.den, self.data,
+                                self.row_weights, self.col_weights)
 
-    @classmethod
-    def _of(cls, entries, row_weights, col_weights):
-        """Wrap rows that are already tuples of HPoly (kernel results);
-        weights are tuples or None."""
-        self = object.__new__(cls)
-        init = object.__setattr__
-        init(self, "entries", entries)
-        init(self, "rows", len(entries))
-        init(self, "cols", len(entries[0]))
-        init(self, "row_weights", row_weights)
-        init(self, "col_weights", col_weights)
-        return self
+    def _relabeled(self, row_weights, col_weights):
+        """This matrix with other weights, sharing storage and view."""
+        if row_weights == self.row_weights and col_weights == self.col_weights:
+            return self
+        return PolyMatrix._of(self.rows, self.cols, self.den, self.data,
+                              row_weights, col_weights, self._view)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int, row_weights=None, col_weights=None):
-        z = HPoly.zero()
-        return cls([[z] * cols for _ in range(rows)], row_weights, col_weights)
+        return cls._of(rows, cols, 1, ((),) * rows, row_weights, col_weights)
 
     @classmethod
     def identity(cls, n: int, weights=None):
-        one = HPoly.one()
-        z = HPoly.zero()
-        return cls([[one if i == k else z for k in range(n)] for i in range(n)],
-                   weights, weights)
+        one = ((0, 1, 1),)
+        return cls._of(n, n, 1, tuple(((i, one),) for i in range(n)),
+                       weights, weights)
 
     @classmethod
     def diagonal(cls, values, weights=None):
@@ -224,6 +248,21 @@ class PolyMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
+
+    @property
+    def entries(self) -> tuple[tuple[HPoly, ...], ...]:
+        """The entries as HPoly, built on first read."""
+        view = self._view[0]
+        if view is None:
+            den, cols = self.den, self.cols
+            rows = []
+            for row in self.data:
+                out = [_ZERO] * cols
+                for c, terms in row:
+                    out[c] = _hpoly(terms, den)
+                rows.append(tuple(out))
+            view = self._view[0] = tuple(rows)
+        return view
 
     def entry(self, i: int, k: int) -> HPoly:
         return self.entries[i][k]
@@ -245,11 +284,29 @@ class PolyMatrix:
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return PolyMatrix._of(
-            tuple(tuple(_sum(a, b, sign) for a, b in zip(ra, rb))
-                  for ra, rb in zip(self.entries, other.entries)),
-            self.row_weights if self.row_weights == other.row_weights else None,
-            self.col_weights if self.col_weights == other.col_weights else None)
+        rw = self.row_weights if self.row_weights == other.row_weights else None
+        cw = self.col_weights if self.col_weights == other.col_weights else None
+        if other.is_zero:
+            return self._relabeled(rw, cw)
+        if self.is_zero:
+            return (other if sign > 0 else -other)._relabeled(rw, cw)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = []
+        for ra, rb in zip(self.data, other.data):
+            if not rb:
+                out.append(_scaled_row(ra, fa))
+            elif not ra:
+                out.append(_scaled_row(rb, fb))
+            else:
+                acc = {(c, k, n): v * fa for c, t in ra for k, n, v in t}
+                get = acc.get
+                for c, t in rb:
+                    for k, n, v in t:
+                        acc[c, k, n] = get((c, k, n), 0) + v * fb
+                out.append(_row(acc))
+        return PolyMatrix._of(self.rows, self.cols, *_minimal(den, tuple(out)),
+                              rw, cw)
 
     def __add__(self, other):
         return self._entrywise_sum(other, 1)
@@ -258,8 +315,8 @@ class PolyMatrix:
         return self._entrywise_sum(other, -1)
 
     def __neg__(self):
-        return PolyMatrix._of(tuple(tuple(_neg(p) for p in row)
-                                    for row in self.entries),
+        return PolyMatrix._of(self.rows, self.cols, self.den,
+                              tuple(_scaled_row(row, -1) for row in self.data),
                               self.row_weights, self.col_weights)
 
     def __mul__(self, scalar):
@@ -267,45 +324,59 @@ class PolyMatrix:
         if s is NotImplemented:
             return NotImplemented
         # A scalar multiple is the Kronecker product with a 1x1 matrix.
-        return PolyMatrix._of(_kron_entries(self, PolyMatrix._of(((s,),), None, None)),
+        return PolyMatrix._of(self.rows, self.cols,
+                              *_kron_data(self, PolyMatrix(((s,),))),
                               self.row_weights, self.col_weights)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return self * (HPoly.one() / scalar)
+        """Division by a single-term RadScalar or a nonzero rational."""
+        if isinstance(scalar, RadScalar):
+            return self * scalar.inverse()
+        return self * (Fraction(1) / Fraction(scalar))
 
     def __matmul__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        bden, bflat = _flatten(other.entries)
-        cols = other.cols
-        out = []
-        for row in self.entries:
-            aden, (aflat,) = _flatten((row,))
-            accs = {}
-            for k, aterms in aflat:
-                for c, bterms in bflat[k]:
-                    acc = accs.get(c)
-                    if acc is None:
-                        accs[c] = acc = {}
-                    _accumulate(acc, aterms, bterms)
-            orow = [_ZERO] * cols
-            den = aden * bden
-            for c, acc in accs.items():
-                orow[c] = _hpoly(acc, den)
-            out.append(tuple(orow))
-        return PolyMatrix._of(tuple(out), self.row_weights, other.col_weights)
+        bdata = other.data
+        accs = []
+        g = den = self.den * other.den
+        for arow in self.data:
+            acc = {}
+            get = acc.get
+            for k, aterms in arow:
+                if len(aterms) != 1:
+                    for c, bterms in bdata[k]:
+                        _accumulate(acc, c, aterms, bterms)
+                    continue
+                # Single-term entries, the common case, skip the call.
+                ((k1, n1, x),) = aterms
+                for c, bterms in bdata[k]:
+                    if len(bterms) == 1:
+                        ((k2, n2, y),) = bterms
+                        r = gcd(n1, n2)
+                        key = (c, k1 + k2, (n1 // r) * (n2 // r))
+                        acc[key] = get(key, 0) + x * y * r
+                    else:
+                        _accumulate(acc, c, aterms, bterms)
+            accs.append(acc)
+            if g != 1 and acc:
+                g = gcd(g, *acc.values())
+        out = tuple([_row(acc, g) for acc in accs])
+        return PolyMatrix._of(self.rows, other.cols, den // g, out,
+                              self.row_weights, other.col_weights)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
+        return (self.shape == other.shape and self.den == other.den
+                and self.data == other.data)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.rows, self.cols, self.den, self.data))
 
     # -- maps and slices ------------------------------------------------------
 
@@ -314,13 +385,32 @@ class PolyMatrix:
                           self.row_weights, self.col_weights)
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix._of(tuple(zip(*self.entries)),
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for c, terms in row:
+                cols[c].append((i, terms))
+        return PolyMatrix._of(self.cols, self.rows, self.den,
+                              tuple(map(tuple, cols)),
                               self.col_weights, self.row_weights)
 
     def submatrix(self, row_idx, col_idx) -> "PolyMatrix":
+        row_idx, col_idx = list(row_idx), list(col_idx)
         rw = tuple(self.row_weights[i] for i in row_idx) if self.row_weights else None
         cw = tuple(self.col_weights[k] for k in col_idx) if self.col_weights else None
-        return PolyMatrix([[self.entries[i][k] for k in col_idx] for i in row_idx], rw, cw)
+        cols = self.cols
+        place = {}
+        for new, k in enumerate(col_idx):
+            if not -cols <= k < cols:
+                raise IndexError(f"column {k} out of range for {cols} columns")
+            place.setdefault(k % cols, []).append(new)
+        out = []
+        for i in row_idx:
+            orow = [(new, terms) for c, terms in self.data[i]
+                    if c in place for new in place[c]]
+            orow.sort()  # new positions are distinct: terms never compared
+            out.append(tuple(orow))
+        return PolyMatrix._of(len(row_idx), len(col_idx),
+                              *_minimal(self.den, tuple(out)), rw, cw)
 
     def column(self, k: int) -> "PolyMatrix":
         return self.submatrix(range(self.rows), [k])
@@ -335,7 +425,20 @@ class PolyMatrix:
         return self.entries[0][0]
 
     def divide_h(self, k: int = 1) -> "PolyMatrix":
-        return self.map_entries(lambda p: p.divide_h(k))
+        """Exact division by h**k; raises if any entry is not divisible."""
+        if k < 0:
+            raise ValueError(f"negative h power: {k}")
+        out = []
+        for row in self.data:
+            orow = []
+            for c, terms in row:
+                if terms[0][0] < k:
+                    raise ValueError(f"{_hpoly(terms, self.den)} is not "
+                                     f"divisible by h^{k}")
+                orow.append((c, tuple((p - k, n, v) for p, n, v in terms)))
+            out.append(tuple(orow))
+        return PolyMatrix._of(self.rows, self.cols, self.den, tuple(out),
+                              self.row_weights, self.col_weights)
 
     def eval_h(self, value) -> "PolyMatrix":
         """Entrywise evaluation at rational h; the result has constant entries."""
@@ -345,17 +448,19 @@ class PolyMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(not p for row in self.entries for p in row)
+        return not any(self.data)
 
     def max_degree(self) -> int:
-        return max((p.degree for row in self.entries for p in row), default=-1)
+        # Terms are sorted by h-power, so an entry's last term has its degree.
+        return max((terms[-1][0] for row in self.data for _, terms in row),
+                   default=-1)
 
     def first_nonzero(self):
         """(i, k, entry) of the first nonzero entry, or None."""
-        for i, row in enumerate(self.entries):
-            for k, p in enumerate(row):
-                if p:
-                    return i, k, p
+        for i, row in enumerate(self.data):
+            if row:
+                k, terms = row[0]
+                return i, k, _hpoly(terms, self.den)
         return None
 
     def __str__(self):
@@ -372,36 +477,8 @@ class PolyMatrix:
 
 def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Kronecker product; the first factor owns the major index."""
-    return PolyMatrix._of(_kron_entries(a, b), None, None)
-
-
-def _kron_entries(a, b):
-    """The entries of kron(a, b).  An entry that is 1 times an entry of the
-    other factor is that entry itself."""
-    bden, bflat = _flatten(b.entries)
-    bcols = b.cols
-    cols = a.cols * bcols
-    out = []
-    b_one = [(0, 1, bden)]
-    for arow in a.entries:
-        aden, (aflat,) = _flatten((arow,))
-        den = aden * bden
-        a_one = [(0, 1, aden)]
-        for r, brow in enumerate(bflat):
-            orow = [_ZERO] * cols
-            for k, aterms in aflat:
-                base = k * bcols
-                for c, bterms in brow:
-                    if aterms == a_one:
-                        orow[base + c] = b.entries[r][c]
-                    elif bterms == b_one:
-                        orow[base + c] = arow[k]
-                    else:
-                        acc = {}
-                        _accumulate(acc, aterms, bterms)
-                        orow[base + c] = _hpoly(acc, den)
-            out.append(tuple(orow))
-    return tuple(out)
+    return PolyMatrix._of(a.rows * b.rows, a.cols * b.cols, *_kron_data(a, b),
+                          None, None)
 
 
 def commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -413,23 +490,21 @@ def anticommutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 
 def exp_nilpotent(a: PolyMatrix, factor=1) -> PolyMatrix:
-    """exp(factor * a) for nilpotent a, as a terminating series.
+    """exp(factor * a) for nilpotent factor * a, as a terminating series.
 
-    The factor may be any scalar (an h-monomial, typically).  Raises if a
-    is not nilpotent.
+    The factor may be any scalar (an h-monomial, typically).  Raises if
+    factor * a is not nilpotent.
     """
     if not a.is_square:
         raise ShapeError(f"exp needs a square matrix, got {a.shape}")
-    f = as_hpoly(factor)
+    b = a * factor
     acc = PolyMatrix.identity(a.rows, a.row_weights)
     power = acc
-    fk = HPoly.one()
     for k in range(1, a.rows + 1):
-        power = power @ a
+        power = power @ b
         if power.is_zero:
             return acc
-        fk = fk * f
-        acc = acc + power * (fk / Fraction(factorial(k)))
+        acc = acc + power * Fraction(1, factorial(k))
     raise ValueError("matrix is not nilpotent")
 
 
@@ -437,12 +512,12 @@ def unipotent_inverse(m: PolyMatrix) -> PolyMatrix:
     """Inverse of 1 + n with n nilpotent, via the terminating Neumann series."""
     if not m.is_square:
         raise ShapeError(f"inverse needs a square matrix, got {m.shape}")
-    n = m - PolyMatrix.identity(m.rows, m.row_weights)
+    minus_n = PolyMatrix.identity(m.rows, m.row_weights) - m
     acc = PolyMatrix.identity(m.rows, m.row_weights)
     power = acc
-    for k in range(1, m.rows + 1):
-        power = power @ n
+    for _ in range(1, m.rows + 1):
+        power = power @ minus_n
         if power.is_zero:
             return acc
-        acc = acc + power * Fraction(-1) ** k
+        acc = acc + power
     raise ValueError("matrix is not unipotent")

@@ -1,7 +1,7 @@
-"""Entrywise reference for the matrix kernel, built from HPoly + and * only.
+"""Entrywise reference for the matrix kernel, built from HPoly operations.
 
-``PolyMatrix`` arithmetic runs as a fused kernel over flat term lists and
-integer numerators.  The functions here compute the same matrices the slow
+``PolyMatrix`` stores integer numerators over one denominator and works on
+that storage directly.  The functions here compute the same matrices the slow
 way, one scalar ring operation at a time, and attach weights by the rules
 the library documents.  Tests compare the two.
 """
@@ -61,6 +61,23 @@ def neg(a) -> PolyMatrix:
 
 def sub(a, b) -> PolyMatrix:
     return add(a, neg(b))
+
+
+def transpose(a) -> PolyMatrix:
+    return _matrix([[a.entries[i][k] for i in range(a.rows)]
+                    for k in range(a.cols)], a.col_weights, a.row_weights)
+
+
+def submatrix(a, row_idx, col_idx) -> PolyMatrix:
+    rw = tuple(a.row_weights[i] for i in row_idx) if a.row_weights else None
+    cw = tuple(a.col_weights[k] for k in col_idx) if a.col_weights else None
+    return _matrix([[a.entries[i][k] for k in col_idx] for i in row_idx], rw, cw)
+
+
+def divide_h(a, k) -> PolyMatrix:
+    """HPoly.divide_h entry by entry; raises as it does."""
+    return _matrix([[p.divide_h(k) for p in row] for row in a.entries],
+                   a.row_weights, a.col_weights)
 
 
 def commutator(a, b) -> PolyMatrix:

@@ -156,6 +156,18 @@ def test_cgc_without_coupling_channel_exits_2(capsys, spin_args):
     assert "error:" in err and "in 1/2 (x) 1/2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("alpha", "--j1", "1/2", "--j2", "-1/2"),
+    ("decompose", "--j1", "-1/2", "--j2", "1"),
+    ("cgc", "--j1", "-1/2", "--j2", "1/2", "--j", "0", "--m", "0"),
+], ids=["alpha", "decompose", "cgc"])
+def test_negative_spin_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error: spin label must be nonnegative, got -1/2" in err
+
+
 def test_cgc_requires_m_for_deformed(capsys):
     code, out, err = run(capsys, "cgc", "--j1", "1/2", "--j2", "1/2",
                          "--j", "0")

@@ -161,6 +161,17 @@ def test_classical_cgc_selection_rules():
     assert triangle_allowed(1, 1, 0)
 
 
+@pytest.mark.parametrize("spins", [(-1, 1, 0), (1, -1, 0), (H12, H12, -1)],
+                         ids=["j1", "j2", "j"])
+def test_negative_spins_are_rejected(spins):
+    with pytest.raises(ValueError, match="spin label must be nonnegative"):
+        sl2_cgc(*spins, 0, 0)
+    j1, j2, _ = spins
+    if min(j1, j2) < 0:
+        with pytest.raises(ValueError, match="spin label must be nonnegative"):
+            product_labels(j1, j2)
+
+
 def test_classical_cgc_condon_shortley_positivity():
     # <j1 j1; j2 (j - j1) | j j> > 0 for every admissible block
     for j1, j2 in [(half(1), H12), (half(3, 2), half(1)), (half(2), half(2))]:

@@ -75,6 +75,12 @@ def test_weight_bookkeeping():
         weight_index(HalfInt(1), HalfInt(2))  # out of range
 
 
+def test_weight_range_rejects_negative_spins():
+    for j in (half(-1, 2), HalfInt(-1)):
+        with pytest.raises(ValueError, match="spin label must be nonnegative"):
+            weight_range(j)
+
+
 def test_casimir_eigenvalue_values():
     assert casimir_eigenvalue(HalfInt(0)) == 0
     assert casimir_eigenvalue(half(1, 2)) == Fraction(3, 4)

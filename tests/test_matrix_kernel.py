@@ -1,13 +1,18 @@
-"""The fused PolyMatrix kernel against the entrywise oracle in matrix_oracle.
+"""The PolyMatrix kernel against the entrywise oracle in matrix_oracle.
 
 Every kernel operation (``@``, ``kron``, ``+``, ``-``, unary ``-``, scalar
-``*`` and ``/``, and through them ``commutator``, ``exp_nilpotent`` and
-``unipotent_inverse``) must give the matrix that HPoly ``+`` and ``*``
-give entry by entry, in canonical form, with the same weight labels.
+``*`` and ``/``, ``transpose``, ``submatrix``/``column``/``row``,
+``divide_h``, and through them ``commutator``, ``exp_nilpotent`` and
+``unipotent_inverse``) must give the matrix that HPoly arithmetic gives
+entry by entry, in canonical form, with the same weight labels.  Its
+integer storage must be well formed, with a minimal denominator, and must
+round-trip through the public constructor.
 """
 
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,12 +74,93 @@ def assert_canonical(m):
                     assert squarefree_decompose(n) == (n, 1)
 
 
+def assert_storage(m):
+    """Rows of (col, terms) in column order, terms sorted by (h-power,
+    radicand) with nonzero int numerators, den minimal; the constructor
+    rebuilds the same storage from the HPoly view."""
+    assert type(m.den) is int and m.den >= 1
+    assert isinstance(m.data, tuple) and len(m.data) == m.rows
+    numerators = []
+    for row in m.data:
+        assert isinstance(row, tuple)
+        cols = [c for c, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= c < m.cols for c in cols)
+        for _, terms in row:
+            assert isinstance(terms, tuple) and terms
+            keys = [(k, n) for k, n, _ in terms]
+            assert keys == sorted(set(keys))
+            for k, n, v in terms:
+                assert type(v) is int and v and k >= 0
+                assert squarefree_decompose(n) == (n, 1)
+                numerators.append(v)
+    assert gcd(m.den, *numerators) == 1  # so the zero matrix has den 1
+    back = PolyMatrix(m.entries, m.row_weights, m.col_weights)
+    assert back == m and hash(back) == hash(m)
+    assert back.den == m.den and back.data == m.data
+
+
 def assert_matches(result, expected):
+    assert_storage(result)
     assert_canonical(result)
     assert result == expected
     assert result.row_weights == expected.row_weights
     assert result.col_weights == expected.col_weights
     assert str(result) == str(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_constructor_storage_is_minimal_and_round_trips(m):
+    assert_storage(m)
+    assert_canonical(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_transpose_and_slices_match_oracle(data):
+    a = data.draw(matrices())
+    row_idx = data.draw(st.lists(st.integers(0, a.rows - 1), min_size=1, max_size=5))
+    col_idx = data.draw(st.lists(st.integers(0, a.cols - 1), min_size=1, max_size=5))
+    i = data.draw(st.integers(0, a.rows - 1))
+    k = data.draw(st.integers(0, a.cols - 1))
+    assert_matches(a.transpose(), oracle.transpose(a))
+    assert_matches(a.submatrix(row_idx, col_idx),
+                   oracle.submatrix(a, row_idx, col_idx))
+    assert_matches(a.column(k), oracle.submatrix(a, range(a.rows), [k]))
+    assert_matches(a.row(i), oracle.submatrix(a, [i], range(a.cols)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.integers(0, 3), st.integers(0, 5))
+def test_divide_h_matches_oracle(a, shift, k):
+    shifted = a * HPoly.h(shift)
+    assert_matches(shifted.divide_h(shift), a)
+    try:
+        expected = oracle.divide_h(a, k)
+    except ValueError:
+        with pytest.raises(ValueError, match="is not divisible by h"):
+            a.divide_h(k)
+    else:
+        assert_matches(a.divide_h(k), expected)
+    if not a.is_zero:
+        with pytest.raises(ValueError, match="is not divisible by h"):
+            shifted.divide_h(a.max_degree() + shift + 1)
+
+
+def test_built_view_is_read_only_and_kept():
+    m = irrep(1).x @ irrep(1).y
+    view = m.entries
+    assert m.entries is view
+    with pytest.raises(AttributeError):
+        m.entries = ()
+    with pytest.raises(TypeError):
+        m.entries[0] = ()
+    with pytest.raises(TypeError):
+        m.entries[0][1] = HPoly.zero()
+    for name in ("den", "data", "_view"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
+    assert m.entries is view and m == irrep(1).x @ irrep(1).y
 
 
 @settings(max_examples=60, deadline=None)
