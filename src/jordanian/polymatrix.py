@@ -105,15 +105,17 @@ def _minimal(den, data):
                                  for c, terms in row) for row in data)
 
 
-def _accumulate(acc, c, aterms, bterms):
-    """Add the product of two entries' terms into acc, keyed by
-    (col, h-power, radicand)."""
+def _accumulate(acc, aterms, brow, base=0):
+    """Add the products of one entry's terms with every entry of a stored
+    row into acc, keyed by (base + col, h-power, radicand)."""
     get = acc.get
     for k1, n1, a in aterms:
-        for k2, n2, b in bterms:
-            g = gcd(n1, n2)
-            key = (c, k1 + k2, (n1 // g) * (n2 // g))
-            acc[key] = get(key, 0) + a * b * g
+        for c, bterms in brow:
+            c += base
+            for k2, n2, b in bterms:
+                g = gcd(n1, n2)
+                key = (c, k1 + k2, (n1 // g) * (n2 // g))
+                acc[key] = get(key, 0) + a * b * g
 
 
 def _row(acc, g=1):
@@ -143,21 +145,27 @@ def _kron_data(a, b):
     out = []
     for arow in a.data:
         for brow in b.data:
-            orow = []
+            acc = {}
             for k, aterms in arow:
-                base = k * bcols
-                for c, bterms in brow:
-                    if len(aterms) == 1 == len(bterms):
-                        ((k1, n1, x),), ((k2, n2, y),) = aterms, bterms
-                        g = gcd(n1, n2)
-                        orow.append((base + c,
-                                     ((k1 + k2, (n1 // g) * (n2 // g), x * y * g),)))
-                    else:
-                        acc = {}
-                        _accumulate(acc, base + c, aterms, bterms)
-                        orow.extend(_row(acc))
-            out.append(tuple(orow))
+                _accumulate(acc, aterms, brow, k * bcols)
+            out.append(_row(acc))
     return _minimal(a.den * b.den, tuple(out))
+
+
+class _View:
+    """The HPoly entries of one storage, built on first read and written
+    once; matrices that share the storage share the cell."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        object.__setattr__(self, "rows", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PolyMatrix views are read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PolyMatrix views are read-only: cannot delete {name!r}")
 
 
 class PolyMatrix:
@@ -194,8 +202,7 @@ class PolyMatrix:
              tuple(col_weights) if col_weights is not None else None)
         init(self, "den", den)
         init(self, "data", data)
-        # One cell for the HPoly view, shared by matrices that share storage.
-        init(self, "_view", view if view is not None else [None])
+        init(self, "_view", view if view is not None else _View())
 
     @classmethod
     def _of(cls, rows, cols, den, data, row_weights, col_weights, view=None):
@@ -252,7 +259,7 @@ class PolyMatrix:
     @property
     def entries(self) -> tuple[tuple[HPoly, ...], ...]:
         """The entries as HPoly, built on first read."""
-        view = self._view[0]
+        view = self._view.rows
         if view is None:
             den, cols = self.den, self.cols
             rows = []
@@ -261,7 +268,8 @@ class PolyMatrix:
                 for c, terms in row:
                     out[c] = _hpoly(terms, den)
                 rows.append(tuple(out))
-            view = self._view[0] = tuple(rows)
+            view = tuple(rows)
+            object.__setattr__(self._view, "rows", view)
         return view
 
     def entry(self, i: int, k: int) -> HPoly:
@@ -331,10 +339,9 @@ class PolyMatrix:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        """Division by a single-term RadScalar or a nonzero rational."""
-        if isinstance(scalar, RadScalar):
-            return self * scalar.inverse()
-        return self * (Fraction(1) / Fraction(scalar))
+        """Division by a single-term RadScalar or a nonzero rational; one
+        scalar division, then a scalar multiple."""
+        return self * (HPoly.one() / scalar)
 
     def __matmul__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -346,22 +353,8 @@ class PolyMatrix:
         g = den = self.den * other.den
         for arow in self.data:
             acc = {}
-            get = acc.get
             for k, aterms in arow:
-                if len(aterms) != 1:
-                    for c, bterms in bdata[k]:
-                        _accumulate(acc, c, aterms, bterms)
-                    continue
-                # Single-term entries, the common case, skip the call.
-                ((k1, n1, x),) = aterms
-                for c, bterms in bdata[k]:
-                    if len(bterms) == 1:
-                        ((k2, n2, y),) = bterms
-                        r = gcd(n1, n2)
-                        key = (c, k1 + k2, (n1 // r) * (n2 // r))
-                        acc[key] = get(key, 0) + x * y * r
-                    else:
-                        _accumulate(acc, c, aterms, bterms)
+                _accumulate(acc, aterms, bdata[k])
             accs.append(acc)
             if g != 1 and acc:
                 g = gcd(g, *acc.values())

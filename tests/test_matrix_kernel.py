@@ -160,7 +160,18 @@ def test_built_view_is_read_only_and_kept():
     for name in ("den", "data", "_view"):
         with pytest.raises(AttributeError):
             setattr(m, name, None)
+    with pytest.raises(AttributeError):
+        m._view.rows = ()
+    with pytest.raises(TypeError):
+        m._view[0] = ()
     assert m.entries is view and m == irrep(1).x @ irrep(1).y
+    # A memoized matrix and one sharing its storage keep one view.
+    x = irrep(1).x
+    shared = x + PolyMatrix.zeros(x.rows, x.cols)
+    with pytest.raises(AttributeError):
+        shared._view.rows = ()
+    assert shared.entries is x.entries
+    assert str(x) == str(PolyMatrix(x.entries))
 
 
 @settings(max_examples=60, deadline=None)
