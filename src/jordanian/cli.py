@@ -100,6 +100,8 @@ def _family(realization: str, j: HalfInt | None,
     needs_j = realization not in ("fermion-a", "fermion-b")
     if needs_j and j is None:
         raise ValueError(f"--j is required for realization {realization!r}")
+    if not needs_j and j is not None:
+        raise ValueError(f"--j does not apply to realization {realization!r}")
     if realization == "fermion-a":
         return fermion_wigner_families()[0] if for_factorization \
             else fermion_realization()[1]
@@ -323,12 +325,17 @@ def _cmd_alpha(args) -> int:
 def _cmd_cgc(args) -> int:
     j1, j2, j, m = args.j1, args.j2, args.j, args.m
     kind = "classical" if args.classical else "bra" if args.bra else "ket"
+    single = args.k1 is not None
+    if single != (args.k2 is not None):
+        raise ValueError(f"--k1 and --k2 go together; missing "
+                         f"{'--k2' if single else '--k1'}")
     if kind == "classical":
+        if m is not None:
+            raise ValueError("--m applies to deformed coefficients only")
         if not triangle_allowed(j1, j2, j):
             raise SelectionRuleError(f"spin {j} does not occur in {j1} (x) {j2}")
     elif m is None:
         raise ValueError("--m is required for deformed coefficients")
-    single = args.k1 is not None and args.k2 is not None
     labels = [(args.k1, args.k2)] if single else product_labels(j1, j2)
     if kind == "classical":
         values = [sl2_cgc(j1, j2, j, k1, k2) for k1, k2 in labels]

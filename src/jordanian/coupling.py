@@ -3,15 +3,19 @@
 The tensor product of two spin modules decomposes exactly as in the
 classical case, but the natural product vectors |j1 k1> (x) |j2 k2| are not
 weight vectors of the coupled ladder operators.  The bridge is a family of
-h-monomial coefficients
+h-monomial coefficients alpha[k; m] = R[a, c] g(c) / g(a), in integer
+positions a = j - k and c = j - m per slot, where
 
-    alpha[k1 k2; m1 m2] = (-1)^(k2-m2) (h/2)^(k1+k2-m1-m2) D (b - b')
+    g(c)^2 = c1! c2! / ((2j1-c1)! (2j2-c2)!),
+    R[a, c] = (-1)^d2 (h/2)^(d1+d2) (b(s, d) - b(s-1, d-1)),
+    b(s, d) = F(s1, d2) F(s2, d1),
 
-with D a square root of a factorial ratio and b, b' products of extended
-binomial coefficients, zero unless k1 >= m1 and k2 >= m2.  The
-"intermediate" vectors they define transform under the coupled ladder
-operators exactly like classical product vectors, so classical
-Clebsch-Gordan coefficients finish the job.
+with d = c - a, s = 2j - a - c and F the extended binomial coefficient
+falling_binomial; R is zero unless d1, d2 >= 0.  So the table is
+K = G^-1 R G with R rational and the radicals in the diagonal gauge
+G = diag(g).  The "intermediate" vectors they define transform under the
+coupled ladder operators exactly like classical product vectors, so
+classical Clebsch-Gordan coefficients finish the job.
 
 Three matrices hold it all, with weight pairs in product order
 (product_labels) and coupled vectors in coupled_labels order.  K has
@@ -46,27 +50,7 @@ class SelectionRuleError(ValueError):
     """The requested spins admit no coupling channel."""
 
 
-def binom_ext(n, m) -> Fraction:
-    """Extended binomial coefficient: zero for m < 0, the falling-product
-    formula otherwise (negative upper argument allowed).
-
-    Both arguments must be integral; a half-integral value signals an
-    indexing bug in the caller and raises.
-
-    >>> binom_ext(-1, 2)
-    Fraction(1, 1)
-    """
-    n = as_half(n).as_int() if not isinstance(n, int) else n
-    m = as_half(m).as_int() if not isinstance(m, int) else m
-    return falling_binomial(n, m)
-
-
-def _b_coeff(k1: HalfInt, k2: HalfInt, m1: HalfInt, m2: HalfInt) -> Fraction:
-    # b[k1 k2; m1 m2] = C(m1+k1, k2-m2) * C(m2+k2, k1-m1); all four index
-    # combinations are integers whenever the k's and m's sit on the same
-    # ladders, so as_int() doubles as the indexing sanity check.
-    return (falling_binomial((m1 + k1).as_int(), (k2 - m2).as_int())
-            * falling_binomial((m2 + k2).as_int(), (k1 - m1).as_int()))
+_ZERO = HPoly.zero()
 
 
 def product_weight_index(j1, j2, k1, k2) -> int:
@@ -108,30 +92,25 @@ def alpha_table(j1, j2) -> AlphaTable:
 
 @lru_cache(maxsize=None)
 def _alpha_table_cached(j1: HalfInt, j2: HalfInt) -> AlphaTable:
-    labels = product_labels(j1, j2)
-    return AlphaTable(j1, j2, PolyMatrix(
-        [[_alpha_raw(j1, j2, k1, k2, m1, m2) for m1, m2 in labels]
-         for k1, k2 in labels]))
+    n1, n2 = dim_of(j1) - 1, dim_of(j2) - 1
+    pos = [(c1, c2) for c1 in range(n1 + 1) for c2 in range(n2 + 1)]
+    g = [sqrt_factorial_ratio(fact_num=c, fact_den=(n1 - c[0], n2 - c[1]))
+         for c in pos]
+    r = PolyMatrix([[_gauge_free_alpha(n1, n2, a, c) for c in pos]
+                    for a in pos])
+    return AlphaTable(j1, j2, PolyMatrix.diagonal([x.inverse() for x in g])
+                      @ r @ PolyMatrix.diagonal(g))
 
 
-def _alpha_raw(j1, j2, k1, k2, m1, m2) -> HPoly:
-    if k1 < m1 or k2 < m2:
-        # Both binomial products vanish here; short-circuit so the h
-        # exponent below is guaranteed nonnegative.
-        return HPoly.zero()
-    bb = _b_coeff(k1, k2, m1, m2) - _b_coeff(k1 - 1, k2 - 1, m1, m2)
-    if not bb:
-        return HPoly.zero()
-    e = (k1 + k2 - m1 - m2).as_int()
-    sign = -1 if (k2 - m2).as_int() % 2 else 1
-    d = sqrt_factorial_ratio(
-        fact_num=((j1 - m1).as_int(), (j1 + k1).as_int(),
-                  (j2 - m2).as_int(), (j2 + k2).as_int()),
-        fact_den=((j1 + m1).as_int(), (j1 - k1).as_int(),
-                  (j2 + m2).as_int(), (j2 - k2).as_int()),
-    )
-    coeff = d * (bb * sign * Fraction(1, 2**e))
-    return HPoly.h(e, coeff)
+def _gauge_free_alpha(n1, n2, a, c) -> HPoly:
+    """R[a, c] at positions a = j - k, c = j - m, with n = 2j per slot."""
+    d1, d2 = c[0] - a[0], c[1] - a[1]
+    if d1 < 0 or d2 < 0:
+        return _ZERO
+    s1, s2 = n1 - a[0] - c[0], n2 - a[1] - c[1]
+    f = falling_binomial
+    bb = f(s1, d2) * f(s2, d1) - f(s1 - 1, d2 - 1) * f(s2 - 1, d1 - 1)
+    return HPoly.h(d1 + d2, bb * (-1) ** d2 / 2 ** (d1 + d2)) if bb else _ZERO
 
 
 def alpha_coeff(j1, j2, k1, k2, m1, m2) -> HPoly:
@@ -264,21 +243,19 @@ def sl2_cgc(j1, j2, j, m1, m2) -> RadScalar:
                            as_half(m2))
 
 
-def _triangle_ok(j1: HalfInt, j2: HalfInt, j: HalfInt) -> bool:
+def triangle_allowed(j1, j2, j) -> bool:
+    """Whether spin j occurs in the coupling of spins j1 and j2; raises for
+    a negative spin."""
+    j1, j2, j = as_half(j1), as_half(j2), as_half(j)
+    for spin in (j1, j2, j):
+        dim_of(spin)
     return (((j1 + j2 - j).is_integer and (j1 + j2 - j).twice >= 0)
             and (j1 - j2 + j).twice >= 0 and (-j1 + j2 + j).twice >= 0)
 
 
-def triangle_allowed(j1, j2, j) -> bool:
-    """Whether spin j occurs in the coupling of spins j1 and j2."""
-    return _triangle_ok(as_half(j1), as_half(j2), as_half(j))
-
-
 @lru_cache(maxsize=None)
 def _sl2_cgc_cached(j1, j2, j, m1, m2) -> RadScalar:
-    for spin in (j1, j2, j):
-        dim_of(spin)  # raises for a negative spin
-    if not _triangle_ok(j1, j2, j):
+    if not triangle_allowed(j1, j2, j):
         return RadScalar.zero()
     m = m1 + m2
     for (jj, mm) in ((j1, m1), (j2, m2), (j, m)):
@@ -306,7 +283,11 @@ def _sl2_cgc_cached(j1, j2, j, m1, m2) -> RadScalar:
 
 
 def coupled_spins(j1: HalfInt, j2: HalfInt) -> tuple[HalfInt, ...]:
-    """j1+j2, j1+j2-1, ..., |j1-j2|."""
+    """j1+j2, j1+j2-1, ..., |j1-j2|.
+
+    >>> coupled_spins(as_half(1), as_half("1/2"))
+    (HalfInt(3/2), HalfInt(1/2))
+    """
     top, bottom = j1 + j2, abs(j1 - j2)
     return tuple(HalfInt.from_twice(t) for t in range(top.twice, bottom.twice - 2, -2))
 
@@ -329,19 +310,25 @@ def coupled_index(j1, j2, j, m) -> int:
             f"no vector |{j} {m}> in {j1} (x) {j2}") from None
 
 
+def _cgc_entry(j1, j2, j, m, n1, n2) -> HPoly:
+    """C at (n, (j, m)), from the sl2_cgc memo."""
+    if n1.twice + n2.twice != m.twice:
+        return _ZERO
+    return HPoly.constant(sl2_cgc(j1, j2, j, n1, n2))
+
+
 def _cgc_row(j1, j2, j, m) -> PolyMatrix:
-    """Row (j, m) of C^T, from the sl2_cgc memo."""
+    """Row (j, m) of C^T."""
     coupled_index(j1, j2, j, m)
-    twice, zero = as_half(m).twice, HPoly.zero()
-    return PolyMatrix([[HPoly.constant(sl2_cgc(j1, j2, j, n1, n2))
-                        if n1.twice + n2.twice == twice else zero
+    return PolyMatrix([[_cgc_entry(j1, j2, j, as_half(m), n1, n2)
                         for n1, n2 in product_labels(j1, j2)]])
 
 
 def cgc_matrix(j1, j2) -> PolyMatrix:
     """C, rows in product order and columns in coupled_labels order."""
-    return PolyMatrix([_cgc_row(j1, j2, j, m).entries[0]
-                       for j, m in coupled_labels(j1, j2)]).transpose()
+    return PolyMatrix([[_cgc_entry(j1, j2, j, m, n1, n2)
+                        for j, m in coupled_labels(j1, j2)]
+                       for n1, n2 in product_labels(j1, j2)])
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,13 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
-                      weight_index, weight_range)
+                      weight_range)
 from .hpoly import HPoly
 from .polymatrix import (PolyMatrix, commutator, exp_nilpotent, kron,
-                         unipotent_inverse)
+                         power_series, unipotent_inverse)
 from .radical import RadScalar, falling_binomial
 from .report import Check, Report, zero_check
 
@@ -64,62 +65,37 @@ def sl2_irrep(j) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """Classical spin-j ladder matrices (Zp, Zm, Hm), h-free.
 
     Zp|j m> = sqrt((j-m)(j+m+1)) |j m+1>, Zm lowers, Hm|j m> = 2m |j m>.
+    The coefficients are real, so Zm = Zp^T.
     """
-    j = as_half(j)
-    ws = weight_range(j)
-    n = dim_of(j)
-    zp = PolyMatrix.zeros(n, n, ws, ws)
-    zm = PolyMatrix.zeros(n, n, ws, ws)
-    zp_rows = [list(r) for r in zp.entries]
-    zm_rows = [list(r) for r in zm.entries]
-    for col, m in enumerate(ws):
-        up = ladder_factor(j, m, +1)
-        if up:
-            zp_rows[weight_index(j, m + 1)][col] = HPoly.constant(up)
-        down = ladder_factor(j, m, -1)
-        if down:
-            zm_rows[weight_index(j, m - 1)][col] = HPoly.constant(down)
-    zp = PolyMatrix(zp_rows, ws, ws)
-    zm = PolyMatrix(zm_rows, ws, ws)
+    ws = weight_range(as_half(j))
+    n = len(ws)
+    # column c = j - m: sqrt((j-m)(j+m+1)) = sqrt(c (n - c)), n = 2j + 1
+    zp = PolyMatrix([[RadScalar.sqrt(c * (n - c)) if c == r + 1 else 0
+                      for c in range(n)] for r in range(n)], ws, ws)
     hm = PolyMatrix.diagonal([Fraction(m.twice) for m in ws], ws)
-    return zp, zm, hm
+    return zp, zp.transpose(), hm
 
 
 def x_matrix(j) -> PolyMatrix:
-    """X = (2/h) arctanh(h Zp / 2) as a terminating odd series in Zp."""
-    zp, _, _ = sl2_irrep(as_half(j))
-    zp2 = zp @ zp
-    acc = PolyMatrix.zeros(zp.rows, zp.cols, zp.row_weights, zp.col_weights)
-    power = zp
-    i = 0
-    while not power.is_zero:
-        acc = acc + power * HPoly.h(2 * i, Fraction(1, 4**i * (2 * i + 1)))
-        power = power @ zp2
-        i += 1
-    return acc
+    """X = (2/h) arctanh(h Zp / 2) = Zp sum_i (h Zp/2)^(2i) / (2i+1)."""
+    zp = sl2_irrep(j)[0]
+    return zp @ power_series(zp @ zp * HPoly.h(2, Fraction(1, 4)),
+                             lambda i: Fraction(1, 2 * i + 1))
 
 
 def y_matrix(j) -> PolyMatrix:
     """Y = s Zm s with s = sqrt(1 - (h Zp/2)^2), a terminating binomial series."""
-    j = as_half(j)
     zp, zm, _ = sl2_irrep(j)
-    zp2 = zp @ zp
-    s = PolyMatrix.identity(zp.rows, zp.row_weights)
-    power = zp2
-    k = 1
-    while not power.is_zero:
-        c = falling_binomial(Fraction(1, 2), k) * Fraction((-1) ** k, 4**k)
-        s = s + power * HPoly.h(2 * k, c)
-        power = power @ zp2
-        k += 1
+    s = power_series(zp @ zp * HPoly.h(2, Fraction(-1, 4)),
+                     lambda k: falling_binomial(Fraction(1, 2), k))
     return s @ zm @ s
 
 
 def exp_hx(j, sign: int = +1) -> PolyMatrix:
-    """e^{+-hX} as the terminating exponential series of the nilpotent h X."""
+    """e^{+-hX} of the spin-j module."""
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +-1, got {sign}")
-    return exp_nilpotent(x_matrix(j), HPoly.h(1, sign))
+    return irrep(j).exp_hx if sign > 0 else irrep(j).exp_mhx
 
 
 @dataclass(frozen=True)
@@ -204,10 +180,9 @@ def cosh_hx(gens: GenMatrices) -> PolyMatrix:
 
 
 def cosh_half_hx(gens: GenMatrices) -> PolyMatrix:
-    """cosh(hX/2) from the terminating half-parameter exponentials."""
-    a = exp_nilpotent(gens.x, HPoly.h(1, Fraction(1, 2)))
-    b = exp_nilpotent(gens.x, HPoly.h(1, Fraction(-1, 2)))
-    return (a + b) * Fraction(1, 2)
+    """cosh(hX/2) = sum_k (hX/2)^(2k) / (2k)!, a terminating series."""
+    return power_series(gens.x @ gens.x * HPoly.h(2, Fraction(1, 4)),
+                        lambda k: Fraction(1, factorial(2 * k)))
 
 
 def sl2_from_gens(gens: GenMatrices) -> tuple[PolyMatrix, PolyMatrix]:
@@ -220,11 +195,9 @@ def sl2_from_gens(gens: GenMatrices) -> tuple[PolyMatrix, PolyMatrix]:
     """
     ident = PolyMatrix.identity(gens.dim, gens.weights)
     a = gens.ep - ident  # nilpotent, divisible by h
-    inv = unipotent_inverse(ident + a * Fraction(1, 2)) * Fraction(1, 2)
-    zp = (a @ inv).divide_h(1) * 2
+    zp = (a @ unipotent_inverse(ident + a * Fraction(1, 2))).divide_h(1)
     ch = cosh_half_hx(gens)
-    zm = ch @ gens.y @ ch
-    return zp, zm
+    return zp, ch @ gens.y @ ch
 
 
 def casimir_from_gens(gens: GenMatrices) -> PolyMatrix:

@@ -242,11 +242,9 @@ class PolyMatrix:
 
     @classmethod
     def diagonal(cls, values, weights=None):
-        values = [as_hpoly(v) for v in values]
-        z = HPoly.zero()
         n = len(values)
-        return cls([[values[i] if i == k else z for k in range(n)] for i in range(n)],
-                   weights, weights)
+        return cls([[v if i == k else _ZERO for k in range(n)]
+                    for i, v in enumerate(values)], weights, weights)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -482,35 +480,31 @@ def anticommutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return a @ b + b @ a
 
 
+def power_series(a: PolyMatrix, coeff) -> PolyMatrix:
+    """sum_k coeff(k) a**k for nilpotent a: the series ends at the first
+    zero power.  Raises if a is not nilpotent."""
+    if not a.is_square:
+        raise ShapeError(f"power series need a square matrix, got {a.shape}")
+    power = PolyMatrix.identity(a.rows, a.row_weights)
+    acc = power * coeff(0)
+    for k in range(1, a.rows + 1):
+        power = power @ a
+        if power.is_zero:
+            return acc
+        acc = acc + power * coeff(k)
+    raise ValueError("matrix is not nilpotent")
+
+
 def exp_nilpotent(a: PolyMatrix, factor=1) -> PolyMatrix:
     """exp(factor * a) for nilpotent factor * a, as a terminating series.
 
     The factor may be any scalar (an h-monomial, typically).  Raises if
     factor * a is not nilpotent.
     """
-    if not a.is_square:
-        raise ShapeError(f"exp needs a square matrix, got {a.shape}")
-    b = a * factor
-    acc = PolyMatrix.identity(a.rows, a.row_weights)
-    power = acc
-    for k in range(1, a.rows + 1):
-        power = power @ b
-        if power.is_zero:
-            return acc
-        acc = acc + power * Fraction(1, factorial(k))
-    raise ValueError("matrix is not nilpotent")
+    return power_series(a * factor, lambda k: Fraction(1, factorial(k)))
 
 
 def unipotent_inverse(m: PolyMatrix) -> PolyMatrix:
     """Inverse of 1 + n with n nilpotent, via the terminating Neumann series."""
-    if not m.is_square:
-        raise ShapeError(f"inverse needs a square matrix, got {m.shape}")
-    minus_n = PolyMatrix.identity(m.rows, m.row_weights) - m
-    acc = PolyMatrix.identity(m.rows, m.row_weights)
-    power = acc
-    for _ in range(1, m.rows + 1):
-        power = power @ minus_n
-        if power.is_zero:
-            return acc
-        acc = acc + power
-    raise ValueError("matrix is not unipotent")
+    return power_series(PolyMatrix.identity(m.rows, m.row_weights) - m,
+                        lambda k: 1)

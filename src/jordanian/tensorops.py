@@ -378,10 +378,9 @@ def _lambda_factor(j: HalfInt, m: HalfInt, n: int) -> RadScalar:
 
 
 def _ket_sum(jt: HalfInt, terms) -> PolyMatrix:
-    acc = PolyMatrix.zeros(dim_of(jt), 1)
-    rows = [list(r) for r in acc.entries]
+    rows = [[HPoly.zero()] for _ in range(dim_of(jt))]
     for m, coeff in terms:
-        rows[weight_index(jt, m)][0] = rows[weight_index(jt, m)][0] + coeff
+        rows[weight_index(jt, m)][0] += coeff
     return PolyMatrix(rows)
 
 

@@ -1,15 +1,46 @@
-"""Differential oracle for the coupling core: the defining index sums.
+"""Differential oracle for the coupling core: the defining formulas.
 
-The library reads every coupling quantity off the matrices K (the alpha
-table), B = P K^T P and C (the classical CGCs).  The functions here compute
+The library builds the alpha table as K = G^-1 R G in integer positions
+and reads every coupling quantity off the matrices K, B = P K^T P and C
+(the classical CGCs).  ``alpha_entry`` computes one alpha coefficient from
+its per-entry formula in half-integer labels; the other functions compute
 the same quantities the long way, as the sums that define them, reading
 only ``alpha_table(...).value`` and ``sl2_cgc``.  Tests compare the two.
 """
 
+from fractions import Fraction
+
 from jordanian.coupling import alpha_table, sl2_cgc
-from jordanian.halfint import weight_range
+from jordanian.halfint import as_half, weight_range
 from jordanian.hpoly import HPoly
 from jordanian.polymatrix import PolyMatrix
+from jordanian.radical import falling_binomial, sqrt_factorial_ratio
+
+
+def _b(k1, k2, m1, m2) -> Fraction:
+    """C(m1+k1, k2-m2) C(m2+k2, k1-m1), binomials extended to negative
+    upper arguments and zero for a negative lower one."""
+    return (falling_binomial((m1 + k1).as_int(), (k2 - m2).as_int())
+            * falling_binomial((m2 + k2).as_int(), (k1 - m1).as_int()))
+
+
+def alpha_entry(j1, j2, k1, k2, m1, m2) -> HPoly:
+    """alpha[k1 k2; m1 m2] = (-1)^(k2-m2) (h/2)^e D (b - b'), with
+    e = k1+k2-m1-m2, D the square root of
+    (j1-m1)! (j1+k1)! (j2-m2)! (j2+k2)! / ((j1+m1)! (j1-k1)! (j2+m2)! (j2-k2)!)
+    and b' the b of (k1-1, k2-1); zero unless k1 >= m1 and k2 >= m2."""
+    j1, j2, k1, k2, m1, m2 = map(as_half, (j1, j2, k1, k2, m1, m2))
+    if k1 < m1 or k2 < m2:
+        return HPoly.zero()
+    bb = _b(k1, k2, m1, m2) - _b(k1 - 1, k2 - 1, m1, m2)
+    e = (k1 + k2 - m1 - m2).as_int()
+    d = sqrt_factorial_ratio(
+        fact_num=((j1 - m1).as_int(), (j1 + k1).as_int(),
+                  (j2 - m2).as_int(), (j2 + k2).as_int()),
+        fact_den=((j1 + m1).as_int(), (j1 - k1).as_int(),
+                  (j2 + m2).as_int(), (j2 - k2).as_int()))
+    sign = -1 if (k2 - m2).as_int() % 2 else 1
+    return HPoly.h(e, d * (bb * sign * Fraction(1, 2**e)))
 
 
 def orthogonality_sum(j1, j2, m1, m2, n1, n2) -> HPoly:

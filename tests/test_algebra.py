@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordanian.halfint import half, weight_range
+from jordanian.halfint import HalfInt, half, weight_range
 from jordanian.hpoly import HPoly
 from jordanian.irreps import (Generator, antipode_matrix, casimir_from_gens,
                               casimir_ladder_form, casimir_matrix,
@@ -60,6 +60,17 @@ def test_ladder_factor_values_and_errors():
     assert ladder_factor(j, half(-1), -1) == RadScalar.zero()
     with pytest.raises(ValueError):
         ladder_factor(j, half(0), 2)
+
+
+def test_sl2_lowering_matrix_matches_ladder_factor():
+    for twice in range(7):
+        j = HalfInt.from_twice(twice)
+        ws = weight_range(j)
+        want = PolyMatrix([[ladder_factor(j, m, -1) if n == m - 1 else 0
+                            for m in ws] for n in ws], ws, ws)
+        zm = sl2_irrep(j)[1]
+        assert zm == want
+        assert (zm.row_weights, zm.col_weights) == (ws, ws)
 
 
 def test_sl2_ladder_commutators():

@@ -160,12 +160,30 @@ def test_cgc_without_coupling_channel_exits_2(capsys, spin_args):
     ("alpha", "--j1", "1/2", "--j2", "-1/2"),
     ("decompose", "--j1", "-1/2", "--j2", "1"),
     ("cgc", "--j1", "-1/2", "--j2", "1/2", "--j", "0", "--m", "0"),
-], ids=["alpha", "decompose", "cgc"])
+    ("cgc", "--j1", "-1/2", "--j2", "1/2", "--j", "0", "--classical"),
+    ("cgc", "--j1", "1/2", "--j2", "1/2", "--j", "-1", "--classical"),
+], ids=["alpha", "decompose", "cgc", "cgc-classical", "cgc-classical-j"])
 def test_negative_spin_exits_2(capsys, argv):
+    bad = next(t for t in argv if t[0] == "-" and t[1].isdigit())
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "error: spin label must be nonnegative, got -1/2" in err
+    assert f"error: spin label must be nonnegative, got {bad}\n" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--m", "0", "--k1", "1/2"), "--k1 and --k2 go together; missing --k2"),
+    (("--m", "0", "--k2", "1/2"), "--k1 and --k2 go together; missing --k1"),
+    (("--classical", "--k2", "1/2"),
+     "--k1 and --k2 go together; missing --k1"),
+    (("--classical", "--m", "0"), "--m applies to deformed coefficients only"),
+], ids=["k1-only", "k2-only", "classical-k2-only", "classical-m"])
+def test_cgc_ignored_options_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, "cgc", "--j1", "1/2", "--j2", "1/2",
+                         "--j", "0", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}" in err
 
 
 def test_cgc_requires_m_for_deformed(capsys):
@@ -285,6 +303,16 @@ def test_tensorop_missing_j_is_usage_error(capsys):
     assert code == 2
     assert "error:" in err
     assert "--j is required for realization 'rank1'" in err
+
+
+@pytest.mark.parametrize("command", ["tensorop", "wigner-eckart"])
+@pytest.mark.parametrize("realization", ["fermion-a", "fermion-b"])
+def test_fermion_realization_rejects_j(capsys, command, realization):
+    code, out, err = run(capsys, command, "--realization", realization,
+                         "--j", "1", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert f"--j does not apply to realization {realization!r}" in err
 
 
 def test_tensorop_lowering_needs_positive_spin(capsys):

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from alpha_oracle import orthogonality_sum, uh_cgc_bra_sum, uh_cgc_sum
-from jordanian.coupling import (alpha_coeff, alpha_table, binom_ext,
+from alpha_oracle import (alpha_entry, orthogonality_sum, uh_cgc_bra_sum,
+                          uh_cgc_sum)
+from jordanian.coupling import (alpha_coeff, alpha_table, cgc_matrix,
                                 coupled_basis, coupled_bra, coupled_labels,
                                 coupled_ladder, coupled_spins, decompose,
                                 intermediate_bra, intermediate_ket,
@@ -14,22 +15,23 @@ from jordanian.coupling import (alpha_coeff, alpha_table, binom_ext,
                                 verify_alpha_orthogonality,
                                 verify_intermediate_action,
                                 verify_intermediate_orthonormality)
-from jordanian.halfint import dim_of, half, weight_range
+from jordanian.halfint import HalfInt, dim_of, half, weight_range
 from jordanian.hpoly import HPoly
 from jordanian.irreps import irrep
 from jordanian.polymatrix import PolyMatrix
 from jordanian.radical import RadScalar
 
 H12 = half(1, 2)
+SPINS_TO_5_2 = [HalfInt.from_twice(t) for t in range(6)]
 
 
-def test_binom_ext_values():
-    assert binom_ext(5, 2) == 10
-    assert binom_ext(-1, 2) == 1
-    assert binom_ext(3, -1) == 0
-    assert binom_ext(half(2), 1) == 2
-    with pytest.raises(ValueError):
-        binom_ext(H12, 1)
+@pytest.mark.parametrize("j1", SPINS_TO_5_2, ids=str)
+@pytest.mark.parametrize("j2", SPINS_TO_5_2, ids=str)
+def test_alpha_table_matches_per_entry_formula(j1, j2):
+    labels = product_labels(j1, j2)
+    want = PolyMatrix([[alpha_entry(j1, j2, k1, k2, m1, m2)
+                        for m1, m2 in labels] for k1, k2 in labels])
+    assert alpha_table(j1, j2).ket == want
 
 
 def test_alpha_diagonal_is_one():
@@ -190,6 +192,17 @@ def test_classical_cgc_row_orthonormality():
                 c = sl2_cgc(j1, j2, j, m1, m2)
                 total = total + c * c
             assert total == RadScalar.one()
+
+
+def test_cgc_matrix_entries_are_classical_cgcs():
+    for j1 in SPINS_TO_5_2[:5]:
+        for j2 in SPINS_TO_5_2[:5]:
+            c = cgc_matrix(j1, j2)
+            for r, (n1, n2) in enumerate(product_labels(j1, j2)):
+                for k, (j, m) in enumerate(coupled_labels(j1, j2)):
+                    want = (sl2_cgc(j1, j2, j, n1, n2) if n1 + n2 == m
+                            else RadScalar.zero())
+                    assert c.entry(r, k) == HPoly.constant(want)
 
 
 # -- coupled modules -----------------------------------------------------------

@@ -12,7 +12,7 @@ from jordanian.halfint import half
 from jordanian.hpoly import HPoly
 from jordanian.polymatrix import (PolyMatrix, ShapeError, anticommutator,
                                   commutator, exp_nilpotent, kron,
-                                  unipotent_inverse)
+                                  power_series, unipotent_inverse)
 from jordanian.radical import RadScalar
 
 
@@ -177,6 +177,16 @@ def test_exp_nilpotent_rejects_bad_input():
         unipotent_inverse(PolyMatrix.zeros(2, 3))
     with pytest.raises(ValueError):
         unipotent_inverse(PolyMatrix.diagonal([2, 1]))
+    with pytest.raises(ShapeError):
+        power_series(PolyMatrix.zeros(2, 3), lambda k: 1)
+    with pytest.raises(ValueError):
+        power_series(PolyMatrix.identity(2), lambda k: 1)
+
+
+def test_power_series_terminates_at_first_zero_power():
+    n = PolyMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    assert power_series(n, lambda k: k + 2) == PolyMatrix(
+        [[2, 3, 4], [0, 2, 3], [0, 0, 2]])
 
 
 def test_unipotent_inverse_of_triangular():

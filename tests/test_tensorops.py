@@ -1,5 +1,6 @@
 """Operator families: fermionic and bosonic realizations, adjoint action."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,20 @@ def test_boson_realization_shapes():
 @pytest.mark.parametrize("j", [half(0), H12, half(1), half(3, 2)], ids=str)
 def test_boson_raising_family_is_tensor_operator(j):
     assert verify_tensor_operator(boson_raising_family(j)).ok
+
+
+def test_perturbed_family_fails_tensor_operator_check():
+    fam = boson_raising_family(half(1))
+    t_up, t_dn = fam.components
+    i, k, value = t_up.first_nonzero()
+    rows = [list(r) for r in t_up.entries]
+    rows[i][k] = value + value * H
+    bad = TensorOpFamily(rank=fam.rank, components=(PolyMatrix(rows), t_dn),
+                         ctx=fam.ctx)
+    report = verify_tensor_operator(bad)
+    assert not report.ok
+    assert any(re.fullmatch(r"ad [XYH] on component m=-?\d+(/\d+)?", c.name)
+               for c in report.failures())
 
 
 @pytest.mark.parametrize("j", [H12, half(1), half(3, 2)], ids=str)
