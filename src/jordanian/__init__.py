@@ -29,8 +29,7 @@ _API = {
         GenMatrices Generator Irrep antipode_matrix casimir_ladder_form
         casimir_matrix coproduct_gens coproduct_matrix coproduct_terms cosh_hx
         counit exp_hx generator_matrix irrep ladder_factor sinh_hx
-        sl2_from_gens sl2_irrep verify_casimir verify_defining_relations
-        verify_hopf_axioms""",
+        sl2_irrep verify_casimir verify_defining_relations verify_hopf_axioms""",
     "polymatrix": """
         PolyMatrix ShapeError anticommutator commutator exp_nilpotent kron
         unipotent_inverse""",

@@ -21,12 +21,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .coupling import (SelectionRuleError, alpha_table, coupled_bra,
-                       coupled_ket, decompose, product_labels, sl2_cgc,
-                       triangle_allowed, uh_cgc, uh_cgc_bra,
-                       verify_alpha_orthogonality,
+                       coupled_ket, decompose, product_labels,
+                       product_weight_index, sl2_cgc, triangle_allowed,
+                       uh_cgc, uh_cgc_bra, verify_alpha_orthogonality,
                        verify_intermediate_action,
                        verify_intermediate_orthonormality)
-from .halfint import HalfInt, half
+from .halfint import HalfInt, dim_of, half
 from .irreps import (casimir_matrix, irrep, verify_casimir,
                      verify_defining_relations, verify_hopf_axioms)
 from .polymatrix import PolyMatrix
@@ -338,6 +338,8 @@ def _cmd_cgc(args) -> int:
         raise ValueError("--m is required for deformed coefficients")
     labels = [(args.k1, args.k2)] if single else product_labels(j1, j2)
     if kind == "classical":
+        if single:  # raises for a weight off its ladder
+            product_weight_index(j1, j2, args.k1, args.k2)
         values = [sl2_cgc(j1, j2, j, k1, k2) for k1, k2 in labels]
     elif single:
         values = [(uh_cgc_bra if args.bra else uh_cgc)(j1, j2, j, *labels[0], m)]
@@ -444,6 +446,7 @@ def _cmd_wigner_eckart(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    dim_of(args.max_j)  # raises for a negative spin before any suite runs
     chosen = [(name, fn) for name, fn in SUITES
               if args.suite in (None, name)]
     all_reports: list[tuple[str, Report]] = []

@@ -17,16 +17,21 @@ G = diag(g).  The "intermediate" vectors they define transform under the
 coupled ladder operators exactly like classical product vectors, so
 classical Clebsch-Gordan coefficients finish the job.
 
-Three matrices hold it all, with weight pairs in product order
-(product_labels) and coupled vectors in coupled_labels order.  K has
-alpha[k; m] at (k, m): its columns are the intermediate kets.  B = P K^T P,
-with P reversing the weight order, has alpha[-k; -m] at (m, k): its rows
-are the intermediate bras.  C has <j1 n1; j2 n2 | j m> at (n, (j, m)).
-Coupled kets are the columns of K C, coupled bras the rows of C^T B.  The
-verifiers slice residuals of B K = 1 (alpha orthogonality, intermediate
-orthonormality), of Delta(Z) K = K S and B Delta(Z) = S B for Z = H, Zp,
-Zm with S = Z (x) 1 + 1 (x) Z classical (intermediate action), and of
-Casimir (K C) = (K C) diag(j(j+1)) (decompose).
+Three matrices hold it all, each built once per pair (alpha_table), with
+weight pairs in product order (product_labels) and coupled vectors in
+coupled_labels order.  K has alpha[k; m] at (k, m): its columns are the
+intermediate kets.  B = P K^T P, with P reversing the weight order, has
+alpha[-k; -m] at (m, k): its rows are the intermediate bras.  C has
+<j1 n1; j2 n2 | j m> at (n, (j, m)).  Coupled kets are the columns of K C,
+coupled bras the rows of C^T B.  The verifiers slice residuals of B K = 1
+(alpha orthogonality, intermediate orthonormality), of Delta(Z) K = K S and
+B Delta(Z) = S B for Z = H, Zp, Zm with S = Z (x) 1 + 1 (x) Z classical
+(intermediate action), and of Casimir (K C) = (K C) diag(j(j+1)) (decompose).
+
+The coupled ladder comes from module data.  X is primitive, so tanh
+addition gives Delta(Zp) = S (1 + (h^2/4) Zp (x) Zp)^-1, S the slot sum of
+Zp, and Delta(Zm) = ch Delta(Y) ch with ch = cosh(h Delta(X)/2)
+= (E1 (x) E2 + E1^-1 (x) E2^-1)/2, E = e^{hX/2} of each module.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ from math import factorial
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
                       weight_index, weight_range)
 from .hpoly import HPoly
-from .irreps import (casimir_from_gens, coproduct_gens, irrep, sl2_from_gens,
-                     sl2_irrep)
-from .polymatrix import PolyMatrix, kron
+from .irreps import (Generator, casimir_from_gens, coproduct_gens,
+                     coproduct_matrix, irrep, sl2_irrep)
+from .polymatrix import PolyMatrix, exp_nilpotent, kron, unipotent_inverse
 from .radical import RadScalar, falling_binomial, sqrt_factorial_ratio
 from .report import Report, scalar_check, zero_check
 
@@ -68,17 +73,14 @@ def product_labels(j1, j2) -> tuple[tuple[HalfInt, HalfInt], ...]:
 
 @dataclass(frozen=True)
 class AlphaTable:
-    """All alpha coefficients of a (j1, j2) pair as the matrix K."""
+    """The coupling matrices of a (j1, j2) pair: the alpha table K, its
+    reindexed inverse B = P K^T P and the classical CGC matrix C."""
 
     j1: HalfInt
     j2: HalfInt
     ket: PolyMatrix
-
-    @property
-    def bra(self) -> PolyMatrix:
-        """B = P K^T P: K transposed, rows and columns in reverse order."""
-        reverse = range(self.ket.rows - 1, -1, -1)
-        return self.ket.transpose().submatrix(reverse, reverse)
+    bra: PolyMatrix
+    cgc: PolyMatrix
 
     def value(self, k1, k2, m1, m2) -> HPoly:
         """alpha[k1 k2; m1 m2]; ValueError for a weight off its ladder."""
@@ -98,8 +100,13 @@ def _alpha_table_cached(j1: HalfInt, j2: HalfInt) -> AlphaTable:
          for c in pos]
     r = PolyMatrix([[_gauge_free_alpha(n1, n2, a, c) for c in pos]
                     for a in pos])
-    return AlphaTable(j1, j2, PolyMatrix.diagonal([x.inverse() for x in g])
-                      @ r @ PolyMatrix.diagonal(g))
+    ket = (PolyMatrix.diagonal([x.inverse() for x in g]) @ r
+           @ PolyMatrix.diagonal(g))
+    rev = range(ket.rows - 1, -1, -1)  # P, the reversed weight order
+    cgc = PolyMatrix([[_cgc_entry(j1, j2, j, m, k1, k2)
+                       for j, m in coupled_labels(j1, j2)]
+                      for k1, k2 in product_labels(j1, j2)])
+    return AlphaTable(j1, j2, ket, ket.transpose().submatrix(rev, rev), cgc)
 
 
 def _gauge_free_alpha(n1, n2, a, c) -> HPoly:
@@ -130,10 +137,17 @@ def intermediate_bra(j1, j2, m1, m2) -> PolyMatrix:
 
 
 def coupled_ladder(j1, j2) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
-    """(Zp, Zm, H) of the coupled module, built from coproduct matrices."""
-    gg = coproduct_gens(irrep(j1).gens(), irrep(j2).gens())
-    zp, zm = sl2_from_gens(gg)
-    return zp, zm, gg.h
+    """(Zp, Zm, H) of the coupled module, by the closed forms above."""
+    r1, r2 = irrep(j1), irrep(j2)
+    zp = slot_sums(j1, j2)[0] @ unipotent_inverse(
+        PolyMatrix.identity(r1.dim * r2.dim)
+        + kron(r1.zp, r2.zp) * HPoly.h(2, Fraction(1, 4)))
+    e1, e2 = (exp_nilpotent(r.x, HPoly.h(1, Fraction(1, 2))) for r in (r1, r2))
+    f1, f2 = (exp_nilpotent(r.x, HPoly.h(1, Fraction(-1, 2))) for r in (r1, r2))
+    ch = (kron(e1, e2) + kron(f1, f2)) * Fraction(1, 2)  # f = e^-1
+    g1, g2 = r1.gens(), r2.gens()
+    return (zp, ch @ coproduct_matrix(Generator.Y, g1, g2) @ ch,
+            coproduct_matrix(Generator.H, g1, g2))
 
 
 def _slot_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -317,18 +331,9 @@ def _cgc_entry(j1, j2, j, m, n1, n2) -> HPoly:
     return HPoly.constant(sl2_cgc(j1, j2, j, n1, n2))
 
 
-def _cgc_row(j1, j2, j, m) -> PolyMatrix:
-    """Row (j, m) of C^T."""
-    coupled_index(j1, j2, j, m)
-    return PolyMatrix([[_cgc_entry(j1, j2, j, as_half(m), n1, n2)
-                        for n1, n2 in product_labels(j1, j2)]])
-
-
 def cgc_matrix(j1, j2) -> PolyMatrix:
     """C, rows in product order and columns in coupled_labels order."""
-    return PolyMatrix([[_cgc_entry(j1, j2, j, m, n1, n2)
-                        for j, m in coupled_labels(j1, j2)]
-                       for n1, n2 in product_labels(j1, j2)])
+    return alpha_table(j1, j2).cgc
 
 
 @dataclass(frozen=True)
@@ -369,20 +374,24 @@ def decompose(j1, j2) -> list[tuple[HalfInt, int]]:
 
 def coupled_ket(j1, j2, j, m) -> PolyMatrix:
     """The coupled ket |j m> as a column over the product basis (of K C)."""
-    return alpha_table(j1, j2).ket @ _cgc_row(j1, j2, j, m).transpose()
+    table = alpha_table(j1, j2)
+    return table.ket @ table.cgc.column(coupled_index(j1, j2, j, m))
 
 
 def coupled_bra(j1, j2, j, m) -> PolyMatrix:
     """The coupled bra <j m| as a row over the product basis (of C^T B)."""
-    return _cgc_row(j1, j2, j, m) @ alpha_table(j1, j2).bra
+    table = alpha_table(j1, j2)
+    return (table.cgc.column(coupled_index(j1, j2, j, m)).transpose()
+            @ table.bra)
 
 
 def uh_cgc(j1, j2, j, k1, k2, m) -> HPoly:
     """Deformed Clebsch-Gordan coefficient: the coefficient of the product
     ket |j1 k1>(x)|j2 k2> in the coupled ket |j m>, as row k of K times
     column (j, m) of C."""
-    row = alpha_table(j1, j2).ket.row(product_weight_index(j1, j2, k1, k2))
-    return (row @ _cgc_row(j1, j2, j, m).transpose()).scalar()
+    table = alpha_table(j1, j2)
+    row = table.ket.row(product_weight_index(j1, j2, k1, k2))
+    return (row @ table.cgc.column(coupled_index(j1, j2, j, m))).scalar()
 
 
 def uh_cgc_bra(j1, j2, j, k1, k2, m) -> HPoly:

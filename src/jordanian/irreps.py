@@ -28,13 +28,12 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
                       weight_range)
 from .hpoly import HPoly
 from .polymatrix import (PolyMatrix, commutator, exp_nilpotent, kron,
-                         power_series, unipotent_inverse)
+                         power_series)
 from .radical import RadScalar, falling_binomial
 from .report import Check, Report, zero_check
 
@@ -177,27 +176,6 @@ def sinh_hx(gens: GenMatrices) -> PolyMatrix:
 
 def cosh_hx(gens: GenMatrices) -> PolyMatrix:
     return (gens.ep + gens.em) * Fraction(1, 2)
-
-
-def cosh_half_hx(gens: GenMatrices) -> PolyMatrix:
-    """cosh(hX/2) = sum_k (hX/2)^(2k) / (2k)!, a terminating series."""
-    return power_series(gens.x @ gens.x * HPoly.h(2, Fraction(1, 4)),
-                        lambda k: Fraction(1, factorial(2 * k)))
-
-
-def sl2_from_gens(gens: GenMatrices) -> tuple[PolyMatrix, PolyMatrix]:
-    """Rebuild (Zp, Zm) from the deformed generator matrices.
-
-    Zp = (2/h) tanh(hX/2) = (2/h)(e^{hX} - 1)(e^{hX} + 1)^{-1} and
-    Zm = cosh(hX/2) Y cosh(hX/2); both series terminate since X is
-    nilpotent.  On a product module this yields the coupled ladder
-    operators directly from coproduct matrices.
-    """
-    ident = PolyMatrix.identity(gens.dim, gens.weights)
-    a = gens.ep - ident  # nilpotent, divisible by h
-    zp = (a @ unipotent_inverse(ident + a * Fraction(1, 2))).divide_h(1)
-    ch = cosh_half_hx(gens)
-    return zp, ch @ gens.y @ ch
 
 
 def casimir_from_gens(gens: GenMatrices) -> PolyMatrix:

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coupling import (SelectionRuleError, alpha_table, cgc_matrix,
-                       coupled_index, product_labels, product_weight_index,
-                       sl2_cgc, slot_sums, triangle_allowed, uh_cgc_bra)
+from .coupling import (SelectionRuleError, alpha_table, coupled_index,
+                       product_labels, product_weight_index, sl2_cgc,
+                       slot_sums, triangle_allowed, uh_cgc_bra)
 from .halfint import HalfInt, as_half, dim_of, weight_index, weight_range
 from .hpoly import HPoly
 from .irreps import irrep
@@ -200,9 +200,9 @@ def verify_wigner_eckart(fam: TensorOpFamily, label: str = "") -> Report:
                      f"I = {ivalue}"))
 
     labels = product_labels(j1, j2)
-    bra = alpha_table(j1, j2).bra
+    table = alpha_table(j1, j2)
+    bra, c = table.bra, table.cgc
     t, phi = _t_phi(fam)
-    c = cgc_matrix(j1, j2)
     ct = c.transpose()
     top = coupled_index(j1, j2, j, j)  # row of <j j| in C^T
     for col, (n1, n2) in enumerate(labels):
@@ -224,7 +224,7 @@ def verify_wigner_eckart(fam: TensorOpFamily, label: str = "") -> Report:
                 f"<{j} {m}|t_({m1})|{j2} {m2}> = I * bra coefficient",
                 t.entry(row, col), ivalue * bras.entry(top + row, col)))
 
-    dual = bras @ (alpha_table(j1, j2).ket @ c)
+    dual = bras @ (table.ket @ c)
     one = PolyMatrix.identity(len(labels))
     spin_j = range(top, top + dim_of(j))
     for name, ok in (

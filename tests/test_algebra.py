@@ -9,13 +9,14 @@ from jordanian.hpoly import HPoly
 from jordanian.irreps import (Generator, antipode_matrix, casimir_from_gens,
                               casimir_ladder_form, casimir_matrix,
                               coproduct_gens, coproduct_matrix,
-                              coproduct_terms, cosh_half_hx, cosh_hx, counit,
-                              exp_hx, generator_matrix, irrep, ladder_factor,
-                              sinh_hx, sl2_from_gens, sl2_irrep,
-                              verify_casimir, verify_defining_relations,
-                              verify_hopf_axioms, x_matrix, y_matrix)
+                              coproduct_terms, cosh_hx, counit, exp_hx,
+                              generator_matrix, irrep, ladder_factor, sinh_hx,
+                              sl2_irrep, verify_casimir,
+                              verify_defining_relations, verify_hopf_axioms,
+                              x_matrix, y_matrix)
 from jordanian.polymatrix import PolyMatrix, commutator, exp_nilpotent, kron
 from jordanian.radical import RadScalar
+from ladder_oracle import cosh_half_hx, sl2_from_gens
 
 SPINS = [half(0), half(1, 2), half(1), half(3, 2), half(2)]
 

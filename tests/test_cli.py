@@ -162,13 +162,25 @@ def test_cgc_without_coupling_channel_exits_2(capsys, spin_args):
     ("cgc", "--j1", "-1/2", "--j2", "1/2", "--j", "0", "--m", "0"),
     ("cgc", "--j1", "-1/2", "--j2", "1/2", "--j", "0", "--classical"),
     ("cgc", "--j1", "1/2", "--j2", "1/2", "--j", "-1", "--classical"),
-], ids=["alpha", "decompose", "cgc", "cgc-classical", "cgc-classical-j"])
+    ("verify", "--suite", "uh-algebra", "--max-j", "-1"),
+    ("verify", "--suite", "coupling", "--max-j", "-1/2"),
+], ids=["alpha", "decompose", "cgc", "cgc-classical", "cgc-classical-j",
+        "verify-uh-algebra", "verify-coupling"])
 def test_negative_spin_exits_2(capsys, argv):
     bad = next(t for t in argv if t[0] == "-" and t[1].isdigit())
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert f"error: spin label must be nonnegative, got {bad}\n" in err
+
+
+@pytest.mark.parametrize("k1", ["1/2", "5"], ids=["parity", "beyond-top"])
+def test_classical_cgc_rejects_weight_off_the_ladder(capsys, k1):
+    code, out, err = run(capsys, "cgc", "--j1", "1", "--j2", "1", "--j", "1",
+                         "--classical", "--k1", k1, "--k2", "0")
+    assert code == 2
+    assert out == ""
+    assert f"error: weight {k1} does not belong to the spin-1 ladder" in err
 
 
 @pytest.mark.parametrize("argv, message", [

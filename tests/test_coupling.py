@@ -6,6 +6,7 @@ import pytest
 
 from alpha_oracle import (alpha_entry, orthogonality_sum, uh_cgc_bra_sum,
                           uh_cgc_sum)
+from jordanian import coupling
 from jordanian.coupling import (alpha_coeff, alpha_table, cgc_matrix,
                                 coupled_basis, coupled_bra, coupled_labels,
                                 coupled_ladder, coupled_spins, decompose,
@@ -17,9 +18,10 @@ from jordanian.coupling import (alpha_coeff, alpha_table, cgc_matrix,
                                 verify_intermediate_orthonormality)
 from jordanian.halfint import HalfInt, dim_of, half, weight_range
 from jordanian.hpoly import HPoly
-from jordanian.irreps import irrep
+from jordanian.irreps import coproduct_gens, irrep
 from jordanian.polymatrix import PolyMatrix
 from jordanian.radical import RadScalar
+from ladder_oracle import sl2_from_gens
 
 H12 = half(1, 2)
 SPINS_TO_5_2 = [HalfInt.from_twice(t) for t in range(6)]
@@ -106,6 +108,36 @@ def test_intermediate_action_and_second_slot_notes():
     probed = verify_intermediate_action(half(3, 2), H12)
     assert probed.ok
     assert any("does NOT match" in n for n in probed.notes)
+
+
+SPINS_TO_3 = [HalfInt.from_twice(t) for t in range(7)]
+
+
+@pytest.mark.parametrize("j1", SPINS_TO_3, ids=str)
+@pytest.mark.parametrize("j2", SPINS_TO_3, ids=str)
+def test_coupled_ladder_matches_inverse_map_of_coproduct(j1, j2):
+    # The closed forms from module data against the generic inverse map
+    # applied to the coproduct matrices.
+    gg = coproduct_gens(irrep(j1).gens(), irrep(j2).gens())
+    assert coupled_ladder(j1, j2) == (*sl2_from_gens(gg), gg.h)
+
+
+def test_intermediate_action_fails_without_the_neumann_factor(monkeypatch):
+    # Delta(Zp) = S (1 + (h^2/4) Zp (x) Zp)^-1; with the inverse dropped the
+    # coupled raising operator is wrong at order h^2 once both spins are
+    # positive, and only the Zp checks can see it.
+    exact = coupled_ladder
+
+    def broken(j1, j2):
+        _, zm, dh = exact(j1, j2)
+        return coupling.slot_sums(j1, j2)[0], zm, dh
+
+    monkeypatch.setattr(coupling, "coupled_ladder", broken)
+    report = verify_intermediate_action(half(1), H12)
+    assert not report.ok
+    failed = [c.name for c in report.checks if c.status == "fail"]
+    assert failed and all(name.startswith("Zp ") for name in failed)
+    assert any(name.startswith("Zp ket (") for name in failed)
 
 
 def test_intermediate_kets_reduce_to_product_basis_at_h0():
@@ -203,6 +235,11 @@ def test_cgc_matrix_entries_are_classical_cgcs():
                     want = (sl2_cgc(j1, j2, j, n1, n2) if n1 + n2 == m
                             else RadScalar.zero())
                     assert c.entry(r, k) == HPoly.constant(want)
+
+
+def test_cgc_matrix_is_the_memoized_c():
+    for j1, j2 in ((H12, H12), (half(1), H12), (half(3, 2), half(1))):
+        assert cgc_matrix(j1, j2) is alpha_table(j1, j2).cgc
 
 
 # -- coupled modules -----------------------------------------------------------
@@ -351,6 +388,10 @@ def test_memoized_tables_are_read_only():
         table.values[(half(1), half(1), half(1), half(0))] = HPoly.zero()
     with pytest.raises(AttributeError):
         table.ket = PolyMatrix.zeros(9, 9)
+    with pytest.raises(AttributeError):
+        table.bra = PolyMatrix.zeros(9, 9)
+    with pytest.raises(AttributeError):
+        table.cgc = PolyMatrix.zeros(9, 9)
     with pytest.raises(AttributeError):
         table.ket.entries = ()
     with pytest.raises(TypeError):

@@ -20,7 +20,7 @@ PUBLIC = set("""
     matrix_element matrix_from_json matrix_to_json phi_vector
     rank1_generators reduced_matrix_element restrict_family
     restrict_gens scalar_from_json scalar_to_json sinh_hx sl2_cgc
-    sl2_from_gens sl2_irrep sqrt_factorial_ratio triangle_allowed uh_cgc
+    sl2_irrep sqrt_factorial_ratio triangle_allowed uh_cgc
     uh_cgc_bra unipotent_inverse verify_adjoint_is_representation
     verify_alpha_orthogonality verify_boson_action verify_casimir
     verify_defining_relations verify_fermion_sector_exchange
