@@ -3,8 +3,11 @@
 Subcommands expose the building blocks (irrep, alpha, cgc, decompose,
 tensorop) and the verification machinery (wigner-eckart, verify).  Output
 formats: pretty (default), json, csv; the default can be set through the
-JORDANIAN_FORMAT environment variable.  Exit codes: 0 on success, 1 when a
-verification check fails, 2 on usage errors.
+JORDANIAN_FORMAT environment variable.  Each handler checks its arguments,
+computes its result and passes it to one of three renderers (named matrices,
+labelled rows, reports), the only readers of --format.  Exit codes: 0 on
+success, 1 when a verification check fails, 2 on usage errors, including an
+--out file that cannot be written.
 """
 
 from __future__ import annotations
@@ -81,42 +84,110 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _matrix_pretty(name: str, mat: PolyMatrix) -> str:
-    return f"{name} =\n{mat}"
-
-
 def _maybe_eval(mat: PolyMatrix, h_eval: Fraction | None) -> PolyMatrix:
     return mat.eval_h(h_eval) if h_eval is not None else mat
 
 
+# -- renderers: the only readers of --format ----------------------------------
+
+def _render_matrices(args, title: str, meta: dict, mats: dict, *,
+                     key: str = "matrices", column: str = "matrix",
+                     label: str = "{}") -> int:
+    """Named matrices (irrep, tensorop): JSON of every matrix under key, CSV
+    rows column,row,col,entry, or the title and one label-named block each."""
+    if args.format == "json":
+        text = _json_text({**meta, key: {str(n): matrix_to_json(m)
+                                         for n, m in mats.items()}})
+    elif args.format == "csv":
+        text = _csv_text([[column, "row", "col", "entry"]]
+                         + [[str(n), str(i), str(k), str(m.entry(i, k))]
+                            for n, m in mats.items()
+                            for i in range(m.rows) for k in range(m.cols)])
+    else:
+        text = "\n\n".join([title] + [f"{label.format(n)} =\n{m}"
+                                      for n, m in mats.items()])
+    _emit(text, args.out)
+    return 0
+
+
+def _json_cell(column: str, value):
+    """Exact scalars in the value column, integers as they are, labels as
+    strings."""
+    if column == "value":
+        return scalar_to_json(value)
+    return value if isinstance(value, int) else str(value)
+
+
+def _render_rows(args, meta: dict, columns: tuple[str, ...], rows: list, *,
+                 title: str | None = None, line: str | None = None,
+                 key: str | None = "entries") -> int:
+    """Labelled coefficient rows (alpha, cgc, decompose): JSON with the rows
+    as objects under key (a single row merged into meta when key is None),
+    CSV with a header, or the title and line.format(*row) per row."""
+    if args.format == "json":
+        objs = [{c: _json_cell(c, v) for c, v in zip(columns, row)}
+                for row in rows]
+        text = _json_text({**meta, **objs[0]} if key is None
+                          else {**meta, key: objs})
+    elif args.format == "csv":
+        text = _csv_text([list(columns)]
+                         + [[str(v) for v in row] for row in rows])
+    else:
+        text = "\n".join(([title] if title else [])
+                         + [line.format(*row) for row in rows if line])
+    _emit(text, args.out)
+    return 0
+
+
+def _render_reports(args, meta: dict, key: str, lead: tuple[str, ...],
+                    reports: list[tuple[tuple[str, ...], Report]],
+                    text) -> int:
+    """Reports (wigner-eckart, verify), given as (lead cells, report) pairs:
+    JSON of every report under key, CSV of one row per check led by the
+    cells of the lead columns, or the lines of text().  Exit 1 on a failed
+    check."""
+    ok = all(r.ok for _, r in reports)
+    if args.format == "json":
+        out = _json_text({**meta, "passed": ok,
+                          key: [r.to_json() for _, r in reports]})
+    elif args.format == "csv":
+        out = _csv_text([[*lead, "check", "status", "detail"]]
+                        + [[*cells, c.name, c.status, c.detail]
+                           for cells, r in reports for c in r.checks])
+    else:
+        out = "\n".join(text())
+    _emit(out, args.out)
+    return 0 if ok else 1
+
+
 # -- family selection ---------------------------------------------------------
 
-REALIZATIONS = ("fermion-a", "fermion-b", "boson-raising", "boson-lowering",
-                "rank1", "identity")
+# The fermionic realizations take no --j and give a (tensorop family,
+# factorization family) pair; the others build their family from --j.  The
+# builders look their functions up when called, so a rebound module name
+# (as perfbench/tracer.py does) takes effect.
+_FAMILIES = {
+    "fermion-a": (lambda: fermion_realization()[1],
+                  lambda: fermion_wigner_families()[0]),
+    "fermion-b": (lambda: fermion_realization()[2],
+                  lambda: fermion_wigner_families()[1]),
+    "boson-raising": lambda j: boson_raising_family(j),
+    "boson-lowering": lambda j: boson_lowering_family(j),
+    "rank1": lambda j: rank1_generators(j),
+    "identity": lambda j: identity_family(j),
+}
+REALIZATIONS = tuple(_FAMILIES)
 
 
 def _family(realization: str, j: HalfInt | None,
             for_factorization: bool) -> TensorOpFamily:
-    needs_j = realization not in ("fermion-a", "fermion-b")
-    if needs_j and j is None:
+    build = _FAMILIES[realization]
+    fermionic = isinstance(build, tuple)
+    if not fermionic and j is None:
         raise ValueError(f"--j is required for realization {realization!r}")
-    if not needs_j and j is not None:
+    if fermionic and j is not None:
         raise ValueError(f"--j does not apply to realization {realization!r}")
-    if realization == "fermion-a":
-        return fermion_wigner_families()[0] if for_factorization \
-            else fermion_realization()[1]
-    if realization == "fermion-b":
-        return fermion_wigner_families()[1] if for_factorization \
-            else fermion_realization()[2]
-    if realization == "boson-raising":
-        return boson_raising_family(j)
-    if realization == "boson-lowering":
-        return boson_lowering_family(j)
-    if realization == "rank1":
-        return rank1_generators(j)
-    if realization == "identity":
-        return identity_family(j)
-    raise ValueError(f"unknown realization {realization!r}")
+    return build[for_factorization]() if fermionic else build(j)
 
 
 # -- verification suites -------------------------------------------------------
@@ -142,23 +213,17 @@ def _decompose_report(j1: HalfInt, j2: HalfInt) -> Report:
 
 
 def _algebra_suite(max_j: HalfInt) -> list[Report]:
-    reports = []
-    for j in _spin_range(half(0), max_j):
-        reports.append(_timed(verify_defining_relations, j))
-        reports.append(_timed(verify_casimir, j))
-        reports.append(_timed(verify_hopf_axioms, j))
-    return reports
+    return [_timed(fn, j) for j in _spin_range(half(0), max_j)
+            for fn in (verify_defining_relations, verify_casimir,
+                       verify_hopf_axioms)]
 
 
 def _coupling_suite(max_j: HalfInt) -> list[Report]:
-    reports = []
-    for j1 in _spin_range(half(1, 2), max_j):
-        for j2 in _spin_range(half(1, 2), max_j):
-            reports.append(_timed(verify_alpha_orthogonality, j1, j2))
-            reports.append(_timed(verify_intermediate_orthonormality, j1, j2))
-            reports.append(_timed(verify_intermediate_action, j1, j2))
-            reports.append(_timed(_decompose_report, j1, j2))
-    return reports
+    spins = _spin_range(half(1, 2), max_j)
+    return [_timed(fn, j1, j2) for j1 in spins for j2 in spins
+            for fn in (verify_alpha_orthogonality,
+                       verify_intermediate_orthonormality,
+                       verify_intermediate_action, _decompose_report)]
 
 
 def _tensorops_suite(max_j: HalfInt) -> list[Report]:
@@ -198,33 +263,31 @@ def _tensorops_suite(max_j: HalfInt) -> list[Report]:
     return reports
 
 
+def _factorization_reports(fam: TensorOpFamily, label: str) -> list[Report]:
+    """The three reports on the factorization of one family's matrix
+    elements."""
+    return [_timed(fn, fam, label=label) for fn in
+            (verify_phi_recurrence, verify_overlap_recurrence,
+             verify_wigner_eckart)]
+
+
 def _wigner_suite(max_j: HalfInt) -> list[Report]:
     reports = []
     fam_a, fam_b = fermion_wigner_families()
     for fam, tag in ((fam_a, "fermion A"), (fam_b, "fermion B")):
-        reports.append(_timed(verify_phi_recurrence, fam, label=f"({tag})"))
-        reports.append(_timed(verify_overlap_recurrence, fam, label=f"({tag})"))
-        reports.append(_timed(verify_wigner_eckart, fam, label=f"({tag})"))
+        reports += _factorization_reports(fam, f"({tag})")
     for j in _spin_range(half(0), max_j):
-        fam = boson_raising_family(j)
-        reports.append(_timed(verify_phi_recurrence, fam,
-                              label=f"(boson raising, spin {j})"))
-        reports.append(_timed(verify_overlap_recurrence, fam,
-                              label=f"(boson raising, spin {j})"))
-        reports.append(_timed(verify_wigner_eckart, fam,
-                              label=f"(boson raising, spin {j})"))
+        reports += _factorization_reports(boson_raising_family(j),
+                                          f"(boson raising, spin {j})")
         if j.twice >= 1:
-            fam = boson_lowering_family(j)
-            reports.append(_timed(verify_wigner_eckart, fam,
-                                  label=f"(boson lowering, spin {j})"))
-            fam = rank1_generators(j)
-            reports.append(_timed(verify_wigner_eckart, fam,
-                                  label=f"(rank-1 generator family, spin {j})"))
+            for fam, tag in ((boson_lowering_family(j), "boson lowering"),
+                             (rank1_generators(j), "rank-1 generator family")):
+                reports.append(_timed(verify_wigner_eckart, fam,
+                                      label=f"({tag}, spin {j})"))
     reports.append(_timed(verify_wigner_eckart, identity_family(max_j),
                           label=f"(identity family, spin {max_j})"))
     report = Report("selection rule at spin 0")
-    fam0 = rank1_generators(0)
-    all_zero = all(t.is_zero for t in fam0.components)
+    all_zero = all(t.is_zero for t in rank1_generators(0).components)
     report.add(Check("rank-1 family on the trivial module vanishes",
                      "pass" if all_zero else "fail",
                      "no spin-0 to spin-0 channel at rank 1"))
@@ -251,25 +314,12 @@ def _cmd_irrep(args) -> int:
         "casimir": casimir_matrix(j),
     }
     names = [args.gen] if args.gen else ["X", "Y", "H"]
-    chosen = {name: _maybe_eval(mats[name], args.h_eval) for name in names}
-    if args.format == "json":
-        payload = {"j": str(j), "dim": rep.dim,
-                   "weights": [str(m) for m in rep.weights],
-                   "matrices": {n: matrix_to_json(m) for n, m in chosen.items()}}
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        rows = [["matrix", "row", "col", "entry"]]
-        for n, m in chosen.items():
-            for i in range(m.rows):
-                for k in range(m.cols):
-                    rows.append([n, str(i), str(k), str(m.entry(i, k))])
-        _emit(_csv_text(rows), args.out)
-    else:
-        parts = [f"spin {j} module, dimension {rep.dim}, "
-                 f"weights {' '.join(str(m) for m in rep.weights)}"]
-        parts += [_matrix_pretty(n, m) for n, m in chosen.items()]
-        _emit("\n\n".join(parts), args.out)
-    return 0
+    weights = [str(m) for m in rep.weights]
+    return _render_matrices(
+        args, f"spin {j} module, dimension {rep.dim}, weights "
+              f"{' '.join(weights)}",
+        {"j": str(j), "dim": rep.dim, "weights": weights},
+        {name: _maybe_eval(mats[name], args.h_eval) for name in names})
 
 
 def _cmd_alpha(args) -> int:
@@ -281,45 +331,20 @@ def _cmd_alpha(args) -> int:
     if 0 < len(missing) < len(indices):
         raise ValueError(f"--k1, --k2, --m1 and --m2 go together; missing "
                          f"{', '.join(missing)}")
+    meta = {"j1": str(j1), "j2": str(j2)}
+    columns, line = ("k1", "k2", "m1", "m2", "value"), "alpha[{},{}; {},{}] = {}"
     if not missing:
-        value = table.value(args.k1, args.k2, args.m1, args.m2)
-        if args.format == "json":
-            payload = {"j1": str(j1), "j2": str(j2),
-                       "k1": str(args.k1), "k2": str(args.k2),
-                       "m1": str(args.m1), "m2": str(args.m2),
-                       "value": scalar_to_json(value)}
-            _emit(_json_text(payload), args.out)
-        elif args.format == "csv":
-            rows = [["k1", "k2", "m1", "m2", "value"],
-                    [str(args.k1), str(args.k2), str(args.m1), str(args.m2),
-                     str(value)]]
-            _emit(_csv_text(rows), args.out)
-        else:
-            _emit(f"alpha[{args.k1},{args.k2}; {args.m1},{args.m2}] = {value}",
-                  args.out)
-        return 0
+        labels = (args.k1, args.k2, args.m1, args.m2)
+        return _render_rows(args, meta, columns,
+                            [(*labels, table.value(*labels))], line=line,
+                            key=None)
     labels = product_labels(j1, j2)
     entries = [(k1, k2, m1, m2, table.ket.entry(r, c))
                for c, (m1, m2) in enumerate(labels)
                for r, (k1, k2) in enumerate(labels) if table.ket.entry(r, c)]
-    if args.format == "json":
-        payload = {"j1": str(j1), "j2": str(j2),
-                   "entries": [{"k1": str(k1), "k2": str(k2), "m1": str(m1),
-                                "m2": str(m2), "value": scalar_to_json(v)}
-                               for k1, k2, m1, m2, v in entries]}
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        rows = [["k1", "k2", "m1", "m2", "value"]]
-        rows += [[str(k1), str(k2), str(m1), str(m2), str(v)]
-                 for k1, k2, m1, m2, v in entries]
-        _emit(_csv_text(rows), args.out)
-    else:
-        lines = [f"alpha table for the pair ({j1}, {j2}); "
-                 f"{len(entries)} nonzero entries"]
-        lines += [f"alpha[{k1},{k2}; {m1},{m2}] = {v}"
-                  for k1, k2, m1, m2, v in entries]
-        _emit("\n".join(lines), args.out)
-    return 0
+    return _render_rows(args, meta, columns, entries, line=line,
+                        title=f"alpha table for the pair ({j1}, {j2}); "
+                              f"{len(entries)} nonzero entries")
 
 
 def _cmd_cgc(args) -> int:
@@ -347,91 +372,45 @@ def _cmd_cgc(args) -> int:
         values = coupled_bra(j1, j2, j, m).entries[0]
     else:
         values = [c for (c,) in coupled_ket(j1, j2, j, m).entries]
-    cells = [(k1, k2, v) for (k1, k2), v in zip(labels, values) if v or single]
     m_text = str(args.m) if args.m is not None else "k1+k2"
-    if args.format == "json":
-        payload = {"j1": str(j1), "j2": str(j2), "j": str(j), "m": m_text,
-                   "kind": kind,
-                   "entries": [{"k1": str(k1), "k2": str(k2),
-                                "value": scalar_to_json(v)}
-                               for k1, k2, v in cells]}
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        rows = [["k1", "k2", "value"]]
-        rows += [[str(k1), str(k2), str(v)] for k1, k2, v in cells]
-        _emit(_csv_text(rows), args.out)
-    else:
-        lines = [f"{kind} coupling coefficients ({j1}, {j2}) -> {j}, m = {m_text}"]
-        lines += [f"[{k1}, {k2}] = {v}" for k1, k2, v in cells]
-        _emit("\n".join(lines), args.out)
-    return 0
+    return _render_rows(
+        args, {"j1": str(j1), "j2": str(j2), "j": str(j), "m": m_text,
+               "kind": kind}, ("k1", "k2", "value"),
+        [(k1, k2, v) for (k1, k2), v in zip(labels, values) if v or single],
+        title=f"{kind} coupling coefficients ({j1}, {j2}) -> {j}, m = {m_text}",
+        line="[{}, {}] = {}")
 
 
 def _cmd_decompose(args) -> int:
     summands = decompose(args.j1, args.j2)
-    if args.format == "json":
-        payload = {"j1": str(args.j1), "j2": str(args.j2),
-                   "summands": [{"j": str(j), "multiplicity": mult}
-                                for j, mult in summands]}
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        rows = [["j", "multiplicity"]]
-        rows += [[str(j), str(mult)] for j, mult in summands]
-        _emit(_csv_text(rows), args.out)
-    else:
-        text = " + ".join(str(j) for j, _ in summands)
-        _emit(f"{args.j1} (x) {args.j2} = {text}   (certified by the coupled "
-              f"Casimir)", args.out)
-    return 0
+    text = " + ".join(str(j) for j, _ in summands)
+    return _render_rows(
+        args, {"j1": str(args.j1), "j2": str(args.j2)}, ("j", "multiplicity"),
+        summands, key="summands",
+        title=f"{args.j1} (x) {args.j2} = {text}   (certified by the coupled "
+              f"Casimir)")
 
 
 def _cmd_tensorop(args) -> int:
     fam = _family(args.realization, args.j, for_factorization=False)
-    weights = fam.weights
-    comps = {m: _maybe_eval(fam.component(m), args.h_eval)
-             for m in ([args.m] if args.m is not None else weights)}
-    if args.format == "json":
-        payload = {"realization": args.realization, "rank": str(fam.rank),
-                   "components": {str(m): matrix_to_json(t)
-                                  for m, t in comps.items()}}
-        if args.j is not None:
-            payload["j"] = str(args.j)
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        rows = [["component", "row", "col", "entry"]]
-        for m, t in comps.items():
-            for i in range(t.rows):
-                for k in range(t.cols):
-                    rows.append([str(m), str(i), str(k), str(t.entry(i, k))])
-        _emit(_csv_text(rows), args.out)
-    else:
-        parts = [f"rank {fam.rank} family ({args.realization})"]
-        parts += [_matrix_pretty(f"t[{m}]", t) for m, t in comps.items()]
-        _emit("\n\n".join(parts), args.out)
-    return 0
+    meta = {"realization": args.realization, "rank": str(fam.rank)}
+    if args.j is not None:
+        meta["j"] = str(args.j)
+    return _render_matrices(
+        args, f"rank {fam.rank} family ({args.realization})", meta,
+        {m: _maybe_eval(fam.component(m), args.h_eval)
+         for m in ([args.m] if args.m is not None else fam.weights)},
+        key="components", column="component", label="t[{}]")
 
 
 def _cmd_wigner_eckart(args) -> int:
     fam = _family(args.realization, args.j, for_factorization=True)
-    reports = [
-        _timed(verify_phi_recurrence, fam, label=f"({args.realization})"),
-        _timed(verify_overlap_recurrence, fam, label=f"({args.realization})"),
-        _timed(verify_wigner_eckart, fam, label=f"({args.realization})"),
-    ]
-    ok = all(r.ok for r in reports)
-    if args.format == "json":
-        payload = {"realization": args.realization, "passed": ok,
-                   "reports": [r.to_json() for r in reports]}
-        if args.j is not None:
-            payload["j"] = str(args.j)
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        rows = [["suite", "check", "status", "detail"]]
-        for r in reports:
-            for c in r.checks:
-                rows.append([r.suite, c.name, c.status, c.detail])
-        _emit(_csv_text(rows), args.out)
-    else:
+    reports = _factorization_reports(fam, f"({args.realization})")
+    meta = {"realization": args.realization}
+    if args.j is not None:
+        meta["j"] = str(args.j)
+
+    def text():
         lines = []
         for r in reports:
             counts = r.counts()
@@ -439,37 +418,21 @@ def _cmd_wigner_eckart(args) -> int:
                          f"{counts['fail']} failed")
             lines += ["  " + line for line in r.lines()
                       if args.verbose or not line.startswith("PASS")]
-        rme = reduced_matrix_element(fam)
-        lines.append(str(rme))
-        _emit("\n".join(lines), args.out)
-    return 0 if ok else 1
+        return lines + [str(reduced_matrix_element(fam))]
+
+    return _render_reports(args, meta, "reports", ("suite",),
+                           [((r.suite,), r) for r in reports], text)
 
 
 def _cmd_verify(args) -> int:
     dim_of(args.max_j)  # raises for a negative spin before any suite runs
-    chosen = [(name, fn) for name, fn in SUITES
-              if args.suite in (None, name)]
-    all_reports: list[tuple[str, Report]] = []
-    for name, fn in chosen:
-        for report in fn(args.max_j):
-            all_reports.append((name, report))
-    ok = all(r.ok for _, r in all_reports)
-    if args.format == "json":
-        payload = {"max_j": str(args.max_j), "passed": ok,
-                   "suites": [{"suite": name, **r.to_json()}
-                              for name, r in all_reports]}
-        _emit(_json_text(payload), args.out)
-    elif args.format == "csv":
-        rows = [["suite", "report", "check", "status", "detail"]]
-        for name, r in all_reports:
-            for c in r.checks:
-                rows.append([name, r.suite, c.name, c.status, c.detail])
-        _emit(_csv_text(rows), args.out)
-    else:
-        lines = []
-        current = None
+    reports = [((name, r.suite), r) for name, fn in SUITES
+               if args.suite in (None, name) for r in fn(args.max_j)]
+
+    def text():
+        lines, current = [], None
         total = {"pass": 0, "fail": 0, "skip": 0}
-        for name, r in all_reports:
+        for (name, _), r in reports:
             if name != current:
                 lines.append(f"=== suite: {name}")
                 current = name
@@ -483,11 +446,13 @@ def _cmd_verify(args) -> int:
                 lines += ["    " + line for line in r.lines()
                           if args.verbose or line.startswith("FAIL")]
             lines += ["    NOTE " + n for n in r.notes]
-        verdict = "all checks passed" if ok else "CHECKS FAILED"
-        lines.append(f"{verdict}: {total['pass']} passed, {total['fail']} "
-                     f"failed, {total['skip']} skipped")
-        _emit("\n".join(lines), args.out)
-    return 0 if ok else 1
+        verdict = ("all checks passed" if all(r.ok for _, r in reports)
+                   else "CHECKS FAILED")
+        return lines + [f"{verdict}: {total['pass']} passed, {total['fail']} "
+                        f"failed, {total['skip']} skipped"]
+
+    return _render_reports(args, {"max_j": str(args.max_j)}, "suites",
+                           ("suite", "report"), reports, text)
 
 
 # -- parser --------------------------------------------------------------------
@@ -613,7 +578,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
         return args.handler(args)
-    except (ValueError, KeyError, ArithmeticError) as exc:
+    except (ValueError, KeyError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

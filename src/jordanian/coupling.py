@@ -45,8 +45,8 @@ from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
                       weight_index, weight_range)
 from .hpoly import HPoly
 from .irreps import (Generator, casimir_from_gens, coproduct_gens,
-                     coproduct_matrix, irrep, sl2_irrep)
-from .polymatrix import PolyMatrix, exp_nilpotent, kron, unipotent_inverse
+                     coproduct_matrix, irrep)
+from .polymatrix import PolyMatrix, kron, unipotent_inverse
 from .radical import RadScalar, falling_binomial, sqrt_factorial_ratio
 from .report import Report, scalar_check, zero_check
 
@@ -139,12 +139,11 @@ def intermediate_bra(j1, j2, m1, m2) -> PolyMatrix:
 def coupled_ladder(j1, j2) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """(Zp, Zm, H) of the coupled module, by the closed forms above."""
     r1, r2 = irrep(j1), irrep(j2)
-    zp = slot_sums(j1, j2)[0] @ unipotent_inverse(
+    zp = _slot_sum(r1.zp, r2.zp) @ unipotent_inverse(
         PolyMatrix.identity(r1.dim * r2.dim)
         + kron(r1.zp, r2.zp) * HPoly.h(2, Fraction(1, 4)))
-    e1, e2 = (exp_nilpotent(r.x, HPoly.h(1, Fraction(1, 2))) for r in (r1, r2))
-    f1, f2 = (exp_nilpotent(r.x, HPoly.h(1, Fraction(-1, 2))) for r in (r1, r2))
-    ch = (kron(e1, e2) + kron(f1, f2)) * Fraction(1, 2)  # f = e^-1
+    ch = (kron(r1.exp_half_hx, r2.exp_half_hx)
+          + kron(r1.exp_mhalf_hx, r2.exp_mhalf_hx)) * Fraction(1, 2)
     g1, g2 = r1.gens(), r2.gens()
     return (zp, ch @ coproduct_matrix(Generator.Y, g1, g2) @ ch,
             coproduct_matrix(Generator.H, g1, g2))
@@ -158,8 +157,8 @@ def _slot_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 def slot_sums(j1, j2) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """S = Z (x) 1 + 1 (x) Z for the classical (Zp, Zm, H) of spins j1, j2:
     the action that intermediate vectors carry."""
-    return tuple(_slot_sum(a, b)
-                 for a, b in zip(sl2_irrep(as_half(j1)), sl2_irrep(as_half(j2))))
+    r1, r2 = irrep(j1), irrep(j2)
+    return tuple(map(_slot_sum, (r1.zp, r1.zm, r1.hm), (r2.zp, r2.zm, r2.hm)))
 
 
 def _unit_checks(report: Report, j1, j2, name, by_bra: bool) -> Report:
@@ -204,7 +203,7 @@ def _second_slot_variant(j1: HalfInt, j2: HalfInt, sign: int):
             w[col - sign][col] = HPoly.constant(
                 RadScalar.sqrt(a.as_int() * b.as_int()))
             defined.add(m2.twice)
-    return _slot_sum(sl2_irrep(j1)[(1 - sign) // 2], PolyMatrix(w)), defined
+    return _slot_sum(irrep(j1).zp if sign > 0 else irrep(j1).zm, PolyMatrix(w)), defined
 
 
 def verify_intermediate_action(j1, j2) -> Report:

@@ -141,6 +141,8 @@ class Irrep:
     y: PolyMatrix
     exp_hx: PolyMatrix
     exp_mhx: PolyMatrix
+    exp_half_hx: PolyMatrix  # e^{hX/2}
+    exp_mhalf_hx: PolyMatrix  # e^{-hX/2}
 
     @property
     def dim(self) -> int:
@@ -158,10 +160,10 @@ def irrep(j) -> Irrep:
 
 @lru_cache(maxsize=None)
 def _irrep_cached(j: HalfInt) -> Irrep:
-    zp, zm, hm = sl2_irrep(j)
     x = x_matrix(j)
-    return Irrep(j, weight_range(j), zp, zm, hm, x, y_matrix(j),
-                 exp_nilpotent(x, HPoly.h(1, 1)), exp_nilpotent(x, HPoly.h(1, -1)))
+    # e^{hX}, e^{-hX}, e^{hX/2}, e^{-hX/2}, in the field order of Irrep
+    exps = (exp_nilpotent(x, HPoly.h(1, Fraction(f, 2))) for f in (2, -2, 1, -1))
+    return Irrep(j, weight_range(j), *sl2_irrep(j), x, y_matrix(j), *exps)
 
 
 def generator_matrix(j, gen: Generator) -> PolyMatrix:

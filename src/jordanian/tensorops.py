@@ -26,7 +26,7 @@ from .halfint import HalfInt, as_half, dim_of, half, weight_index, weight_range
 from .hpoly import HPoly
 from .irreps import (GenMatrices, Generator, antipode_matrix, coproduct_terms,
                      irrep, sinh_hx)
-from .polymatrix import PolyMatrix, exp_nilpotent, unipotent_inverse
+from .polymatrix import PolyMatrix, unipotent_inverse
 from .radical import RadScalar, sqrt_factorial_ratio
 from .report import Report, zero_check
 
@@ -511,11 +511,10 @@ def rank1_generators(j) -> TensorOpFamily:
     """The rank-1 family on one module, written in the generators:
     t[1] = -e^{hX} sinh(hX)/h, t[0] = e^{hX} H / sqrt(2),
     t[-1] = e^{-hX/2} Y e^{-hX/2} + (h/2) e^{hX/2} H e^{hX/2} - (h/2) H^2."""
-    j = as_half(j)
-    g = irrep(j).gens()
+    rep = irrep(j)
+    g = rep.gens()
     sh_over_h = sinh_hx(g).divide_h(1)
-    e_half = exp_nilpotent(g.x, HPoly.h(1, Fraction(1, 2)))
-    e_mhalf = exp_nilpotent(g.x, HPoly.h(1, Fraction(-1, 2)))
+    e_half, e_mhalf = rep.exp_half_hx, rep.exp_mhalf_hx
     t_plus = -(g.ep @ sh_over_h)
     t_zero = (g.ep @ g.h) * (RadScalar.sqrt(2) / 2)
     t_minus = (e_mhalf @ g.y @ e_mhalf

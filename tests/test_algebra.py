@@ -112,6 +112,19 @@ def test_exponentials_are_each_others_inverses():
         exp_hx(half(1), 3)
 
 
+def test_half_exponentials_on_the_memo():
+    # e^{+-hX/2} square to e^{+-hX}, invert each other, and average to the
+    # cosh(hX/2) series of the oracle.
+    for j in SPINS:
+        rep = irrep(j)
+        e, f = rep.exp_half_hx, rep.exp_mhalf_hx
+        assert e @ e == rep.exp_hx
+        assert f @ f == rep.exp_mhx
+        assert e @ f == PolyMatrix.identity(rep.dim)
+        assert (e + f) * Fraction(1, 2) == cosh_half_hx(rep.gens())
+        assert e.row_weights == e.col_weights == rep.weights
+        assert irrep(j).exp_half_hx is e
+
 def test_exp_matches_logarithm_oracle():
     # Recover X from e^{hX} through the terminating log(1 + n) series and
     # one exact division by h: an independent inverse of the exponential.

@@ -8,6 +8,7 @@ exactly as a shell invocation would.
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -437,6 +438,68 @@ def test_verify_json_matches_recorded_digest(capsys):
     assert digest == VERIFY_3_2_DIGEST
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _mask_timings(text):
+    return re.sub(r", \d+\.\d\ds\)", ", N.NNs)", text)
+
+
+# 16-hex SHA-256 prefixes of `verify --max-j 1` as text (every report's
+# ", N.NNs)" timing masked) and as CSV: 76, 1 255 and 1 174 lines.
+VERIFY_1_DIGESTS = {
+    ("pretty",): "555d1bdb5eb61c5f",
+    ("pretty", "--verbose"): "01b4a3c631007971",
+    ("csv",): "076bb67fb5be9d95",
+}
+
+
+@pytest.mark.parametrize("fmt_and_flags", sorted(VERIFY_1_DIGESTS))
+def test_verify_text_and_csv_match_recorded_digests(capsys, fmt_and_flags):
+    fmt, *flags = fmt_and_flags
+    code, out, _ = run(capsys, "verify", "--max-j", "1", "--format", fmt,
+                       *flags)
+    assert code == 0
+    assert _digest(_mask_timings(out)) == VERIFY_1_DIGESTS[fmt_and_flags]
+
+
+# 16-hex SHA-256 prefixes of `wigner-eckart` per realization (`--j 1` where
+# one is needed) and format; JSON with every elapsed_s removed and the rest
+# re-serialized by json.dumps.
+WIGNER_ECKART_DIGESTS = {
+    ("fermion-a", "pretty"): "7b8833aed348568b",
+    ("fermion-a", "json"): "e00f419b5d436702",
+    ("fermion-a", "csv"): "755144e0f01d4fe8",
+    ("fermion-b", "pretty"): "331b14fce1d5ea7c",
+    ("fermion-b", "json"): "905ad90fed85601a",
+    ("fermion-b", "csv"): "ed529645aa18aa8a",
+    ("boson-raising", "pretty"): "7404951e61f8d577",
+    ("boson-raising", "json"): "d34fc9b8b32f5a65",
+    ("boson-raising", "csv"): "d75e2a7b446f69e3",
+    ("boson-lowering", "pretty"): "5fd998615887bd02",
+    ("boson-lowering", "json"): "5c2eb80ee545614a",
+    ("boson-lowering", "csv"): "af41cf0ba3148a82",
+    ("rank1", "pretty"): "07472c2693038d4d",
+    ("rank1", "json"): "a2af1bd5603d407c",
+    ("rank1", "csv"): "ee835e6fd816fd31",
+    ("identity", "pretty"): "eff2acb6578ad1c1",
+    ("identity", "json"): "f07545d47ce7acf1",
+    ("identity", "csv"): "ae23afdcf0dffb39",
+}
+
+
+@pytest.mark.parametrize("realization,fmt", list(WIGNER_ECKART_DIGESTS))
+def test_wigner_eckart_matches_recorded_digests(capsys, realization, fmt):
+    j_args = () if realization.startswith("fermion") else ("--j", "1")
+    code, out, _ = run(capsys, "wigner-eckart", "--realization", realization,
+                       *j_args, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        out = json.dumps(_strip_elapsed(json.loads(out)))
+    assert _digest(out) == WIGNER_ECKART_DIGESTS[realization, fmt]
+
+
 # -- output plumbing ------------------------------------------------------------
 
 
@@ -448,6 +511,17 @@ def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert out == ""
     assert target.read_text(encoding="utf-8") == (
         "1/2 (x) 1/2 = 1 + 0   (certified by the coupled Casimir)\n")
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "decompose", "--j1", "1", "--j2", "1",
+                         "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not target.exists()
 
 
 def test_format_env_variable_sets_default(capsys, monkeypatch):
