@@ -311,8 +311,9 @@ def _cmd_irrep(args) -> int:
     mats = {
         "X": rep.x, "Y": rep.y, "H": rep.hm, "Zp": rep.zp, "Zm": rep.zm,
         "expHX": rep.exp_hx, "expmHX": rep.exp_mhx,
-        "casimir": casimir_matrix(j),
     }
+    if args.gen == "casimir":  # no memo: built only when asked for
+        mats["casimir"] = casimir_matrix(j)
     names = [args.gen] if args.gen else ["X", "Y", "H"]
     weights = [str(m) for m in rep.weights]
     return _render_matrices(
@@ -426,6 +427,9 @@ def _cmd_wigner_eckart(args) -> int:
 
 def _cmd_verify(args) -> int:
     dim_of(args.max_j)  # raises for a negative spin before any suite runs
+    if args.suite == "coupling" and args.max_j.twice < 1:
+        raise ValueError("the coupling suite couples spins from 1/2 up: "
+                         "it needs --max-j 1/2 or more")
     reports = [((name, r.suite), r) for name, fn in SUITES
                if args.suite in (None, name) for r in fn(args.max_j)]
 

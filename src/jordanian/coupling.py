@@ -6,16 +6,24 @@ weight vectors of the coupled ladder operators.  The bridge is a family of
 h-monomial coefficients alpha[k; m] = R[a, c] g(c) / g(a), in integer
 positions a = j - k and c = j - m per slot, where
 
-    g(c)^2 = c1! c2! / ((2j1-c1)! (2j2-c2)!),
     R[a, c] = (-1)^d2 (h/2)^(d1+d2) (b(s, d) - b(s-1, d-1)),
     b(s, d) = F(s1, d2) F(s2, d1),
 
 with d = c - a, s = 2j - a - c and F the extended binomial coefficient
-falling_binomial; R is zero unless d1, d2 >= 0.  So the table is
+(falling_binomial, computed here in integers: C(n, m) for n >= 0,
+(-1)^m C(m-n-1, m) for n < 0, zero for m < 0); R is zero unless
+d1, d2 >= 0, and has power-of-two denominators.  So the table is
 K = G^-1 R G with R rational and the radicals in the diagonal gauge
-G = diag(g).  The "intermediate" vectors they define transform under the
-coupled ladder operators exactly like classical product vectors, so
-classical Clebsch-Gordan coefficients finish the job.
+G = G1 (x) G2, G_i = diag(g_i) per spin with g_i(c)^2 = c!/(2j_i - c)!.
+The "intermediate" vectors they define transform under the coupled ladder
+operators exactly like classical product vectors, so classical
+Clebsch-Gordan coefficients finish the job.  Their matrix has the same
+shape: C = (D1 (x) D2) Q D_c, with Q the rational Racah single sum (nonzero
+only where m1 + m2 = m) and the radicals in two diagonal gauges,
+D_i = diag(sqrt((j_i+m)! (j_i-m)!)) per spin and
+D_c = diag(sqrt((2j+1) Delta(j1 j2 j) (j+m)! (j-m)!)) per coupled vector,
+Delta(j1 j2 j) = (j1+j2-j)! (j1-j2+j)! (-j1+j2+j)! / (j1+j2+j+1)!.  sl2_cgc
+gives one coefficient of C from the same closed form.
 
 Three matrices hold it all, each built once per pair (alpha_table), with
 weight pairs in product order (product_labels) and coupled vectors in
@@ -39,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, lcm
 
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
                       weight_index, weight_range)
@@ -47,15 +55,12 @@ from .hpoly import HPoly
 from .irreps import (Generator, casimir_from_gens, coproduct_gens,
                      coproduct_matrix, irrep)
 from .polymatrix import PolyMatrix, kron, unipotent_inverse
-from .radical import RadScalar, falling_binomial, sqrt_factorial_ratio
+from .radical import RadScalar, sqrt_factorial_ratio
 from .report import Report, scalar_check, zero_check
 
 
 class SelectionRuleError(ValueError):
     """The requested spins admit no coupling channel."""
-
-
-_ZERO = HPoly.zero()
 
 
 def product_weight_index(j1, j2, k1, k2) -> int:
@@ -95,29 +100,85 @@ def alpha_table(j1, j2) -> AlphaTable:
 @lru_cache(maxsize=None)
 def _alpha_table_cached(j1: HalfInt, j2: HalfInt) -> AlphaTable:
     n1, n2 = dim_of(j1) - 1, dim_of(j2) - 1
-    pos = [(c1, c2) for c1 in range(n1 + 1) for c2 in range(n2 + 1)]
-    g = [sqrt_factorial_ratio(fact_num=c, fact_den=(n1 - c[0], n2 - c[1]))
-         for c in pos]
-    r = PolyMatrix([[_gauge_free_alpha(n1, n2, a, c) for c in pos]
-                    for a in pos])
-    ket = (PolyMatrix.diagonal([x.inverse() for x in g]) @ r
-           @ PolyMatrix.diagonal(g))
+    (g1, gi1, d1), (g2, gi2, d2) = _slot_gauges(n1), _slot_gauges(n2)
+    ket = kron(gi1, gi2) @ _gauge_free_alpha(n1, n2) @ kron(g1, g2)
     rev = range(ket.rows - 1, -1, -1)  # P, the reversed weight order
-    cgc = PolyMatrix([[_cgc_entry(j1, j2, j, m, k1, k2)
-                       for j, m in coupled_labels(j1, j2)]
-                      for k1, k2 in product_labels(j1, j2)])
+    q, dc = _racah_core(n1, n2)
+    cgc = kron(d1, d2) @ q @ dc
     return AlphaTable(j1, j2, ket, ket.transpose().submatrix(rev, rev), cgc)
 
 
-def _gauge_free_alpha(n1, n2, a, c) -> HPoly:
-    """R[a, c] at positions a = j - k, c = j - m, with n = 2j per slot."""
-    d1, d2 = c[0] - a[0], c[1] - a[1]
-    if d1 < 0 or d2 < 0:
-        return _ZERO
-    s1, s2 = n1 - a[0] - c[0], n2 - a[1] - c[1]
-    f = falling_binomial
-    bb = f(s1, d2) * f(s2, d1) - f(s1 - 1, d2 - 1) * f(s2 - 1, d1 - 1)
-    return HPoly.h(d1 + d2, bb * (-1) ** d2 / 2 ** (d1 + d2)) if bb else _ZERO
+def _slot_gauges(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+    """G, G^-1 and D of one spin, n = 2j, at positions c = j - m:
+    g(c)^2 = c!/(n-c)! and d(c)^2 = c! (n-c)! = (j+m)! (j-m)!."""
+    g = [sqrt_factorial_ratio(fact_num=(c,), fact_den=(n - c,))
+         for c in range(n + 1)]
+    return (PolyMatrix.diagonal(g),
+            PolyMatrix.diagonal([x.inverse() for x in g]),
+            PolyMatrix.diagonal([x * factorial(n - c)
+                                 for c, x in enumerate(g)]))
+
+
+def _binomial(n: int, m: int) -> int:
+    """falling_binomial(n, m) for int n, in integer arithmetic."""
+    if m < 0:
+        return 0
+    if n >= 0:
+        return comb(n, m)
+    return -comb(m - n - 1, m) if m % 2 else comb(m - n - 1, m)
+
+
+def _gauge_free_alpha(n1: int, n2: int) -> PolyMatrix:
+    """R, rows a and columns c in product order (n = 2j per slot), over
+    the denominator 2^(n1+n2)."""
+    b, w, top = _binomial, n2 + 1, n1 + n2
+    entries = {}
+    for a1 in range(n1 + 1):
+        for a2 in range(w):
+            for c1 in range(a1, n1 + 1):
+                d1, s1 = c1 - a1, n1 - a1 - c1
+                for c2 in range(a2, w):
+                    d2, s2 = c2 - a2, n2 - a2 - c2
+                    bb = (b(s1, d2) * b(s2, d1)
+                          - b(s1 - 1, d2 - 1) * b(s2 - 1, d1 - 1))
+                    entries[a1 * w + a2, c1 * w + c2] = (
+                        d1 + d2, (-bb if d2 % 2 else bb) << (top - d1 - d2))
+    size = (n1 + 1) * w
+    return PolyMatrix._monomials(size, size, 1 << top, entries)
+
+
+def _racah_core(n1: int, n2: int) -> tuple[PolyMatrix, PolyMatrix]:
+    """Q and D_c of a pair (n = 2j per slot).  Q at (n1 n2; j m)
+    is, for m1 + m2 = m, the single sum over z of (-1)^z divided by
+    z! (j1+j2-j-z)! (j1-m1-z)! (j2+m2-z)! (j-j2+m1+z)! (j-j1-m2+z)!;
+    D_c(j, m)^2 = (2j+1) Delta(j1 j2 j) (j+m)! (j-m)!."""
+    f, w = factorial, n2 + 1
+    sums, dc = {}, []
+    for t in range(n1 + n2, abs(n1 - n2) - 1, -2):  # t = 2j
+        # j1+j2-j, j1-j2+j, -j1+j2+j
+        tri = ((n1 + n2 - t) // 2, (n1 - n2 + t) // 2, (n2 - n1 + t) // 2)
+        for c in range(t + 1):  # c = j - m
+            col = len(dc)
+            dc.append(sqrt_factorial_ratio(
+                fact_num=(*tri, c, t - c), fact_den=((n1 + n2 + t) // 2 + 1,),
+                int_num=(t + 1,)))
+            for c1 in range(n1 + 1):
+                c2 = c - c1 + tri[0]  # from m1 + m2 = m
+                if not 0 <= c2 <= n2:
+                    continue
+                # j1-m1 = c1, j2+m2 = n2-c2, j-j2+m1 = e1, j-j1-m2 = e2
+                e1, e2 = tri[1] - c1, c2 - tri[0]
+                zs = range(max(0, -e1, -e2), min(tri[0], c1, n2 - c2) + 1)
+                dens = [f(z) * f(tri[0] - z) * f(c1 - z) * f(n2 - c2 - z)
+                        * f(e1 + z) * f(e2 + z) for z in zs]
+                den = lcm(*dens)
+                sums[c1 * w + c2, col] = den, sum(
+                    -(den // d) if z % 2 else den // d
+                    for z, d in zip(zs, dens))
+    den = lcm(*(d for d, _ in sums.values()))
+    q = PolyMatrix._monomials((n1 + 1) * w, len(dc), den, {
+        key: (0, v * (den // d)) for key, (d, v) in sums.items()})
+    return q, PolyMatrix.diagonal(dc)
 
 
 def alpha_coeff(j1, j2, k1, k2, m1, m2) -> HPoly:
@@ -321,13 +382,6 @@ def coupled_index(j1, j2, j, m) -> int:
     except ValueError:
         raise SelectionRuleError(
             f"no vector |{j} {m}> in {j1} (x) {j2}") from None
-
-
-def _cgc_entry(j1, j2, j, m, n1, n2) -> HPoly:
-    """C at (n, (j, m)), from the sl2_cgc memo."""
-    if n1.twice + n2.twice != m.twice:
-        return _ZERO
-    return HPoly.constant(sl2_cgc(j1, j2, j, n1, n2))
 
 
 def cgc_matrix(j1, j2) -> PolyMatrix:

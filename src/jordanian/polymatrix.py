@@ -241,10 +241,25 @@ class PolyMatrix:
                        weights, weights)
 
     @classmethod
+    def _monomials(cls, rows, cols, den, entries):
+        """The matrix with entry (i, k) = v/den * h**p for each
+        ((i, k), (p, v)) of the dict entries, v an int; rational entries
+        built straight into minimal storage, no HPoly per entry."""
+        data = [[] for _ in range(rows)]
+        for (i, k), (p, v) in sorted(entries.items()):
+            if v:
+                data[i].append((k, ((p, 1, v),)))
+        return cls._of(rows, cols, *_minimal(den, tuple(map(tuple, data))),
+                       None, None)
+
+    @classmethod
     def diagonal(cls, values, weights=None):
         n = len(values)
-        return cls([[v if i == k else _ZERO for k in range(n)]
-                    for i, v in enumerate(values)], weights, weights)
+        den, (row,) = _flatten([_coerce_row(values)])
+        data = [()] * n
+        for i, terms in row:
+            data[i] = ((i, terms),)
+        return cls._of(n, n, den, tuple(data), weights, weights)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coupling import (SelectionRuleError, alpha_table, coupled_index,
-                       product_labels, product_weight_index, sl2_cgc,
-                       slot_sums, triangle_allowed, uh_cgc_bra)
+                       product_labels, product_weight_index, slot_sums,
+                       triangle_allowed, uh_cgc_bra)
 from .halfint import HalfInt, as_half, dim_of, weight_index, weight_range
 from .hpoly import HPoly
 from .irreps import irrep
@@ -154,7 +154,8 @@ def reduced_matrix_element(fam: TensorOpFamily) -> ReducedMatrixElement:
     Every overlap <j m|phi(n1,n2)> must equal I * C(n1,n2,m) for a single
     I; channels with nonvanishing classical coefficient each determine a
     candidate, and any disagreement raises ChannelMismatch.  Spins outside
-    the coupling range raise SelectionRuleError.
+    the coupling range raise SelectionRuleError.  The classical
+    coefficients are read from the spin-j columns of the memoized C.
     """
     j2, j = _require_ladder_basis(fam)
     j1 = fam.rank
@@ -162,13 +163,18 @@ def reduced_matrix_element(fam: TensorOpFamily) -> ReducedMatrixElement:
         raise SelectionRuleError(
             f"rank {j1} cannot connect spin {j2} to spin {j}")
     phi = _t_phi(fam)[1]
+    c = alpha_table(j1, j2).cgc
+    top = coupled_index(j1, j2, j, j)  # column of |j j> in C
     value = origin = None
     for col, (n1, n2) in enumerate(product_labels(j1, j2)):
         m = n1 + n2
-        c = sl2_cgc(j1, j2, j, n1, n2)  # zero unless |j m> exists
-        if not c:
+        if abs(m.twice) > j.twice:
             continue
-        candidate = phi.entry(weight_index(j, m), col) / c
+        row = weight_index(j, m)  # of <j m| in Phi; |j m> is top + row in C
+        cgc = c.entry(col, top + row)
+        if not cgc:
+            continue
+        candidate = phi.entry(row, col) / cgc.constant_value()
         channel = f"channel n=({n1},{n2}), m={m}"
         if value is None:
             value, origin = candidate, channel

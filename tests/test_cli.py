@@ -380,6 +380,17 @@ def test_verify_single_suite(capsys):
     assert "=== suite: coupling" not in out
 
 
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+def test_coupling_suite_below_its_smallest_spin_exits_2(capsys, fmt):
+    # The coupling suite pairs spins from 1/2 up: at --max-j 0 it has no
+    # pair to check, which must not read as "all checks passed".
+    code, out, err = run(capsys, "verify", "--suite", "coupling",
+                         "--max-j", "0", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "--max-j 1/2" in err
+
+
 def test_verify_all_suites_quick(capsys):
     code, out, err = run(capsys, "verify", "--max-j", "1/2")
     assert code == 0
