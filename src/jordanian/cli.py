@@ -406,6 +406,10 @@ def _cmd_tensorop(args) -> int:
 
 def _cmd_wigner_eckart(args) -> int:
     fam = _family(args.realization, args.j, for_factorization=True)
+    source, target = fam.ctx.source_j, fam.ctx.target_j
+    if not triangle_allowed(fam.rank, source, target):
+        raise SelectionRuleError(
+            f"rank {fam.rank} cannot connect spin {source} to spin {target}")
     reports = _factorization_reports(fam, f"({args.realization})")
     meta = {"realization": args.realization}
     if args.j is not None:

@@ -20,8 +20,9 @@ operators exactly like classical product vectors, so classical
 Clebsch-Gordan coefficients finish the job.  Their matrix has the same
 shape: C = (D1 (x) D2) Q D_c, with Q the rational Racah single sum (nonzero
 only where m1 + m2 = m) and the radicals in two diagonal gauges,
-D_i = diag(sqrt((j_i+m)! (j_i-m)!)) per spin and
-D_c = diag(sqrt((2j+1) Delta(j1 j2 j) (j+m)! (j-m)!)) per coupled vector,
+D_i = diag(d_i), d_i(m) = sqrt((j_i+m)! (j_i-m)!), per spin and
+D_c = diag(sqrt((2j+1) Delta(j1 j2 j)) d_j(m)): one scale per coupled spin j
+times the same per-spin gauge,
 Delta(j1 j2 j) = (j1+j2-j)! (j1-j2+j)! (-j1+j2+j)! / (j1+j2+j+1)!.  sl2_cgc
 gives one coefficient of C from the same closed form.
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, lcm
 
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
@@ -87,6 +88,12 @@ class AlphaTable:
     bra: PolyMatrix
     cgc: PolyMatrix
 
+    @cached_property
+    def _bra_ket(self) -> PolyMatrix:
+        """B K, formed on first use and kept: the identity when the tables
+        are right, and read by both B K = 1 verifiers."""
+        return self.bra @ self.ket
+
     def value(self, k1, k2, m1, m2) -> HPoly:
         """alpha[k1 k2; m1 m2]; ValueError for a weight off its ladder."""
         return self.ket.entry(product_weight_index(self.j1, self.j2, k1, k2),
@@ -104,19 +111,19 @@ def _alpha_table_cached(j1: HalfInt, j2: HalfInt) -> AlphaTable:
     ket = kron(gi1, gi2) @ _gauge_free_alpha(n1, n2) @ kron(g1, g2)
     rev = range(ket.rows - 1, -1, -1)  # P, the reversed weight order
     q, dc = _racah_core(n1, n2)
-    cgc = kron(d1, d2) @ q @ dc
+    cgc = kron(PolyMatrix.diagonal(d1), PolyMatrix.diagonal(d2)) @ q @ dc
     return AlphaTable(j1, j2, ket, ket.transpose().submatrix(rev, rev), cgc)
 
 
-def _slot_gauges(n: int) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
-    """G, G^-1 and D of one spin, n = 2j, at positions c = j - m:
-    g(c)^2 = c!/(n-c)! and d(c)^2 = c! (n-c)! = (j+m)! (j-m)!."""
+@lru_cache(maxsize=None)
+def _slot_gauges(n: int) -> tuple[PolyMatrix, PolyMatrix, tuple[RadScalar, ...]]:
+    """G, G^-1 and the diagonal d of D for one spin, n = 2j, at positions
+    c = j - m: g(c)^2 = c!/(n-c)! and d(c)^2 = c! (n-c)! = (j+m)! (j-m)!."""
     g = [sqrt_factorial_ratio(fact_num=(c,), fact_den=(n - c,))
          for c in range(n + 1)]
     return (PolyMatrix.diagonal(g),
             PolyMatrix.diagonal([x.inverse() for x in g]),
-            PolyMatrix.diagonal([x * factorial(n - c)
-                                 for c, x in enumerate(g)]))
+            tuple(x * factorial(n - c) for c, x in enumerate(g)))
 
 
 def _binomial(n: int, m: int) -> int:
@@ -151,17 +158,19 @@ def _racah_core(n1: int, n2: int) -> tuple[PolyMatrix, PolyMatrix]:
     """Q and D_c of a pair (n = 2j per slot).  Q at (n1 n2; j m)
     is, for m1 + m2 = m, the single sum over z of (-1)^z divided by
     z! (j1+j2-j-z)! (j1-m1-z)! (j2+m2-z)! (j-j2+m1+z)! (j-j1-m2+z)!;
-    D_c(j, m)^2 = (2j+1) Delta(j1 j2 j) (j+m)! (j-m)!."""
+    D_c(j, m) = sqrt((2j+1) Delta(j1 j2 j)) d_j(m), one scale per coupled
+    spin times the spin-j gauge d_j of _slot_gauges."""
     f, w = factorial, n2 + 1
     sums, dc = {}, []
     for t in range(n1 + n2, abs(n1 - n2) - 1, -2):  # t = 2j
         # j1+j2-j, j1-j2+j, -j1+j2+j
         tri = ((n1 + n2 - t) // 2, (n1 - n2 + t) // 2, (n2 - n1 + t) // 2)
-        for c in range(t + 1):  # c = j - m
+        scale = sqrt_factorial_ratio(fact_num=tri,
+                                     fact_den=((n1 + n2 + t) // 2 + 1,),
+                                     int_num=(t + 1,))
+        for c, d in enumerate(_slot_gauges(t)[2]):  # c = j - m
             col = len(dc)
-            dc.append(sqrt_factorial_ratio(
-                fact_num=(*tri, c, t - c), fact_den=((n1 + n2 + t) // 2 + 1,),
-                int_num=(t + 1,)))
+            dc.append(scale * d)
             for c1 in range(n1 + 1):
                 c2 = c - c1 + tri[0]  # from m1 + m2 = m
                 if not 0 <= c2 <= n2:
@@ -226,8 +235,7 @@ def _unit_checks(report: Report, j1, j2, name, by_bra: bool) -> Report:
     """Slice B K = 1 into one scalar check per entry (n, m), named
     name(m, n); the outer loop runs over the bras n if by_bra, else over
     the kets m."""
-    table = alpha_table(j1, j2)
-    bk = table.bra @ table.ket
+    bk = alpha_table(j1, j2)._bra_ket
     labels = list(enumerate(product_labels(j1, j2)))
     for (r, n), (c, m) in ((o, i) if by_bra else (i, o)
                            for o in labels for i in labels):

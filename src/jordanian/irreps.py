@@ -32,7 +32,7 @@ from functools import lru_cache
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
                       weight_range)
 from .hpoly import HPoly
-from .polymatrix import (PolyMatrix, commutator, exp_nilpotent, kron,
+from .polymatrix import (PolyMatrix, _msum, commutator, exp_nilpotent, kron,
                          power_series)
 from .radical import RadScalar, falling_binomial
 from .report import Check, Report, zero_check
@@ -257,15 +257,6 @@ def coproduct_gens(g1: GenMatrices, g2: GenMatrices) -> GenMatrices:
         ep=coproduct_matrix(Generator.EXP_HX, g1, g2),
         em=coproduct_matrix(Generator.EXP_MHX, g1, g2),
     )
-
-
-def _msum(mats) -> PolyMatrix:
-    acc = None
-    for m in mats:
-        acc = m if acc is None else acc + m
-    if acc is None:
-        raise ValueError("empty sum")
-    return acc
 
 
 # -- verification -------------------------------------------------------------

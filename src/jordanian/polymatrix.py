@@ -495,6 +495,19 @@ def anticommutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return a @ b + b @ a
 
 
+def _msum(mats, empty: PolyMatrix | None = None) -> PolyMatrix:
+    """The sum of mats, added left to right.  An empty sum gives empty, or
+    raises ValueError when no empty value is given."""
+    acc = None
+    for m in mats:
+        acc = m if acc is None else acc + m
+    if acc is None:
+        if empty is None:
+            raise ValueError("empty sum")
+        return empty
+    return acc
+
+
 def power_series(a: PolyMatrix, coeff) -> PolyMatrix:
     """sum_k coeff(k) a**k for nilpotent a: the series ends at the first
     zero power.  Raises if a is not nilpotent."""

@@ -10,10 +10,20 @@ respectively.  A rank-r family {t_m : m = r..-r} is an irreducible tensor
 operator when ad c(t_m) reproduces the spin-r matrix of c on the family,
 for every generator c.
 
+The operators themselves form a module: on the row-major vec(t),
+vec(A t B) = kron(A, B^T) vec(t), so ad c is the matrix
+sum kron(c_(1), S(c_(2))^T) over the coproduct, and the adjoint action is
+a representation exactly when these matrices satisfy the defining
+relations (irreps.relation_residuals).
+
 Three concrete realizations are provided: a fermionic two-mode Fock space
 carrying spin 1/2 (+) two singlets, the two-boson ladder realization whose
 spin-1/2 families shift the spin by +-1/2, and a rank-1 family written
-directly in the algebra generators on any one module.
+directly in the algebra generators on any one module.  Both boson families
+follow one rule: from transfer matrices a, b into spin jt,
+t[+1/2] = M^-1 a and t[-1/2] = M b + (h/2)(t[+1/2] - a H) with
+M = 1 - (h/2) Zp on spin jt; raising takes (a, b) = (b1+, b2+), lowering
+(-b2, b1).
 """
 
 from __future__ import annotations
@@ -25,8 +35,8 @@ from .coupling import coupled_ket, product_labels
 from .halfint import HalfInt, as_half, dim_of, half, weight_index, weight_range
 from .hpoly import HPoly
 from .irreps import (GenMatrices, Generator, antipode_matrix, coproduct_terms,
-                     irrep, sinh_hx)
-from .polymatrix import PolyMatrix, unipotent_inverse
+                     irrep, relation_residuals, sinh_hx)
+from .polymatrix import PolyMatrix, _msum, kron, unipotent_inverse
 from .radical import RadScalar, sqrt_factorial_ratio
 from .report import Report, zero_check
 
@@ -72,11 +82,24 @@ class TensorOpFamily:
 
 def adjoint_action(gen: Generator, t: PolyMatrix, ctx: OpSpaceContext) -> PolyMatrix:
     """ad gen (t) = sum of target(c1) t S(c2)|source over the coproduct."""
-    acc = None
-    for a, b in coproduct_terms(gen):
-        term = ctx.target.of(a) @ t @ antipode_matrix(b, ctx.source)
-        acc = term if acc is None else acc + term
-    return acc
+    return _msum(ctx.target.of(a) @ t @ antipode_matrix(b, ctx.source)
+                 for a, b in coproduct_terms(gen))
+
+
+def _adjoint_module(ctx: OpSpaceContext) -> GenMatrices:
+    """ad c for c = X, Y, H, e^{+-hX} as matrices on the row-major vec(t):
+    the sum of kron(target(c1), S(c2)|source^T) over the coproduct."""
+    def ad(gen):
+        return _msum(kron(ctx.target.of(a),
+                          antipode_matrix(b, ctx.source).transpose())
+                     for a, b in coproduct_terms(gen))
+    return GenMatrices(x=ad(Generator.X), y=ad(Generator.Y), h=ad(Generator.H),
+                       ep=ad(Generator.EXP_HX), em=ad(Generator.EXP_MHX))
+
+
+# Check names, in the order of irreps.relation_residuals.
+_ADJOINT_RELATIONS = ("[ad X, ad Y] = ad H", "[ad H, ad X] = 2 ad sinh(hX)/h",
+                      "[ad H, ad Y] = -(ad Y ad cosh + ad cosh ad Y)")
 
 
 def verify_adjoint_is_representation(ctx: OpSpaceContext, samples,
@@ -85,32 +108,19 @@ def verify_adjoint_is_representation(ctx: OpSpaceContext, samples,
 
     [ad X, ad Y] = ad H; [ad H, ad X] = 2 ad sinh(hX)/h; and
     [ad H, ad Y] = -(ad Y ad cosh(hX) + ad cosh(hX) ad Y), checked on the
-    given sample operators.
+    given sample operators: each relation residual of the adjoint module,
+    applied to vec(t) and read back in the shape of t.
     """
     report = Report(f"adjoint action is a representation {label}".rstrip())
-
-    def ad(g, t):
-        return adjoint_action(g, t, ctx)
-
-    ep, em = Generator.EXP_HX, Generator.EXP_MHX
+    residuals = relation_residuals(_adjoint_module(ctx))
+    rw, cw = ctx.target.x.row_weights, ctx.source.x.col_weights
     for idx, t in enumerate(samples):
-        r1 = (ad(Generator.X, ad(Generator.Y, t))
-              - ad(Generator.Y, ad(Generator.X, t))
-              - ad(Generator.H, t))
-        report.add(zero_check(f"[ad X, ad Y] = ad H on sample {idx}", r1))
-        sinh_t = (ad(ep, t) - ad(em, t)) * Fraction(1, 2)
-        r2 = (ad(Generator.H, ad(Generator.X, t))
-              - ad(Generator.X, ad(Generator.H, t))
-              - sinh_t.divide_h(1) * 2)
-        report.add(zero_check(f"[ad H, ad X] = 2 ad sinh(hX)/h on sample {idx}", r2))
-        cosh_t_y = (ad(ep, ad(Generator.Y, t))
-                    + ad(em, ad(Generator.Y, t))) * Fraction(1, 2)
-        y_cosh_t = ad(Generator.Y, (ad(ep, t) + ad(em, t)) * Fraction(1, 2))
-        r3 = (ad(Generator.H, ad(Generator.Y, t))
-              - ad(Generator.Y, ad(Generator.H, t))
-              + y_cosh_t + cosh_t_y)
-        report.add(zero_check(
-            f"[ad H, ad Y] = -(ad Y ad cosh + ad cosh ad Y) on sample {idx}", r3))
+        vec = PolyMatrix([[p] for row in t.entries for p in row])
+        for name, (_, residual) in zip(_ADJOINT_RELATIONS, residuals):
+            r = (residual @ vec).entries
+            report.add(zero_check(f"{name} on sample {idx}", PolyMatrix(
+                [[r[i * t.cols + k][0] for k in range(t.cols)]
+                 for i in range(t.rows)], rw, cw)))
     return report
 
 
@@ -122,15 +132,10 @@ def verify_tensor_operator(fam: TensorOpFamily, label: str = "") -> Report:
     for gen, dmat in dmats.items():
         for col, m in enumerate(fam.weights):
             lhs = adjoint_action(gen, fam.components[col], fam.ctx)
-            rhs = None
-            for row in range(len(fam.components)):
-                coeff = dmat.entry(row, col)
-                if not coeff:
-                    continue
-                term = fam.components[row] * coeff
-                rhs = term if rhs is None else rhs + term
-            if rhs is None:
-                rhs = PolyMatrix.zeros(lhs.rows, lhs.cols)
+            rhs = _msum((t * dmat.entry(row, col)
+                         for row, t in enumerate(fam.components)
+                         if dmat.entry(row, col)),
+                        PolyMatrix.zeros(lhs.rows, lhs.cols))
             report.add(zero_check(f"ad {gen.value} on component m={m}", lhs - rhs))
     return report
 
@@ -169,21 +174,6 @@ def fermion_modes() -> dict[str, PolyMatrix]:
     }
 
 
-def _fermion_data():
-    modes = fermion_modes()
-    c1d, c2d = modes["c1+"], modes["c2+"]
-    c1, c2 = modes["c1"], modes["c2"]
-    n1 = c1d @ c1
-    n2 = c2d @ c2
-    jp = c1d @ c2d  # quasi-spin raising: pairs the two modes
-    jm = c2 @ c1
-    ident = PolyMatrix.identity(4)
-    j0 = n1 + n2 - ident
-    h = HPoly.h(1, 1)
-    gens = GenMatrices(x=jp, y=jm, h=j0, ep=ident + jp * h, em=ident - jp * h)
-    return modes, n1, n2, gens
-
-
 def fermion_realization() -> tuple[FockBlock, TensorOpFamily, TensorOpFamily]:
     """The four-dimensional fermionic module and its two spin-1/2 families.
 
@@ -192,9 +182,14 @@ def fermion_realization() -> tuple[FockBlock, TensorOpFamily, TensorOpFamily]:
     span two singlet sectors.  Family A is built on the first mode, family
     B on the second; each swaps the spin-1/2 sector with one singlet.
     """
-    modes, n1, n2, gens = _fermion_data()
+    modes = fermion_modes()
+    n1 = modes["c1+"] @ modes["c1"]
+    n2 = modes["c2+"] @ modes["c2"]
+    jp = modes["c1+"] @ modes["c2+"]  # quasi-spin raising: pairs the two modes
     ident = PolyMatrix.identity(4)
     h = HPoly.h(1, 1)
+    gens = GenMatrices(x=jp, y=modes["c2"] @ modes["c1"], h=n1 + n2 - ident,
+                       ep=ident + jp * h, em=ident - jp * h)
     ctx = OpSpaceContext(source=gens, target=gens)
     fam_a = TensorOpFamily(
         rank=half(1, 2),
@@ -231,21 +226,25 @@ def verify_fermion_sector_exchange(block: FockBlock, fam: TensorOpFamily,
     return report
 
 
+def _restrict(m: PolyMatrix, rows, cols, error: str) -> PolyMatrix:
+    """m on the selected rows and columns; ValueError(error) if m maps the
+    selected columns outside the selected rows."""
+    keep = set(rows)
+    complement = [i for i in range(m.rows) if i not in keep]
+    if complement and not m.submatrix(complement, cols).is_zero:
+        raise ValueError(error)
+    return m.submatrix(rows, cols)
+
+
 def restrict_gens(gens: GenMatrices, idx, weights=None) -> GenMatrices:
     """Restrict generator matrices to an invariant subspace.
 
     Raises if the selected rows/columns do not close under the generators.
     """
     idx = tuple(idx)
-    complement = [i for i in range(gens.dim) if i not in set(idx)]
-    mats = {}
-    for name in ("x", "y", "h", "ep", "em"):
-        m = getattr(gens, name)
-        if complement:
-            leak = m.submatrix(complement, idx)
-            if not leak.is_zero:
-                raise ValueError(f"subspace is not invariant under {name}")
-        mats[name] = m.submatrix(idx, idx)
+    mats = {name: _restrict(getattr(gens, name), idx, idx,
+                            f"subspace is not invariant under {name}")
+            for name in ("x", "y", "h", "ep", "em")}
     ws = tuple(as_half(w) for w in weights) if weights is not None else None
     return GenMatrices(weights=ws, **mats)
 
@@ -257,17 +256,11 @@ def restrict_family(fam: TensorOpFamily, target_rows, source_cols,
     Raises if any component leaks outside the selected target sector, i.e.
     if the restriction would lose matrix elements.
     """
-    comps = []
-    for m, t in zip(fam.weights, fam.components):
-        complement = [i for i in range(t.rows) if i not in set(target_rows)]
-        if complement:
-            leak = t.submatrix(complement, source_cols)
-            if not leak.is_zero:
-                raise ValueError(
-                    f"component m={m} maps the source sector outside the "
-                    f"target sector")
-        comps.append(t.submatrix(target_rows, source_cols))
-    return TensorOpFamily(rank=fam.rank, components=tuple(comps),
+    comps = tuple(_restrict(t, target_rows, source_cols,
+                            f"component m={m} maps the source sector outside "
+                            f"the target sector")
+                  for m, t in zip(fam.weights, fam.components))
+    return TensorOpFamily(rank=fam.rank, components=comps,
                           ctx=OpSpaceContext(source=source, target=target))
 
 
@@ -304,12 +297,18 @@ def boson_transfer_matrices(j) -> dict[str, PolyMatrix]:
     return out
 
 
-def _resolvent(jt: HalfInt, inverse: bool) -> PolyMatrix:
-    """(1 - (h/2) Zp)^{+-1} on the spin-jt module, exactly."""
-    rep = irrep(jt)
-    ident = PolyMatrix.identity(rep.dim, rep.weights)
-    m = ident - rep.zp * HPoly.h(1, Fraction(1, 2))
-    return unipotent_inverse(m) if inverse else m
+def _boson_family(j: HalfInt, jt: HalfInt, a: PolyMatrix,
+                  b: PolyMatrix) -> TensorOpFamily:
+    """The spin-1/2 family from spin j to spin jt built from the transfer
+    matrices a, b: t[+1/2] = M^-1 a and t[-1/2] = M b + (h/2)(t[+1/2] - a H),
+    with M = 1 - (h/2) Zp on spin jt."""
+    rep, h_half = irrep(jt), HPoly.h(1, Fraction(1, 2))
+    m = PolyMatrix.identity(rep.dim, rep.weights) - rep.zp * h_half
+    t_up = unipotent_inverse(m) @ a
+    t_dn = m @ b + (t_up - a @ irrep(j).hm) * h_half
+    return TensorOpFamily(
+        rank=half(1, 2), components=(t_up, t_dn),
+        ctx=OpSpaceContext(source=irrep(j).gens(), target=rep.gens()))
 
 
 def boson_raising_family(j) -> TensorOpFamily:
@@ -317,15 +316,8 @@ def boson_raising_family(j) -> TensorOpFamily:
     t[+1/2] = (1 - (h/2) Zp)^{-1} b1+ and
     t[-1/2] = (1 - (h/2) Zp) b2+ + (h/2)(t[+1/2] - b1+ H)."""
     j = as_half(j)
-    jt = j + half(1, 2)
     b = boson_transfer_matrices(j)
-    h_half = HPoly.h(1, Fraction(1, 2))
-    t_up = _resolvent(jt, inverse=True) @ b["b1+"]
-    t_dn = (_resolvent(jt, inverse=False) @ b["b2+"]
-            + (t_up - b["b1+"] @ irrep(j).hm) * h_half)
-    return TensorOpFamily(
-        rank=half(1, 2), components=(t_up, t_dn),
-        ctx=OpSpaceContext(source=irrep(j).gens(), target=irrep(jt).gens()))
+    return _boson_family(j, j + half(1, 2), b["b1+"], b["b2+"])
 
 
 def boson_lowering_family(j) -> TensorOpFamily:
@@ -335,15 +327,8 @@ def boson_lowering_family(j) -> TensorOpFamily:
     j = as_half(j)
     if j.twice < 1:
         raise ValueError("the lowering family needs spin j >= 1/2")
-    jt = j - half(1, 2)
     b = boson_transfer_matrices(j)
-    h_half = HPoly.h(1, Fraction(1, 2))
-    t_up = -(_resolvent(jt, inverse=True) @ b["b2"])
-    t_dn = (_resolvent(jt, inverse=False) @ b["b1"]
-            + (t_up + b["b2"] @ irrep(j).hm) * h_half)
-    return TensorOpFamily(
-        rank=half(1, 2), components=(t_up, t_dn),
-        ctx=OpSpaceContext(source=irrep(j).gens(), target=irrep(jt).gens()))
+    return _boson_family(j, j - half(1, 2), -b["b2"], b["b1"])
 
 
 def boson_realization(j) -> tuple[FockBlock, TensorOpFamily, TensorOpFamily]:
@@ -363,44 +348,45 @@ def boson_realization(j) -> tuple[FockBlock, TensorOpFamily, TensorOpFamily]:
     return block, boson_raising_family(j), boson_lowering_family(j)
 
 
-def _gamma_factor(j: HalfInt, m: HalfInt, n: int) -> RadScalar:
-    """sqrt((j-m)! (j+m+n+1)! / ((j+m)! (j-m-n)!))."""
+def _factorial_ratio(j: HalfInt, m: HalfInt, n: int, k: int) -> RadScalar:
+    """sqrt((j-m)! (j+m+n+k)! / ((j+m)! (j-m-n-1+k)!)); k = 1 for the
+    raising family, k = 0 for the lowering family."""
     return sqrt_factorial_ratio(
-        fact_num=((j - m).as_int(), (j + m).as_int() + n + 1),
-        fact_den=((j + m).as_int(), (j - m).as_int() - n))
+        fact_num=((j - m).as_int(), (j + m).as_int() + n + k),
+        fact_den=((j + m).as_int(), (j - m).as_int() - n - 1 + k))
 
 
-def _lambda_factor(j: HalfInt, m: HalfInt, n: int) -> RadScalar:
-    """sqrt((j-m)! (j+m+n)! / ((j+m)! (j-m-n-1)!))."""
-    return sqrt_factorial_ratio(
-        fact_num=((j - m).as_int(), (j + m).as_int() + n),
-        fact_den=((j + m).as_int(), (j - m).as_int() - n - 1))
-
-
-def _ket_sum(jt: HalfInt, terms) -> PolyMatrix:
-    rows = [[HPoly.zero()] for _ in range(dim_of(jt))]
-    for m, coeff in terms:
-        rows[weight_index(jt, m)][0] += coeff
-    return PolyMatrix(rows)
+def _action_columns(jt: HalfInt, m: HalfInt, ups, lead: RadScalar,
+                    mid: RadScalar) -> tuple[PolyMatrix, PolyMatrix]:
+    """(t[+1/2]|j m>, t[-1/2]|j m>) as columns over spin jt, where
+    t[+1/2]|j m> = sum_n ups[n] (h/2)^n |jt m+1/2+n> and t[-1/2]|j m> =
+    lead |jt m-1/2> + mid h |jt m+1/2> + (h/2) (the n >= 1 terms of
+    t[+1/2]|j m>).  Zero coefficients are dropped, so they may sit off the
+    ladder."""
+    up = [(m + half(1, 2) + n, HPoly.h(n, c * Fraction(1, 2**n)))
+          for n, c in enumerate(ups)]
+    dn = [(m - half(1, 2), HPoly.constant(lead)),
+          (m + half(1, 2), HPoly.h(1, mid))]
+    dn += [(mt, c * HPoly.h(1, Fraction(1, 2))) for mt, c in up[1:]]
+    columns = []
+    for terms in (up, dn):
+        rows = [[HPoly.zero()] for _ in range(dim_of(jt))]
+        for mt, coeff in terms:
+            if coeff:
+                rows[weight_index(jt, mt)][0] += coeff
+        columns.append(PolyMatrix(rows))
+    return tuple(columns)
 
 
 def boson_raising_action(j, m) -> tuple[PolyMatrix, PolyMatrix]:
     """Closed-form action of the raising family on |j m>, as target columns
     (t[+1/2]|j m>, t[-1/2]|j m>)."""
     j, m = as_half(j), as_half(m)
-    jt = j + half(1, 2)
-    up_terms = []
-    for n in range((j - m).as_int() + 1):
-        coeff = HPoly.h(n, _gamma_factor(j, m, n) * Fraction(1, 2**n))
-        up_terms.append((m + half(1, 2) + n, coeff))
-    dn_terms = [(m - half(1, 2),
-                 HPoly.constant(RadScalar.sqrt((j - m).as_int() + 1)))]
-    mid = RadScalar.sqrt((j + m).as_int() + 1) * Fraction(-(j + m).as_int(), 2)
-    dn_terms.append((m + half(1, 2), HPoly.h(1, mid)))
-    for n in range(1, (j - m).as_int() + 1):
-        coeff = HPoly.h(n + 1, _gamma_factor(j, m, n) * Fraction(1, 2**(n + 1)))
-        dn_terms.append((m + half(1, 2) + n, coeff))
-    return _ket_sum(jt, up_terms), _ket_sum(jt, dn_terms)
+    return _action_columns(
+        j + half(1, 2), m,
+        [_factorial_ratio(j, m, n, 1) for n in range((j - m).as_int() + 1)],
+        RadScalar.sqrt((j - m).as_int() + 1),
+        RadScalar.sqrt((j + m).as_int() + 1) * Fraction(-(j + m).as_int(), 2))
 
 
 def boson_lowering_action(j, m) -> tuple[PolyMatrix, PolyMatrix]:
@@ -412,22 +398,11 @@ def boson_lowering_action(j, m) -> tuple[PolyMatrix, PolyMatrix]:
     -(h/2) sqrt(j-m) (j-m+1), and the tail repeats the t[+1/2] pattern.
     """
     j, m = as_half(j), as_half(m)
-    jt = j - half(1, 2)
-    up_terms = []
-    for n in range((j - m).as_int()):
-        coeff = HPoly.h(n, -(_lambda_factor(j, m, n) * Fraction(1, 2**n)))
-        up_terms.append((m + half(1, 2) + n, coeff))
-    dn_terms = []
-    if (j + m).as_int() > 0:
-        dn_terms.append((m - half(1, 2),
-                         HPoly.constant(RadScalar.sqrt((j + m).as_int()))))
-    if abs((m + half(1, 2)).twice) <= jt.twice:
-        mid = RadScalar.sqrt((j - m).as_int()) * Fraction(-((j - m).as_int() + 1), 2)
-        dn_terms.append((m + half(1, 2), HPoly.h(1, mid)))
-    for n in range(1, (j - m).as_int()):
-        coeff = HPoly.h(n + 1, -(_lambda_factor(j, m, n) * Fraction(1, 2**(n + 1))))
-        dn_terms.append((m + half(1, 2) + n, coeff))
-    return _ket_sum(jt, up_terms), _ket_sum(jt, dn_terms)
+    return _action_columns(
+        j - half(1, 2), m,
+        [-_factorial_ratio(j, m, n, 0) for n in range((j - m).as_int())],
+        RadScalar.sqrt((j + m).as_int()),
+        RadScalar.sqrt((j - m).as_int()) * Fraction(-((j - m).as_int() + 1), 2))
 
 
 def verify_boson_action(j) -> Report:
@@ -440,38 +415,34 @@ def verify_boson_action(j) -> Report:
     """
     j = as_half(j)
     report = Report(f"boson action formulas at spin {j}")
-    raising = boson_raising_family(j)
-    for col, m in enumerate(weight_range(j)):
-        want_up, want_dn = boson_raising_action(j, m)
-        report.add(zero_check(f"raising t[+1/2] on |{j} {m}>",
-                              raising.components[0].column(col) - want_up))
-        report.add(zero_check(f"raising t[-1/2] on |{j} {m}>",
-                              raising.components[1].column(col) - want_dn))
+    families = [("raising", boson_raising_family, boson_raising_action, "")]
+    if j.twice >= 1:
+        families.append(("lowering", boson_lowering_family,
+                         boson_lowering_action, " (derived form)"))
+    for name, family, action, form in families:
+        t_up, t_dn = family(j).components
+        for col, m in enumerate(weight_range(j)):
+            want_up, want_dn = action(j, m)
+            report.add(zero_check(f"{name} t[+1/2] on |{j} {m}>",
+                                  t_up.column(col) - want_up))
+            report.add(zero_check(f"{name} t[-1/2] on |{j} {m}>{form}",
+                                  t_dn.column(col) - want_dn))
     if j.twice < 1:
         return report
-    lowering = boson_lowering_family(j)
     jt = j - half(1, 2)
-    for col, m in enumerate(weight_range(j)):
-        want_up, want_dn = boson_lowering_action(j, m)
-        report.add(zero_check(f"lowering t[+1/2] on |{j} {m}>",
-                              lowering.components[0].column(col) - want_up))
-        report.add(zero_check(f"lowering t[-1/2] on |{j} {m}> (derived form)",
-                              lowering.components[1].column(col) - want_dn))
+    for m in weight_range(j):
         # The commonly quoted closed form writes the leading coefficient as
         # 1 (for sqrt(j+m)) and the h-linear one as -(h/2) sqrt(j-m) (j-m-1)
         # attached to a shifted ket; record how the exact action differs.
-        if (j + m).as_int() > 0 and RadScalar.sqrt((j + m).as_int()) != RadScalar.one():
+        if (j + m).as_int() > 1:
             report.note(
                 f"lowering t[-1/2]|{j} {m}>: coefficient of |{jt} {m - half(1, 2)}> "
                 f"is sqrt({(j + m).as_int()}), not 1")
         if abs((m + half(1, 2)).twice) <= jt.twice:
-            derived = Fraction(-((j - m).as_int() + 1), 2)
-            quoted = Fraction(-((j - m).as_int() - 1), 2)
-            if derived != quoted:
-                report.note(
-                    f"lowering t[-1/2]|{j} {m}>: h-coefficient of "
-                    f"|{jt} {m + half(1, 2)}> is -(1/2) sqrt({(j - m).as_int()})"
-                    f" * {(j - m).as_int() + 1}, not * {(j - m).as_int() - 1}")
+            report.note(
+                f"lowering t[-1/2]|{j} {m}>: h-coefficient of "
+                f"|{jt} {m + half(1, 2)}> is -(1/2) sqrt({(j - m).as_int()})"
+                f" * {(j - m).as_int() + 1}, not * {(j - m).as_int() - 1}")
     return report
 
 
@@ -485,15 +456,10 @@ def fermion_wigner_families() -> tuple[TensorOpFamily, TensorOpFamily]:
     doublet = block.sectors["doublet"]
     source = restrict_gens(block.gens, doublet,
                            weights=(half(1, 2), half(-1, 2)))
-    sing1 = restrict_gens(block.gens, block.sectors["singlet1"],
-                          weights=(half(0),))
-    sing2 = restrict_gens(block.gens, block.sectors["singlet2"],
-                          weights=(half(0),))
-    fa = restrict_family(fam_a, block.sectors["singlet1"], doublet,
-                         sing1, source)
-    fb = restrict_family(fam_b, block.sectors["singlet2"], doublet,
-                         sing2, source)
-    return fa, fb
+    return tuple(restrict_family(
+        fam, block.sectors[name], doublet,
+        restrict_gens(block.gens, block.sectors[name], weights=(half(0),)),
+        source) for fam, name in ((fam_a, "singlet1"), (fam_b, "singlet2")))
 
 
 def identity_family(j) -> TensorOpFamily:
@@ -539,18 +505,13 @@ def couple_tensor_ops(fam_a: TensorOpFamily, fam_b: TensorOpFamily,
     if fam_a.ctx.source.x.shape != fam_b.ctx.target.x.shape or \
             fam_a.ctx.source.x != fam_b.ctx.target.x:
         raise ValueError("families do not compose: middle modules differ")
-    comps = []
-    for m in weight_range(j):
-        acc = None
-        column = coupled_ket(ja, jb, j, m).entries
-        for (k1, k2), (c,) in zip(product_labels(ja, jb), column):
-            if not c:
-                continue
-            term = (fam_a.component(k1) @ fam_b.component(k2)) * c
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = PolyMatrix.zeros(fam_a.ctx.target.dim, fam_b.ctx.source.dim)
-        comps.append(acc)
-    return TensorOpFamily(rank=j, components=tuple(comps),
+    zero = PolyMatrix.zeros(fam_a.ctx.target.dim, fam_b.ctx.source.dim)
+    comps = tuple(
+        _msum(((fam_a.component(k1) @ fam_b.component(k2)) * c
+               for (k1, k2), (c,) in zip(product_labels(ja, jb),
+                                         coupled_ket(ja, jb, j, m).entries)
+               if c), zero)
+        for m in weight_range(j))
+    return TensorOpFamily(rank=j, components=comps,
                           ctx=OpSpaceContext(source=fam_b.ctx.source,
                                              target=fam_a.ctx.target))

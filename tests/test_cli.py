@@ -367,6 +367,17 @@ def test_wigner_eckart_json(capsys):
         assert report["counts"]["fail"] == 0
 
 
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+def test_wigner_eckart_selection_rule_is_a_usage_error(capsys, fmt):
+    # No rank-1 channel joins spin 0 to spin 0: every format exits 2 with
+    # the same message and prints no report.
+    code, out, err = run(capsys, "wigner-eckart", "--realization", "rank1",
+                         "--j", "0", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: rank 1 cannot connect spin 0 to spin 0\n"
+
+
 # -- verify ---------------------------------------------------------------------
 
 

@@ -516,6 +516,12 @@ def test_memoized_tables_are_read_only():
         table.bra = PolyMatrix.zeros(9, 9)
     with pytest.raises(AttributeError):
         table.cgc = PolyMatrix.zeros(9, 9)
+    # B K is formed once, on first read, and then kept with the memo.
+    assert table._bra_ket is table._bra_ket
+    with pytest.raises(AttributeError):
+        table._bra_ket = PolyMatrix.zeros(9, 9)
+    with pytest.raises(AttributeError):
+        del table._bra_ket
     with pytest.raises(AttributeError):
         table.ket.entries = ()
     with pytest.raises(TypeError):

@@ -1,17 +1,20 @@
 """Operator families: fermionic and bosonic realizations, adjoint action."""
 
+import hashlib
 import re
 from fractions import Fraction
 
 import pytest
 
-from jordanian.halfint import dim_of, half, weight_index, weight_range
+from jordanian.halfint import HalfInt, dim_of, half, weight_index, weight_range
 from jordanian.hpoly import HPoly
-from jordanian.irreps import irrep, ladder_factor, relation_residuals
+from jordanian.irreps import (GenMatrices, Generator, irrep, ladder_factor,
+                              relation_residuals)
 from jordanian.polymatrix import PolyMatrix, anticommutator, commutator
 from jordanian.radical import RadScalar
 from jordanian.tensorops import (OpSpaceContext, TensorOpFamily,
-                                 adjoint_action, boson_lowering_action,
+                                 _adjoint_module, adjoint_action,
+                                 boson_lowering_action,
                                  boson_lowering_family, boson_raising_action,
                                  boson_raising_family, boson_realization,
                                  boson_transfer_matrices, couple_tensor_ops,
@@ -88,6 +91,76 @@ def test_adjoint_action_is_a_representation_on_fock_operators():
     report = verify_adjoint_is_representation(ctx, samples)
     assert report.ok
     assert report.counts()["pass"] == 3 * len(samples)
+
+
+def _vec(t):
+    return PolyMatrix([[p] for row in t.entries for p in row])
+
+
+def _composed_residuals(ctx, t):
+    """The three relation residuals on t as compositions of adjoint_action:
+    the reference for the adjoint module."""
+    def ad(g, x):
+        return adjoint_action(g, x, ctx)
+
+    gx, gy, gh = Generator.X, Generator.Y, Generator.H
+    ep, em = Generator.EXP_HX, Generator.EXP_MHX
+    r1 = ad(gx, ad(gy, t)) - ad(gy, ad(gx, t)) - ad(gh, t)
+    sinh_t = (ad(ep, t) - ad(em, t)) * Fraction(1, 2)
+    r2 = ad(gh, ad(gx, t)) - ad(gx, ad(gh, t)) - sinh_t.divide_h(1) * 2
+    cosh_t_y = (ad(ep, ad(gy, t)) + ad(em, ad(gy, t))) * Fraction(1, 2)
+    y_cosh_t = ad(gy, (ad(ep, t) + ad(em, t)) * Fraction(1, 2))
+    r3 = ad(gh, ad(gy, t)) - ad(gy, ad(gh, t)) + y_cosh_t + cosh_t_y
+    return [r1, r2, r3]
+
+
+def _broken_target(gens):
+    """gens with Y replaced by Y + X Y: no longer a module."""
+    return GenMatrices(x=gens.x, y=gens.y + gens.x @ gens.y, h=gens.h,
+                       ep=gens.ep, em=gens.em)
+
+
+def _adjoint_cases():
+    block, _, _ = fermion_realization()
+    g = block.gens
+    modes = list(fermion_modes().values())
+    raising = boson_raising_family(half(1))
+    return {
+        "fermion modes": (OpSpaceContext(source=g, target=g), modes),
+        "fermion modes, broken target": (
+            OpSpaceContext(source=g, target=_broken_target(g)), modes),
+        "boson raising, spin 1": (raising.ctx, list(raising.components)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_adjoint_cases()))
+def test_adjoint_module_matches_composed_adjoint_actions(case):
+    ctx, samples = _adjoint_cases()[case]
+    module = _adjoint_module(ctx)
+    residuals = [r for _, r in relation_residuals(module)]
+    for t in samples:
+        for gen in (Generator.X, Generator.Y, Generator.H, Generator.EXP_HX,
+                    Generator.EXP_MHX):
+            assert module.of(gen) @ _vec(t) == _vec(adjoint_action(gen, t, ctx))
+        for residual, want in zip(residuals, _composed_residuals(ctx, t)):
+            assert residual @ _vec(t) == _vec(want)
+
+
+def test_adjoint_check_fails_on_a_broken_target():
+    ctx, samples = _adjoint_cases()["fermion modes, broken target"]
+    report = verify_adjoint_is_representation(ctx, samples)
+    cosh_rel = "[ad H, ad Y] = -(ad Y ad cosh + ad cosh ad Y)"
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        (f"{cosh_rel} on sample 0",
+         "residual degree 0; 1 of 16 entries nonzero; first (3,2) = (2)"),
+        (f"{cosh_rel} on sample 1",
+         "residual degree 0; 1 of 16 entries nonzero; first (3,1) = -(2)"),
+        ("[ad X, ad Y] = ad H on sample 2",
+         "residual degree 0; 1 of 16 entries nonzero; first (3,1) = -(1)"),
+        ("[ad X, ad Y] = ad H on sample 3",
+         "residual degree 0; 1 of 16 entries nonzero; first (3,2) = -(1)"),
+    ]
+    assert report.counts() == {"pass": 8, "fail": 4, "skip": 0}
 
 
 def test_adjoint_action_of_unit_is_identity_map():
@@ -356,3 +429,61 @@ def test_coupled_rank_zero_of_raising_lowering_is_scalar():
     t = coupled.component(0)
     assert t.entry(0, 0) == t.entry(1, 1)
     assert not t.entry(0, 1) and not t.entry(1, 0)
+
+
+# -- storage of the constructed families ---------------------------------------
+
+# Storage fingerprints (SHA-256 prefix of repr((rows, cols, den, data,
+# row_weights, col_weights))) of every component, recorded from the
+# separately written raising and lowering builds and restrictions: boson
+# families keyed by the doubled spin, then the two restricted fermion
+# families and the three coupled families of the tensor-ops suite.
+RAISING_FINGERPRINTS = {
+    0: ('23e652424a151067', '488237f4f13ef633'),
+    1: ('3cd60097d84f815f', '661af47707cdde03'),
+    2: ('76b488a53ab20747', '079c1d8111116c45'),
+    3: ('895d4bfe0981154c', '6c88eda7d62f02d0'),
+    4: ('3f53ee9cd16e0189', '1394ece3cd0114ec'),
+    5: ('ad5215e56151c759', 'e3014269998bae1d'),
+    6: ('a4b37671c28646b9', '4ebf8ec467a0bd31'),
+    7: ('3b96a628667d9f0d', '2e60e5342487e1cf'),
+}
+LOWERING_FINGERPRINTS = {
+    1: ('fcd39f2283a2d24f', 'ddec5aadf699267f'),
+    2: ('55eaab6b9353d075', '6d283c8c58329f4c'),
+    3: ('93d522477bbccce9', '1129ff64f3563070'),
+    4: ('55fea7a1f63623b2', '471eac76b20a697f'),
+    5: ('47088ba619f5abe0', '2b312056dacad343'),
+    6: ('3bcec62a0b610920', '2d6fbeea018fe4f4'),
+    7: ('6531226006306443', '522af7f02955a629'),
+}
+RESTRICTED_FINGERPRINTS = (('23670eb1aeaa7e69', 'c5b603099f0dd437'),
+                           ('8db916c57ff323b4', '4f8718705ab46dce'))
+COUPLED_FINGERPRINTS = (
+    ('8b89bdc7ad881891', 'f0190e5253018d01', '3ce2d990d5c97d13'),
+    ('446e491bf7e9624b',),
+    ('a258448aabb4550c', '167a14834adacee8', '5b37d8ef33686845'),
+)
+
+
+def _fingerprints(fam):
+    return tuple(hashlib.sha256(repr(
+        (t.rows, t.cols, t.den, t.data, t.row_weights, t.col_weights)
+    ).encode()).hexdigest()[:16] for t in fam.components)
+
+
+def test_families_keep_their_storage():
+    for twice, want in RAISING_FINGERPRINTS.items():
+        fam = boson_raising_family(HalfInt.from_twice(twice))
+        assert _fingerprints(fam) == want, twice
+    for twice, want in LOWERING_FINGERPRINTS.items():
+        fam = boson_lowering_family(HalfInt.from_twice(twice))
+        assert _fingerprints(fam) == want, twice
+    assert tuple(map(_fingerprints, fermion_wigner_families())) \
+        == RESTRICTED_FINGERPRINTS
+    _, fam_a, fam_b = fermion_realization()
+    coupled = (couple_tensor_ops(fam_a, fam_b, 1),
+               couple_tensor_ops(fam_a, fam_b, 0),
+               couple_tensor_ops(boson_raising_family(1),
+                                 boson_raising_family(H12), 1))
+    assert tuple(map(_fingerprints, coupled)) == COUPLED_FINGERPRINTS
