@@ -16,11 +16,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .coupling import (SelectionRuleError, alpha_table, coupled_bra,
@@ -81,7 +83,65 @@ def _csv_text(rows: list[list[str]]) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """The text of json.dumps(payload, indent=2, sort_keys=True), written
+    without the standard library's pure-Python encoder, which indent
+    selects.  Keys must be strings: any other key raises TypeError."""
+    out: list[str] = []
+    _write_json(payload, out, "\n")
+    return "".join(out)
+
+
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(value, out: list[str], newline: str) -> None:
+    """Append value to out; newline is the line break and indent that close
+    it, and its items sit two spaces further in."""
+    if isinstance(value, str):
+        out.append(_json_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _json_string(key) + ": ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON "
+                        f"serializable")
 
 
 def _maybe_eval(mat: PolyMatrix, h_eval: Fraction | None) -> PolyMatrix:
@@ -471,13 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact representation theory of the Jordanian quantum "
                     "algebra: modules, coupling coefficients, tensor "
                     "operators, and verification suites.")
-    default_format = os.environ.get("JORDANIAN_FORMAT", "pretty")
-    if default_format not in FORMATS:
-        default_format = "pretty"
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, h_eval=False):
-        p.add_argument("--format", choices=FORMATS, default=default_format,
+        p.add_argument("--format", choices=FORMATS, default=None,
                        help="output format (default from JORDANIAN_FORMAT "
                             "or pretty)")
         p.add_argument("--out", help="write output to this file")
@@ -492,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "expmHX", "casimir"],
                    help="one matrix (default: X, Y, H)")
     common(p, h_eval=True)
-    p.set_defaults(handler=_cmd_irrep)
 
     p = sub.add_parser("alpha",
                        help="product-to-intermediate transition table")
@@ -503,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=_spin)
     p.add_argument("--m2", type=_spin)
     common(p)
-    p.set_defaults(handler=_cmd_alpha)
 
     p = sub.add_parser("cgc", help="coupling coefficients, deformed or "
                                    "classical")
@@ -519,14 +574,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--bra", action="store_true",
                        help="deformed coefficients of the coupled bra")
     common(p)
-    p.set_defaults(handler=_cmd_cgc)
 
     p = sub.add_parser("decompose",
                        help="decompose a product of two modules")
     p.add_argument("--j1", type=_spin, required=True)
     p.add_argument("--j2", type=_spin, required=True)
     common(p)
-    p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("tensorop", help="components of one operator family")
     p.add_argument("--realization", choices=REALIZATIONS, required=True)
@@ -534,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
                                            "except the fermionic ones)")
     p.add_argument("--m", type=_spin, help="one component")
     common(p, h_eval=True)
-    p.set_defaults(handler=_cmd_tensorop)
 
     p = sub.add_parser("wigner-eckart",
                        help="verify the factorization of matrix elements "
@@ -544,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="print passing checks too")
     common(p)
-    p.set_defaults(handler=_cmd_wigner_eckart)
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--max-j", type=_spin, default=half(2),
@@ -554,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="print every check line")
     common(p)
-    p.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -579,13 +629,25 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _kept_parser() -> argparse.ArgumentParser:
+    """The parser main() reuses: built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    args = _kept_parser().parse_args(_merge_negative_values(list(argv)))
+    if args.format is None:
+        args.format = os.environ.get("JORDANIAN_FORMAT", "pretty")
+        if args.format not in FORMATS:
+            args.format = "pretty"
+    # Looked up when called, so a rebound handler name (as perfbench/tracer.py
+    # makes) takes effect.
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except (ValueError, KeyError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -419,9 +419,15 @@ def decompose(j1, j2) -> list[tuple[HalfInt, int]]:
     """Decomposition of spin-j1 (x) spin-j2, certified exactly.
 
     Every coupled ket is an eigenvector of the coupled Casimir with
-    eigenvalue j(j+1); any mismatch raises.  Each spin occurs once.
+    eigenvalue j(j+1); any mismatch raises.  Each spin occurs once.  The
+    certification runs once per pair; a failed one raises on every call.
     """
-    j1, j2 = as_half(j1), as_half(j2)
+    return list(_certified_decomposition(as_half(j1), as_half(j2)))
+
+
+@lru_cache(maxsize=None)
+def _certified_decomposition(j1: HalfInt,
+                             j2: HalfInt) -> tuple[tuple[HalfInt, int], ...]:
     kc = coupled_basis(j1, j2).matrix
     cas = casimir_from_gens(coproduct_gens(irrep(j1).gens(), irrep(j2).gens()))
     labels = coupled_labels(j1, j2)
@@ -430,7 +436,7 @@ def decompose(j1, j2) -> list[tuple[HalfInt, int]]:
     if bad:
         raise ArithmeticError("coupled Casimir eigenvalue mismatch at "
                               "j={}, m={}".format(*labels[bad[0]]))
-    return [(j, 1) for j in coupled_spins(j1, j2)]
+    return tuple((j, 1) for j in coupled_spins(j1, j2))
 
 
 def coupled_ket(j1, j2, j, m) -> PolyMatrix:

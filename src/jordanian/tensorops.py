@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .coupling import coupled_ket, product_labels
 from .halfint import HalfInt, as_half, dim_of, half, weight_index, weight_range
@@ -314,8 +315,13 @@ def _boson_family(j: HalfInt, jt: HalfInt, a: PolyMatrix,
 def boson_raising_family(j) -> TensorOpFamily:
     """The spin-1/2 family mapping spin j to spin j+1/2:
     t[+1/2] = (1 - (h/2) Zp)^{-1} b1+ and
-    t[-1/2] = (1 - (h/2) Zp) b2+ + (h/2)(t[+1/2] - b1+ H)."""
-    j = as_half(j)
+    t[-1/2] = (1 - (h/2) Zp) b2+ + (h/2)(t[+1/2] - b1+ H).
+    Memoized per spin; the family is immutable."""
+    return _boson_raising_cached(as_half(j))
+
+
+@lru_cache(maxsize=None)
+def _boson_raising_cached(j: HalfInt) -> TensorOpFamily:
     b = boson_transfer_matrices(j)
     return _boson_family(j, j + half(1, 2), b["b1+"], b["b2+"])
 
@@ -323,8 +329,13 @@ def boson_raising_family(j) -> TensorOpFamily:
 def boson_lowering_family(j) -> TensorOpFamily:
     """The spin-1/2 family mapping spin j to spin j-1/2 (j >= 1/2):
     t[+1/2] = -(1 - (h/2) Zp)^{-1} b2 and
-    t[-1/2] = (1 - (h/2) Zp) b1 + (h/2)(t[+1/2] + b2 H)."""
-    j = as_half(j)
+    t[-1/2] = (1 - (h/2) Zp) b1 + (h/2)(t[+1/2] + b2 H).
+    Memoized per spin; the family is immutable."""
+    return _boson_lowering_cached(as_half(j))
+
+
+@lru_cache(maxsize=None)
+def _boson_lowering_cached(j: HalfInt) -> TensorOpFamily:
     if j.twice < 1:
         raise ValueError("the lowering family needs spin j >= 1/2")
     b = boson_transfer_matrices(j)
@@ -476,7 +487,13 @@ def identity_family(j) -> TensorOpFamily:
 def rank1_generators(j) -> TensorOpFamily:
     """The rank-1 family on one module, written in the generators:
     t[1] = -e^{hX} sinh(hX)/h, t[0] = e^{hX} H / sqrt(2),
-    t[-1] = e^{-hX/2} Y e^{-hX/2} + (h/2) e^{hX/2} H e^{hX/2} - (h/2) H^2."""
+    t[-1] = e^{-hX/2} Y e^{-hX/2} + (h/2) e^{hX/2} H e^{hX/2} - (h/2) H^2.
+    Memoized per spin; the family is immutable."""
+    return _rank1_cached(as_half(j))
+
+
+@lru_cache(maxsize=None)
+def _rank1_cached(j: HalfInt) -> TensorOpFamily:
     rep = irrep(j)
     g = rep.gens()
     sh_over_h = sinh_hx(g).divide_h(1)

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from jordanian.cli import _merge_negative_values, main
+from jordanian import cli, coupling
+from jordanian.cli import _merge_negative_values, build_parser, main
 from jordanian.halfint import HalfInt, half
 from jordanian.hpoly import HPoly
 from jordanian.irreps import irrep
@@ -595,3 +596,133 @@ def test_merge_negative_values_targets_value_options_only():
         ["--m2", "-1/2", "--verbose", "-1/2", "--max-j", "-2", "--m", "x"])
     assert merged == ["--m2=-1/2", "--verbose", "-1/2", "--max-j=-2",
                       "--m", "x"]
+
+
+# -- one parser per process -----------------------------------------------------
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._kept_parser.cache_clear()
+    for _ in range(2):
+        assert run(capsys, "decompose", "--j1", "1/2", "--j2", "1/2")[0] == 0
+    assert len(built) == 1
+
+
+def test_format_env_variable_is_read_on_every_call(capsys, monkeypatch):
+    run(capsys, "decompose", "--j1", "1/2", "--j2", "1/2")
+    outputs = []
+    for value in ("json", None, "yaml"):
+        if value is None:
+            monkeypatch.delenv("JORDANIAN_FORMAT", raising=False)
+        else:
+            monkeypatch.setenv("JORDANIAN_FORMAT", value)
+        outputs.append(run(capsys, "decompose", "--j1", "1/2", "--j2",
+                           "1/2")[1])
+    assert json.loads(outputs[0])["summands"][0]["j"] == "1"
+    pretty = "1/2 (x) 1/2 = 1 + 0   (certified by the coupled Casimir)\n"
+    assert outputs[1:] == [pretty, pretty]
+
+
+def test_rebound_handler_runs(capsys, monkeypatch):
+    run(capsys, "decompose", "--j1", "1/2", "--j2", "1/2")
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_decompose",
+                        lambda args: seen.append(args.j1) or 0)
+    assert run(capsys, "decompose", "--j1", "1", "--j2", "1/2") == (0, "", "")
+    assert seen == [half(1)]
+
+
+def test_usage_error_leaves_the_kept_parser_intact(capsys):
+    argv = ["cgc", "--j1", "1", "--j2", "1/2", "--j", "1/2", "--m", "-1/2",
+            "--bra"]
+    cli._kept_parser.cache_clear()
+    alone = run(capsys, *argv)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cgc", "--format", "json", "--j1", "1", "--j2", "1/2", "--j",
+              "1/2", "--classical", "--bra"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *argv) == alone
+
+
+# 16-hex SHA-256 prefixes of `jordanian --help` and of each subcommand's
+# --help at 80 columns, recorded before the parser was kept between calls.
+HELP_DIGESTS = {
+    (): "87a8d3e6a7c270a0",
+    ("irrep",): "07081f951897c9a6",
+    ("alpha",): "f093eb85f3f27e86",
+    ("cgc",): "3827c1d5ba0fa66e",
+    ("decompose",): "922cf355a8cd98fd",
+    ("tensorop",): "84863299f31100b8",
+    ("wigner-eckart",): "eb6bae1d72f27b3a",
+    ("verify",): "517b22d030b44af0",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DIGESTS), ids=str)
+def test_help_matches_recorded_digests(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--help"])
+    assert excinfo.value.code == 0
+    assert _digest(capsys.readouterr().out) == HELP_DIGESTS[command]
+
+
+def test_verify_reports_a_failed_certification(monkeypatch):
+    real = coupling.casimir_eigenvalue
+    monkeypatch.setattr(coupling, "casimir_eigenvalue", lambda j: real(j) + 1)
+    coupling._certified_decomposition.cache_clear()
+    report = cli._decompose_report(half(1, 2), half(1, 2))
+    assert not report.ok
+    assert report.failures()[0].detail.endswith("j=1, m=1")
+
+
+# -- JSON writer ----------------------------------------------------------------
+
+
+def _dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], "", 0, None, True, False, -7, 2 ** 70, 0.1, -2.5e-300,
+    float("inf"), float("-inf"), float("nan"),
+    {"b": [], "a": {}, "c": [{}, [[]], {"x": [1, [2, {"y": None}]]}]},
+    {"flag": True, "one": 1, "zero": 0, "off": False},
+    ("tuple", ["nested", ("deeper",)]),
+    {"naïve": "ünïcödé ☃ \U0001d11e", "esc": "quote \" slash \\ tab \t\n\x00"},
+    {"z": 1, "B": 2, "a": 3, "_": 4, "10": 5, "9": 6},
+], ids=repr)
+def test_json_writer_matches_json_dumps(payload):
+    assert cli._json_text(payload) == _dumps(payload)
+
+
+def test_json_writer_matches_json_dumps_on_the_verify_payload(capsys):
+    code, out, _ = run(capsys, "verify", "--max-j", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert cli._json_text(payload) == _dumps(payload) == out.rstrip("\n")
+
+
+@pytest.mark.parametrize("payload", [
+    Fraction(1, 2), {"x": HalfInt.from_twice(1)}, [b"bytes"], {1, 2},
+    {(1, 2): "tuple key"}, {1: "unsortable", None: "keys"},
+], ids=repr)
+def test_json_writer_rejects_what_json_dumps_rejects(payload):
+    with pytest.raises(TypeError):
+        _dumps(payload)
+    with pytest.raises(TypeError):
+        cli._json_text(payload)
+
+
+@pytest.mark.parametrize("key", [2, 0.5, False, None], ids=repr)
+def test_json_writer_takes_string_keys_only(key):
+    with pytest.raises(TypeError):
+        cli._json_text({key: "value"})

@@ -380,6 +380,21 @@ def test_decompose_is_multiplicity_free(j1, j2):
     assert decompose(j1, j2) == [(j, 1) for j in coupled_spins(j1, j2)]
 
 
+def test_decompose_hands_out_a_fresh_list():
+    first = decompose(half(1), H12)
+    first.clear()
+    assert decompose(half(1), H12) == [(half(3, 2), 1), (H12, 1)]
+
+
+def test_failed_certification_raises_on_every_call(monkeypatch):
+    real = coupling.casimir_eigenvalue
+    monkeypatch.setattr(coupling, "casimir_eigenvalue", lambda j: real(j) + 1)
+    coupling._certified_decomposition.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=r"j=1, m=1$"):
+            decompose(H12, H12)
+
+
 @pytest.mark.parametrize("j1,j2", [(half(1), H12), (half(1), half(1)),
                                    (half(3, 2), half(1))], ids=str)
 def test_coupled_kets_satisfy_ladder_oracle(j1, j2):

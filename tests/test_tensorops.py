@@ -472,6 +472,18 @@ def _fingerprints(fam):
     ).encode()).hexdigest()[:16] for t in fam.components)
 
 
+@pytest.mark.parametrize("build", [boson_raising_family, boson_lowering_family,
+                                   rank1_generators],
+                         ids=lambda f: f.__name__)
+def test_memoized_families_are_shared_and_read_only(build):
+    fam = build(1)
+    assert build(HalfInt.from_twice(2)) is fam
+    with pytest.raises(AttributeError):
+        fam.components = ()
+    with pytest.raises(AttributeError):
+        fam.components[0].data = ()
+
+
 def test_families_keep_their_storage():
     for twice, want in RAISING_FINGERPRINTS.items():
         fam = boson_raising_family(HalfInt.from_twice(twice))
