@@ -53,7 +53,7 @@ from math import comb, factorial, lcm
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
                       weight_index, weight_range)
 from .hpoly import HPoly
-from .irreps import (Generator, casimir_from_gens, coproduct_gens,
+from .irreps import (Generator, GenMatrices, casimir_from_gens,
                      coproduct_matrix, irrep)
 from .polymatrix import PolyMatrix, kron, unipotent_inverse
 from .radical import RadScalar, sqrt_factorial_ratio
@@ -214,9 +214,19 @@ def coupled_ladder(j1, j2) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
         + kron(r1.zp, r2.zp) * HPoly.h(2, Fraction(1, 4)))
     ch = (kron(r1.exp_half_hx, r2.exp_half_hx)
           + kron(r1.exp_mhalf_hx, r2.exp_mhalf_hx)) * Fraction(1, 2)
-    g1, g2 = r1.gens(), r2.gens()
-    return (zp, ch @ coproduct_matrix(Generator.Y, g1, g2) @ ch,
-            coproduct_matrix(Generator.H, g1, g2))
+    dy, dh, _, _ = _pair_coproducts(as_half(j1), as_half(j2))
+    return zp, ch @ dy @ ch, dh
+
+
+@lru_cache(maxsize=1)
+def _pair_coproducts(j1: HalfInt, j2: HalfInt) -> tuple[PolyMatrix, ...]:
+    """Delta(Y), Delta(H), Delta(e^{hX}) and Delta(e^{-hX}) of a pair: what
+    coupled_ladder and the Casimir certificate read.  The coupling suite
+    runs both on one pair before it moves on, so one pair is kept, and the
+    certificate, which reads last, drops it."""
+    g1, g2 = irrep(j1).gens(), irrep(j2).gens()
+    return tuple(coproduct_matrix(gen, g1, g2) for gen in (
+        Generator.Y, Generator.H, Generator.EXP_HX, Generator.EXP_MHX))
 
 
 def _slot_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -429,7 +439,9 @@ def decompose(j1, j2) -> list[tuple[HalfInt, int]]:
 def _certified_decomposition(j1: HalfInt,
                              j2: HalfInt) -> tuple[tuple[HalfInt, int], ...]:
     kc = coupled_basis(j1, j2).matrix
-    cas = casimir_from_gens(coproduct_gens(irrep(j1).gens(), irrep(j2).gens()))
+    # The Casimir never reads Delta(X), so it is not built.
+    cas = casimir_from_gens(GenMatrices(None, *_pair_coproducts(j1, j2)))
+    _pair_coproducts.cache_clear()
     labels = coupled_labels(j1, j2)
     eigen = PolyMatrix.diagonal([casimir_eigenvalue(j) for j, _ in labels])
     bad = (cas @ kc - kc @ eigen).transpose().first_nonzero()

@@ -15,12 +15,16 @@ what ``==`` and ``hash`` compare.
 
 Arithmetic (``@``, ``kron``, ``+``, ``-``, scalar ``*`` and ``/``,
 ``transpose``, ``submatrix``/``column``/``row``, ``divide_h``) works on
-this storage directly.  A product multiplies numerators and sums each
-output row in one dict keyed by (col, h-power, radicand); radicands
-multiply as in ``RadScalar.__mul__``, sqrt(n1)*sqrt(n2) =
-g*sqrt((n1/g)*(n2/g)) with g = gcd(n1, n2).  Every result is brought to
-its minimal denominator.  A sum with an all-zero operand returns the other
-operand.
+this storage directly.  A product sums each output row in a dict keyed by
+column, where an entry is one [h-power, radicand, numerator] term until a
+second (h-power, radicand) reaches it and a small dict of terms from then
+on.  Radicands multiply as in ``RadScalar.__mul__``, sqrt(n1)*sqrt(n2) =
+g*sqrt((n1/g)*(n2/g)) with g = gcd(n1, n2), and with no gcd when either
+radicand is 1.  A sum runs both rows, each scaled to the common
+denominator, through the same accumulator.  ``kron`` and a scalar multiple
+form each entry as one product, in column order.  Every result is brought
+to its minimal denominator.  A sum with an all-zero operand returns the
+other operand.
 
 ``HPoly`` is the boundary type.  The public constructor reads HPoly entries
 (or anything ``as_hpoly`` accepts) once.  ``entries`` and ``entry()`` read
@@ -30,6 +34,7 @@ on the instance; matrices that share storage share it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -105,51 +110,69 @@ def _minimal(den, data):
                                  for c, terms in row) for row in data)
 
 
-def _accumulate(acc, aterms, brow, base=0):
+def _times(aterms, bterms):
+    """The stored terms of the product of two nonzero entries (never zero:
+    the scalars form an integral domain)."""
+    if len(aterms) == 1 == len(bterms):
+        (k1, n1, a), = aterms
+        (k2, n2, b), = bterms
+        if n1 == 1 or n2 == 1:
+            return ((k1 + k2, n1 * n2, a * b),)
+        g = gcd(n1, n2)
+        return ((k1 + k2, (n1 // g) * (n2 // g), a * b * g),)
+    acc = {}
+    _accumulate(acc, aterms, ((0, bterms),))
+    return _row(acc)[0][1]
+
+
+def _accumulate(acc, aterms, brow):
     """Add the products of one entry's terms with every entry of a stored
-    row into acc, keyed by (base + col, h-power, radicand)."""
+    row into acc, keyed by column.  An entry is one [h-power, radicand,
+    numerator] list until a second (h-power, radicand) reaches it, and a
+    {(h-power, radicand): numerator} dict from then on."""
     get = acc.get
     for k1, n1, a in aterms:
         for c, bterms in brow:
-            c += base
+            e = get(c)
             for k2, n2, b in bterms:
-                g = gcd(n1, n2)
-                key = (c, k1 + k2, (n1 // g) * (n2 // g))
-                acc[key] = get(key, 0) + a * b * g
+                if n1 == 1 or n2 == 1:
+                    n, v = n1 * n2, a * b
+                else:
+                    g = gcd(n1, n2)
+                    n, v = (n1 // g) * (n2 // g), a * b * g
+                k = k1 + k2
+                if e is None:
+                    acc[c] = e = [k, n, v]
+                elif e.__class__ is list:
+                    if e[0] == k and e[1] == n:
+                        e[2] += v
+                    else:
+                        acc[c] = e = {(e[0], e[1]): e[2], (k, n): v}
+                else:
+                    e[k, n] = e.get((k, n), 0) + v
 
 
 def _row(acc, g=1):
-    """The stored row of {(col, h-power, radicand): numerator}, numerators
-    divided by g; zero values are dropped."""
+    """The stored row of an accumulator, in column order, numerators
+    divided by g; zero terms and entries are dropped."""
     row = []
-    last = None
-    for (c, k, n), v in sorted(acc.items()):
-        if v:
-            if c != last:
-                terms = []
+    for c in sorted(acc):
+        e = acc[c]
+        if e.__class__ is list:
+            k, n, v = e
+            if v:
+                row.append((c, ((k, n, v // g if g != 1 else v),)))
+        else:
+            terms = tuple(sorted((k, n, v // g) for (k, n), v in e.items() if v))
+            if terms:
                 row.append((c, terms))
-                last = c
-            terms.append((k, n, v // g if g != 1 else v))
-    return tuple([(c, tuple(terms)) for c, terms in row])
+    return tuple(row)
 
 
 def _scaled_row(row, f):
     """A stored row with every numerator multiplied by the int f."""
     return row if f == 1 else tuple((c, tuple((k, n, v * f) for k, n, v in terms))
                                     for c, terms in row)
-
-
-def _kron_data(a, b):
-    """(den, data) of kron(a, b)."""
-    bcols = b.cols
-    out = []
-    for arow in a.data:
-        for brow in b.data:
-            acc = {}
-            for k, aterms in arow:
-                _accumulate(acc, aterms, brow, k * bcols)
-            out.append(_row(acc))
-    return _minimal(a.den * b.den, tuple(out))
 
 
 class _View:
@@ -320,11 +343,9 @@ class PolyMatrix:
             elif not ra:
                 out.append(_scaled_row(rb, fb))
             else:
-                acc = {(c, k, n): v * fa for c, t in ra for k, n, v in t}
-                get = acc.get
-                for c, t in rb:
-                    for k, n, v in t:
-                        acc[c, k, n] = get((c, k, n), 0) + v * fb
+                acc = {}
+                _accumulate(acc, ((0, 1, fa),), ra)
+                _accumulate(acc, ((0, 1, fb),), rb)
                 out.append(_row(acc))
         return PolyMatrix._of(self.rows, self.cols, *_minimal(den, tuple(out)),
                               rw, cw)
@@ -341,12 +362,22 @@ class PolyMatrix:
                               self.row_weights, self.col_weights)
 
     def __mul__(self, scalar):
-        s = as_hpoly(scalar)
-        if s is NotImplemented:
-            return NotImplemented
-        # A scalar multiple is the Kronecker product with a 1x1 matrix.
+        """Every stored entry times the scalar's terms."""
+        if isinstance(scalar, (int, Fraction)):
+            den, st = scalar.denominator, ((0, 1, scalar.numerator),) if scalar else ()
+        else:
+            s = as_hpoly(scalar)
+            if s is NotImplemented:
+                return NotImplemented
+            den, (row,) = _flatten(((s,),))
+            st = row[0][1] if row else ()
+        if not st:
+            return PolyMatrix.zeros(self.rows, self.cols, self.row_weights,
+                                    self.col_weights)
+        data = tuple([tuple([(c, _times(t, st)) for c, t in row])
+                      for row in self.data])
         return PolyMatrix._of(self.rows, self.cols,
-                              *_kron_data(self, PolyMatrix(((s,),))),
+                              *_minimal(self.den * den, data),
                               self.row_weights, self.col_weights)
 
     __rmul__ = __mul__
@@ -363,16 +394,18 @@ class PolyMatrix:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         bdata = other.data
         accs = []
-        g = den = self.den * other.den
         for arow in self.data:
             acc = {}
             for k, aterms in arow:
                 _accumulate(acc, aterms, bdata[k])
             accs.append(acc)
-            if g != 1 and acc:
-                g = gcd(g, *acc.values())
-        out = tuple([_row(acc, g) for acc in accs])
-        return PolyMatrix._of(self.rows, other.cols, den // g, out,
+        g = den = self.den * other.den
+        for e in (x for acc in accs for x in acc.values()):
+            if g == 1:
+                break
+            g = gcd(g, e[2]) if e.__class__ is list else gcd(g, *e.values())
+        return PolyMatrix._of(self.rows, other.cols, den // g,
+                              tuple([_row(acc, g) for acc in accs]),
                               self.row_weights, other.col_weights)
 
     def __eq__(self, other):
@@ -419,10 +452,23 @@ class PolyMatrix:
                               *_minimal(self.den, tuple(out)), rw, cw)
 
     def column(self, k: int) -> "PolyMatrix":
-        return self.submatrix(range(self.rows), [k])
+        cols = self.cols
+        if not -cols <= k < cols:
+            raise IndexError(f"column {k} out of range for {cols} columns")
+        k %= cols
+        out = []
+        for row in self.data:
+            i = bisect_left(row, (k,))  # (k,) sorts before (k, terms)
+            out.append(((0, row[i][1]),) if i < len(row) and row[i][0] == k
+                       else ())
+        return PolyMatrix._of(self.rows, 1, *_minimal(self.den, tuple(out)),
+                              self.row_weights,
+                              self.col_weights and (self.col_weights[k],))
 
     def row(self, i: int) -> "PolyMatrix":
-        return self.submatrix([i], range(self.cols))
+        return PolyMatrix._of(1, self.cols, *_minimal(self.den, (self.data[i],)),
+                              self.row_weights and (self.row_weights[i],),
+                              self.col_weights)
 
     def scalar(self) -> HPoly:
         """Unwrap a 1x1 matrix."""
@@ -483,8 +529,12 @@ class PolyMatrix:
 
 def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Kronecker product; the first factor owns the major index."""
-    return PolyMatrix._of(a.rows * b.rows, a.cols * b.cols, *_kron_data(a, b),
-                          None, None)
+    bcols = b.cols
+    data = tuple(tuple([(k * bcols + c, _times(at, bt)) for k, at in arow
+                        for c, bt in brow])
+                 for arow in a.data for brow in b.data)
+    return PolyMatrix._of(a.rows * b.rows, a.cols * b.cols,
+                          *_minimal(a.den * b.den, data), None, None)
 
 
 def commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

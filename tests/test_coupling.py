@@ -163,6 +163,23 @@ def test_intermediate_action_fails_without_the_neumann_factor(monkeypatch):
     assert any(name.startswith("Zp ket (") for name in failed)
 
 
+def test_coupled_ladder_and_certificate_share_one_coproduct_build(monkeypatch):
+    # One build of Delta(Y), Delta(H) and Delta(e^{+-hX}) serves both
+    # readers of a pair, and Delta(X), which neither reads, is never built.
+    built, real = [], coupling.coproduct_matrix
+
+    def counting(gen, g1, g2):
+        built.append(gen.value)
+        return real(gen, g1, g2)
+
+    monkeypatch.setattr(coupling, "coproduct_matrix", counting)
+    coupling._pair_coproducts.cache_clear()
+    coupling._certified_decomposition.cache_clear()
+    assert verify_intermediate_action(half(1), H12).ok
+    assert decompose(half(1), H12) == [(half(3, 2), 1), (H12, 1)]
+    assert sorted(built) == ["H", "Y", "expHX", "expmHX"]
+
+
 def test_intermediate_kets_reduce_to_product_basis_at_h0():
     j1, j2 = half(1), H12
     for m1 in weight_range(j1):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matrix_oracle as oracle
+from jordanian.coupling import alpha_table
 from jordanian.halfint import half
 from jordanian.hpoly import HPoly
 from jordanian.irreps import Generator, coproduct_gens, irrep
@@ -36,6 +37,14 @@ single_terms = st.builds(RadScalar.of,
                          st.builds(Fraction, st.integers(-6, 6).filter(bool),
                                    st.sampled_from(DENOMINATORS)),
                          st.sampled_from(RADICANDS))
+
+
+def examples(n):
+    """Settings for n examples under the default profile, scaled with the
+    profile pytest loads: 10 n under ``--hypothesis-profile deep`` (see
+    conftest.py)."""
+    return settings(max_examples=n * settings().max_examples // 100,
+                    deadline=None)
 
 
 def _weight_choices(n):
@@ -108,14 +117,14 @@ def assert_matches(result, expected):
     assert str(result) == str(expected)
 
 
-@settings(max_examples=60, deadline=None)
+@examples(60)
 @given(matrices())
 def test_constructor_storage_is_minimal_and_round_trips(m):
     assert_storage(m)
     assert_canonical(m)
 
 
-@settings(max_examples=60, deadline=None)
+@examples(60)
 @given(st.data())
 def test_transpose_and_slices_match_oracle(data):
     a = data.draw(matrices())
@@ -130,7 +139,7 @@ def test_transpose_and_slices_match_oracle(data):
     assert_matches(a.row(i), oracle.submatrix(a, [i], range(a.cols)))
 
 
-@settings(max_examples=60, deadline=None)
+@examples(60)
 @given(matrices(), st.integers(0, 3), st.integers(0, 5))
 def test_divide_h_matches_oracle(a, shift, k):
     shifted = a * HPoly.h(shift)
@@ -174,7 +183,7 @@ def test_built_view_is_read_only_and_kept():
     assert str(x) == str(PolyMatrix(x.entries))
 
 
-@settings(max_examples=60, deadline=None)
+@examples(60)
 @given(st.data())
 def test_matmul_matches_oracle(data):
     r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
@@ -183,7 +192,7 @@ def test_matmul_matches_oracle(data):
     assert_matches(a @ b, oracle.matmul(a, b))
 
 
-@settings(max_examples=60, deadline=None)
+@examples(60)
 @given(st.data())
 def test_entrywise_ops_match_oracle(data):
     a = data.draw(matrices())
@@ -200,13 +209,13 @@ def test_entrywise_ops_match_oracle(data):
     assert_matches(a / 3, oracle.scale(a, Fraction(1, 3)))
 
 
-@settings(max_examples=40, deadline=None)
+@examples(40)
 @given(matrices(), matrices())
 def test_kron_matches_oracle(a, b):
     assert_matches(kron(a, b), oracle.kron(a, b))
 
 
-@settings(max_examples=30, deadline=None)
+@examples(30)
 @given(st.data())
 def test_series_match_oracle(data):
     n = data.draw(st.integers(1, 4))
@@ -233,7 +242,7 @@ def _coproduct(gen, weighted):
     return PolyMatrix(m.entries, PRODUCT_WEIGHTS, PRODUCT_WEIGHTS) if weighted else m
 
 
-@settings(max_examples=20, deadline=None)
+@examples(20)
 @given(st.sampled_from(GENERATORS), st.sampled_from(GENERATORS),
        st.booleans(), st.booleans())
 def test_spin_one_by_three_halves_coproducts_match_oracle(ga, gb, wa, wb):
@@ -252,3 +261,78 @@ def test_sums_with_zero_return_the_operand_entries():
         assert s == a
         assert all(p is q for rs, ra in zip(s.entries, a.entries)
                    for p, q in zip(rs, ra) if q)
+
+
+def _radicals(*terms):
+    """The HPoly sum of q * sqrt(n) * h**k over (k, n, q)."""
+    return sum((HPoly.h(k, RadScalar.of(q, n)) for k, n, q in terms),
+               HPoly.zero())
+
+
+def test_kron_of_colliding_multi_term_entries():
+    # (sqrt2 + sqrt3)(sqrt3 + sqrt2) = 5 + 2 sqrt6: two of the four term
+    # products land on radicand 1 and two on radicand 6.
+    a = PolyMatrix([[_radicals((0, 2, 1), (0, 3, 1)), 0]])
+    b = PolyMatrix([[_radicals((0, 3, 1), (0, 2, 1))], [HPoly.h(1)]])
+    product = kron(a, b)
+    assert product.data == (((0, ((0, 1, 5), (0, 6, 2))),), ((0, ((1, 2, 1), (1, 3, 1))),))
+    assert_matches(product, oracle.kron(a, b))
+
+
+@pytest.mark.parametrize("third, want", [
+    (1, ((0, 2, 2), (1, 1, 1))),   # a second key, then the first again
+    (-1, ((1, 1, 1),)),            # ... and then the first cancels
+])
+def test_matmul_entry_that_receives_a_second_term(third, want):
+    # The products sqrt2, h, third*sqrt2 all reach entry (0, 0).
+    a = PolyMatrix([[1, HPoly.h(1), third]])
+    b = PolyMatrix([[RadScalar.sqrt(2)], [1], [RadScalar.sqrt(2)]])
+    product = a @ b
+    assert product.den == 1 and product.data == (((0, want),),)
+    assert_matches(product, oracle.matmul(a, b))
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[Fraction(1, 2), Fraction(1, 2)]], [[RadScalar.sqrt(3)], [-RadScalar.sqrt(3)]]),
+    ([[1, HPoly.h(1), -1, -HPoly.h(1)]],
+     [[RadScalar.sqrt(2)], [Fraction(1, 3)], [RadScalar.sqrt(2)], [Fraction(1, 3)]]),
+], ids=["single-term", "multi-term"])
+def test_exact_cancellation_gives_the_zero_matrix(a, b):
+    a, b = PolyMatrix(a), PolyMatrix(b)
+    for zero, expected in ((a @ b, oracle.matmul(a, b)),
+                           (b - b, oracle.sub(b, b)),
+                           (b * 0, oracle.scale(b, 0))):
+        assert zero.is_zero and zero.den == 1
+        assert all(row == () for row in zero.data)
+        assert_matches(zero, expected)
+
+
+SPIN_ONE = irrep(1)
+TABLE = alpha_table(1, half(3, 2))
+MODULE_MATRICES = {"Zp": SPIN_ONE.zp, "X": SPIN_ONE.x,
+                   "e^{hX/2}": SPIN_ONE.exp_half_hx,
+                   "e^{-hX/2}": SPIN_ONE.exp_mhalf_hx}
+PAIR_MATRICES = {"K": TABLE.ket, "B": TABLE.bra, "C": TABLE.cgc}
+
+
+def _single_term(m):
+    return all(len(terms) == 1 for row in m.data for _, terms in row)
+
+
+@pytest.mark.parametrize("group", [MODULE_MATRICES, PAIR_MATRICES],
+                         ids=["spin 1", "K B C of (1, 3/2)"])
+def test_products_of_library_matrices_match_oracle(group):
+    for a in group.values():
+        assert _single_term(a)
+        for b in group.values():
+            assert_matches(a @ b, oracle.matmul(a, b))
+
+
+def test_krons_of_library_matrices_match_oracle():
+    other = irrep(half(3, 2))
+    for a in MODULE_MATRICES.values():
+        for b in (other.zp, other.x, other.exp_half_hx, other.exp_mhalf_hx):
+            assert_matches(kron(a, b), oracle.kron(a, b))
+    k, c = PAIR_MATRICES["K"], PAIR_MATRICES["C"]
+    assert_matches(kron(SPIN_ONE.zp, c), oracle.kron(SPIN_ONE.zp, c))
+    assert_matches(kron(k, SPIN_ONE.x), oracle.kron(k, SPIN_ONE.x))
