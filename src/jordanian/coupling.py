@@ -55,9 +55,9 @@ from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
 from .hpoly import HPoly
 from .irreps import (Generator, GenMatrices, casimir_from_gens,
                      coproduct_matrix, irrep)
-from .polymatrix import PolyMatrix, kron, unipotent_inverse
+from .polymatrix import PolyMatrix, _unit_like, kron, unipotent_inverse
 from .radical import RadScalar, sqrt_factorial_ratio
-from .report import Report, scalar_check, zero_check
+from .report import Report, entry_checks, residual_checks
 
 
 class SelectionRuleError(ValueError):
@@ -151,7 +151,15 @@ def _gauge_free_alpha(n1: int, n2: int) -> PolyMatrix:
                     entries[a1 * w + a2, c1 * w + c2] = (
                         d1 + d2, (-bb if d2 % 2 else bb) << (top - d1 - d2))
     size = (n1 + 1) * w
-    return PolyMatrix._monomials(size, size, 1 << top, entries)
+    return PolyMatrix._monomials(size, size, 1 << top, entries,
+                                 _product_offsets(n1, n2))
+
+
+def _product_offsets(n1: int, n2: int) -> tuple[tuple[int, int], ...]:
+    """Row labels (-(c1 + c2), 1) of the product basis, the gauge of the
+    rational cores R and Q: h-offset minus the summed positions, no
+    radical."""
+    return tuple((-(c1 + c2), 1) for c1 in range(n1 + 1) for c2 in range(n2 + 1))
 
 
 def _racah_core(n1: int, n2: int) -> tuple[PolyMatrix, PolyMatrix]:
@@ -186,7 +194,8 @@ def _racah_core(n1: int, n2: int) -> tuple[PolyMatrix, PolyMatrix]:
                     for z, d in zip(zs, dens))
     den = lcm(*(d for d, _ in sums.values()))
     q = PolyMatrix._monomials((n1 + 1) * w, len(dc), den, {
-        key: (0, v * (den // d)) for key, (d, v) in sums.items()})
+        key: (0, v * (den // d)) for key, (d, v) in sums.items()},
+        _product_offsets(n1, n2))
     return q, PolyMatrix.diagonal(dc)
 
 
@@ -210,7 +219,7 @@ def coupled_ladder(j1, j2) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """(Zp, Zm, H) of the coupled module, by the closed forms above."""
     r1, r2 = irrep(j1), irrep(j2)
     zp = _slot_sum(r1.zp, r2.zp) @ unipotent_inverse(
-        PolyMatrix.identity(r1.dim * r2.dim)
+        kron(PolyMatrix.identity(r1.dim), PolyMatrix.identity(r2.dim))
         + kron(r1.zp, r2.zp) * HPoly.h(2, Fraction(1, 4)))
     ch = (kron(r1.exp_half_hx, r2.exp_half_hx)
           + kron(r1.exp_mhalf_hx, r2.exp_mhalf_hx)) * Fraction(1, 2)
@@ -243,14 +252,16 @@ def slot_sums(j1, j2) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
 
 def _unit_checks(report: Report, j1, j2, name, by_bra: bool) -> Report:
     """Slice B K = 1 into one scalar check per entry (n, m), named
-    name(m, n); the outer loop runs over the bras n if by_bra, else over
-    the kets m."""
+    name(m, n) with m and n given as the texts of (m1, m2, -m1, -m2); the
+    outer loop runs over the bras n if by_bra, else over the kets m.  The
+    expected entries are those of one identity matrix."""
     bk = alpha_table(j1, j2)._bra_ket
-    labels = list(enumerate(product_labels(j1, j2)))
-    for (r, n), (c, m) in ((o, i) if by_bra else (i, o)
-                           for o in labels for i in labels):
-        want = HPoly.one() if r == c else HPoly.zero()
-        report.add(scalar_check(name(m, n), bk.entry(r, c), want))
+    labels = list(enumerate((str(k1), str(k2), str(-k1), str(-k2))
+                            for k1, k2 in product_labels(j1, j2)))
+    for check in entry_checks(bk, _unit_like(bk), [
+            (name(m, n), r, c) for (r, n), (c, m) in (
+                (o, i) if by_bra else (i, o) for o in labels for i in labels)]):
+        report.add(check)
     return report
 
 
@@ -259,7 +270,7 @@ def verify_alpha_orthogonality(j1, j2) -> Report:
     j1, j2 = as_half(j1), as_half(j2)
     return _unit_checks(
         Report(f"alpha orthogonality for spins ({j1}, {j2})"), j1, j2,
-        lambda m, n: f"sum_k alpha[k;({m[0]},{m[1]})] alpha[-k;({-n[0]},{-n[1]})]",
+        lambda m, n: f"sum_k alpha[k;({m[0]},{m[1]})] alpha[-k;({n[2]},{n[3]})]",
         by_bra=False)
 
 
@@ -304,18 +315,20 @@ def verify_intermediate_action(j1, j2) -> Report:
     for tag, sign, z, s in (("H", 0, dh, sh), ("Zp", 1, zp, sp),
                             ("Zm", -1, zm, sm)):
         zk = z @ k
-        residuals.append((tag, zk - k @ s, b @ z - s @ b))
+        residuals.append((tag, residual_checks(zk, k @ s),
+                          residual_checks(b @ z, s @ b)))
         if sign and j1 != j2:  # tracked, not asserted
             v, defined = _second_slot_variant(j1, j2, sign)
             cols = [c for c, (_, m2) in enumerate(labels) if m2.twice in defined]
-            variant_applicable = variant_applicable or bool(cols)
-            variant = zk - k @ v
-            variant_agrees &= not any(row[c] for row in variant.entries
-                                      for c in cols)
+            if cols:
+                variant_applicable = True
+                variant = zk - k @ v
+                variant_agrees &= variant.submatrix(range(variant.rows),
+                                                    cols).is_zero
     for c, (m1, m2) in enumerate(labels):
         for tag, kets, bras in residuals:
-            report.add(zero_check(f"{tag} ket ({m1},{m2})", kets.column(c)))
-            report.add(zero_check(f"{tag} bra ({m1},{m2})", bras.row(c)))
+            report.add(kets(f"{tag} ket ({m1},{m2})", lambda m: m.column(c)))
+            report.add(bras(f"{tag} bra ({m1},{m2})", lambda m: m.row(c)))
     if j1 == j2:
         report.note("second-slot coefficient: spin labels coincide, the j1/j2 "
                     "variants are identical")
@@ -444,8 +457,9 @@ def _certified_decomposition(j1: HalfInt,
     _pair_coproducts.cache_clear()
     labels = coupled_labels(j1, j2)
     eigen = PolyMatrix.diagonal([casimir_eigenvalue(j) for j, _ in labels])
-    bad = (cas @ kc - kc @ eigen).transpose().first_nonzero()
-    if bad:
+    left, right = cas @ kc, kc @ eigen
+    if left != right:  # the difference is formed only to name a column
+        bad = (left - right).transpose().first_nonzero()
         raise ArithmeticError("coupled Casimir eigenvalue mismatch at "
                               "j={}, m={}".format(*labels[bad[0]]))
     return tuple((j, 1) for j in coupled_spins(j1, j2))

@@ -4,26 +4,48 @@ Matrices carry optional weight labels on rows and columns (the half-integer
 m of each basis vector) so representation-theoretic indexing stays explicit.
 All operations are exact; a zero residual matrix is literally zero.
 
-Storage.  A matrix holds one positive int ``den`` and ``data``: for each
-row, a tuple of ``(col, terms)`` pairs for its nonzero entries, in column
-order.  ``terms`` is a sorted tuple of ``(h-power, radicand, numerator)``
-triples with squarefree radicands and nonzero int numerators, and the
-entry is the sum of numerator/den * sqrt(radicand) * h**power over them.
-``den`` is kept minimal: its gcd with every numerator is 1, and the zero
-matrix has den 1.  Equal matrices therefore have equal storage, which is
-what ``==`` and ``hash`` compare.
+Storage.  Almost every matrix the package builds has one monomial
+q * sqrt(n) * h**k per entry, and k and n follow the basis: k = a_i - b_c
+and n = sqfree(p_i * q_c) for an integer h-offset and a squarefree radical
+on each row i and column c.  Graded storage keeps
+exactly that: a dict ``{col: numerator}`` of ints per row over one
+positive int denominator, the row labels (a_i, p_i) and the column labels
+(b_c, q_c); the entry at (i, c) is numerator/den * sqrt(p_i / q_c) *
+h**(a_i - b_c), and a row or column with no entry has no label.
 
-Arithmetic (``@``, ``kron``, ``+``, ``-``, scalar ``*`` and ``/``,
-``transpose``, ``submatrix``/``column``/``row``, ``divide_h``) works on
-this storage directly.  A product sums each output row in a dict keyed by
-column, where an entry is one [h-power, radicand, numerator] term until a
-second (h-power, radicand) reaches it and a small dict of terms from then
-on.  Radicands multiply as in ``RadScalar.__mul__``, sqrt(n1)*sqrt(n2) =
-g*sqrt((n1/g)*(n2/g)) with g = gcd(n1, n2), and with no gcd when either
-radicand is 1.  A sum runs both rows, each scaled to the common
-denominator, through the same accumulator.  ``kron`` and a scalar multiple
-form each entry as one product, in column order.  Every result is brought
-to its minimal denominator.  A sum with an all-zero operand returns the
+The labels are a certificate, not an assumption.  ``_certify`` derives
+them from the entries, breadth first over each connected component of the
+nonzero pattern, and checks every entry against them.  The first row i of
+a component starts from the gauge of the spin (rows-1)/2 ladder basis,
+(-i, sqfree(i! (rows-1-i)!)), unless the construction offers row labels
+of its own basis.  A matrix with an entry of two or more terms, or with
+entries that no labels fit, keeps term storage: for each row, a tuple of
+``(col, terms)`` pairs in column order, ``terms`` a sorted tuple of
+``(h-power, radicand, numerator)`` triples with squarefree radicands over
+one ``den``.  Only the certificate chooses between the two.  ``den`` and
+``data`` read term storage, built on first read for a graded matrix, with
+``den`` minimal: its gcd with every numerator is 1, and the zero matrix has
+den 1.  Equal matrices therefore have equal ``den`` and ``data``, which is
+what ``hash`` reads; ``==`` compares graded operands on their integers once
+their labels are aligned, and term storage otherwise.
+
+Arithmetic.  On graded operands ``@``, ``kron``, ``+``, ``-``, scalar
+``*`` and ``/`` by one monomial, ``transpose``, ``submatrix``/``column``/
+``row`` and ``divide_h`` do integer work only.  A product needs the left
+column labels to equal the right row labels up to one h-shift, which moves
+to the result's column labels; ``kron`` composes labels, offsets adding and
+radicals multiplying; a sum needs equal labels wherever both operands have
+them.  Labels are fixed only up to one (shift, radical) gauge per
+component, so operands whose labels disagree by one gauge are moved onto
+each other, and otherwise re-gauged component by component (``_align``).
+The integer denominator is reduced once it outgrows a machine word.  When
+no gauge fits, or an operand has term storage, the operation runs on term
+storage: a product sums each output row in a dict keyed by column, where
+an entry is one [h-power, radicand, numerator] term until a second
+(h-power, radicand) reaches it and a small dict of terms from then on;
+radicands multiply as in ``RadScalar.__mul__``; ``kron`` and a scalar
+multiple form each entry as one product.  Its result goes through the
+certificate like any other.  A sum with an all-zero operand returns the
 other operand.
 
 ``HPoly`` is the boundary type.  The public constructor reads HPoly entries
@@ -34,13 +56,13 @@ on the instance; matrices that share storage share it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd, lcm
 
 from .halfint import HalfInt
 from .hpoly import HPoly, as_hpoly
-from .radical import RadScalar
+from .radical import RadScalar, _legendre_exponent, _primes_up_to
 
 
 class ShapeError(ValueError):
@@ -57,7 +79,7 @@ def _coerce_row(row):
     return tuple(out)
 
 
-# -- storage --------------------------------------------------------------------
+# -- term storage ---------------------------------------------------------------
 
 _ZERO = HPoly.zero()
 _RAD_ZERO = RadScalar.zero()
@@ -175,6 +197,456 @@ def _scaled_row(row, f):
                                     for c, terms in row)
 
 
+# -- graded storage -------------------------------------------------------------
+
+def _sf(x, y):
+    """sqfree(x * y) for squarefree x and y: the product of radical classes."""
+    g = gcd(x, y)
+    return (x // g) * (y // g)
+
+
+@lru_cache(maxsize=None)
+def _natural(n):
+    """The label (-i, sqfree(i! (n-1-i)!)) of each row i of an n-row
+    matrix: the gauge of the spin (n-1)/2 ladder basis, which the
+    certificate gives the first row of each component."""
+    primes = _primes_up_to(n)
+    out = []
+    for i in range(n):
+        c = 1
+        for p in primes:
+            if (_legendre_exponent(i, p) + _legendre_exponent(n - 1 - i, p)) % 2:
+                c *= p
+        out.append((-i, c))
+    return tuple(out)
+
+
+class _Graded:
+    """Integer rows {col: numerator} over den with row labels rl and column
+    labels cl, (h-offset, squarefree radical) or None for an empty row or
+    column; the term storage and the components are built on first use."""
+
+    __slots__ = ("den", "rows", "rl", "cl", "terms", "comps")
+
+    def __init__(self, den, rows, rl, cl):
+        self.den, self.rows, self.rl, self.cl = den, rows, rl, cl
+        self.terms = self.comps = None
+
+
+def _graded(den, rows, rl, cl, prune=False):
+    """Graded storage; den is reduced once it outgrows a machine word, and
+    prune drops the labels of rows and columns that hold no entry."""
+    if den >> 62:
+        g = den
+        for row in rows:
+            if row:
+                g = gcd(g, *row.values())
+                if g == 1:
+                    break
+        if g != 1:
+            den //= g
+            rows = [{c: v // g for c, v in row.items()} for row in rows]
+    if prune:  # every row and column with an entry has a label
+        if len(rows) - rows.count({}) != len(rl) - rl.count(None):
+            rl = tuple(lab if row else None for lab, row in zip(rl, rows))
+        present = set().union(*rows)
+        if len(present) != len(cl) - cl.count(None):
+            cl = tuple(lab if c in present else None for c, lab in enumerate(cl))
+    return _Graded(den, tuple(rows), tuple(rl), tuple(cl))
+
+
+def _certify(nrows, ncols, den, data, start=None):
+    """Graded storage of term storage, or None.  Labels are derived breadth
+    first over the nonzero pattern and every entry is checked against
+    them: each entry must be one term, with h-power a_i - b_c and radicand
+    sqfree(p_i q_c).  The first row i of a component is labelled start[i],
+    by default the spin (nrows-1)/2 gauge."""
+    cells = []
+    at_col = [[] for _ in range(ncols)]
+    for i, row in enumerate(data):
+        for c, terms in row:
+            if len(terms) != 1:
+                return None
+            at_col[c].append(i)
+        cells.append({c: terms[0] for c, terms in row})
+    rl, cl = [None] * nrows, [None] * ncols
+    start = start or _natural(nrows)
+    for first, row in enumerate(cells):
+        if not row or rl[first] is not None:
+            continue
+        rl[first] = start[first]
+        todo = [first]
+        while todo:
+            i = todo.pop()
+            a, p = rl[i]
+            for c, (k, n, _) in cells[i].items():
+                want = (a - k, _sf(p, n))
+                if cl[c] is None:
+                    cl[c] = want
+                    b, q = want
+                    for r in at_col[c]:
+                        if rl[r] is None:
+                            k2, n2, _ = cells[r][c]
+                            rl[r] = (b + k2, _sf(q, n2))
+                            todo.append(r)
+                elif cl[c] != want:
+                    return None
+    # v sqrt(n) = V sqrt(p / q) with V = v q / gcd(p, q)
+    rows = []
+    for row, lab in zip(cells, rl):
+        if row:
+            p = lab[1]
+            rows.append({c: v * (cl[c][1] // gcd(p, cl[c][1]))
+                         for c, (_, _, v) in row.items()})
+        else:
+            rows.append({})
+    return _graded(den, rows, rl, cl)
+
+
+def _graded_terms(g):
+    """(den, data): the term storage of graded storage, minimal."""
+    if g.terms is None:
+        cl, big = g.cl, 1
+        rows = []
+        for row, lab in zip(g.rows, g.rl):
+            out = []
+            if row:
+                a, p = lab
+                for c in sorted(row):
+                    b, q = cl[c]
+                    s = gcd(p, q)
+                    t = q // s  # V sqrt(p / q) = V / t * sqrt(sqfree(p q))
+                    if t != 1:
+                        big = lcm(big, t)
+                    out.append((c, a - b, (p // s) * t, row[c], t))
+            rows.append(out)
+        data = tuple(tuple((c, ((k, n, v * (big // t)),)) for c, k, n, v, t in row)
+                     for row in rows)
+        g.terms = _minimal(g.den * big, data)
+    return g.terms
+
+
+def _components(g):
+    """The component (a root index) of each row and each column of the
+    nonzero pattern, None for an empty one; built once per storage."""
+    if g.comps is None:
+        nrows = len(g.rows)
+        parent = list(range(nrows + len(g.cl)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for i, row in enumerate(g.rows):
+            top = find(i)
+            for c in row:
+                root = find(nrows + c)
+                if root != top:
+                    parent[root] = top
+        g.comps = (tuple(find(i) if row else None for i, row in enumerate(g.rows)),
+                   tuple(find(nrows + c) if lab is not None else None
+                         for c, lab in enumerate(g.cl)))
+    return g.comps
+
+
+def _align(pairs):
+    """Per-component gauges (shift, radical) that make each pair of labels
+    equal, or None when none exist.  pairs holds (u, v, left, right): a
+    component u of the left operand, v of the right one, and their labels
+    of one shared index; the left components keep their gauge where they
+    can.  Returns ({u: gauge}, {v: gauge}) without the trivial gauges."""
+    adj = {}
+    for u, v, (a, p), (b, q) in pairs:
+        d, r = b - a, _sf(p, q)
+        adj.setdefault(u, []).append((~v, -d, r))
+        adj.setdefault(~v, []).append((u, d, r))
+    pot = {}
+    for start in sorted(adj, reverse=True):  # left components first
+        if start in pot:
+            continue
+        pot[start] = (0, 1)
+        todo = [start]
+        while todo:
+            x = todo.pop()
+            s, r = pot[x]
+            for y, d, ry in adj[x]:
+                want = (s + d, _sf(r, ry))
+                have = pot.get(y)
+                if have is None:
+                    pot[y] = want
+                    todo.append(y)
+                elif have != want:
+                    return None
+    left, right = {}, {}
+    for x, gauge in pot.items():
+        if gauge != (0, 1):
+            if x >= 0:
+                left[x] = gauge
+            else:
+                right[~x] = gauge
+    return left, right
+
+
+def _moved(g, rgauge, cgauge):
+    """The same matrix with the label of row i moved by the gauge
+    (shift, radical) rgauge[i] and that of column c by cgauge[c], None
+    for no move; an entry's row and column move together, and its
+    numerator changes by gcd(p, r) / gcd(q, r)."""
+    cl, colf, big = list(g.cl), [1] * len(g.cl), 1
+    for c, gauge in enumerate(cgauge):
+        if gauge is not None and cl[c] is not None:
+            (d, r), (b, q) = gauge, cl[c]
+            cl[c] = (b + d, _sf(q, r))
+            if r != 1:
+                colf[c] = f = gcd(q, r)
+                big = lcm(big, f)
+    rl, rows = list(g.rl), []
+    for i, (row, gauge) in enumerate(zip(g.rows, rgauge)):
+        f = 1
+        if gauge is not None and row:
+            (d, r), (a, p) = gauge, rl[i]
+            rl[i] = (a + d, _sf(p, r))
+            f = gcd(p, r)
+        if f == 1 and big == 1:
+            rows.append(row)
+        else:
+            rows.append({c: v * f * (big // colf[c]) for c, v in row.items()})
+    return _graded(g.den * big, rows, rl, cl)
+
+
+def _moved_by(g, gauges):
+    """g with each component moved by its gauge in gauges."""
+    if not gauges:
+        return g
+    rcomp, ccomp = _components(g)
+    return _moved(g, [gauges.get(u) for u in rcomp],
+                  [gauges.get(u) for u in ccomp])
+
+
+def _moved_all(g, gauge):
+    """g with every label moved by one gauge."""
+    if gauge == (0, 1):
+        return g
+    return _moved(g, [gauge] * len(g.rl), [gauge] * len(g.cl))
+
+
+def _common_gauge(left, right):
+    """The gauge (d, r) that moves left onto right wherever both labels
+    exist: offsets differ by d, radicals by the class r.  None when no
+    index has both labels, False when no single gauge does it."""
+    if left == right:
+        return (0, 1)
+    gauge = None
+    for x, y in zip(left, right):
+        if x is None or y is None:
+            continue
+        d = (0, 1) if x == y else (y[0] - x[0], _sf(x[1], y[1]))
+        if gauge is None:
+            gauge = d
+        elif d != gauge:
+            return False
+    return gauge
+
+
+def _pairs(lcomp, left, rcomp, right):
+    return [(u, v, x, y) for u, x, v, y in zip(lcomp, left, rcomp, right)
+            if x is not None and y is not None]
+
+
+def _gmatmul(a, b):
+    """a @ b on graded storage, or None when no gauge aligns the inner
+    index."""
+    gauge = _common_gauge(a.cl, b.rl)
+    shift = 0
+    if gauge is False:
+        gauges = _align(_pairs(_components(a)[1], a.cl, _components(b)[0], b.rl))
+        if gauges is None:
+            return None
+        a, b = _moved_by(a, gauges[0]), _moved_by(b, gauges[1])
+    elif gauge is not None:
+        shift, r = gauge
+        if r != 1:
+            b, shift = _moved_all(b, (-shift, r)), 0
+    brows = b.rows
+    out = []
+    for arow in a.rows:
+        acc = {}
+        get = acc.get
+        for k, x in arow.items():
+            for c, y in brows[k].items():
+                acc[c] = get(c, 0) + x * y
+        if 0 in acc.values():
+            acc = {c: v for c, v in acc.items() if v}
+        out.append(acc)
+    cl = b.cl if not shift else tuple(
+        None if lab is None else (lab[0] - shift, lab[1]) for lab in b.cl)
+    return _graded(a.den * b.den, out, a.rl, cl, prune=True)
+
+
+def _aligned(a, b):
+    """(a, b) re-gauged so that their labels agree wherever both exist, or
+    None when no gauge does it (then the matrices differ in some entry's
+    h-power or radicand class)."""
+    rows, cols = _common_gauge(a.rl, b.rl), _common_gauge(a.cl, b.cl)
+    if rows is False or cols is False or (rows and cols and rows != cols):
+        (ra, ca), (rb, cb) = _components(a), _components(b)
+        gauges = _align(_pairs(ra, a.rl, rb, b.rl) + _pairs(ca, a.cl, cb, b.cl))
+        if gauges is None:
+            return None
+        return _moved_by(a, gauges[0]), _moved_by(b, gauges[1])
+    d, r = rows or cols or (0, 1)
+    return a, _moved_all(b, (-d, r))
+
+
+def _gsum(a, b, sign):
+    """a + sign * b on graded storage, or None when no gauge aligns them."""
+    pair = _aligned(a, b)
+    if pair is None:
+        return None
+    a, b = pair
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, sign * (den // b.den)
+    out = []
+    for x, y in zip(a.rows, b.rows):
+        if not y:
+            out.append(x if fa == 1 else {c: v * fa for c, v in x.items()})
+        elif not x:
+            out.append({c: v * fb for c, v in y.items()})
+        else:
+            acc = x.copy() if fa == 1 else {c: v * fa for c, v in x.items()}
+            get = acc.get
+            for c, v in y.items():
+                acc[c] = get(c, 0) + v * fb
+            if 0 in acc.values():
+                acc = {c: v for c, v in acc.items() if v}
+            out.append(acc)
+    rl = tuple(y if x is None else x for x, y in zip(a.rl, b.rl))
+    cl = tuple(y if x is None else x for x, y in zip(a.cl, b.cl))
+    return _graded(den, out, rl, cl, prune=True)
+
+
+@lru_cache(maxsize=64)
+def _kron_labels(left, right):
+    """The labels of a Kronecker index space, offsets adding and radicals
+    multiplying, and the factor gcd(p1, p2) of each:
+    sqrt(p1) sqrt(p2) = gcd(p1, p2) sqrt(sqfree(p1 p2))."""
+    labels, factors = [], []
+    for x in left:
+        for y in right:
+            if x is None or y is None:
+                labels.append(None)
+                factors.append(1)
+            else:
+                f = gcd(x[1], y[1])
+                labels.append((x[0] + y[0], (x[1] // f) * (y[1] // f)))
+                factors.append(f)
+    return tuple(labels), tuple(factors)
+
+
+def _gkron(a, b):
+    """kron(a, b) on graded storage: labels compose (_kron_labels)."""
+    rl, rowf = _kron_labels(a.rl, b.rl)
+    cl, colf = _kron_labels(a.cl, b.cl)
+    big = lcm(*colf)
+    colf = [big // f for f in colf]
+    w = len(b.cl)
+    out = []
+    i = 0
+    for x in a.rows:
+        for y in b.rows:
+            f = rowf[i]
+            i += 1
+            row = {}
+            for k, u in x.items():
+                base, u = k * w, u * f
+                if big == 1:
+                    for c, v in y.items():
+                        row[base + c] = u * v
+                else:
+                    for c, v in y.items():
+                        row[base + c] = u * v * colf[base + c]
+            out.append(row)
+    return _graded(a.den * b.den * big, out, rl, cl)
+
+
+def _gscale(g, k, n, num, den):
+    """g times num/den * sqrt(n) * h**k: row labels move by (k, n)."""
+    rl, out = [], []
+    for row, lab in zip(g.rows, g.rl):
+        if lab is None:
+            rl.append(None)
+            out.append(row)
+            continue
+        a, p = lab
+        f = gcd(p, n)
+        rl.append((a + k, (p // f) * (n // f)))
+        f *= num
+        out.append(row if f == 1 else {c: v * f for c, v in row.items()})
+    return _graded(g.den * den, out, rl, g.cl)
+
+
+def _gtranspose(g):
+    """The transpose: labels swap sides with negated offsets, and
+    V sqrt(p / q) = (V p / q) sqrt(q / p).  Each component is then
+    shifted so that its first row i has offset -i, as the certificate
+    would start it; radicals are kept."""
+    big = lcm(*(lab[1] for lab in g.cl if lab is not None))
+    out = [{} for _ in g.cl]
+    for i, (row, lab) in enumerate(zip(g.rows, g.rl)):
+        if row:
+            p = lab[1]
+            for c, v in row.items():
+                out[c][i] = v * p * (big // g.cl[c][1])
+    flip = tuple(None if lab is None else (-lab[0], lab[1]) for lab in g.rl)
+    t = _graded(g.den * big, out,
+                tuple(None if lab is None else (-lab[0], lab[1]) for lab in g.cl),
+                flip)
+    gauges = {}
+    for i, (u, lab) in enumerate(zip(_components(t)[0], t.rl)):
+        if u is not None and u not in gauges:
+            gauges[u] = (-i - lab[0], 1)
+    return _moved_by(t, {u: x for u, x in gauges.items() if x != (0, 1)})
+
+
+def _unit_like(m):
+    """The identity in the gauge of the square matrix m: each index labelled
+    as a row of m, else as a column of m, else as the certificate would."""
+    g = m._g
+    if g is None:
+        return PolyMatrix.identity(m.rows, m.row_weights)
+    labels = tuple(x or y or z for x, y, z in zip(g.rl, g.cl, _natural(m.rows)))
+    return PolyMatrix._wrap(m.rows, m.rows, _Graded(
+        1, tuple({i: 1} for i in range(m.rows)), labels, labels),
+        m.row_weights, m.row_weights)
+
+
+def _same(a, b):
+    """Whether graded storages whose labels agree hold equal matrices."""
+    if a.den == b.den:
+        return a.rows == b.rows
+    da, db = a.den, b.den
+    return all(x.keys() == y.keys() and all(v * db == y[c] * da
+                                            for c, v in x.items())
+               for x, y in zip(a.rows, b.rows))
+
+
+def _gentry(h, p, q, v, den):
+    """The canonical HPoly of v/den * sqrt(p / q) * h**h."""
+    s = gcd(p, q)
+    rad = RadScalar._canonical({(p // s) * (q // s): Fraction(v * s, den * q)})
+    return HPoly._canonical((_RAD_ZERO,) * h + (rad,))
+
+
+@lru_cache(maxsize=None)
+def _unit_storage(n):
+    """(graded or None, term storage) of the n x n identity, certified once
+    per size."""
+    one = ((0, 1, 1),)
+    data = tuple(((i, one),) for i in range(n))
+    return _certify(n, n, 1, data), (1, data)
+
+
 class _View:
     """The HPoly entries of one storage, built on first read and written
     once; matrices that share the storage share the cell."""
@@ -198,7 +670,7 @@ class PolyMatrix:
     frozen once set.
     """
 
-    __slots__ = ("rows", "cols", "row_weights", "col_weights", "den", "data",
+    __slots__ = ("rows", "cols", "row_weights", "col_weights", "_g", "_t",
                  "_view")
 
     def __init__(self, rows_data, row_weights=None, col_weights=None):
@@ -206,10 +678,12 @@ class PolyMatrix:
         cols = len(entries[0]) if entries else 0
         if any(len(r) != cols for r in entries):
             raise ShapeError("ragged rows")
-        self._set(len(entries), cols, *_flatten(entries),
-                  row_weights, col_weights)
+        den, data = _flatten(entries)
+        self._set(len(entries), cols, _certify(len(entries), cols, den, data),
+                  (den, data), row_weights, col_weights)
 
-    def _set(self, rows, cols, den, data, row_weights, col_weights, view=None):
+    def _set(self, rows, cols, graded, terms, row_weights, col_weights,
+             view=None):
         if rows < 1 or cols < 1:
             raise ShapeError("matrices must have at least one row and column")
         if row_weights is not None and len(row_weights) != rows:
@@ -223,15 +697,25 @@ class PolyMatrix:
              tuple(row_weights) if row_weights is not None else None)
         init(self, "col_weights",
              tuple(col_weights) if col_weights is not None else None)
-        init(self, "den", den)
-        init(self, "data", data)
+        init(self, "_g", graded)
+        init(self, "_t", None if graded is not None else terms)
         init(self, "_view", view if view is not None else _View())
 
     @classmethod
-    def _of(cls, rows, cols, den, data, row_weights, col_weights, view=None):
-        """Wrap storage that is already minimal (kernel results)."""
+    def _of(cls, rows, cols, den, data, row_weights, col_weights, view=None,
+            start=None):
+        """Wrap term storage that is already minimal (kernel results),
+        graded when it certifies (from the row labels start, if given)."""
         self = object.__new__(cls)
-        self._set(rows, cols, den, data, row_weights, col_weights, view)
+        self._set(rows, cols, _certify(rows, cols, den, data, start),
+                  (den, data), row_weights, col_weights, view)
+        return self
+
+    @classmethod
+    def _wrap(cls, rows, cols, graded, row_weights, col_weights):
+        """Wrap graded storage."""
+        self = object.__new__(cls)
+        self._set(rows, cols, graded, None, row_weights, col_weights)
         return self
 
     def __setattr__(self, name, value):
@@ -248,8 +732,20 @@ class PolyMatrix:
         """This matrix with other weights, sharing storage and view."""
         if row_weights == self.row_weights and col_weights == self.col_weights:
             return self
-        return PolyMatrix._of(self.rows, self.cols, self.den, self.data,
-                              row_weights, col_weights, self._view)
+        other = object.__new__(PolyMatrix)
+        other._set(self.rows, self.cols, self._g, self._t, row_weights,
+                   col_weights, self._view)
+        return other
+
+    @property
+    def den(self) -> int:
+        """The common denominator of the term storage."""
+        return (self._t or _graded_terms(self._g))[0]
+
+    @property
+    def data(self) -> tuple:
+        """The term storage: per row, (col, terms) pairs in column order."""
+        return (self._t or _graded_terms(self._g))[1]
 
     # -- constructors -----------------------------------------------------
 
@@ -259,21 +755,22 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, n: int, weights=None):
-        one = ((0, 1, 1),)
-        return cls._of(n, n, 1, tuple(((i, one),) for i in range(n)),
-                       weights, weights)
+        self = object.__new__(cls)
+        self._set(n, n, *_unit_storage(n), weights, weights)
+        return self
 
     @classmethod
-    def _monomials(cls, rows, cols, den, entries):
+    def _monomials(cls, rows, cols, den, entries, start=None):
         """The matrix with entry (i, k) = v/den * h**p for each
         ((i, k), (p, v)) of the dict entries, v an int; rational entries
-        built straight into minimal storage, no HPoly per entry."""
+        built straight into minimal storage, no HPoly per entry.  start
+        offers the certificate row labels, as in _certify."""
         data = [[] for _ in range(rows)]
         for (i, k), (p, v) in sorted(entries.items()):
             if v:
                 data[i].append((k, ((p, 1, v),)))
         return cls._of(rows, cols, *_minimal(den, tuple(map(tuple, data))),
-                       None, None)
+                       None, None, start=start)
 
     @classmethod
     def diagonal(cls, values, weights=None):
@@ -297,13 +794,24 @@ class PolyMatrix:
         """The entries as HPoly, built on first read."""
         view = self._view.rows
         if view is None:
-            den, cols = self.den, self.cols
+            cols, g = self.cols, self._g
             rows = []
-            for row in self.data:
-                out = [_ZERO] * cols
-                for c, terms in row:
-                    out[c] = _hpoly(terms, den)
-                rows.append(tuple(out))
+            if g is None:
+                den, data = self._t
+                for row in data:
+                    out = [_ZERO] * cols
+                    for c, terms in row:
+                        out[c] = _hpoly(terms, den)
+                    rows.append(tuple(out))
+            else:
+                for row, lab in zip(g.rows, g.rl):
+                    out = [_ZERO] * cols
+                    if row:
+                        a, p = lab
+                        for c, v in row.items():
+                            b, q = g.cl[c]
+                            out[c] = _gentry(a - b, p, q, v, g.den)
+                    rows.append(tuple(out))
             view = tuple(rows)
             object.__setattr__(self._view, "rows", view)
         return view
@@ -334,6 +842,10 @@ class PolyMatrix:
             return self._relabeled(rw, cw)
         if self.is_zero:
             return (other if sign > 0 else -other)._relabeled(rw, cw)
+        if self._g is not None and other._g is not None:
+            g = _gsum(self._g, other._g, sign)
+            if g is not None:
+                return PolyMatrix._wrap(self.rows, self.cols, g, rw, cw)
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, sign * (den // other.den)
         out = []
@@ -357,6 +869,11 @@ class PolyMatrix:
         return self._entrywise_sum(other, -1)
 
     def __neg__(self):
+        g = self._g
+        if g is not None:
+            return PolyMatrix._wrap(self.rows, self.cols, _Graded(
+                g.den, tuple({c: -v for c, v in row.items()} for row in g.rows),
+                g.rl, g.cl), self.row_weights, self.col_weights)
         return PolyMatrix._of(self.rows, self.cols, self.den,
                               tuple(_scaled_row(row, -1) for row in self.data),
                               self.row_weights, self.col_weights)
@@ -374,6 +891,10 @@ class PolyMatrix:
         if not st:
             return PolyMatrix.zeros(self.rows, self.cols, self.row_weights,
                                     self.col_weights)
+        if self._g is not None and len(st) == 1:
+            return PolyMatrix._wrap(self.rows, self.cols,
+                                    _gscale(self._g, *st[0], den),
+                                    self.row_weights, self.col_weights)
         data = tuple([tuple([(c, _times(t, st)) for c, t in row])
                       for row in self.data])
         return PolyMatrix._of(self.rows, self.cols,
@@ -392,6 +913,11 @@ class PolyMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
+        if self._g is not None and other._g is not None:
+            g = _gmatmul(self._g, other._g)
+            if g is not None:
+                return PolyMatrix._wrap(self.rows, other.cols, g,
+                                        self.row_weights, other.col_weights)
         bdata = other.data
         accs = []
         for arow in self.data:
@@ -411,8 +937,13 @@ class PolyMatrix:
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return (self.shape == other.shape and self.den == other.den
-                and self.data == other.data)
+        if self.shape != other.shape:
+            return False
+        a, b = self._g, other._g
+        if a is not None and b is not None:
+            pair = _aligned(a, b)
+            return pair is not None and _same(*pair)
+        return self.den == other.den and self.data == other.data
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.den, self.data))
@@ -424,6 +955,9 @@ class PolyMatrix:
                           self.row_weights, self.col_weights)
 
     def transpose(self) -> "PolyMatrix":
+        if self._g is not None:
+            return PolyMatrix._wrap(self.cols, self.rows, _gtranspose(self._g),
+                                    self.col_weights, self.row_weights)
         cols = [[] for _ in range(self.cols)]
         for i, row in enumerate(self.data):
             for c, terms in row:
@@ -442,6 +976,13 @@ class PolyMatrix:
             if not -cols <= k < cols:
                 raise IndexError(f"column {k} out of range for {cols} columns")
             place.setdefault(k % cols, []).append(new)
+        g = self._g
+        if g is not None:
+            out = [{new: v for c, v in g.rows[i].items() if c in place
+                    for new in place[c]} for i in row_idx]
+            return PolyMatrix._wrap(len(row_idx), len(col_idx), _graded(
+                g.den, out, [g.rl[i] for i in row_idx],
+                [g.cl[k % cols] for k in col_idx], prune=True), rw, cw)
         out = []
         for i in row_idx:
             orow = [(new, terms) for c, terms in self.data[i]
@@ -452,23 +993,17 @@ class PolyMatrix:
                               *_minimal(self.den, tuple(out)), rw, cw)
 
     def column(self, k: int) -> "PolyMatrix":
-        cols = self.cols
-        if not -cols <= k < cols:
-            raise IndexError(f"column {k} out of range for {cols} columns")
+        cols, g = self.cols, self._g
+        if g is None or not -cols <= k < cols:
+            return self.submatrix(range(self.rows), [k])
         k %= cols
-        out = []
-        for row in self.data:
-            i = bisect_left(row, (k,))  # (k,) sorts before (k, terms)
-            out.append(((0, row[i][1]),) if i < len(row) and row[i][0] == k
-                       else ())
-        return PolyMatrix._of(self.rows, 1, *_minimal(self.den, tuple(out)),
-                              self.row_weights,
-                              self.col_weights and (self.col_weights[k],))
+        out = [{0: row[k]} if k in row else {} for row in g.rows]
+        return PolyMatrix._wrap(self.rows, 1, _graded(
+            g.den, out, [lab if row else None for lab, row in zip(g.rl, out)],
+            (g.cl[k],)), self.row_weights, self.col_weights and (self.col_weights[k],))
 
     def row(self, i: int) -> "PolyMatrix":
-        return PolyMatrix._of(1, self.cols, *_minimal(self.den, (self.data[i],)),
-                              self.row_weights and (self.row_weights[i],),
-                              self.col_weights)
+        return self.submatrix([i], range(self.cols))
 
     def scalar(self) -> HPoly:
         """Unwrap a 1x1 matrix."""
@@ -480,6 +1015,13 @@ class PolyMatrix:
         """Exact division by h**k; raises if any entry is not divisible."""
         if k < 0:
             raise ValueError(f"negative h power: {k}")
+        g = self._g
+        if g is not None and all(lab[0] - k >= max(g.cl[c][0] for c in row)
+                                 for row, lab in zip(g.rows, g.rl) if row):
+            return PolyMatrix._wrap(self.rows, self.cols, _Graded(
+                g.den, g.rows,
+                tuple(None if lab is None else (lab[0] - k, lab[1]) for lab in g.rl),
+                g.cl), self.row_weights, self.col_weights)
         out = []
         for row in self.data:
             orow = []
@@ -500,9 +1042,13 @@ class PolyMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.data)
+        return not any(self._g.rows if self._g is not None else self._t[1])
 
     def max_degree(self) -> int:
+        g = self._g
+        if g is not None:
+            return max((lab[0] - min(g.cl[c][0] for c in row)
+                        for row, lab in zip(g.rows, g.rl) if row), default=-1)
         # Terms are sorted by h-power, so an entry's last term has its degree.
         return max((terms[-1][0] for row in self.data for _, terms in row),
                    default=-1)
@@ -529,6 +1075,9 @@ class PolyMatrix:
 
 def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Kronecker product; the first factor owns the major index."""
+    if a._g is not None and b._g is not None:
+        return PolyMatrix._wrap(a.rows * b.rows, a.cols * b.cols,
+                                _gkron(a._g, b._g), None, None)
     bcols = b.cols
     data = tuple(tuple([(k * bcols + c, _times(at, bt)) for k, at in arow
                         for c, bt in brow])
@@ -563,7 +1112,7 @@ def power_series(a: PolyMatrix, coeff) -> PolyMatrix:
     zero power.  Raises if a is not nilpotent."""
     if not a.is_square:
         raise ShapeError(f"power series need a square matrix, got {a.shape}")
-    power = PolyMatrix.identity(a.rows, a.row_weights)
+    power = _unit_like(a)
     acc = power * coeff(0)
     for k in range(1, a.rows + 1):
         power = power @ a
@@ -584,5 +1133,4 @@ def exp_nilpotent(a: PolyMatrix, factor=1) -> PolyMatrix:
 
 def unipotent_inverse(m: PolyMatrix) -> PolyMatrix:
     """Inverse of 1 + n with n nilpotent, via the terminating Neumann series."""
-    return power_series(PolyMatrix.identity(m.rows, m.row_weights) - m,
-                        lambda k: 1)
+    return power_series(_unit_like(m) - m, lambda k: 1)

@@ -82,6 +82,33 @@ def zero_check(name: str, residual) -> Check:
                  f"first {where} = {p}")
 
 
+def residual_checks(left, right):
+    """A function (name, part) -> the zero_check of part(left - right),
+    where part slices a matrix (a column, a row).  A slice on which left
+    and right agree passes without the difference being formed; the
+    difference is formed once, for the first slice that differs."""
+    same = left == right
+    diff = []
+
+    def check(name: str, part) -> Check:
+        if same or part(left) == part(right):
+            return Check(name, "pass", "exact zero")
+        if not diff:
+            diff.append(left - right)
+        return zero_check(name, part(diff[0]))
+    return check
+
+
+def entry_checks(left, right, cells) -> list[Check]:
+    """The scalar_check of entry (i, k) of left against that of right for
+    each (name, i, k) of cells.  When the two matrices are equal, every
+    check passes without an entry being read."""
+    if left == right:
+        return [Check(name, "pass", "exact") for name, _, _ in cells]
+    return [scalar_check(name, left.entry(i, k), right.entry(i, k))
+            for name, i, k in cells]
+
+
 def scalar_check(name: str, left, right) -> Check:
     """A check that two scalars agree exactly."""
     if left == right:

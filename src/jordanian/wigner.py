@@ -34,7 +34,8 @@ from .halfint import HalfInt, as_half, dim_of, weight_index, weight_range
 from .hpoly import HPoly
 from .irreps import irrep
 from .polymatrix import PolyMatrix
-from .report import Check, Report, scalar_check, zero_check
+from .report import (Check, Report, entry_checks, residual_checks,
+                     scalar_check)
 from .tensorops import TensorOpFamily
 
 
@@ -114,13 +115,14 @@ def verify_phi_recurrence(fam: TensorOpFamily, label: str = "") -> Report:
     Z+- phi(n1,n2) = sqrt((j1-+n1)(j1+-n1+1)) phi(n1+-1,n2)
                    + sqrt((j2-+n2)(j2+-n2+1)) phi(n1,n2+-1).
     """
-    rh, rp, rm = (left - right for left, right in _ladder_sides(fam))
+    rh, rp, rm = (residual_checks(left, right)
+                  for left, right in _ladder_sides(fam))
     report = Report(f"intermediate action on operator combinations {label}".rstrip())
     for col, (n1, n2) in enumerate(product_labels(fam.rank, fam.ctx.source_j)):
         rule = f"phi({n1},{n2}) follows the two-slot ladder rule"
         for name, residual in ((f"H phi({n1},{n2}) = 2({n1}+{n2}) phi", rh),
                                (f"Z+ {rule}", rp), (f"Z- {rule}", rm)):
-            report.add(zero_check(name, residual.column(col)))
+            report.add(residual(name, lambda m: m.column(col)))
     return report
 
 
@@ -211,31 +213,31 @@ def verify_wigner_eckart(fam: TensorOpFamily, label: str = "") -> Report:
     t, phi = _t_phi(fam)
     ct = c.transpose()
     top = coupled_index(j1, j2, j, j)  # row of <j j| in C^T
-    for col, (n1, n2) in enumerate(labels):
-        for row, m in enumerate(weight_range(j)):
-            report.add(scalar_check(
-                f"<{j} {m}|phi({n1},{n2})> = I C at n=({n1},{n2}), m={m}",
-                phi.entry(row, col), ivalue * ct.entry(top + row, col)))
+    spin_j, every = range(top, top + dim_of(j)), range(len(labels))
+    for check in entry_checks(phi, ct.submatrix(spin_j, every) * ivalue, [
+            (f"<{j} {m}|phi({n1},{n2})> = I C at n=({n1},{n2}), m={m}", row, col)
+            for col, (n1, n2) in enumerate(labels)
+            for row, m in enumerate(weight_range(j))]):
+        report.add(check)
 
-    rebuilt = t - phi @ bra
+    rebuilt = residual_checks(t, phi @ bra)
     for col, (m1, m2) in enumerate(labels):
-        report.add(zero_check(
+        report.add(rebuilt(
             f"t_({m1})|{j2} {m2}> rebuilt from phi via the inverse table",
-            rebuilt.column(col)))
+            lambda m: m.column(col)))
 
     bras = ct @ bra  # coupled bras; the spin-j rows are the weights W
-    for row, m in enumerate(weight_range(j)):
-        for col, (m1, m2) in enumerate(labels):
-            report.add(scalar_check(
-                f"<{j} {m}|t_({m1})|{j2} {m2}> = I * bra coefficient",
-                t.entry(row, col), ivalue * bras.entry(top + row, col)))
+    for check in entry_checks(t, bras.submatrix(spin_j, every) * ivalue, [
+            (f"<{j} {m}|t_({m1})|{j2} {m2}> = I * bra coefficient", row, col)
+            for row, m in enumerate(weight_range(j))
+            for col, (m1, m2) in enumerate(labels)]):
+        report.add(check)
 
     dual = bras @ (table.ket @ c)
     one = PolyMatrix.identity(len(labels))
-    spin_j = range(top, top + dim_of(j))
     for name, ok in (
             ("the factorization weight is the coupled-bra coefficient",
-             all(dual.entries[r] == one.entries[r] for r in spin_j)),
+             dual.submatrix(spin_j, every) == one.submatrix(spin_j, every)),
             ("bra and ket deformed coefficients are dual", dual == one)):
         report.add(Check(name, "pass" if ok else "fail", "exact" if ok else ""))
     return report

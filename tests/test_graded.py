@@ -1,0 +1,177 @@
+"""Graded storage end to end: the certificate decides, and term storage is
+the oracle.
+
+``PolyMatrix`` keeps a matrix in graded storage only when ``_certify``
+derives row and column labels that every entry fits.  Two whole runs of
+``jordanian verify`` pin that down, each in a fresh interpreter so that no
+memoized module or table carries storage over from another test:
+
+* with the certificate made to refuse everything, every matrix keeps term
+  storage and the JSON output must not change (timings aside);
+* with the certificate as it is, only the deliberately wrong "variant"
+  residual of ``verify_intermediate_action`` may fall back to term storage.
+
+The residual checks that compare two products slice by slice must report a
+failure exactly as the slice of their difference would.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import jordanian
+from jordanian import coupling
+from jordanian.coupling import (AlphaTable, alpha_table, coupled_ladder,
+                                decompose, product_labels, slot_sums,
+                                verify_intermediate_action)
+from jordanian.halfint import half
+from jordanian.polymatrix import PolyMatrix
+from jordanian.report import zero_check
+
+SRC = str(Path(jordanian.__file__).resolve().parent.parent)
+
+VERIFY = 'cli.main(["verify", "--max-j", "2", "--format", "json", "--out", sys.argv[1]])'
+
+# Counts the storage of every matrix the run builds; for each matrix in
+# term storage, the innermost frame outside polymatrix.py that built it.
+CENSUS = """
+import json, sys, traceback
+import jordanian.polymatrix as pm
+from jordanian import cli
+counts, origins = {"graded": 0, "term": 0}, set()
+wrapped = pm.PolyMatrix._set
+def counting_set(self, rows, cols, graded, terms, *rest):
+    if graded is None:
+        counts["term"] += 1
+        frame = next(f for f in reversed(traceback.extract_stack()[:-1])
+                     if not f.filename.endswith("polymatrix.py"))
+        origins.add((frame.name, frame.line))
+    else:
+        counts["graded"] += 1
+    return wrapped(self, rows, cols, graded, terms, *rest)
+pm.PolyMatrix._set = counting_set
+""" + VERIFY + """
+print(json.dumps({"counts": counts, "origins": sorted(origins)}))
+"""
+
+# The certificate refuses every matrix; no graded storage may appear.
+REFUSE = """
+import sys
+import jordanian.polymatrix as pm
+from jordanian import cli
+pm._certify = lambda *args: None
+wrapped = pm.PolyMatrix._set
+def term_only_set(self, rows, cols, graded, terms, *rest):
+    assert graded is None, "graded storage without the certificate"
+    return wrapped(self, rows, cols, graded, terms, *rest)
+pm.PolyMatrix._set = term_only_set
+""" + VERIFY
+
+
+def _run(script, out):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _without_timings(value):
+    if isinstance(value, dict):
+        return {k: _without_timings(v) for k, v in value.items()
+                if k != "elapsed_s"}
+    if isinstance(value, list):
+        return [_without_timings(v) for v in value]
+    return value
+
+
+def test_refusing_the_certificate_changes_no_output(tmp_path):
+    graded, term = tmp_path / "graded.json", tmp_path / "term.json"
+    census = json.loads(_run(CENSUS, graded))
+    _run(REFUSE, term)
+    assert census["counts"]["graded"] > 0
+    want = json.loads(graded.read_text(encoding="utf-8"))
+    have = json.loads(term.read_text(encoding="utf-8"))
+    assert _without_timings(have) == _without_timings(want)
+
+
+def test_only_the_variant_residual_falls_back(tmp_path):
+    census = json.loads(_run(CENSUS, tmp_path / "out.json"))
+    counts, origins = census["counts"], census["origins"]
+    # The variant residual exists at this max-j, so some term storage does.
+    assert counts["term"] > 0
+    assert counts["graded"] > 50 * counts["term"]
+    for name, line in origins:
+        assert name == "verify_intermediate_action" and "variant" in line, \
+            (name, line)
+
+
+def test_refused_certificate_keeps_term_storage(monkeypatch):
+    monkeypatch.setattr("jordanian.polymatrix._certify", lambda *args: None)
+    m = PolyMatrix([[1, 2], [0, 3]])
+    assert m._g is None
+    assert (m @ m)._g is None and (m + m)._g is None
+
+
+# -- residual checks that compare slices ----------------------------------------
+
+J1, J2 = half(1), half(1, 2)
+
+# The failing checks of verify_intermediate_action(1, 1/2) with entry (1, 4)
+# of K raised by 1, as the formulation that subtracts whole products first
+# reported them.
+PERTURBED_FAILURES = [
+    ("Zm ket (0,1/2)",
+     "residual degree 0; 1 of 6 entries nonzero; first (1,0) = -(1)*sqrt(2)"),
+    ("H ket (-1,1/2)",
+     "residual degree 1; 2 of 6 entries nonzero; first (0,0) = (2)*h"),
+    ("Zp ket (-1,1/2)",
+     "residual degree 0; 1 of 6 entries nonzero; first (0,0) = (1)"),
+    ("Zm ket (-1,1/2)",
+     "residual degree 2; 3 of 6 entries nonzero; first (0,0) = (1/2)*h^2"),
+    ("Zp ket (-1,-1/2)",
+     "residual degree 0; 1 of 6 entries nonzero; first (1,0) = -(1)"),
+]
+
+
+def _perturbed_table():
+    table = alpha_table(J1, J2)
+    n = table.ket.rows
+    bump = PolyMatrix([[1 if (i, c) == (1, 4) else 0 for c in range(n)]
+                       for i in range(n)])
+    return AlphaTable(J1, J2, table.ket + bump, table.bra, table.cgc)
+
+
+def test_perturbed_ket_fails_as_the_difference_would(monkeypatch):
+    bad = _perturbed_table()
+    real = coupling.alpha_table
+    monkeypatch.setattr(coupling, "alpha_table",
+                        lambda a, b: bad if (a, b) == (J1, J2) else real(a, b))
+    report = verify_intermediate_action(J1, J2)
+    failures = [(c.name, c.detail) for c in report.checks if c.status == "fail"]
+    assert failures == PERTURBED_FAILURES
+    # The same details from slices of the full differences.
+    k, b = bad.ket, bad.bra
+    zp, zm, dh = coupled_ladder(J1, J2)
+    sp, sm, sh = slot_sums(J1, J2)
+    expected = []
+    for c, (m1, m2) in enumerate(product_labels(J1, J2)):
+        for tag, z, s in (("H", dh, sh), ("Zp", zp, sp), ("Zm", zm, sm)):
+            for check in (zero_check(f"{tag} ket ({m1},{m2})",
+                                     (z @ k - k @ s).column(c)),
+                          zero_check(f"{tag} bra ({m1},{m2})",
+                                     (b @ z - s @ b).row(c))):
+                if check.status == "fail":
+                    expected.append((check.name, check.detail))
+    assert failures == expected
+    coupling._certified_decomposition.cache_clear()
+    try:
+        decompose(J1, J2)
+    except ArithmeticError as exc:
+        assert str(exc) == "coupled Casimir eigenvalue mismatch at j=3/2, m=-1/2"
+    else:
+        raise AssertionError("a perturbed K passed the Casimir certificate")
+    finally:
+        coupling._certified_decomposition.cache_clear()

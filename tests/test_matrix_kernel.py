@@ -6,7 +6,10 @@ Every kernel operation (``@``, ``kron``, ``+``, ``-``, unary ``-``, scalar
 ``unipotent_inverse``) must give the matrix that HPoly arithmetic gives
 entry by entry, in canonical form, with the same weight labels.  Its
 integer storage must be well formed, with a minimal denominator, and must
-round-trip through the public constructor.
+round-trip through the public constructor.  That holds for both storages:
+graded matrices (one monomial per entry, certified row and column labels)
+built from random labels and integer cores, the same matrices moved to
+other gauges per component, and term storage, in any mix.
 """
 
 from fractions import Fraction
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matrix_oracle as oracle
+from jordanian import polymatrix
 from jordanian.coupling import alpha_table
 from jordanian.halfint import half
 from jordanian.hpoly import HPoly
@@ -336,3 +340,126 @@ def test_krons_of_library_matrices_match_oracle():
     k, c = PAIR_MATRICES["K"], PAIR_MATRICES["C"]
     assert_matches(kron(SPIN_ONE.zp, c), oracle.kron(SPIN_ONE.zp, c))
     assert_matches(kron(k, SPIN_ONE.x), oracle.kron(k, SPIN_ONE.x))
+
+
+# -- graded storage -------------------------------------------------------------
+
+def _labels(draw, n, low, high):
+    return [(draw(st.integers(low, high)), draw(st.sampled_from(RADICANDS)))
+            for _ in range(n)]
+
+
+def _from_core(rl, cl, den, core, row_weights=None, col_weights=None):
+    """The matrix with entry v/den * sqrt(p_i / q_c) * h**(a_i - b_c) for
+    row labels (a_i, p_i), column labels (b_c, q_c) and core entries v."""
+    return PolyMatrix([[HPoly.h(a - b, RadScalar.of(Fraction(v, den * q), p * q))
+                        if v else HPoly.zero() for v, (b, q) in zip(row, cl)]
+                       for row, (a, p) in zip(core, rl)], row_weights, col_weights)
+
+
+def _core(draw, rows, cols):
+    return [[draw(st.integers(-6, 6)) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def graded_matrices(draw, rows=None, cols=None, rl=None, cl=None):
+    """Random row and column labels (offsets with a_i >= b_c) times a random
+    integer core: matrices the certificate must accept."""
+    rows = rows or draw(st.integers(1, 4))
+    cols = cols or draw(st.integers(1, 4))
+    rl = rl or _labels(draw, rows, 2, 4)
+    cl = cl or _labels(draw, cols, 0, 2)
+    m = _from_core(rl, cl, draw(st.sampled_from(DENOMINATORS)),
+                   _core(draw, rows, cols), draw(_weight_choices(rows)),
+                   draw(_weight_choices(cols)))
+    assert m._g is not None
+    return m
+
+
+def _regauged(draw, m):
+    """m with each component of its graded storage moved by a random
+    gauge (shift, radical): the same matrix under other labels."""
+    g = m._g
+    if g is None:
+        return m
+    rcomp, ccomp = polymatrix._components(g)
+    gauges = {u: (draw(st.integers(-3, 3)), draw(st.sampled_from(RADICANDS)))
+              for u in set(rcomp + ccomp) if u is not None}
+    moved = PolyMatrix._wrap(m.rows, m.cols, polymatrix._moved_by(g, gauges),
+                             m.row_weights, m.col_weights)
+    assert moved == m and hash(moved) == hash(m) and moved.data == m.data
+    return moved
+
+
+@st.composite
+def operands(draw, rows=None, cols=None):
+    """A graded matrix, the same regauged, or a term-storage matrix."""
+    rows = rows or draw(st.integers(1, 4))
+    cols = cols or draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("graded", "regauged", "any")))
+    if kind == "any":
+        return draw(matrices(rows, cols))
+    m = draw(graded_matrices(rows, cols))
+    return _regauged(draw, m) if kind == "regauged" else m
+
+
+@examples(60)
+@given(st.data())
+def test_graded_products_and_krons_match_oracle(data):
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = data.draw(operands(r, k)), data.draw(operands(k, c))
+    assert_matches(a @ b, oracle.matmul(a, b))
+    assert_matches(kron(a, b), oracle.kron(a, b))
+
+
+@examples(60)
+@given(st.data())
+def test_graded_entrywise_ops_and_slices_match_oracle(data):
+    a = data.draw(operands())
+    b = data.draw(operands(a.rows, a.cols))
+    assert_matches(a + b, oracle.add(a, b))
+    assert_matches(a - b, oracle.sub(a, b))
+    assert_matches(-a, oracle.neg(a))
+    for s in (data.draw(entries), data.draw(single_terms), Fraction(-2, 3)):
+        assert_matches(a * s, oracle.scale(a, s))
+    row_idx = data.draw(st.lists(st.integers(0, a.rows - 1), min_size=1, max_size=5))
+    col_idx = data.draw(st.lists(st.integers(0, a.cols - 1), min_size=1, max_size=5))
+    assert_matches(a.transpose(), oracle.transpose(a))
+    assert_matches(a.submatrix(row_idx, col_idx), oracle.submatrix(a, row_idx, col_idx))
+    assert_matches(a.column(col_idx[0]), oracle.submatrix(a, range(a.rows), col_idx[:1]))
+    assert_matches(a.row(row_idx[0]), oracle.submatrix(a, row_idx[:1], range(a.cols)))
+
+
+@examples(60)
+@given(st.data())
+def test_mismatched_gauges_are_aligned_not_dropped(data):
+    # A and B share the inner labels (A @ B) or all labels (A + B); each is
+    # then moved to its own gauge per component.  The kernel must re-gauge
+    # and stay on graded storage, with the oracle's result.
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    outer, inner = _labels(data.draw, r, 2, 4), _labels(data.draw, k, 0, 2)
+    a = data.draw(graded_matrices(r, k, outer, inner))
+    b = data.draw(graded_matrices(k, c, rl=[(x + 2, p) for x, p in inner]))
+    a2, b2 = _regauged(data.draw, a), _regauged(data.draw, b)
+    product = a2 @ b2
+    assert product._g is not None
+    assert_matches(product, oracle.matmul(a, b))
+    same = data.draw(graded_matrices(r, k, outer, inner))
+    total = a2 + _regauged(data.draw, same)
+    assert total._g is not None
+    assert_matches(total, oracle.add(a, same))
+
+
+def test_two_radicands_in_one_entry_keep_term_storage():
+    # The certificate refuses an entry with two radicands and an h-power
+    # pattern that no labels fit; both keep term storage and still compute.
+    two = PolyMatrix([[RadScalar.sqrt(2) + RadScalar.sqrt(3)]])
+    unfit = PolyMatrix([[1, HPoly.h(1)], [1, 1]])
+    graded = PolyMatrix([[1, HPoly.h(1)], [HPoly.h(1), HPoly.h(2)]])
+    assert two._g is None and unfit._g is None and graded._g is not None
+    for a in (two, unfit, graded):
+        b = unfit if a.rows == 2 else two
+        assert_matches(a @ b if a.cols == b.rows else a @ a,
+                       oracle.matmul(a, b) if a.cols == b.rows else oracle.matmul(a, a))
+    assert_matches(graded + unfit, oracle.add(graded, unfit))
+    assert_matches(kron(two, graded), oracle.kron(two, graded))
