@@ -3,7 +3,8 @@
 from jordanian.hpoly import HPoly
 from jordanian.irreps import irrep
 from jordanian.polymatrix import PolyMatrix, commutator, kron
-from jordanian.report import zero_check
+from jordanian.report import (entry_checks, residual_checks, scalar_check,
+                              zero_check)
 
 
 def _perturbed_relation():
@@ -33,3 +34,30 @@ def test_failure_without_weights_gives_indices_only():
     check = zero_check("lifted", residual)
     assert check.detail == ("residual degree 1; 2 of 36 entries nonzero; "
                             "first (2,4) = (3)*h")
+
+
+def _left_right():
+    """H^2 against [X, Y] H on spin 1, and the same with one entry bumped."""
+    rep = irrep(1)
+    good = commutator(rep.x, rep.y) @ rep.hm
+    return rep.hm @ rep.hm, good, good + _perturbed_relation() * 2
+
+
+def test_residual_checks_report_slices_of_the_difference():
+    left, good, bad = _left_right()
+    for right in (good, bad):
+        check = residual_checks(left, right)
+        for c in range(left.cols):
+            name = f"column {c}"
+            assert check(name, lambda m: m.column(c)) == \
+                zero_check(name, (left - right).column(c))
+
+
+def test_entry_checks_match_scalar_checks():
+    left, good, bad = _left_right()
+    cells = [(f"({i},{k})", i, k) for i in range(3) for k in range(3)]
+    for right in (good, bad):
+        assert entry_checks(left, right, cells) == [
+            scalar_check(name, left.entry(i, k), right.entry(i, k))
+            for name, i, k in cells]
+    assert any(c.status == "fail" for c in entry_checks(left, bad, cells))
