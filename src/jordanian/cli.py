@@ -25,9 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .coupling import (SelectionRuleError, alpha_table, coupled_bra,
-                       coupled_ket, decompose, product_labels,
-                       product_weight_index, sl2_cgc, triangle_allowed,
+from .coupling import (SelectionRuleError, alpha_table, cgc_matrix,
+                       coupled_bra, coupled_index, coupled_ket, decompose,
+                       product_labels, product_weight_index, triangle_allowed,
                        uh_cgc, uh_cgc_bra, verify_alpha_orthogonality,
                        verify_intermediate_action,
                        verify_intermediate_orthonormality)
@@ -399,10 +399,10 @@ def _cmd_alpha(args) -> int:
         return _render_rows(args, meta, columns,
                             [(*labels, table.value(*labels))], line=line,
                             key=None)
-    labels = product_labels(j1, j2)
-    entries = [(k1, k2, m1, m2, table.ket.entry(r, c))
+    labels, ket = product_labels(j1, j2), table.ket.entries
+    entries = [(k1, k2, m1, m2, ket[r][c])
                for c, (m1, m2) in enumerate(labels)
-               for r, (k1, k2) in enumerate(labels) if table.ket.entry(r, c)]
+               for r, (k1, k2) in enumerate(labels) if ket[r][c]]
     return _render_rows(args, meta, columns, entries, line=line,
                         title=f"alpha table for the pair ({j1}, {j2}); "
                               f"{len(entries)} nonzero entries")
@@ -423,10 +423,11 @@ def _cmd_cgc(args) -> int:
     elif m is None:
         raise ValueError("--m is required for deformed coefficients")
     labels = [(args.k1, args.k2)] if single else product_labels(j1, j2)
-    if kind == "classical":
-        if single:  # raises for a weight off its ladder
-            product_weight_index(j1, j2, args.k1, args.k2)
-        values = [sl2_cgc(j1, j2, j, k1, k2) for k1, k2 in labels]
+    if kind == "classical":  # C's spin-j columns: one m = k1 + k2 per row
+        top = coupled_index(j1, j2, j, j)
+        rows = [product_weight_index(j1, j2, *k) for k in labels]  # may raise
+        values = [next(filter(None, row), row[0]) for row in cgc_matrix(
+            j1, j2).submatrix(rows, range(top, top + dim_of(j))).entries]
     elif single:
         values = [(uh_cgc_bra if args.bra else uh_cgc)(j1, j2, j, *labels[0], m)]
     elif kind == "bra":

@@ -23,16 +23,18 @@ only where m1 + m2 = m) and the radicals in two diagonal gauges,
 D_i = diag(d_i), d_i(m) = sqrt((j_i+m)! (j_i-m)!), per spin and
 D_c = diag(sqrt((2j+1) Delta(j1 j2 j)) d_j(m)): one scale per coupled spin j
 times the same per-spin gauge,
-Delta(j1 j2 j) = (j1+j2-j)! (j1-j2+j)! (-j1+j2+j)! / (j1+j2+j+1)!.  sl2_cgc
-gives one coefficient of C from the same closed form.
+Delta(j1 j2 j) = (j1+j2-j)! (j1-j2+j)! (-j1+j2+j)! / (j1+j2+j+1)!.  Each
+gauge is certified in the labels of the core it multiplies.
 
 Three matrices hold it all, each built once per pair (alpha_table), with
 weight pairs in product order (product_labels) and coupled vectors in
 coupled_labels order.  K has alpha[k; m] at (k, m): its columns are the
 intermediate kets.  B = P K^T P, with P reversing the weight order, has
 alpha[-k; -m] at (m, k): its rows are the intermediate bras.  C has
-<j1 n1; j2 n2 | j m> at (n, (j, m)).  Coupled kets are the columns of K C,
-coupled bras the rows of C^T B.  The verifiers slice residuals of B K = 1
+<j1 n1; j2 n2 | j m> at (n, (j, m)), memoized apart from K for sl2_cgc.
+Coupled kets are the columns of K C, coupled bras the rows of C^T B; a
+coefficient is read from a slice of them, never from a whole table's HPoly
+view.  The verifiers slice residuals of B K = 1
 (alpha orthogonality, intermediate orthonormality), of Delta(Z) K = K S and
 B Delta(Z) = S B for Z = H, Zp, Zm with S = Z (x) 1 + 1 (x) Z classical
 (intermediate action), and of Casimir (K C) = (K C) diag(j(j+1)) (decompose).
@@ -79,8 +81,8 @@ def product_labels(j1, j2) -> tuple[tuple[HalfInt, HalfInt], ...]:
 
 @dataclass(frozen=True)
 class AlphaTable:
-    """The coupling matrices of a (j1, j2) pair: the alpha table K, its
-    reindexed inverse B = P K^T P and the classical CGC matrix C."""
+    """The coupling matrices K, B = P K^T P and C of a (j1, j2) pair, and
+    their products B K, K C and C^T B, each formed on first use and kept."""
 
     j1: HalfInt
     j2: HalfInt
@@ -93,6 +95,16 @@ class AlphaTable:
         """B K, formed on first use and kept: the identity when the tables
         are right, and read by both B K = 1 verifiers."""
         return self.bra @ self.ket
+
+    @cached_property
+    def coupled(self) -> PolyMatrix:
+        """K C: the coupled kets |j m> as columns (coupled_labels order)."""
+        return self.ket @ self.cgc
+
+    @cached_property
+    def coupled_bras(self) -> PolyMatrix:
+        """C^T B: the coupled bras <j m| as rows (coupled_labels order)."""
+        return self.cgc.transpose() @ self.bra
 
     def value(self, k1, k2, m1, m2) -> HPoly:
         """alpha[k1 k2; m1 m2]; ValueError for a weight off its ladder."""
@@ -107,21 +119,27 @@ def alpha_table(j1, j2) -> AlphaTable:
 @lru_cache(maxsize=None)
 def _alpha_table_cached(j1: HalfInt, j2: HalfInt) -> AlphaTable:
     n1, n2 = dim_of(j1) - 1, dim_of(j2) - 1
-    (g1, gi1, d1), (g2, gi2, d2) = _slot_gauges(n1), _slot_gauges(n2)
+    (g1, gi1, _), (g2, gi2, _) = _slot_gauges(n1), _slot_gauges(n2)
     ket = kron(gi1, gi2) @ _gauge_free_alpha(n1, n2) @ kron(g1, g2)
     rev = range(ket.rows - 1, -1, -1)  # P, the reversed weight order
-    q, dc = _racah_core(n1, n2)
-    cgc = kron(PolyMatrix.diagonal(d1), PolyMatrix.diagonal(d2)) @ q @ dc
-    return AlphaTable(j1, j2, ket, ket.transpose().submatrix(rev, rev), cgc)
+    return AlphaTable(j1, j2, ket, ket.transpose().submatrix(rev, rev),
+                      _cgc_cached(j1, j2))
+
+
+@lru_cache(maxsize=None)
+def _cgc_cached(j1: HalfInt, j2: HalfInt) -> PolyMatrix:
+    """C of a pair, memoized apart from K."""
+    return _racah_core(dim_of(j1) - 1, dim_of(j2) - 1)
 
 
 @lru_cache(maxsize=None)
 def _slot_gauges(n: int) -> tuple[PolyMatrix, PolyMatrix, tuple[RadScalar, ...]]:
     """G, G^-1 and the diagonal d of D for one spin, n = 2j, at positions
-    c = j - m: g(c)^2 = c!/(n-c)! and d(c)^2 = c! (n-c)! = (j+m)! (j-m)!."""
+    c = j - m: g(c)^2 = c!/(n-c)! and d(c)^2 = c! (n-c)! = (j+m)! (j-m)!;
+    G has the cores' labels (-c, 1) on its rows, G^-1 and D on columns."""
     g = [sqrt_factorial_ratio(fact_num=(c,), fact_den=(n - c,))
          for c in range(n + 1)]
-    return (PolyMatrix.diagonal(g),
+    return (PolyMatrix.diagonal(g, start=tuple((-c, 1) for c in range(n + 1))),
             PolyMatrix.diagonal([x.inverse() for x in g]),
             tuple(x * factorial(n - c) for c, x in enumerate(g)))
 
@@ -162,14 +180,14 @@ def _product_offsets(n1: int, n2: int) -> tuple[tuple[int, int], ...]:
     return tuple((-(c1 + c2), 1) for c1 in range(n1 + 1) for c2 in range(n2 + 1))
 
 
-def _racah_core(n1: int, n2: int) -> tuple[PolyMatrix, PolyMatrix]:
-    """Q and D_c of a pair (n = 2j per slot).  Q at (n1 n2; j m)
+def _racah_core(n1: int, n2: int) -> PolyMatrix:
+    """C = (D1 (x) D2) Q D_c of a pair (n = 2j per slot).  Q at (n1 n2; j m)
     is, for m1 + m2 = m, the single sum over z of (-1)^z divided by
     z! (j1+j2-j-z)! (j1-m1-z)! (j2+m2-z)! (j-j2+m1+z)! (j-j1-m2+z)!;
     D_c(j, m) = sqrt((2j+1) Delta(j1 j2 j)) d_j(m), one scale per coupled
     spin times the spin-j gauge d_j of _slot_gauges."""
     f, w = factorial, n2 + 1
-    sums, dc = {}, []
+    sums, dc, labels = {}, [], []
     for t in range(n1 + n2, abs(n1 - n2) - 1, -2):  # t = 2j
         # j1+j2-j, j1-j2+j, -j1+j2+j
         tri = ((n1 + n2 - t) // 2, (n1 - n2 + t) // 2, (n2 - n1 + t) // 2)
@@ -179,6 +197,7 @@ def _racah_core(n1: int, n2: int) -> tuple[PolyMatrix, PolyMatrix]:
         for c, d in enumerate(_slot_gauges(t)[2]):  # c = j - m
             col = len(dc)
             dc.append(scale * d)
+            labels.append((-(c + tri[0]), 1))  # Q's label of column (j, m)
             for c1 in range(n1 + 1):
                 c2 = c - c1 + tri[0]  # from m1 + m2 = m
                 if not 0 <= c2 <= n2:
@@ -196,7 +215,8 @@ def _racah_core(n1: int, n2: int) -> tuple[PolyMatrix, PolyMatrix]:
     q = PolyMatrix._monomials((n1 + 1) * w, len(dc), den, {
         key: (0, v * (den // d)) for key, (d, v) in sums.items()},
         _product_offsets(n1, n2))
-    return q, PolyMatrix.diagonal(dc)
+    d1, d2 = (PolyMatrix.diagonal(_slot_gauges(n)[2]) for n in (n1, n2))
+    return kron(d1, d2) @ q @ PolyMatrix.diagonal(dc, start=labels)
 
 
 def alpha_coeff(j1, j2, k1, k2, m1, m2) -> HPoly:
@@ -343,9 +363,17 @@ def verify_intermediate_action(j1, j2) -> Report:
 
 def sl2_cgc(j1, j2, j, m1, m2) -> RadScalar:
     """Classical Clebsch-Gordan coefficient <j1 m1; j2 m2 | j, m1+m2> in the
-    Condon-Shortley convention, via the single-sum closed form."""
-    return _sl2_cgc_cached(as_half(j1), as_half(j2), as_half(j), as_half(m1),
-                           as_half(m2))
+    Condon-Shortley convention: an entry of C (read without building K),
+    zero outside the triangle or for a weight off its ladder."""
+    j1, j2, j, m1, m2 = map(as_half, (j1, j2, j, m1, m2))
+    if not triangle_allowed(j1, j2, j):  # raises for a negative spin
+        return RadScalar.zero()
+    try:
+        row = product_weight_index(j1, j2, m1, m2)
+        col = coupled_index(j1, j2, j, m1 + m2)
+    except ValueError:  # a weight off its ladder, or |m1 + m2| > j
+        return RadScalar.zero()
+    return cgc_matrix(j1, j2).submatrix([row], [col]).scalar().constant_value()
 
 
 def triangle_allowed(j1, j2, j) -> bool:
@@ -356,35 +384,6 @@ def triangle_allowed(j1, j2, j) -> bool:
         dim_of(spin)
     return (((j1 + j2 - j).is_integer and (j1 + j2 - j).twice >= 0)
             and (j1 - j2 + j).twice >= 0 and (-j1 + j2 + j).twice >= 0)
-
-
-@lru_cache(maxsize=None)
-def _sl2_cgc_cached(j1, j2, j, m1, m2) -> RadScalar:
-    if not triangle_allowed(j1, j2, j):
-        return RadScalar.zero()
-    m = m1 + m2
-    for (jj, mm) in ((j1, m1), (j2, m2), (j, m)):
-        if abs(mm.twice) > jj.twice or not (jj - mm).is_integer:
-            return RadScalar.zero()
-    pref = sqrt_factorial_ratio(
-        fact_num=((j1 + j2 - j).as_int(), (j1 - j2 + j).as_int(),
-                  (-j1 + j2 + j).as_int(), (j1 + m1).as_int(),
-                  (j1 - m1).as_int(), (j2 + m2).as_int(), (j2 - m2).as_int(),
-                  (j + m).as_int(), (j - m).as_int()),
-        fact_den=((j1 + j2 + j + 1).as_int(),),
-        int_num=(j.twice + 1,),
-    )
-    s = Fraction(0)
-    z_lo = max(0, -(j - j2 + m1).as_int(), -(j - j1 - m2).as_int())
-    z_hi = min((j1 + j2 - j).as_int(), (j1 - m1).as_int(), (j2 + m2).as_int())
-    for z in range(z_lo, z_hi + 1):
-        den = (factorial(z) * factorial((j1 + j2 - j).as_int() - z)
-               * factorial((j1 - m1).as_int() - z)
-               * factorial((j2 + m2).as_int() - z)
-               * factorial((j - j2 + m1).as_int() + z)
-               * factorial((j - j1 - m2).as_int() + z))
-        s += Fraction((-1) ** z, den)
-    return pref * s
 
 
 def coupled_spins(j1: HalfInt, j2: HalfInt) -> tuple[HalfInt, ...]:
@@ -417,7 +416,7 @@ def coupled_index(j1, j2, j, m) -> int:
 
 def cgc_matrix(j1, j2) -> PolyMatrix:
     """C, rows in product order and columns in coupled_labels order."""
-    return alpha_table(j1, j2).cgc
+    return _cgc_cached(as_half(j1), as_half(j2))
 
 
 @dataclass(frozen=True)
@@ -433,9 +432,9 @@ class CoupledBasis:
 
 
 def coupled_basis(j1, j2) -> CoupledBasis:
-    """Couple intermediate kets with classical CGCs: K C."""
+    """Couple intermediate kets with classical CGCs: the memoized K C."""
     j1, j2 = as_half(j1), as_half(j2)
-    return CoupledBasis(j1, j2, alpha_table(j1, j2).ket @ cgc_matrix(j1, j2))
+    return CoupledBasis(j1, j2, alpha_table(j1, j2).coupled)
 
 
 def decompose(j1, j2) -> list[tuple[HalfInt, int]]:
@@ -467,27 +466,23 @@ def _certified_decomposition(j1: HalfInt,
 
 def coupled_ket(j1, j2, j, m) -> PolyMatrix:
     """The coupled ket |j m> as a column over the product basis (of K C)."""
-    table = alpha_table(j1, j2)
-    return table.ket @ table.cgc.column(coupled_index(j1, j2, j, m))
+    return alpha_table(j1, j2).coupled.column(coupled_index(j1, j2, j, m))
 
 
 def coupled_bra(j1, j2, j, m) -> PolyMatrix:
     """The coupled bra <j m| as a row over the product basis (of C^T B)."""
-    table = alpha_table(j1, j2)
-    return (table.cgc.column(coupled_index(j1, j2, j, m)).transpose()
-            @ table.bra)
+    return alpha_table(j1, j2).coupled_bras.row(coupled_index(j1, j2, j, m))
 
 
 def uh_cgc(j1, j2, j, k1, k2, m) -> HPoly:
     """Deformed Clebsch-Gordan coefficient: the coefficient of the product
-    ket |j1 k1>(x)|j2 k2> in the coupled ket |j m>, as row k of K times
-    column (j, m) of C."""
-    table = alpha_table(j1, j2)
-    row = table.ket.row(product_weight_index(j1, j2, k1, k2))
-    return (row @ table.cgc.column(coupled_index(j1, j2, j, m))).scalar()
+    ket |j1 k1>(x)|j2 k2> in the coupled ket |j m>: an entry of K C."""
+    return alpha_table(j1, j2).coupled.submatrix([product_weight_index(
+        j1, j2, k1, k2)], [coupled_index(j1, j2, j, m)]).scalar()
 
 
 def uh_cgc_bra(j1, j2, j, k1, k2, m) -> HPoly:
-    """Coefficient of <j1 k1|(x)<j2 k2| in the coupled bra <j m|."""
-    return coupled_bra(j1, j2, j, m).entry(
-        0, product_weight_index(j1, j2, k1, k2))
+    """Coefficient of <j1 k1|(x)<j2 k2| in the coupled bra <j m|: an entry
+    of C^T B."""
+    return alpha_table(j1, j2).coupled_bras.submatrix([coupled_index(
+        j1, j2, j, m)], [product_weight_index(j1, j2, k1, k2)]).scalar()

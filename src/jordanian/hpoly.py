@@ -22,10 +22,11 @@ class HPoly:
     """A polynomial sum_k c_k h**k with RadScalar coefficients.
 
     Instances are immutable: memoized matrices share their entries with
-    every caller, so the slot is frozen once set.
+    every caller, so the slots are frozen once set.  The text of the first
+    str() is kept; ==, hash and pickling never read it.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_text")
 
     def __init__(self, coeffs=()):
         out = []
@@ -183,7 +184,9 @@ class HPoly:
         return out
 
     def __str__(self):
-        return format_terms(self.sorted_terms())
+        if not hasattr(self, "_text"):
+            object.__setattr__(self, "_text", format_terms(self.sorted_terms()))
+        return self._text
 
     def __repr__(self):
         return f"HPoly({self})"

@@ -773,13 +773,14 @@ class PolyMatrix:
                        None, None, start=start)
 
     @classmethod
-    def diagonal(cls, values, weights=None):
+    def diagonal(cls, values, weights=None, start=None):
+        """diag(values); start offers row labels, as in _certify."""
         n = len(values)
         den, (row,) = _flatten([_coerce_row(values)])
         data = [()] * n
         for i, terms in row:
             data[i] = ((i, terms),)
-        return cls._of(n, n, den, tuple(data), weights, weights)
+        return cls._of(n, n, den, tuple(data), weights, weights, start=start)
 
     @property
     def shape(self) -> tuple[int, int]:

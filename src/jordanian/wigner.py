@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coupling import (SelectionRuleError, alpha_table, coupled_index,
-                       product_labels, product_weight_index, slot_sums,
-                       triangle_allowed, uh_cgc_bra)
+from .coupling import (SelectionRuleError, alpha_table, cgc_matrix,
+                       coupled_index, product_labels, product_weight_index,
+                       slot_sums, triangle_allowed, uh_cgc_bra)
 from .halfint import HalfInt, as_half, dim_of, weight_index, weight_range
 from .hpoly import HPoly
 from .irreps import irrep
@@ -165,15 +165,16 @@ def reduced_matrix_element(fam: TensorOpFamily) -> ReducedMatrixElement:
         raise SelectionRuleError(
             f"rank {j1} cannot connect spin {j2} to spin {j}")
     phi = _t_phi(fam)[1]
-    c = alpha_table(j1, j2).cgc
     top = coupled_index(j1, j2, j, j)  # column of |j j> in C
+    c = cgc_matrix(j1, j2).submatrix(range(phi.cols),
+                                     range(top, top + dim_of(j))).entries
     value = origin = None
     for col, (n1, n2) in enumerate(product_labels(j1, j2)):
         m = n1 + n2
         if abs(m.twice) > j.twice:
             continue
-        row = weight_index(j, m)  # of <j m| in Phi; |j m> is top + row in C
-        cgc = c.entry(col, top + row)
+        row = weight_index(j, m)  # of <j m| in Phi and of |j m> in c
+        cgc = c[col][row]
         if not cgc:
             continue
         candidate = phi.entry(row, col) / cgc.constant_value()
@@ -209,31 +210,30 @@ def verify_wigner_eckart(fam: TensorOpFamily, label: str = "") -> Report:
 
     labels = product_labels(j1, j2)
     table = alpha_table(j1, j2)
-    bra, c = table.bra, table.cgc
     t, phi = _t_phi(fam)
-    ct = c.transpose()
     top = coupled_index(j1, j2, j, j)  # row of <j j| in C^T
     spin_j, every = range(top, top + dim_of(j)), range(len(labels))
-    for check in entry_checks(phi, ct.submatrix(spin_j, every) * ivalue, [
+    c_j = table.cgc.submatrix(every, spin_j).transpose()
+    for check in entry_checks(phi, c_j * ivalue, [
             (f"<{j} {m}|phi({n1},{n2})> = I C at n=({n1},{n2}), m={m}", row, col)
             for col, (n1, n2) in enumerate(labels)
             for row, m in enumerate(weight_range(j))]):
         report.add(check)
 
-    rebuilt = residual_checks(t, phi @ bra)
+    rebuilt = residual_checks(t, phi @ table.bra)
     for col, (m1, m2) in enumerate(labels):
         report.add(rebuilt(
             f"t_({m1})|{j2} {m2}> rebuilt from phi via the inverse table",
             lambda m: m.column(col)))
 
-    bras = ct @ bra  # coupled bras; the spin-j rows are the weights W
+    bras = table.coupled_bras  # the spin-j rows are the weights W
     for check in entry_checks(t, bras.submatrix(spin_j, every) * ivalue, [
             (f"<{j} {m}|t_({m1})|{j2} {m2}> = I * bra coefficient", row, col)
             for row, m in enumerate(weight_range(j))
             for col, (m1, m2) in enumerate(labels)]):
         report.add(check)
 
-    dual = bras @ (table.ket @ c)
+    dual = bras @ table.coupled
     one = PolyMatrix.identity(len(labels))
     for name, ok in (
             ("the factorization weight is the coupled-bra coefficient",

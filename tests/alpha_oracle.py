@@ -3,18 +3,21 @@
 The library builds the alpha table as K = G^-1 R G in integer positions
 and reads every coupling quantity off the matrices K, B = P K^T P and C
 (the classical CGCs).  ``alpha_entry`` computes one alpha coefficient from
-its per-entry formula in half-integer labels; the other functions compute
-the same quantities the long way, as the sums that define them, reading
-only ``alpha_table(...).value`` and ``sl2_cgc``.  Tests compare the two.
+its per-entry formula in half-integer labels and ``racah_cgc`` one
+classical CGC from the Racah single sum; the other functions compute the
+same quantities the long way, as the sums that define them, reading only
+``alpha_table(...).value`` and ``racah_cgc``.  Tests compare the two.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
-from jordanian.coupling import alpha_table, sl2_cgc
+from jordanian.coupling import alpha_table, triangle_allowed
 from jordanian.halfint import as_half, weight_range
 from jordanian.hpoly import HPoly
 from jordanian.polymatrix import PolyMatrix
-from jordanian.radical import falling_binomial, sqrt_factorial_ratio
+from jordanian.radical import RadScalar, falling_binomial, sqrt_factorial_ratio
 
 
 def _b(k1, k2, m1, m2) -> Fraction:
@@ -43,6 +46,42 @@ def alpha_entry(j1, j2, k1, k2, m1, m2) -> HPoly:
     return HPoly.h(e, d * (bb * sign * Fraction(1, 2**e)))
 
 
+def racah_cgc(j1, j2, j, m1, m2) -> RadScalar:
+    """<j1 m1; j2 m2 | j, m1+m2> (Condon-Shortley) from the Racah single
+    sum, one coefficient at a time; zero outside the triangle or for a
+    weight off its ladder."""
+    return _racah_cgc(*map(as_half, (j1, j2, j, m1, m2)))
+
+
+@lru_cache(maxsize=None)
+def _racah_cgc(j1, j2, j, m1, m2) -> RadScalar:
+    if not triangle_allowed(j1, j2, j):
+        return RadScalar.zero()
+    m = m1 + m2
+    for (jj, mm) in ((j1, m1), (j2, m2), (j, m)):
+        if abs(mm.twice) > jj.twice or not (jj - mm).is_integer:
+            return RadScalar.zero()
+    pref = sqrt_factorial_ratio(
+        fact_num=((j1 + j2 - j).as_int(), (j1 - j2 + j).as_int(),
+                  (-j1 + j2 + j).as_int(), (j1 + m1).as_int(),
+                  (j1 - m1).as_int(), (j2 + m2).as_int(), (j2 - m2).as_int(),
+                  (j + m).as_int(), (j - m).as_int()),
+        fact_den=((j1 + j2 + j + 1).as_int(),),
+        int_num=(j.twice + 1,),
+    )
+    s = Fraction(0)
+    z_lo = max(0, -(j - j2 + m1).as_int(), -(j - j1 - m2).as_int())
+    z_hi = min((j1 + j2 - j).as_int(), (j1 - m1).as_int(), (j2 + m2).as_int())
+    for z in range(z_lo, z_hi + 1):
+        den = (factorial(z) * factorial((j1 + j2 - j).as_int() - z)
+               * factorial((j1 - m1).as_int() - z)
+               * factorial((j2 + m2).as_int() - z)
+               * factorial((j - j2 + m1).as_int() + z)
+               * factorial((j - j1 - m2).as_int() + z))
+        s += Fraction((-1) ** z, den)
+    return pref * s
+
+
 def orthogonality_sum(j1, j2, m1, m2, n1, n2) -> HPoly:
     """sum_k alpha[k; m] alpha[-k; -n]."""
     value = alpha_table(j1, j2).value
@@ -58,7 +97,7 @@ def _channels(j1, j2, j, m):
     for n1 in weight_range(j1):
         n2 = m - n1
         if abs(n2.twice) <= j2.twice:
-            yield n1, n2, sl2_cgc(j1, j2, j, n1, n2)
+            yield n1, n2, racah_cgc(j1, j2, j, n1, n2)
 
 
 def uh_cgc_sum(j1, j2, j, k1, k2, m) -> HPoly:

@@ -1,8 +1,10 @@
 """Classical CGCs against an independent implementation: sympy's CG.
 
-``sl2_cgc`` uses its own single-sum closed form; sympy evaluates the
-Racah formula.  Every coefficient with j1, j2 <= 2 is compared, plus a
-seeded sample with spins up to 3.
+``sl2_cgc`` reads an entry of the CGC matrix C, built from Racah sums in a
+radical gauge, and the test oracle ``racah_cgc`` sums the Racah formula one
+coefficient at a time; sympy evaluates its own implementation.  Every
+coefficient with j1, j2 <= 2 is compared, plus a seeded sample with spins
+up to 3.
 """
 
 import random
@@ -12,6 +14,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.physics.quantum.cg import CG  # noqa: E402
 
+from alpha_oracle import racah_cgc  # noqa: E402
 from jordanian.coupling import sl2_cgc  # noqa: E402
 from jordanian.halfint import half, weight_range  # noqa: E402
 
@@ -41,8 +44,9 @@ def _coefficients(max_twice):
 def _assert_agrees(j1, j2, j, m1, m2):
     expected = CG(_sym(j1), _sym(m1), _sym(j2), _sym(m2), _sym(j),
                   _sym(m1 + m2)).doit()
-    assert _as_sympy(sl2_cgc(j1, j2, j, m1, m2)) - expected == 0, \
-        (j1, j2, j, m1, m2, expected)
+    for cgc in (sl2_cgc, racah_cgc):
+        assert _as_sympy(cgc(j1, j2, j, m1, m2)) - expected == 0, \
+            (cgc.__name__, j1, j2, j, m1, m2, expected)
 
 
 def test_sl2_cgc_matches_sympy_up_to_spin_two():

@@ -6,6 +6,7 @@ negative-value preprocessing, and the output formatting are all exercised
 exactly as a shell invocation would.
 """
 
+import functools
 import hashlib
 import json
 import re
@@ -13,9 +14,11 @@ from fractions import Fraction
 
 import pytest
 
+from alpha_oracle import racah_cgc, uh_cgc_bra_sum, uh_cgc_sum
 from jordanian import cli, coupling
 from jordanian.cli import _merge_negative_values, build_parser, main
-from jordanian.halfint import HalfInt, half
+from jordanian.coupling import coupled_spins
+from jordanian.halfint import HalfInt, half, weight_range
 from jordanian.hpoly import HPoly
 from jordanian.irreps import irrep
 from jordanian.radical import RadScalar
@@ -248,6 +251,65 @@ def test_cgc_bra_json(capsys):
         k2 = HalfInt.parse(entry["k2"])
         assert k1 + k2 <= half(1)
         assert scalar_from_json(entry["value"])  # stored entries are nonzero
+
+
+def _single_cgc(capsys, j1, j2, j, k1, k2, *kind):
+    code, out, err = run(capsys, "cgc", "--j1", str(j1), "--j2", str(j2),
+                         "--j", str(j), "--k1", str(k1), "--k2", str(k2),
+                         *kind, "--format", "json")
+    assert code == 0, err
+    (entry,) = json.loads(out)["entries"]
+    assert (entry["k1"], entry["k2"]) == (str(k1), str(k2))
+    return scalar_from_json(entry["value"])
+
+
+SWEEP_SPINS = [half(t, 2) for t in range(4)]
+
+
+@pytest.mark.parametrize("j1, j2", [(a, b) for a in SWEEP_SPINS
+                                    for b in SWEEP_SPINS], ids=str)
+def test_single_cgc_requests_match_the_oracles(capsys, j1, j2):
+    # Every single-coefficient request of a pair, end to end: ket and bra
+    # (--k1/--k2 with --m, --bra) against the channel sums, classical
+    # against the Racah sum, including the zero at m = k1 + k2 outside j.
+    outside = 0
+    for j in coupled_spins(j1, j2):
+        for k1 in weight_range(j1):
+            for k2 in weight_range(j2):
+                def request(*kind):
+                    return _single_cgc(capsys, j1, j2, j, k1, k2, *kind)
+
+                classical = racah_cgc(j1, j2, j, k1, k2)
+                assert request("--classical") == HPoly.constant(classical)
+                if abs((k1 + k2).twice) > j.twice:
+                    outside += 1
+                    assert not classical
+                for m in weight_range(j):
+                    assert request("--m", str(m)) \
+                        == uh_cgc_sum(j1, j2, j, k1, k2, m)
+                    assert request("--m", str(m), "--bra") \
+                        == uh_cgc_bra_sum(j1, j2, j, k1, k2, m)
+    assert outside or min(j1, j2) == 0
+
+
+def test_cgc_requests_read_slices_of_the_pair_tables(capsys, monkeypatch):
+    # Ket, bra and classical requests read slices of K C, C^T B and C:
+    # none of them builds the HPoly view of a whole memoized table.  Fresh
+    # memos, so that no other test's reads show here.
+    for name in ("_alpha_table_cached", "_cgc_cached"):
+        monkeypatch.setattr(coupling, name, functools.lru_cache(maxsize=None)(
+            getattr(coupling, name).__wrapped__))
+    pair = ("--j1", "3/2", "--j2", "1", "--j", "3/2")
+    for kind in (("--m", "1/2"), ("--m", "1/2", "--bra"), ("--classical",)):
+        for single in ((), ("--k1", "1/2", "--k2", "0")):
+            for fmt in ("pretty", "json", "csv"):
+                assert run(capsys, "cgc", *pair, *kind, *single,
+                           "--format", fmt)[0] == 0
+    table = coupling.alpha_table(half(3, 2), 1)
+    assert {"coupled", "coupled_bras"} <= set(vars(table))
+    assert coupling.cgc_matrix(half(3, 2), 1) is table.cgc
+    for memo in (table.coupled, table.coupled_bras, table.cgc):
+        assert memo._view.rows is None
 
 
 # -- decompose ------------------------------------------------------------------

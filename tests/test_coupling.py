@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from alpha_oracle import (alpha_entry, orthogonality_sum, uh_cgc_bra_sum,
-                          uh_cgc_sum)
+from alpha_oracle import (alpha_entry, orthogonality_sum, racah_cgc,
+                          uh_cgc_bra_sum, uh_cgc_sum)
 from jordanian import coupling
 from jordanian.coupling import (alpha_coeff, alpha_table, cgc_matrix,
                                 coupled_basis, coupled_bra, coupled_labels,
@@ -21,7 +21,7 @@ from jordanian.halfint import HalfInt, dim_of, half, weight_range
 from jordanian.hpoly import HPoly
 from jordanian.irreps import coproduct_gens, irrep
 from jordanian.polymatrix import PolyMatrix
-from jordanian.radical import RadScalar, falling_binomial
+from jordanian.radical import RadScalar, falling_binomial, sqrt_factorial_ratio
 from jordanian.tensorops import boson_raising_family
 from jordanian.wigner import reduced_matrix_element
 from ladder_oracle import sl2_from_gens
@@ -267,27 +267,54 @@ def test_classical_cgc_row_orthonormality():
 
 
 def test_cgc_matrix_entries_are_classical_cgcs():
-    # C is built from Racah sums in a radical gauge; sl2_cgc is its
-    # per-coefficient oracle, on every pair up to 7/2.
+    # C is built from Racah sums in a radical gauge; the Racah single sum of
+    # the test oracle, one coefficient at a time, checks every entry on
+    # every pair up to 7/2.
     for j1 in SPINS_TO_7_2:
         for j2 in SPINS_TO_7_2:
             c = cgc_matrix(j1, j2)
             for r, (n1, n2) in enumerate(product_labels(j1, j2)):
                 for k, (j, m) in enumerate(coupled_labels(j1, j2)):
-                    want = (sl2_cgc(j1, j2, j, n1, n2) if n1 + n2 == m
+                    want = (racah_cgc(j1, j2, j, n1, n2) if n1 + n2 == m
                             else RadScalar.zero())
                     assert c.entry(r, k) == HPoly.constant(want)
 
 
+def test_sl2_cgc_reads_c_as_the_racah_sum_gives_it():
+    # sl2_cgc is an entry of C; the oracle's Racah sum agrees on every
+    # label up to 2, in range or not.
+    for j1 in SPINS_UP_TO_2:
+        for j2 in SPINS_UP_TO_2:
+            for j in SPINS_UP_TO_2 + [half(3), half(4)]:
+                for m1 in weight_range(j1) + (j1 + 1,):
+                    for m2 in weight_range(j2):
+                        assert (sl2_cgc(j1, j2, j, m1, m2)
+                                == racah_cgc(j1, j2, j, m1, m2))
+
+
 def test_coupling_matrices_and_reduced_elements_need_no_sl2_cgc(monkeypatch):
-    # C comes from its own closed form and reduced_matrix_element reads
-    # it; neither computes a coefficient through sl2_cgc.
+    # C comes from its own closed form, not one coefficient at a time: a
+    # fresh build never calls sl2_cgc and takes one square root per coupled
+    # spin (the slot gauges are memoized), far fewer than C has nonzero
+    # coefficients.  reduced_matrix_element reads C and calls neither.
+    j1, j2 = half(2), half(3, 2)
+    for n in range(8):
+        coupling._slot_gauges(n)
+    roots = []
+
     def refuse(*args):
         raise AssertionError(f"sl2_cgc{args} called")
 
-    monkeypatch.setattr(coupling, "_sl2_cgc_cached", refuse)
-    fresh = coupling._alpha_table_cached.__wrapped__(half(2), half(3, 2))
-    assert fresh.cgc == alpha_table(2, half(3, 2)).cgc
+    def counting(*args, **kwargs):
+        roots.append(args)
+        return sqrt_factorial_ratio(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "sl2_cgc", refuse)
+    monkeypatch.setattr(coupling, "sqrt_factorial_ratio", counting)
+    fresh = coupling._cgc_cached.__wrapped__(j1, j2)
+    assert fresh == cgc_matrix(j1, j2)
+    nonzero = sum(1 for row in fresh.data for _ in row)
+    assert len(roots) == len(coupled_spins(j1, j2)) == 4 < nonzero == 58
     fam = boson_raising_family(half(3, 2))
     assert reduced_matrix_element(fam).value
 

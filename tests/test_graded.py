@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 import jordanian
+import jordanian.polymatrix as pm
 from jordanian import coupling
 from jordanian.coupling import (AlphaTable, alpha_table, coupled_ladder,
                                 decompose, product_labels, slot_sums,
@@ -175,3 +176,25 @@ def test_perturbed_ket_fails_as_the_difference_would(monkeypatch):
         raise AssertionError("a perturbed K passed the Casimir certificate")
     finally:
         coupling._certified_decomposition.cache_clear()
+
+
+# -- gauges built in the labels of their cores ---------------------------------
+
+def test_fresh_tables_need_no_regauging(monkeypatch):
+    # G, G^-1, D and D_c are certified in the labels of the rational cores
+    # R and Q they multiply, so building K and C aligns no operand.
+    calls, align = [], pm._align
+
+    def counting(pairs):
+        calls.append(pairs)
+        return align(pairs)
+
+    monkeypatch.setattr(pm, "_align", counting)
+    pairs = [(half(t1, 2), half(t2, 2)) for t1 in range(1, 6)
+             for t2 in range(1, 6)]
+    fresh = [(coupling._alpha_table_cached.__wrapped__(j1, j2),
+              coupling._cgc_cached.__wrapped__(j1, j2)) for j1, j2 in pairs]
+    assert calls == []
+    for (j1, j2), (table, c) in zip(pairs, fresh):
+        assert table.ket == alpha_table(j1, j2).ket
+        assert c == table.cgc == alpha_table(j1, j2).cgc

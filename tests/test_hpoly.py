@@ -1,5 +1,6 @@
 """Polynomials in the deformation parameter h over the radical scalars."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanian.hpoly import HPoly, as_hpoly
-from jordanian.radical import RadScalar
+from jordanian.radical import RadScalar, format_terms
 
 
 def test_construction_trims_trailing_zeros():
@@ -145,3 +146,24 @@ def test_degree_of_products(p):
         q = p * HPoly.h(2)
         assert q.degree == p.degree + 2
     assert (p * HPoly.zero()).degree == -1
+
+
+@settings(max_examples=60)
+@given(polys)
+def test_kept_text_is_invisible(p):
+    # str() keeps the text it formed; nothing else may see it.
+    twin = HPoly(p.coeffs)
+    before = hash(p)
+    text = str(p)
+    assert text == format_terms(p.sorted_terms())
+    assert str(p) is text
+    assert p == twin and twin == p and hash(p) == hash(twin) == before
+    assert pickle.dumps(p) == pickle.dumps(twin)
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and hash(copy) == before and str(copy) == text
+    for name in ("_text", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, "x")
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert str(p) is text and p.coeffs == twin.coeffs
