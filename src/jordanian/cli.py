@@ -23,7 +23,6 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 from .coupling import (SelectionRuleError, alpha_table, cgc_matrix,
                        coupled_bra, coupled_index, coupled_ket, decompose,
@@ -70,7 +69,9 @@ def _spin_range(lo: HalfInt, hi: HalfInt) -> list[HalfInt]:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
+            f.write("\n")
     else:
         print(text)
 
@@ -85,7 +86,9 @@ def _csv_text(rows: list[list[str]]) -> str:
 def _json_text(payload) -> str:
     """The text of json.dumps(payload, indent=2, sort_keys=True), written
     without the standard library's pure-Python encoder, which indent
-    selects.  Keys must be strings: any other key raises TypeError."""
+    selects.  Keys must be strings: any other key raises TypeError.  A
+    list of Check records is written as the list of their dicts
+    {"detail", "name", "status"} would be."""
     out: list[str] = []
     _write_json(payload, out, "\n")
     return "".join(out)
@@ -122,6 +125,9 @@ def _write_json(value, out: list[str], newline: str) -> None:
             out.append("[]")
             return
         inner = newline + "  "
+        if type(value) is list and type(value[0]) is Check:
+            out.append(_json_checks(value, inner) + newline + "]")
+            return
         sep = "[" + inner
         for item in value:
             out.append(sep)
@@ -142,6 +148,19 @@ def _write_json(value, out: list[str], newline: str) -> None:
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON "
                         f"serializable")
+
+
+def _json_checks(checks: list[Check], inner: str) -> str:
+    """A list of Check records up to its closing line break: "[", then one
+    object per check at the indent inner, keys in sorted order."""
+    s, key = _json_string, inner + '  "'
+    try:
+        return "[" + ",".join([
+            f'{inner}{{{key}detail": {s(c.detail)},{key}name": {s(c.name)},'
+            f'{key}status": {s(c.status)}{inner}}}' for c in checks])
+    except AttributeError:
+        raise TypeError("a list that starts with a Check holds Check "
+                        "records only") from None
 
 
 def _maybe_eval(mat: PolyMatrix, h_eval: Fraction | None) -> PolyMatrix:
@@ -206,16 +225,16 @@ def _render_reports(args, meta: dict, key: str, lead: tuple[str, ...],
     JSON of every report under key, CSV of one row per check led by the
     cells of the lead columns, or the lines of text().  Exit 1 on a failed
     check."""
-    ok = all(r.ok for _, r in reports)
-    if args.format == "json":
-        out = _json_text({**meta, "passed": ok,
-                          key: [r.to_json() for _, r in reports]})
-    elif args.format == "csv":
-        out = _csv_text([[*lead, "check", "status", "detail"]]
-                        + [[*cells, c.name, c.status, c.detail]
-                           for cells, r in reports for c in r.checks])
+    if args.format == "json":  # each report's passed flag is its ok
+        runs = [r.to_json() for _, r in reports]
+        ok = all(run["passed"] for run in runs)
+        out = _json_text({**meta, "passed": ok, key: runs})
     else:
-        out = "\n".join(text())
+        ok = all(r.ok for _, r in reports)
+        out = (_csv_text([[*lead, "check", "status", "detail"]]
+                         + [[*cells, c.name, c.status, c.detail]
+                            for cells, r in reports for c in r.checks])
+               if args.format == "csv" else "\n".join(text()))
     _emit(out, args.out)
     return 0 if ok else 1
 

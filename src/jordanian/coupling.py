@@ -82,7 +82,8 @@ def product_labels(j1, j2) -> tuple[tuple[HalfInt, HalfInt], ...]:
 @dataclass(frozen=True)
 class AlphaTable:
     """The coupling matrices K, B = P K^T P and C of a (j1, j2) pair, and
-    their products B K, K C and C^T B, each formed on first use and kept."""
+    their products B K, K C, C^T B and (C^T B)(K C), each formed on first
+    use and kept."""
 
     j1: HalfInt
     j2: HalfInt
@@ -106,10 +107,19 @@ class AlphaTable:
         """C^T B: the coupled bras <j m| as rows (coupled_labels order)."""
         return self.cgc.transpose() @ self.bra
 
+    @cached_property
+    def dual(self) -> PolyMatrix:
+        """(C^T B)(K C), formed on first use and kept: the identity when the
+        coupled bras and kets are dual, read by every Wigner-Eckart check
+        of a family of this pair."""
+        return self.coupled_bras @ self.coupled
+
     def value(self, k1, k2, m1, m2) -> HPoly:
-        """alpha[k1 k2; m1 m2]; ValueError for a weight off its ladder."""
-        return self.ket.entry(product_weight_index(self.j1, self.j2, k1, k2),
-                              product_weight_index(self.j1, self.j2, m1, m2))
+        """alpha[k1 k2; m1 m2], read as a 1x1 slice of K, so that K's HPoly
+        view is not built; ValueError for a weight off its ladder."""
+        return self.ket.submatrix(
+            [product_weight_index(self.j1, self.j2, k1, k2)],
+            [product_weight_index(self.j1, self.j2, m1, m2)]).scalar()
 
 
 def alpha_table(j1, j2) -> AlphaTable:

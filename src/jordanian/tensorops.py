@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .coupling import coupled_ket, product_labels
+from .coupling import alpha_table, coupled_ket, product_labels, slot_sums
 from .halfint import HalfInt, as_half, dim_of, half, weight_index, weight_range
 from .hpoly import HPoly
 from .irreps import (GenMatrices, Generator, antipode_matrix, coproduct_terms,
@@ -79,6 +79,30 @@ class TensorOpFamily:
     @property
     def weights(self) -> tuple[HalfInt, ...]:
         return weight_range(self.rank)
+
+    # The matrices the Wigner-Eckart verifiers read, each formed on first
+    # use and kept on the family, as an AlphaTable keeps its products.
+
+    @cached_property
+    def columns(self) -> PolyMatrix:
+        """T, with t_{m1}|j2 m2> as column (m1, m2) in product order."""
+        return PolyMatrix([[p for comp in self.components
+                            for p in comp.entries[row]]
+                           for row in range(self.ctx.target.dim)])
+
+    @cached_property
+    def phi(self) -> PolyMatrix:
+        """Phi = T K: the alpha-combinations phi(n1, n2) as columns."""
+        return self.columns @ alpha_table(self.rank, self.ctx.source_j).ket
+
+    @cached_property
+    def ladder_sides(self) -> tuple[tuple[PolyMatrix, PolyMatrix], ...]:
+        """(Z Phi, Phi S) for Z = H, Zp, Zm of the target spin's module and
+        the classical slot sums S; meaningful on a ladder-basis target."""
+        rep = irrep(self.ctx.target_j)
+        sp, sm, sh = slot_sums(self.rank, self.ctx.source_j)
+        return tuple((z @ self.phi, self.phi @ s)
+                     for z, s in ((rep.hm, sh), (rep.zp, sp), (rep.zm, sm)))
 
 
 def adjoint_action(gen: Generator, t: PolyMatrix, ctx: OpSpaceContext) -> PolyMatrix:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .coupling import (SelectionRuleError, alpha_table, cgc_matrix,
                        coupled_index, product_labels, product_weight_index,
-                       slot_sums, triangle_allowed, uh_cgc_bra)
+                       triangle_allowed, uh_cgc_bra)
 from .halfint import HalfInt, as_half, dim_of, weight_index, weight_range
 from .hpoly import HPoly
 from .irreps import irrep
@@ -85,27 +85,17 @@ def wigner_eckart_weight(j1, j2, j, m1, m2, m) -> HPoly:
     return uh_cgc_bra(j1, j2, j, m1, m2, m)
 
 
-def _t_phi(fam: TensorOpFamily) -> tuple[PolyMatrix, PolyMatrix]:
-    """T, with t_{m1}|j2 m2> as column (m1, m2), and Phi = T K."""
-    t = PolyMatrix([[p for comp in fam.components for p in comp.entries[row]]
-                    for row in range(fam.ctx.target.dim)])
-    return t, t @ alpha_table(fam.rank, fam.ctx.source_j).ket
-
-
 def phi_vector(fam: TensorOpFamily, n1, n2) -> PolyMatrix:
     """The intermediate combination sum_k alpha[k; n] t_{k1} |j2 k2>."""
-    return _t_phi(fam)[1].column(
+    return fam.phi.column(
         product_weight_index(fam.rank, fam.ctx.source_j, n1, n2))
 
 
-def _ladder_sides(fam: TensorOpFamily) -> list[tuple[PolyMatrix, PolyMatrix]]:
-    """(Z Phi, Phi S) for the target's Z = H, Zp, Zm and the slot sums S."""
-    j2, j = _require_ladder_basis(fam)
-    phi = _t_phi(fam)[1]
-    rep = irrep(j)
-    sp, sm, sh = slot_sums(fam.rank, j2)
-    return [(z @ phi, phi @ s)
-            for z, s in ((rep.hm, sh), (rep.zp, sp), (rep.zm, sm))]
+def _ladder_sides(fam: TensorOpFamily):
+    """(Z Phi, Phi S) for the target's Z = H, Zp, Zm and the slot sums S,
+    kept on the family; the target must be the ladder basis."""
+    _require_ladder_basis(fam)
+    return fam.ladder_sides
 
 
 def verify_phi_recurrence(fam: TensorOpFamily, label: str = "") -> Report:
@@ -164,7 +154,7 @@ def reduced_matrix_element(fam: TensorOpFamily) -> ReducedMatrixElement:
     if not triangle_allowed(j1, j2, j):
         raise SelectionRuleError(
             f"rank {j1} cannot connect spin {j2} to spin {j}")
-    phi = _t_phi(fam)[1]
+    phi = fam.phi
     top = coupled_index(j1, j2, j, j)  # column of |j j> in C
     c = cgc_matrix(j1, j2).submatrix(range(phi.cols),
                                      range(top, top + dim_of(j))).entries
@@ -210,7 +200,7 @@ def verify_wigner_eckart(fam: TensorOpFamily, label: str = "") -> Report:
 
     labels = product_labels(j1, j2)
     table = alpha_table(j1, j2)
-    t, phi = _t_phi(fam)
+    t, phi = fam.columns, fam.phi
     top = coupled_index(j1, j2, j, j)  # row of <j j| in C^T
     spin_j, every = range(top, top + dim_of(j)), range(len(labels))
     c_j = table.cgc.submatrix(every, spin_j).transpose()
@@ -233,7 +223,7 @@ def verify_wigner_eckart(fam: TensorOpFamily, label: str = "") -> Report:
             for col, (m1, m2) in enumerate(labels)]):
         report.add(check)
 
-    dual = bras @ table.coupled
+    dual = table.dual
     one = PolyMatrix.identity(len(labels))
     for name, ok in (
             ("the factorization weight is the coupled-bra coefficient",

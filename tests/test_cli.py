@@ -13,8 +13,12 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from alpha_oracle import racah_cgc, uh_cgc_bra_sum, uh_cgc_sum
+from alpha_oracle import (alpha_entry, racah_cgc, uh_cgc_bra_sum,
+                          uh_cgc_sum)
+from conftest import examples
 from jordanian import cli, coupling
 from jordanian.cli import _merge_negative_values, build_parser, main
 from jordanian.coupling import coupled_spins
@@ -22,6 +26,7 @@ from jordanian.halfint import HalfInt, half, weight_range
 from jordanian.hpoly import HPoly
 from jordanian.irreps import irrep
 from jordanian.radical import RadScalar
+from jordanian.report import Check
 from jordanian.serialize import matrix_from_json, scalar_from_json
 from jordanian.tensorops import rank1_generators
 
@@ -134,6 +139,26 @@ def test_alpha_full_table_json(capsys):
               scalar_from_json(e["value"]) for e in payload["entries"]}
     assert values[("1/2", "1/2", "-1/2", "-1/2")] == HPoly.h(
         2, RadScalar.from_rational(Fraction(1, 4)))
+
+
+def test_single_alpha_request_reads_a_slice_of_k(capsys, monkeypatch):
+    # One coefficient reads a 1x1 slice of K: K's HPoly view (1 296 cells
+    # at 5/2 (x) 5/2) is not built.  Fresh memos, so that no other test's
+    # reads show here.
+    for name in ("_alpha_table_cached", "_cgc_cached"):
+        monkeypatch.setattr(coupling, name, functools.lru_cache(maxsize=None)(
+            getattr(coupling, name).__wrapped__))
+    for fmt in ("pretty", "json", "csv"):
+        code, out, _ = run(capsys, "alpha", "--j1", "5/2", "--j2", "5/2",
+                           "--k1", "5/2", "--k2", "5/2", "--m1", "-5/2",
+                           "--m2", "-5/2", "--format", fmt)
+        assert code == 0
+    top, bottom = half(5, 2), half(-5, 2)
+    expected = alpha_entry(top, top, top, top, bottom, bottom)
+    assert out.splitlines()[1] == f"5/2,5/2,-5/2,-5/2,{expected}"
+    table = coupling.alpha_table(top, top)
+    assert table.ket._view.rows is None
+    assert table.value(top, top, bottom, bottom) == expected
 
 
 def test_alpha_partial_indices_are_a_usage_error(capsys):
@@ -788,3 +813,57 @@ def test_json_writer_rejects_what_json_dumps_rejects(payload):
 def test_json_writer_takes_string_keys_only(key):
     with pytest.raises(TypeError):
         cli._json_text({key: "value"})
+
+
+def _as_dicts(payload):
+    """payload with each Check record as the dict the JSON shows for it."""
+    if isinstance(payload, Check):
+        return {"name": payload.name, "status": payload.status,
+                "detail": payload.detail}
+    if isinstance(payload, list):
+        return [_as_dicts(v) for v in payload]
+    if isinstance(payload, dict):
+        return {k: _as_dicts(v) for k, v in payload.items()}
+    return payload
+
+
+_texts = st.text(st.sampled_from('"\\/\x00\x1f\x7f\t\n é☃\U0001d11e')
+                 | st.characters(), max_size=8)
+_check_lists = st.lists(st.builds(
+    Check, _texts, st.sampled_from(["pass", "fail", "skip"]), _texts),
+    max_size=4)
+_payloads = st.recursive(
+    _check_lists | st.none() | st.booleans() | st.integers() | _texts,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_texts, inner, max_size=3), max_leaves=12)
+
+
+@examples(100)
+@given(_payloads)
+@example({"checks": [Check("a \"b\" \\ c", "pass"),
+                     Check("ü\x00", "fail", "")],
+          "none": [], "deeper": [[Check("", "skip", "\U0001d11e")]]})
+def test_json_writer_writes_check_lists_as_their_dicts(payload):
+    assert cli._json_text(payload) == _dumps(_as_dicts(payload))
+
+
+@pytest.mark.parametrize("payload", [
+    [Check("a", "pass"), {"name": "b"}], [{"name": "a"}, Check("b", "pass")],
+    [Check("a", "pass"), Check(1, "pass")], (Check("a", "pass"),),
+], ids=repr)
+def test_json_writer_rejects_lists_mixing_checks(payload):
+    with pytest.raises(TypeError):
+        cli._json_text(payload)
+
+
+def test_verify_json_is_json_dumps_text_on_stdout_and_in_the_out_file(
+        capsys, tmp_path):
+    code, out, _ = run(capsys, "verify", "--max-j", "2", "--format", "json")
+    assert code == 0
+    assert out == _dumps(json.loads(out)) + "\n"
+    target = tmp_path / "verify.json"
+    code, quiet, _ = run(capsys, "verify", "--max-j", "2", "--format", "json",
+                         "--out", str(target))
+    assert (code, quiet) == (0, "")
+    mask = functools.partial(re.sub, r'"elapsed_s": [^,\n]+', "")
+    assert mask(target.read_bytes().decode("utf-8")) == mask(out)

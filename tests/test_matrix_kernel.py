@@ -16,10 +16,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import matrix_oracle as oracle
+from conftest import examples
 from jordanian import polymatrix
 from jordanian.coupling import alpha_table
 from jordanian.halfint import half
@@ -41,14 +42,6 @@ single_terms = st.builds(RadScalar.of,
                          st.builds(Fraction, st.integers(-6, 6).filter(bool),
                                    st.sampled_from(DENOMINATORS)),
                          st.sampled_from(RADICANDS))
-
-
-def examples(n):
-    """Settings for n examples under the default profile, scaled with the
-    profile pytest loads: 10 n under ``--hypothesis-profile deep`` (see
-    conftest.py)."""
-    return settings(max_examples=n * settings().max_examples // 100,
-                    deadline=None)
 
 
 def _weight_choices(n):

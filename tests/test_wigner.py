@@ -1,11 +1,14 @@
 """Factorization of operator matrix elements through reduced invariants."""
 
+import functools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from alpha_oracle import phi_sum, uh_cgc_bra_sum
-from jordanian.coupling import product_labels, uh_cgc_bra
+from jordanian import cli, coupling, tensorops
+from jordanian.coupling import AlphaTable, product_labels, uh_cgc_bra
 from jordanian.halfint import half, weight_range
 from jordanian.hpoly import HPoly
 from jordanian.polymatrix import PolyMatrix
@@ -189,3 +192,61 @@ def test_perturbed_family_fails_verification():
     report = verify_wigner_eckart(_perturbed_raising_family())
     assert not report.ok
     assert report.failures()
+
+
+# -- matrices formed once ------------------------------------------------------
+
+
+def _count_builds(monkeypatch, cls, name, builds):
+    """Replace the cached property cls.name by one that appends its owner
+    to builds each time it forms the value."""
+    form = getattr(cls, name).func
+
+    def counted(owner):
+        builds.append(owner)
+        return form(owner)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+
+
+@pytest.fixture
+def wigner_suite_builds(monkeypatch, capsys):
+    """Run verify --suite wigner-eckart --max-j 2 on fresh pair tables and
+    fresh family memos, and give, per kept matrix, the objects it was
+    formed for (in build order; one entry per build)."""
+    for module, name in ((coupling, "_alpha_table_cached"),
+                         (coupling, "_cgc_cached"),
+                         (tensorops, "_boson_raising_cached"),
+                         (tensorops, "_boson_lowering_cached"),
+                         (tensorops, "_rank1_cached")):
+        monkeypatch.setattr(module, name, functools.lru_cache(maxsize=None)(
+            getattr(module, name).__wrapped__))
+    builds = {"dual": []}
+    _count_builds(monkeypatch, AlphaTable, "dual", builds["dual"])
+    for name in ("columns", "phi", "ladder_sides"):
+        builds[name] = []
+        _count_builds(monkeypatch, TensorOpFamily, name, builds[name])
+    assert cli.main(["verify", "--suite", "wigner-eckart",
+                     "--max-j", "2"]) == 0
+    capsys.readouterr()
+    return builds
+
+
+def test_dual_product_is_formed_once_per_pair(wigner_suite_builds):
+    # (C^T B)(K C) depends on the (rank, source spin) pair only: 16
+    # families share 10 pairs, and each pair forms the product once.
+    families = wigner_suite_builds["columns"]
+    pairs = Counter((t.j1, t.j2) for t in wigner_suite_builds["dual"])
+    assert set(pairs.values()) == {1}
+    assert set(pairs) == {(f.rank, f.ctx.source_j) for f in families}
+    assert (len(families), len(pairs)) == (16, 10)
+
+
+def test_family_matrices_are_formed_once_per_family(wigner_suite_builds):
+    # T and Phi once for each of the 16 families; the ladder sides once for
+    # each of the 7 families whose recurrences are checked (fermion A and
+    # B, boson raising at spins 0 to 2).
+    for name, count in (("columns", 16), ("phi", 16), ("ladder_sides", 7)):
+        families = wigner_suite_builds[name]
+        assert len(families) == len({id(f) for f in families}) == count, name
