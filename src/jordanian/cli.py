@@ -31,11 +31,12 @@ from .coupling import (SelectionRuleError, alpha_table, cgc_matrix,
                        verify_intermediate_action,
                        verify_intermediate_orthonormality)
 from .halfint import HalfInt, dim_of, half
+from .hpoly import HPoly, as_hpoly
 from .irreps import (casimir_matrix, irrep, verify_casimir,
                      verify_defining_relations, verify_hopf_axioms)
 from .polymatrix import PolyMatrix
 from .report import Check, Report
-from .serialize import matrix_to_json, scalar_to_json
+from .serialize import DEN, HPOW, NUM, RADICAND, matrix_to_json
 from .tensorops import (OpSpaceContext, TensorOpFamily, boson_lowering_family,
                         boson_raising_family, couple_tensor_ops,
                         fermion_modes, fermion_realization,
@@ -49,6 +50,7 @@ from .wigner import (reduced_matrix_element, verify_overlap_recurrence,
 FORMATS = ("pretty", "json", "csv")
 
 
+@lru_cache(maxsize=1024)
 def _spin(text: str) -> HalfInt:
     try:
         return HalfInt.parse(text)
@@ -88,7 +90,8 @@ def _json_text(payload) -> str:
     without the standard library's pure-Python encoder, which indent
     selects.  Keys must be strings: any other key raises TypeError.  A
     list of Check records is written as the list of their dicts
-    {"detail", "name", "status"} would be."""
+    {"detail", "name", "status"} would be, and an HPoly as its
+    serialize.scalar_to_json list of term objects."""
     out: list[str] = []
     _write_json(payload, out, "\n")
     return "".join(out)
@@ -108,7 +111,9 @@ def _json_float(x: float) -> str:
 def _write_json(value, out: list[str], newline: str) -> None:
     """Append value to out; newline is the line break and indent that close
     it, and its items sit two spaces further in."""
-    if isinstance(value, str):
+    if type(value) is HPoly:
+        out.append(_json_scalar(value, newline))
+    elif isinstance(value, str):
         out.append(_json_string(value))
     elif value is None:
         out.append("null")
@@ -163,6 +168,20 @@ def _json_checks(checks: list[Check], inner: str) -> str:
                         "records only") from None
 
 
+def _json_scalar(p: HPoly, newline: str) -> str:
+    """An exact scalar as its list of term objects, one template per term,
+    keys in sorted order (den, hpow, num, radicand)."""
+    if not p:
+        return "[]"
+    inner = newline + "  "
+    key = inner + '  "'
+    den, hpow, num, rad = (f'{key}{name}": ' for name in (DEN, HPOW, NUM,
+                                                          RADICAND))
+    return "[" + ",".join([
+        f'{inner}{{{den}"{q.denominator}",{hpow}{k},{num}"{q.numerator}",'
+        f'{rad}"{n}"{inner}}}' for q, n, k in p.sorted_terms()]) + newline + "]"
+
+
 def _maybe_eval(mat: PolyMatrix, h_eval: Fraction | None) -> PolyMatrix:
     return mat.eval_h(h_eval) if h_eval is not None else mat
 
@@ -175,8 +194,8 @@ def _render_matrices(args, title: str, meta: dict, mats: dict, *,
     """Named matrices (irrep, tensorop): JSON of every matrix under key, CSV
     rows column,row,col,entry, or the title and one label-named block each."""
     if args.format == "json":
-        text = _json_text({**meta, key: {str(n): matrix_to_json(m)
-                                         for n, m in mats.items()}})
+        text = _json_text({**meta, key: {
+            str(n): matrix_to_json(m, encode=False) for n, m in mats.items()}})
     elif args.format == "csv":
         text = _csv_text([[column, "row", "col", "entry"]]
                          + [[str(n), str(i), str(k), str(m.entry(i, k))]
@@ -190,10 +209,10 @@ def _render_matrices(args, title: str, meta: dict, mats: dict, *,
 
 
 def _json_cell(column: str, value):
-    """Exact scalars in the value column, integers as they are, labels as
-    strings."""
+    """Exact scalars in the value column (as HPoly values, which _json_text
+    writes), integers as they are, labels as strings."""
     if column == "value":
-        return scalar_to_json(value)
+        return as_hpoly(value)
     return value if isinstance(value, int) else str(value)
 
 
@@ -391,7 +410,7 @@ def _cmd_irrep(args) -> int:
         "X": rep.x, "Y": rep.y, "H": rep.hm, "Zp": rep.zp, "Zm": rep.zm,
         "expHX": rep.exp_hx, "expmHX": rep.exp_mhx,
     }
-    if args.gen == "casimir":  # no memo: built only when asked for
+    if args.gen == "casimir":  # built on first request, then kept
         mats["casimir"] = casimir_matrix(j)
     names = [args.gen] if args.gen else ["X", "Y", "H"]
     weights = [str(m) for m in rep.weights]
@@ -650,15 +669,31 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 @lru_cache(maxsize=None)
-def _kept_parser() -> argparse.ArgumentParser:
-    """The parser main() reuses: built on the first call, not at import."""
-    return build_parser()
+def _kept_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The parser main() reuses and its subcommand parsers by name: built on
+    the first call, not at import."""
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return parser, commands
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _kept_parser().parse_args(_merge_negative_values(list(argv)))
+    argv = _merge_negative_values(list(argv))
+    parser, commands = _kept_parser()
+    # A command's own parser gives the namespace, the usage errors and the
+    # help text that the full parser gives through it.  Only the full
+    # parser words the error for arguments left over ("jordanian: error:
+    # unrecognized arguments"), so an argv with leftovers is parsed again.
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or rest:
+        args = parser.parse_args(argv)
     if args.format is None:
         args.format = os.environ.get("JORDANIAN_FORMAT", "pretty")
         if args.format not in FORMATS:

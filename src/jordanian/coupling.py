@@ -74,9 +74,15 @@ def product_weight_index(j1, j2, k1, k2) -> int:
 
 
 def product_labels(j1, j2) -> tuple[tuple[HalfInt, HalfInt], ...]:
-    """The weight pairs (k1, k2) in product-basis order."""
-    return tuple((k1, k2) for k1 in weight_range(as_half(j1))
-                 for k2 in weight_range(as_half(j2)))
+    """The weight pairs (k1, k2) in product-basis order; one tuple per
+    pair, built on first request and then shared."""
+    return _product_labels(as_half(j1).twice, as_half(j2).twice)
+
+
+@lru_cache(maxsize=None)
+def _product_labels(twice1: int, twice2: int):
+    return tuple((k1, k2) for k1 in weight_range(HalfInt.from_twice(twice1))
+                 for k2 in weight_range(HalfInt.from_twice(twice2)))
 
 
 @dataclass(frozen=True)
@@ -408,9 +414,23 @@ def coupled_spins(j1: HalfInt, j2: HalfInt) -> tuple[HalfInt, ...]:
 
 def coupled_labels(j1, j2) -> tuple[tuple[HalfInt, HalfInt], ...]:
     """The coupled vectors (j, m), spins j1+j2 down to |j1-j2| and weights
-    j..-j: the column order of C and K C."""
-    return tuple((j, m) for j in coupled_spins(as_half(j1), as_half(j2))
+    j..-j: the column order of C and K C.  One tuple per pair, built on
+    first request and then shared."""
+    return _coupled_labels(as_half(j1).twice, as_half(j2).twice)
+
+
+@lru_cache(maxsize=None)
+def _coupled_labels(twice1: int, twice2: int):
+    return tuple((j, m) for j in coupled_spins(HalfInt.from_twice(twice1),
+                                               HalfInt.from_twice(twice2))
                  for m in weight_range(j))
+
+
+@lru_cache(maxsize=None)
+def _coupled_positions(twice1: int, twice2: int) -> dict[tuple[int, int], int]:
+    """Position in coupled_labels of each (2j, 2m)."""
+    return {(j.twice, m.twice): i
+            for i, (j, m) in enumerate(_coupled_labels(twice1, twice2))}
 
 
 def coupled_index(j1, j2, j, m) -> int:
@@ -418,8 +438,8 @@ def coupled_index(j1, j2, j, m) -> int:
     product holds no such vector."""
     j1, j2, j, m = as_half(j1), as_half(j2), as_half(j), as_half(m)
     try:
-        return coupled_labels(j1, j2).index((j, m))
-    except ValueError:
+        return _coupled_positions(j1.twice, j2.twice)[j.twice, m.twice]
+    except KeyError:
         raise SelectionRuleError(
             f"no vector |{j} {m}> in {j1} (x) {j2}") from None
 

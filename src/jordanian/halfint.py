@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 
 @total_ordering
@@ -12,7 +12,8 @@ class HalfInt:
 
     Angular-momentum labels (j) and weights (m, k) are half-integers, and
     all index arithmetic on them reduces to plain integer arithmetic on the
-    doubled value.
+    doubled value.  Instances are immutable: memoized weight tuples and
+    memo keys share them with every caller.
 
     >>> half(3, 2) + 1
     HalfInt(5/2)
@@ -24,21 +25,31 @@ class HalfInt:
 
     def __init__(self, value):
         if isinstance(value, HalfInt):
-            self.twice = value.twice
+            twice = value.twice
         elif isinstance(value, int):
-            self.twice = 2 * value
+            twice = 2 * value
         elif isinstance(value, Fraction):
             if value.denominator not in (1, 2):
                 raise ValueError(f"not a half-integer: {value}")
-            self.twice = value.numerator * (2 // value.denominator)
+            twice = value.numerator * (2 // value.denominator)
         else:
             raise TypeError(f"cannot build a half-integer from {value!r}")
+        _set_twice(self, twice)
 
     @classmethod
     def from_twice(cls, twice: int) -> "HalfInt":
-        self = cls.__new__(cls)
-        self.twice = int(twice)
+        self = object.__new__(cls)
+        _set_twice(self, int(twice))
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HalfInt is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"HalfInt is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return HalfInt.from_twice, (self.twice,)
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
@@ -75,6 +86,8 @@ class HalfInt:
         return HalfInt.from_twice(abs(self.twice))
 
     def __eq__(self, other):
+        if type(other) is HalfInt:
+            return self.twice == other.twice
         try:
             return self.twice == HalfInt(other).twice
         except (TypeError, ValueError):
@@ -85,7 +98,10 @@ class HalfInt:
 
     def __hash__(self):
         # Equal values hash equally across HalfInt/int/Fraction.
-        return hash(self.as_fraction())
+        twice = self.twice
+        if twice % 2:
+            return hash(Fraction(twice, 2))
+        return hash(twice // 2)
 
     def __bool__(self):
         return self.twice != 0
@@ -97,6 +113,11 @@ class HalfInt:
 
     def __repr__(self):
         return f"HalfInt({self})"
+
+
+# The slot's own setter: builds an instance past the __setattr__ that
+# refuses every later change.
+_set_twice = HalfInt.twice.__set__
 
 
 def half(num: int, den: int = 1) -> HalfInt:
@@ -121,8 +142,15 @@ def dim_of(j: HalfInt) -> int:
 
 
 def weight_range(j: HalfInt) -> tuple[HalfInt, ...]:
-    """Weights j, j-1, ..., -j in the fixed (descending) basis order."""
-    return tuple(HalfInt.from_twice(j.twice - 2 * i) for i in range(dim_of(j)))
+    """Weights j, j-1, ..., -j in the fixed (descending) basis order; one
+    tuple per spin, built on first request and then shared."""
+    return _weight_range(j.twice)
+
+
+@lru_cache(maxsize=None)
+def _weight_range(twice: int) -> tuple[HalfInt, ...]:
+    dim = dim_of(HalfInt.from_twice(twice))  # raises for a negative spin
+    return tuple(HalfInt.from_twice(twice - 2 * i) for i in range(dim))
 
 
 def weight_index(j: HalfInt, m: HalfInt) -> int:

@@ -188,8 +188,14 @@ def casimir_from_gens(gens: GenMatrices) -> PolyMatrix:
 
 
 def casimir_matrix(j) -> PolyMatrix:
-    """The Casimir of the spin-j module (equal to j(j+1) times the identity)."""
-    return casimir_from_gens(irrep(j).gens())
+    """The Casimir of the spin-j module (equal to j(j+1) times the
+    identity); memoized."""
+    return _casimir_cached(as_half(j).twice)
+
+
+@lru_cache(maxsize=None)
+def _casimir_cached(twice: int) -> PolyMatrix:
+    return casimir_from_gens(irrep(HalfInt.from_twice(twice)).gens())
 
 
 def casimir_ladder_form(j) -> PolyMatrix:

@@ -19,10 +19,14 @@ from .polymatrix import PolyMatrix
 from .radical import RadScalar
 
 
+# The keys of a term object (cli._json_scalar writes them too).
+NUM, DEN, RADICAND, HPOW = "num", "den", "radicand", "hpow"
+
+
 def scalar_to_json(p) -> list[dict]:
     p = as_hpoly(p)
     return [
-        {"num": str(q.numerator), "den": str(q.denominator), "radicand": str(n), "hpow": k}
+        {NUM: str(q.numerator), DEN: str(q.denominator), RADICAND: str(n), HPOW: k}
         for q, n, k in p.sorted_terms()
     ]
 
@@ -30,16 +34,20 @@ def scalar_to_json(p) -> list[dict]:
 def scalar_from_json(obj) -> HPoly:
     acc = HPoly.zero()
     for term in obj:
-        q = Fraction(int(term["num"]), int(term["den"]))
-        coeff = RadScalar._make({int(term["radicand"]): q})
-        acc = acc + HPoly.h(int(term["hpow"]), coeff)
+        q = Fraction(int(term[NUM]), int(term[DEN]))
+        coeff = RadScalar._make({int(term[RADICAND]): q})
+        acc = acc + HPoly.h(int(term[HPOW]), coeff)
     return acc
 
 
-def matrix_to_json(m: PolyMatrix) -> dict:
+def matrix_to_json(m: PolyMatrix, encode: bool = True) -> dict:
+    """The shape, the row-major entries and the weight labels; encode=False
+    leaves the entries as HPoly values, for a writer that encodes them
+    itself (the CLI's)."""
+    entries = [p for row in m.entries for p in row]
     out = {
         "shape": [m.rows, m.cols],
-        "entries": [scalar_to_json(p) for row in m.entries for p in row],
+        "entries": [scalar_to_json(p) for p in entries] if encode else entries,
     }
     if m.row_weights is not None:
         out["row_weights"] = [str(w) for w in m.row_weights]

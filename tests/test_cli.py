@@ -6,6 +6,7 @@ negative-value preprocessing, and the output formatting are all exercised
 exactly as a shell invocation would.
 """
 
+import argparse
 import functools
 import hashlib
 import json
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from alpha_oracle import (alpha_entry, racah_cgc, uh_cgc_bra_sum,
                           uh_cgc_sum)
 from conftest import examples
-from jordanian import cli, coupling
+from jordanian import cli, coupling, irreps, serialize
 from jordanian.cli import _merge_negative_values, build_parser, main
 from jordanian.coupling import coupled_spins
 from jordanian.halfint import HalfInt, half, weight_range
@@ -27,7 +28,8 @@ from jordanian.hpoly import HPoly
 from jordanian.irreps import irrep
 from jordanian.radical import RadScalar
 from jordanian.report import Check
-from jordanian.serialize import matrix_from_json, scalar_from_json
+from jordanian.serialize import (matrix_from_json, matrix_to_json,
+                                 scalar_from_json, scalar_to_json)
 from jordanian.tensorops import rank1_generators
 
 
@@ -739,6 +741,89 @@ def test_usage_error_leaves_the_kept_parser_intact(capsys):
     assert run(capsys, *argv) == alone
 
 
+# -- the subcommand parse path ------------------------------------------------------
+
+
+def _outcome(capsys, argv):
+    """main(argv) as (exit code, stdout, stderr)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARSE_CASES = [
+    *[["irrep", "--j", "1", "--format", fmt] for fmt in cli.FORMATS],
+    ["irrep", "--j", "3/2", "--gen", "expmHX", "--h-eval", "-1/3"],
+    ["irrep", "--j", "1/2", "--gen", "casimir", "--format", "json"],
+    *[["alpha", "--j1", "1", "--j2", "1/2", "--k1", "-1", "--k2", "1/2",
+       "--m1", "0", "--m2", "-1/2", "--format", fmt] for fmt in cli.FORMATS],
+    ["alpha", "--format", "csv", "--j2", "1/2", "--j1", "1/2"],
+    ["cgc", "--j1", "1", "--j2", "1/2", "--j", "1/2", "--m", "-1/2", "--bra"],
+    ["cgc", "--j1", "1", "--j2", "1/2", "--j", "3/2", "--m", "-3/2",
+     "--k1", "-1", "--k2", "-1/2", "--format", "json"],
+    ["cgc", "--j1", "1", "--j2", "1", "--j", "0", "--classical", "--format",
+     "csv"],
+    ["decompose", "--j1", "1/2", "--j2", "3/2", "--format", "json"],
+    ["tensorop", "--realization", "boson-raising", "--j", "1/2", "--m",
+     "-1/2", "--format", "csv"],
+    ["tensorop", "--realization", "fermion-b"],
+    ["wigner-eckart", "--realization", "rank1", "--j", "1", "--verbose"],
+    ["verify", "--suite", "uh-algebra", "--max-j", "1/2", "--format", "csv"],
+    ["irrep", "--j", "-1"],                                  # handler error
+    ["irrep", "--j", "0.3"],                                 # bad spin
+    ["alpha", "--j1", "1", "--j2", "x/2"],                   # bad spin
+    ["irrep", "--j", "1", "--bogus", "2"],                   # unknown option
+    ["irrep", "--j", "1", "extra"],                          # leftover
+    ["decompose", "--j1", "1", "--j2", "1", "1/2", "--x"],   # leftovers
+    ["irrep", "--j", "1", "--h", "1"],                       # ambiguous
+    ["irrep", "--j", "1", "--form", "csv"],                  # abbreviation
+    ["cgc", "--j1", "1", "--j2", "1"],                       # missing --j
+    ["verify", "--suite", "nope"],                           # bad choice
+    ["tensorop", "--realization", "quark"],
+    ["cgc", "--j1", "1", "--j2", "1/2", "--j", "1/2", "--classical", "--bra"],
+    ["frobnicate", "--j", "1"],                              # unknown command
+    ["--format", "json", "irrep", "--j", "1"],               # option first
+    ["IRREP", "--j", "1"],
+    [],
+    ["--help"],
+    ["-h"],
+    *[[command, "--help"] for command in
+      ("irrep", "alpha", "cgc", "decompose", "tensorop", "wigner-eckart",
+       "verify")],
+    ["irrep", "--j", "1", "-h", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_subcommand_parse_matches_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("JORDANIAN_FORMAT", raising=False)
+    fast = _outcome(capsys, argv)
+    # With no command parsers, main parses every argv with the full parser,
+    # as build_parser().parse_args does.
+    monkeypatch.setattr(cli, "_kept_parser", lambda: (build_parser(), {}))
+    assert _outcome(capsys, argv) == fast
+
+
+def test_leftover_arguments_are_worded_by_the_full_parser(capsys):
+    code, out, err = _outcome(capsys, ["irrep", "--j", "1", "extra"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == \
+        "jordanian: error: unrecognized arguments: extra"
+
+
+def test_kept_parser_maps_every_command_to_its_subparser():
+    cli._kept_parser.cache_clear()
+    parser, commands = cli._kept_parser()
+    assert list(commands) == ["irrep", "alpha", "cgc", "decompose",
+                              "tensorop", "wigner-eckart", "verify"]
+    assert all(p.prog == f"jordanian {name}" for name, p in commands.items())
+    assert cli._kept_parser() == (parser, commands)
+
+
 # 16-hex SHA-256 prefixes of `jordanian --help` and of each subcommand's
 # --help at 80 columns, recorded before the parser was kept between calls.
 HELP_DIGESTS = {
@@ -867,3 +952,117 @@ def test_verify_json_is_json_dumps_text_on_stdout_and_in_the_out_file(
     assert (code, quiet) == (0, "")
     mask = functools.partial(re.sub, r'"elapsed_s": [^,\n]+', "")
     assert mask(target.read_bytes().decode("utf-8")) == mask(out)
+
+
+# -- exact scalars in the JSON writer --------------------------------------------
+
+
+def _as_scalar_dicts(payload):
+    """payload with each HPoly as its serialize.scalar_to_json list."""
+    if isinstance(payload, HPoly):
+        return scalar_to_json(payload)
+    if isinstance(payload, list):
+        return [_as_scalar_dicts(v) for v in payload]
+    if isinstance(payload, dict):
+        return {k: _as_scalar_dicts(v) for k, v in payload.items()}
+    return payload
+
+
+_numerators = st.integers(-10**6, 10**6) | st.integers(-10**40, 10**40)
+_terms = st.tuples(
+    st.builds(Fraction, _numerators,
+              st.integers(1, 10**6) | st.integers(1, 10**30)),
+    st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15, 30, 2 * 3 * 5 * 7 * 11 * 13]),
+    st.integers(0, 5))
+_scalars = st.lists(_terms, max_size=4).map(lambda terms: sum(
+    (HPoly.h(k, RadScalar.of(q, n)) for q, n, k in terms), HPoly.zero()))
+_scalar_payloads = st.recursive(
+    _scalars | st.integers() | _texts | st.none(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_texts, inner, max_size=3), max_leaves=10)
+
+
+@examples(100)
+@given(_scalar_payloads)
+@example(HPoly.zero())
+@example({"entries": [HPoly.zero(), HPoly.one(), [HPoly.h(3, -1)]],
+          "value": HPoly.h(2, RadScalar.of(Fraction(-10**40, 3), 6))})
+def test_json_writer_writes_exact_scalars_as_scalar_to_json(payload):
+    assert cli._json_text(payload) == _dumps(_as_scalar_dicts(payload))
+
+
+def test_json_writer_writes_matrices_as_matrix_to_json():
+    for m in (irrep(half(3, 2)).exp_hx, rank1_generators(1).component(0),
+              coupling.cgc_matrix(1, half(1, 2))):
+        assert (cli._json_text({"m": matrix_to_json(m, encode=False)})
+                == _dumps({"m": matrix_to_json(m)}))
+
+
+def _json_requests():
+    spins = ["0", "1/2", "1", "3/2"]
+    pairs = [(a, b) for a in spins[1:] for b in spins[1:]]
+    for j in spins:
+        yield ["irrep", "--j", j]
+        yield ["irrep", "--j", j, "--gen", "casimir"]
+        yield ["irrep", "--j", j, "--gen", "expmHX", "--h-eval", "2/3"]
+        yield ["tensorop", "--realization", "boson-raising", "--j", j]
+        yield ["tensorop", "--realization", "identity", "--j", j]
+        if j != "0":
+            yield ["tensorop", "--realization", "rank1", "--j", j]
+            yield ["tensorop", "--realization", "boson-lowering", "--j", j]
+    yield ["tensorop", "--realization", "fermion-a"]
+    for j1, j2 in pairs:
+        yield ["alpha", "--j1", j1, "--j2", j2]
+        yield ["alpha", "--j1", j1, "--j2", j2, "--k1", f"-{j1}", "--k2", j2,
+               "--m1", j1, "--m2", f"-{j2}"]
+        for j in coupled_spins(HalfInt.parse(j1), HalfInt.parse(j2)):
+            base = ["cgc", "--j1", j1, "--j2", j2, "--j", str(j)]
+            yield base + ["--classical"]
+            yield base + ["--m", f"-{j}" if j else "0"]
+            yield base + ["--m", str(j), "--bra"]
+
+
+@pytest.mark.parametrize("argv", list(_json_requests()), ids=" ".join)
+def test_json_output_is_json_dumps_text(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == _dumps(json.loads(out)) + "\n"
+
+
+def test_queries_write_no_scalar_dicts(capsys, monkeypatch):
+    calls = []
+    assert "scalar_to_json" not in vars(cli)
+    monkeypatch.setattr(serialize, "scalar_to_json",
+                        lambda p: calls.append(p))
+    for argv in (["irrep", "--j", "1"], ["alpha", "--j1", "1", "--j2", "1"],
+                 ["cgc", "--j1", "1", "--j2", "1", "--j", "1", "--m", "0"],
+                 ["tensorop", "--realization", "rank1", "--j", "1"]):
+        assert run(capsys, *argv, "--format", "json")[0] == 0
+    assert calls == []
+
+
+# -- memos of the request path ------------------------------------------------------
+
+
+def test_second_casimir_request_builds_no_casimir(capsys, monkeypatch):
+    built = []
+    real = irreps.casimir_from_gens
+    monkeypatch.setattr(irreps, "casimir_from_gens",
+                        lambda gens: built.append(gens) or real(gens))
+    irreps._casimir_cached.cache_clear()
+    first = run(capsys, "irrep", "--j", "3/2", "--gen", "casimir")
+    assert first[0] == 0 and len(built) == 1
+    for fmt in cli.FORMATS:
+        assert run(capsys, "irrep", "--j", "3/2", "--gen", "casimir",
+                   "--format", fmt)[0] == 0
+    assert run(capsys, "irrep", "--j", "3/2", "--gen", "casimir") == first
+    assert len(built) == 1
+    assert irreps.casimir_matrix("3/2") is irreps.casimir_matrix(half(3, 2))
+
+
+def test_spin_texts_are_parsed_once():
+    cli._spin.cache_clear()
+    assert cli._spin("-3/2") is cli._spin("-3/2") == half(-3, 2)
+    assert cli._spin.cache_info().hits == 1
+    with pytest.raises(argparse.ArgumentTypeError, match="not a half-integer"):
+        cli._spin("1/3")

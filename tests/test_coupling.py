@@ -611,3 +611,50 @@ def test_memoized_tables_are_read_only():
     assert alpha_table(1, 1).value(1, 1, 1, 0) == before
     assert verify_alpha_orthogonality(1, 1).ok
     assert uh_cgc(1, 1, 2, 1, 1, 2) == HPoly.one()
+
+
+# -- label tables, kept once per process ------------------------------------------
+
+
+def test_label_tables_are_shared_and_hold_immutable_labels():
+    j1, j2 = HalfInt(1), H12
+    for table in (product_labels, coupled_labels):
+        labels = table(j1, j2)
+        assert table(1, "1/2") is labels
+        assert table(HalfInt(1), half(1, 2)) is labels
+        for pair in labels:
+            for label in pair:
+                assert type(label) is HalfInt
+                with pytest.raises(AttributeError, match="immutable"):
+                    label.twice += 2
+    assert product_labels(j1, j2) == tuple(
+        (k1, k2) for k1 in weight_range(j1) for k2 in weight_range(j2))
+    assert coupled_labels(j1, j2) == tuple(
+        (j, m) for j in coupled_spins(j1, j2) for m in weight_range(j))
+    assert coupled_labels(j1, j2)[0][1] is weight_range(half(3, 2))[0]
+
+
+@pytest.mark.parametrize("j1,j2", [(H12, H12), (HalfInt(1), H12),
+                                   (half(3, 2), HalfInt(2))], ids=str)
+def test_coupled_index_is_the_position_in_coupled_labels(j1, j2):
+    labels = coupled_labels(j1, j2)
+    for i, (j, m) in enumerate(labels):
+        assert coupling.coupled_index(j1, j2, j, m) == i
+        assert coupling.coupled_index(str(j1), j2.as_fraction(), str(j),
+                                      m.as_fraction()) == i
+    top = j1 + j2
+    absent = [(top + 1, top + 1), (top, top + 1), (top, -top - 1),
+              (top, top - H12), (abs(j1 - j2) - 1, HalfInt(0)),
+              (HalfInt(-1), HalfInt(0))]
+    for j, m in absent:
+        assert (j, m) not in labels
+        with pytest.raises(coupling.SelectionRuleError) as excinfo:
+            coupling.coupled_index(j1, j2, j, m)
+        assert str(excinfo.value) == f"no vector |{j} {m}> in {j1} (x) {j2}"
+
+
+def test_coupled_index_names_spins_without_a_product():
+    # Negative spins give the same error as any other absent vector.
+    with pytest.raises(coupling.SelectionRuleError,
+                       match=r"^no vector \|0 0> in -1 \(x\) -1/2$"):
+        coupling.coupled_index(HalfInt(-1), half(-1, 2), 0, 0)

@@ -1,5 +1,7 @@
 """Half-integer labels: arithmetic, ordering, and weight bookkeeping."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -108,3 +110,70 @@ def test_weight_index_roundtrip(t):
     for m in weight_range(j):
         idx = weight_index(j, m)
         assert weight_range(j)[idx] == m
+
+
+# -- immutability and hashing --------------------------------------------------
+
+
+def test_halfint_refuses_mutation():
+    x = half(3, 2)
+    with pytest.raises(AttributeError, match="immutable"):
+        x.twice = 7
+    with pytest.raises(AttributeError, match="immutable"):
+        del x.twice
+    with pytest.raises(AttributeError):
+        x.label = "m"
+    assert x == half(3, 2) and x.twice == 3
+
+
+def test_memoized_weights_refuse_mutation():
+    from jordanian.irreps import irrep
+
+    weights = irrep(1).weights
+    with pytest.raises(AttributeError, match="immutable"):
+        weights[0].twice = 7
+    assert irrep(1).weights == (HalfInt(1), HalfInt(0), HalfInt(-1))
+    assert weight_range(HalfInt(1)) is weight_range(half(2, 2))
+
+
+@given(twices)
+def test_pickle_and_copy_keep_the_value(t):
+    x = HalfInt.from_twice(t)
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is HalfInt and y.twice == t and y == x
+        assert hash(y) == hash(x)
+        with pytest.raises(AttributeError):
+            y.twice = t + 1
+
+
+def test_pickled_matrix_keeps_its_weight_tuples():
+    from jordanian.irreps import irrep
+
+    y = irrep(half(3, 2)).y
+    back = pickle.loads(pickle.dumps(y))
+    assert back == y
+    assert back.row_weights == y.row_weights == weight_range(half(3, 2))
+    assert all(type(w) is HalfInt for w in back.row_weights + back.col_weights)
+
+
+@given(st.integers(min_value=-10**30, max_value=10**30)
+       | st.sampled_from([-1, -2, -3, 2**61 - 1, 2**61, 2**62 + 1, -2**64 - 1]))
+def test_hash_equals_the_fraction_hash(t):
+    x = HalfInt.from_twice(t)
+    q = Fraction(t, 2)
+    assert hash(x) == hash(q)
+    assert x == q and q == x
+    if t % 2 == 0:
+        assert hash(x) == hash(t // 2) and x == t // 2
+    # int, Fraction and HalfInt keys find each other's entries.
+    for key, other in ((x, q), (q, x)):
+        assert {key: "v"}[other] == "v"
+    if t % 2 == 0:
+        assert {t // 2: "v"}[x] == "v" and {x: "v"}[t // 2] == "v"
+    assert len({x, q, HalfInt.from_twice(t)}) == 1
+
+
+def test_equality_with_other_types():
+    assert half(1, 2) != "1/2"
+    assert half(1, 2) != None  # noqa: E711
+    assert HalfInt(2) == 2 and HalfInt(2) != half(3, 2)
