@@ -26,11 +26,12 @@ from functools import lru_cache
 
 from .coupling import (SelectionRuleError, alpha_table, cgc_matrix,
                        coupled_bra, coupled_index, coupled_ket, decompose,
-                       product_labels, product_weight_index, triangle_allowed,
+                       product_label_texts, product_labels,
+                       product_weight_index, triangle_allowed,
                        uh_cgc, uh_cgc_bra, verify_alpha_orthogonality,
                        verify_intermediate_action,
                        verify_intermediate_orthonormality)
-from .halfint import HalfInt, dim_of, half
+from .halfint import HalfInt, dim_of, half, weight_texts
 from .hpoly import HPoly, as_hpoly
 from .irreps import (casimir_matrix, irrep, verify_casimir,
                      verify_defining_relations, verify_hopf_axioms)
@@ -413,7 +414,7 @@ def _cmd_irrep(args) -> int:
     if args.gen == "casimir":  # built on first request, then kept
         mats["casimir"] = casimir_matrix(j)
     names = [args.gen] if args.gen else ["X", "Y", "H"]
-    weights = [str(m) for m in rep.weights]
+    weights = list(weight_texts(j))
     return _render_matrices(
         args, f"spin {j} module, dimension {rep.dim}, weights "
               f"{' '.join(weights)}",
@@ -437,10 +438,9 @@ def _cmd_alpha(args) -> int:
         return _render_rows(args, meta, columns,
                             [(*labels, table.value(*labels))], line=line,
                             key=None)
-    labels, ket = product_labels(j1, j2), table.ket.entries
-    entries = [(k1, k2, m1, m2, ket[r][c])
-               for c, (m1, m2) in enumerate(labels)
-               for r, (k1, k2) in enumerate(labels) if ket[r][c]]
+    texts, ket = product_label_texts(j1, j2), table.ket.entries
+    entries = [(*texts[r], *texts[c], ket[r][c])
+               for c in range(len(texts)) for r in range(len(texts)) if ket[r][c]]
     return _render_rows(args, meta, columns, entries, line=line,
                         title=f"alpha table for the pair ({j1}, {j2}); "
                               f"{len(entries)} nonzero entries")
@@ -461,6 +461,8 @@ def _cmd_cgc(args) -> int:
     elif m is None:
         raise ValueError("--m is required for deformed coefficients")
     labels = [(args.k1, args.k2)] if single else product_labels(j1, j2)
+    texts = ([(str(args.k1), str(args.k2))] if single
+             else product_label_texts(j1, j2))
     if kind == "classical":  # C's spin-j columns: one m = k1 + k2 per row
         top = coupled_index(j1, j2, j, j)
         rows = [product_weight_index(j1, j2, *k) for k in labels]  # may raise
@@ -476,7 +478,7 @@ def _cmd_cgc(args) -> int:
     return _render_rows(
         args, {"j1": str(j1), "j2": str(j2), "j": str(j), "m": m_text,
                "kind": kind}, ("k1", "k2", "value"),
-        [(k1, k2, v) for (k1, k2), v in zip(labels, values) if v or single],
+        [(k1, k2, v) for (k1, k2), v in zip(texts, values) if v or single],
         title=f"{kind} coupling coefficients ({j1}, {j2}) -> {j}, m = {m_text}",
         line="[{}, {}] = {}")
 
@@ -498,8 +500,10 @@ def _cmd_tensorop(args) -> int:
         meta["j"] = str(args.j)
     return _render_matrices(
         args, f"rank {fam.rank} family ({args.realization})", meta,
-        {m: _maybe_eval(fam.component(m), args.h_eval)
-         for m in ([args.m] if args.m is not None else fam.weights)},
+        {str(args.m): _maybe_eval(fam.component(args.m), args.h_eval)}
+        if args.m is not None else
+        {m: _maybe_eval(t, args.h_eval)
+         for m, t in zip(weight_texts(fam.rank), fam.components)},
         key="components", column="component", label="t[{}]")
 
 

@@ -53,11 +53,12 @@ from functools import cached_property, lru_cache
 from math import comb, factorial, lcm
 
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
-                      weight_index, weight_range)
+                      weight_index, weight_range, weight_texts)
 from .hpoly import HPoly
 from .irreps import (Generator, GenMatrices, casimir_from_gens,
                      coproduct_matrix, irrep)
-from .polymatrix import PolyMatrix, _unit_like, kron, unipotent_inverse
+from .polymatrix import (PolyMatrix, _bases, _rebased, _unit_like, kron,
+                         unipotent_inverse)
 from .radical import RadScalar, sqrt_factorial_ratio
 from .report import Report, entry_checks, residual_checks
 
@@ -85,6 +86,17 @@ def _product_labels(twice1: int, twice2: int):
                  for k2 in weight_range(HalfInt.from_twice(twice2)))
 
 
+def product_label_texts(j1, j2) -> tuple[tuple[str, str], ...]:
+    """The texts of product_labels(j1, j2), kept beside them."""
+    return _product_label_texts(as_half(j1).twice, as_half(j2).twice)
+
+
+@lru_cache(maxsize=None)
+def _product_label_texts(twice1: int, twice2: int):
+    return tuple((k1, k2) for k1 in weight_texts(HalfInt.from_twice(twice1))
+                 for k2 in weight_texts(HalfInt.from_twice(twice2)))
+
+
 @dataclass(frozen=True)
 class AlphaTable:
     """The coupling matrices K, B = P K^T P and C of a (j1, j2) pair, and
@@ -108,10 +120,17 @@ class AlphaTable:
         """K C: the coupled kets |j m> as columns (coupled_labels order)."""
         return self.ket @ self.cgc
 
+    @property
+    def cgc_transpose(self) -> PolyMatrix:
+        """C^T in the bases of C, swapped: C is classical, so its transpose
+        needs no dual bases.  Formed on each read, not kept."""
+        rows, cols = _bases(self.cgc)
+        return _rebased(self.cgc.transpose(), cols, rows)
+
     @cached_property
     def coupled_bras(self) -> PolyMatrix:
         """C^T B: the coupled bras <j m| as rows (coupled_labels order)."""
-        return self.cgc.transpose() @ self.bra
+        return self.cgc_transpose @ self.bra
 
     @cached_property
     def dual(self) -> PolyMatrix:
@@ -485,7 +504,9 @@ def _certified_decomposition(j1: HalfInt,
     cas = casimir_from_gens(GenMatrices(None, *_pair_coproducts(j1, j2)))
     _pair_coproducts.cache_clear()
     labels = coupled_labels(j1, j2)
-    eigen = PolyMatrix.diagonal([casimir_eigenvalue(j) for j, _ in labels])
+    coupled = _bases(kc)[1]
+    eigen = _rebased(PolyMatrix.diagonal([casimir_eigenvalue(j) for j, _ in labels]),
+                     coupled, coupled)
     left, right = cas @ kc, kc @ eigen
     if left != right:  # the difference is formed only to name a column
         bad = (left - right).transpose().first_nonzero()

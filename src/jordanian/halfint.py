@@ -153,6 +153,16 @@ def _weight_range(twice: int) -> tuple[HalfInt, ...]:
     return tuple(HalfInt.from_twice(twice - 2 * i) for i in range(dim))
 
 
+def weight_texts(j: HalfInt) -> tuple[str, ...]:
+    """The texts of weight_range(j), kept beside it: one tuple per spin."""
+    return _weight_texts(j.twice)
+
+
+@lru_cache(maxsize=None)
+def _weight_texts(twice: int) -> tuple[str, ...]:
+    return tuple(map(str, _weight_range(twice)))
+
+
 def weight_index(j: HalfInt, m: HalfInt) -> int:
     """Position of weight m in weight_range(j)."""
     t = j.twice - m.twice

@@ -32,8 +32,8 @@ from functools import lru_cache
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
                       weight_range)
 from .hpoly import HPoly
-from .polymatrix import (PolyMatrix, _msum, commutator, exp_nilpotent, kron,
-                         power_series)
+from .polymatrix import (PolyMatrix, _bases, _msum, _rebased, _unit_like,
+                         commutator, exp_nilpotent, kron, power_series)
 from .radical import RadScalar, falling_binomial
 from .report import Check, Report, zero_check
 
@@ -64,7 +64,8 @@ def sl2_irrep(j) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """Classical spin-j ladder matrices (Zp, Zm, Hm), h-free.
 
     Zp|j m> = sqrt((j-m)(j+m+1)) |j m+1>, Zm lowers, Hm|j m> = 2m |j m>.
-    The coefficients are real, so Zm = Zp^T.
+    The coefficients are real, so Zm = Zp^T, kept in the ladder basis
+    rather than its dual.
     """
     ws = weight_range(as_half(j))
     n = len(ws)
@@ -72,7 +73,7 @@ def sl2_irrep(j) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     zp = PolyMatrix([[RadScalar.sqrt(c * (n - c)) if c == r + 1 else 0
                       for c in range(n)] for r in range(n)], ws, ws)
     hm = PolyMatrix.diagonal([Fraction(m.twice) for m in ws], ws)
-    return zp, zp.transpose(), hm
+    return zp, _rebased(zp.transpose(), *_bases(zp)), hm
 
 
 def x_matrix(j) -> PolyMatrix:
@@ -119,8 +120,8 @@ class GenMatrices:
             return self.y
         if gen is Generator.H:
             return self.h
-        if gen is Generator.UNIT:
-            return PolyMatrix.identity(self.dim, self.weights)
+        if gen is Generator.UNIT:  # in the module's basis, that of X
+            return _unit_like(self.x)._relabeled(self.weights, self.weights)
         if gen is Generator.EXP_HX:
             return self.ep
         if gen is Generator.EXP_MHX:
@@ -242,7 +243,7 @@ def antipode_matrix(gen: Generator, gens: GenMatrices) -> PolyMatrix:
     if gen is Generator.H:
         return -(gens.ep @ gens.h @ gens.em)
     if gen is Generator.UNIT:
-        return PolyMatrix.identity(gens.dim, gens.weights)
+        return gens.of(gen)
     if gen is Generator.EXP_HX:
         return gens.em
     if gen is Generator.EXP_MHX:

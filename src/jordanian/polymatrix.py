@@ -4,49 +4,42 @@ Matrices carry optional weight labels on rows and columns (the half-integer
 m of each basis vector) so representation-theoretic indexing stays explicit.
 All operations are exact; a zero residual matrix is literally zero.
 
-Storage.  Almost every matrix the package builds has one monomial
-q * sqrt(n) * h**k per entry, and k and n follow the basis: k = a_i - b_c
-and n = sqfree(p_i * q_c) for an integer h-offset and a squarefree radical
-on each row i and column c.  Graded storage keeps
-exactly that: a dict ``{col: numerator}`` of ints per row over one
-positive int denominator, the row labels (a_i, p_i) and the column labels
-(b_c, q_c); the entry at (i, c) is numerator/den * sqrt(p_i / q_c) *
-h**(a_i - b_c), and a row or column with no entry has no label.
+Storage.  Almost every matrix the package builds has one monomial per
+entry, its h-power and radical following the bases of the rows and
+columns: a basis labels each index with an (h-offset, squarefree radical).
+Graded storage keeps a dict ``{col: numerator}`` of ints per row over one
+positive int denominator, a row basis, a column basis and one constant
+(shift, rad); the entry at (i, c) is numerator/den * sqrt(p_i rad / q_c) *
+h**(a_i + shift - b_c) for the labels (a_i, p_i) and (b_c, q_c).  Bases are
+interned by their labels moved by the gauge of the first label (which
+moves into the constant), so the ladder basis of a spin, the product
+basis of a pair and its coupled basis are one object each, however a
+matrix reaches them: from entries, a slice or a reversal.
 
-The labels are a certificate, not an assumption.  ``_certify`` derives
-them from the entries, breadth first over each connected component of the
-nonzero pattern, and checks every entry against them.  The first row i of
-a component starts from the gauge of the spin (rows-1)/2 ladder basis,
-(-i, sqfree(i! (rows-1-i)!)), unless the construction offers row labels
-of its own basis.  A matrix with an entry of two or more terms, or with
-entries that no labels fit, keeps term storage: for each row, a tuple of
-``(col, terms)`` pairs in column order, ``terms`` a sorted tuple of
-``(h-power, radicand, numerator)`` triples with squarefree radicands over
-one ``den``.  Only the certificate chooses between the two.  ``den`` and
-``data`` read term storage, built on first read for a graded matrix, with
-``den`` minimal: its gcd with every numerator is 1, and the zero matrix has
-den 1.  Equal matrices therefore have equal ``den`` and ``data``, which is
-what ``hash`` reads; ``==`` compares graded operands on their integers once
-their labels are aligned, and term storage otherwise.
+The bases are a certificate, not an assumption: ``_fit`` checks every
+entry against offered bases in one pass, and the public constructor offers
+the labels ``_derived`` finds over the nonzero pattern, each component
+starting from the spin (rows-1)/2 ladder gauge (-i, sqfree(i! (rows-1-i)!))
+or from row labels the construction offers.  A matrix with an entry of two
+or more terms, or that no labels fit, keeps term storage: for each row, a
+tuple of ``(col, terms)`` pairs in column order, ``terms`` a sorted tuple
+of ``(h-power, radicand, numerator)`` triples with squarefree radicands
+over one ``den``.  ``den`` and ``data`` read term storage, built on first
+read for a graded matrix, with ``den`` minimal, so equal matrices have
+equal ``den`` and ``data``: ``hash`` reads them, and so does ``==`` unless
+both operands are graded in the same bases.
 
-Arithmetic.  On graded operands ``@``, ``kron``, ``+``, ``-``, scalar
-``*`` and ``/`` by one monomial, ``transpose``, ``submatrix``/``column``/
-``row`` and ``divide_h`` do integer work only.  A product needs the left
-column labels to equal the right row labels up to one h-shift, which moves
-to the result's column labels; ``kron`` composes labels, offsets adding and
-radicals multiplying; a sum needs equal labels wherever both operands have
-them.  Labels are fixed only up to one (shift, radical) gauge per
-component, so operands whose labels disagree by one gauge are moved onto
-each other, and otherwise re-gauged component by component (``_align``).
-The integer denominator is reduced once it outgrows a machine word.  When
-no gauge fits, or an operand has term storage, the operation runs on term
-storage: a product sums each output row in a dict keyed by column, where
-an entry is one [h-power, radicand, numerator] term until a second
-(h-power, radicand) reaches it and a small dict of terms from then on;
-radicands multiply as in ``RadScalar.__mul__``; ``kron`` and a scalar
-multiple form each entry as one product.  Its result goes through the
-certificate like any other.  A sum with an all-zero operand returns the
-other operand.
+Arithmetic.  On graded operands ``@`` (the left column basis is the right
+row basis; constants add), ``+``, ``-`` (the same bases and constant),
+``kron`` (bases compose, kept per pair of bases), scalar ``*`` and ``/`` by
+one monomial (the constant moves), ``transpose`` (the dual bases, offsets
+negated), slices and ``divide_h`` do integer work only, a slice moving the
+gauge of its first labels into the constant; the denominator is reduced
+once it outgrows a machine word.  Anything else runs on term storage (the
+``_term_*`` functions; a product entry is one [h-power, radicand,
+numerator] term until a second (h-power, radicand) reaches it), and the
+result is certified again, offered the bases the graded kernel would have
+given it.  A sum with an all-zero operand returns the other.
 
 ``HPoly`` is the boundary type.  The public constructor reads HPoly entries
 (or anything ``as_hpoly`` accepts) once.  ``entries`` and ``entry()`` read
@@ -174,18 +167,18 @@ def _accumulate(acc, aterms, brow):
                     e[k, n] = e.get((k, n), 0) + v
 
 
-def _row(acc, g=1):
-    """The stored row of an accumulator, in column order, numerators
-    divided by g; zero terms and entries are dropped."""
+def _row(acc):
+    """The stored row of an accumulator, in column order; zero terms and
+    entries are dropped."""
     row = []
     for c in sorted(acc):
         e = acc[c]
         if e.__class__ is list:
             k, n, v = e
             if v:
-                row.append((c, ((k, n, v // g if g != 1 else v),)))
+                row.append((c, ((k, n, v),)))
         else:
-            terms = tuple(sorted((k, n, v // g) for (k, n), v in e.items() if v))
+            terms = tuple(sorted((k, n, v) for (k, n), v in e.items() if v))
             if terms:
                 row.append((c, terms))
     return tuple(row)
@@ -197,7 +190,55 @@ def _scaled_row(row, f):
                                     for c, terms in row)
 
 
-# -- graded storage -------------------------------------------------------------
+# The operations on term storage, the fallback for operands not graded in
+# matching bases; each result is certified again, offered their bases.
+
+def _term_matmul(a, b):
+    """a @ b: each output row summed in a dict keyed by column."""
+    bdata = b.data
+    accs = []
+    for arow in a.data:
+        acc = {}
+        for k, aterms in arow:
+            _accumulate(acc, aterms, bdata[k])
+        accs.append(acc)
+    ga, gb = a._g, b._g
+    return PolyMatrix._of(a.rows, b.cols,
+                          *_minimal(a.den * b.den, tuple(map(_row, accs))),
+                          a.row_weights, b.col_weights, None, None,
+                          ga and gb and (ga.rb, gb.cb))
+
+
+def _term_sum(a, b, sign, row_weights, col_weights):
+    """a + sign * b with the given weights."""
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, sign * (den // b.den)
+    out = []
+    for ra, rb in zip(a.data, b.data):
+        if not rb:
+            out.append(_scaled_row(ra, fa))
+        else:
+            acc = {}
+            _accumulate(acc, ((0, 1, fa),), ra)
+            _accumulate(acc, ((0, 1, fb),), rb)
+            out.append(_row(acc))
+    g = a._g or b._g
+    return PolyMatrix._of(a.rows, a.cols, *_minimal(den, tuple(out)),
+                          row_weights, col_weights, None, None,
+                          g and (g.rb, g.cb))
+
+
+def _term_kron(a, b):
+    """kron(a, b), each entry formed as one product."""
+    bcols = b.cols
+    data = tuple(tuple([(k * bcols + c, _times(at, bt)) for k, at in arow
+                        for c, bt in brow])
+                 for arow in a.data for brow in b.data)
+    return PolyMatrix._of(a.rows * b.rows, a.cols * b.cols,
+                          *_minimal(a.den * b.den, data), None, None)
+
+
+# -- bases ----------------------------------------------------------------------
 
 def _sf(x, y):
     """sqfree(x * y) for squarefree x and y: the product of radical classes."""
@@ -221,253 +262,199 @@ def _natural(n):
     return tuple(out)
 
 
+class _Basis:
+    """The labels (h-offset, squarefree radical) of one index space, the
+    first (0, 1); interned, with its dual and Kronecker products kept."""
+
+    __slots__ = ("labels", "dual", "krons")
+
+    def __init__(self, labels):
+        self.labels, self.dual, self.krons = labels, None, {}
+
+
+_BASES: dict[tuple, _Basis] = {}
+
+
+def _interned(labels):
+    return _BASES.get(labels) or _BASES.setdefault(labels, _Basis(labels))
+
+
+def _basis(labels):
+    """The basis of raw labels (a_i, p_i), or the basis given: the labels
+    moved by the gauge of the first, (a_i - a0, sqfree(p_i p0))."""
+    if labels.__class__ is _Basis:
+        return labels
+    a0, p0 = labels[0] if labels else (0, 1)
+    return _interned(tuple((a - a0, _sf(p, p0)) for a, p in labels))
+
+
+def _dual(basis):
+    """The basis of the transposed side: offsets negated."""
+    if basis.dual is None:
+        basis.dual = _interned(tuple((-a, p) for a, p in basis.labels))
+        basis.dual.dual = basis
+    return basis.dual
+
+
+def _kron_bases(left, right):
+    """The basis of a Kronecker index space, offsets adding and radicals
+    multiplying, and the factor gcd(p, q) of each index (None when all are
+    1), kept on left: sqrt(p) sqrt(q) = gcd(p, q) sqrt(sqfree(p q))."""
+    out = left.krons.get(right)
+    if out is None:
+        labels, factors = [], []
+        for a, p in left.labels:
+            for b, q in right.labels:
+                f = gcd(p, q)
+                labels.append((a + b, (p // f) * (q // f)))
+                factors.append(f)
+        out = left.krons[right] = (_interned(tuple(labels)),
+                                   None if max(factors) == 1 else factors)
+    return out
+
+
+# -- graded storage -------------------------------------------------------------
+
 class _Graded:
-    """Integer rows {col: numerator} over den with row labels rl and column
-    labels cl, (h-offset, squarefree radical) or None for an empty row or
-    column; the term storage and the components are built on first use."""
+    """Int rows {col: numerator} over den in the bases rb and cb with the
+    constant (shift, rad), as in the module docstring; the term storage is
+    built on first use."""
 
-    __slots__ = ("den", "rows", "rl", "cl", "terms", "comps")
+    __slots__ = ("den", "rows", "rb", "cb", "shift", "rad", "terms")
 
-    def __init__(self, den, rows, rl, cl):
-        self.den, self.rows, self.rl, self.cl = den, rows, rl, cl
-        self.terms = self.comps = None
-
-
-def _graded(den, rows, rl, cl, prune=False):
-    """Graded storage; den is reduced once it outgrows a machine word, and
-    prune drops the labels of rows and columns that hold no entry."""
-    if den >> 62:
-        g = den
-        for row in rows:
-            if row:
-                g = gcd(g, *row.values())
-                if g == 1:
-                    break
-        if g != 1:
-            den //= g
-            rows = [{c: v // g for c, v in row.items()} for row in rows]
-    if prune:  # every row and column with an entry has a label
-        if len(rows) - rows.count({}) != len(rl) - rl.count(None):
-            rl = tuple(lab if row else None for lab, row in zip(rl, rows))
-        present = set().union(*rows)
-        if len(present) != len(cl) - cl.count(None):
-            cl = tuple(lab if c in present else None for c, lab in enumerate(cl))
-    return _Graded(den, tuple(rows), tuple(rl), tuple(cl))
+    def __init__(self, den, rows, rb, cb, shift, rad):
+        self.den, self.rows, self.rb, self.cb = den, rows, rb, cb
+        self.shift, self.rad, self.terms = shift, rad, None
 
 
-def _certify(nrows, ncols, den, data, start=None):
-    """Graded storage of term storage, or None.  Labels are derived breadth
-    first over the nonzero pattern and every entry is checked against
-    them: each entry must be one term, with h-power a_i - b_c and radicand
-    sqfree(p_i q_c).  The first row i of a component is labelled start[i],
-    by default the spin (nrows-1)/2 gauge."""
-    cells = []
-    at_col = [[] for _ in range(ncols)]
-    for i, row in enumerate(data):
+def _graded(den, rows, rb, cb, shift, rad):
+    """Graded storage; den is reduced once it outgrows a machine word."""
+    if den >> 62 and (g := gcd(den, *(v for row in rows for v in row.values()))) != 1:
+        den //= g
+        rows = [{c: v // g for c, v in row.items()} for row in rows]
+    return _Graded(den, tuple(rows), rb, cb, shift, rad)
+
+
+def _fit(den, data, rb, cb):
+    """Graded storage of term storage in the bases rb and cb, or None when
+    an entry has two terms or no one constant fits them all: one pass.
+    v sqrt(n) = V/rad sqrt(p rad / q), V = v q/y rad/g for g = gcd(p, rad)
+    and y = gcd(sqfree(p rad), q)."""
+    cl = cb.labels
+    shift = rad = None
+    rows = []
+    for (a, p), row in zip(rb.labels, data):
+        out = {}
         for c, terms in row:
             if len(terms) != 1:
                 return None
+            (k, n, v), = terms
+            b, q = cl[c]
+            if shift is None:
+                shift, rad = k - a + b, _sf(_sf(n, p), q)
+            g = gcd(p, rad)
+            x = (p // g) * (rad // g)
+            y = gcd(x, q)
+            if k != a + shift - b or (x // y) * (q // y) != n:
+                return None
+            out[c] = v * (q // y) * (rad // g)
+        rows.append(out)
+    return _graded(den * (rad or 1), rows, rb, cb, shift or 0, rad or 1)
+
+
+def _derived(nrows, ncols, data, start):
+    """Row and column labels for term storage, propagated breadth first
+    over the nonzero pattern from the first term of each entry: h-power
+    a_i - b_c and radicand sqfree(p_i q_c).  The first row i of a component
+    is labelled start[i], by default the spin (nrows-1)/2 gauge; an empty
+    row takes start[i] too, and an empty column the spin (ncols-1)/2 gauge
+    moved as far as the first labelled column is.  _fit checks them."""
+    cells = [{c: terms[0] for c, terms in row} for row in data]
+    at_col = [[] for _ in range(ncols)]
+    for i, row in enumerate(cells):
+        for c in row:
             at_col[c].append(i)
-        cells.append({c: terms[0] for c, terms in row})
-    rl, cl = [None] * nrows, [None] * ncols
     start = start or _natural(nrows)
+    rl, cl = [None] * nrows, [None] * ncols
     for first, row in enumerate(cells):
-        if not row or rl[first] is not None:
-            continue
-        rl[first] = start[first]
-        todo = [first]
-        while todo:
-            i = todo.pop()
-            a, p = rl[i]
-            for c, (k, n, _) in cells[i].items():
-                want = (a - k, _sf(p, n))
-                if cl[c] is None:
-                    cl[c] = want
-                    b, q = want
-                    for r in at_col[c]:
-                        if rl[r] is None:
-                            k2, n2, _ = cells[r][c]
-                            rl[r] = (b + k2, _sf(q, n2))
-                            todo.append(r)
-                elif cl[c] != want:
-                    return None
-    # v sqrt(n) = V sqrt(p / q) with V = v q / gcd(p, q)
-    rows = []
-    for row, lab in zip(cells, rl):
-        if row:
-            p = lab[1]
-            rows.append({c: v * (cl[c][1] // gcd(p, cl[c][1]))
-                         for c, (_, _, v) in row.items()})
-        else:
-            rows.append({})
-    return _graded(den, rows, rl, cl)
+        if row and rl[first] is None:
+            rl[first], todo = start[first], [first]
+            while todo:
+                i = todo.pop()
+                a, p = rl[i]
+                for c, (k, n, _) in cells[i].items():
+                    if cl[c] is None:
+                        cl[c] = b, q = a - k, _sf(p, n)
+                        for r in at_col[c]:
+                            if rl[r] is None:
+                                k2, n2, _ = cells[r][c]
+                                rl[r] = (b + k2, _sf(q, n2))
+                                todo.append(r)
+    natural = _natural(ncols)
+    d, r = next(((lab[0] - x, _sf(lab[1], y)) for lab, (x, y) in zip(cl, natural)
+                 if lab is not None), (0, 1))
+    return ([lab or s for lab, s in zip(rl, start)],
+            [lab or (x + d, _sf(y, r)) for lab, (x, y) in zip(cl, natural)])
+
+
+def _certify(nrows, ncols, den, data, start=None, bases=None):
+    """Graded storage of term storage, or None: in the offered bases
+    (rb, cb) when every entry fits them, else in the bases of the labels
+    _derived finds (from the row labels start, if given)."""
+    if bases is not None:
+        g = _fit(den, data, *bases)
+        if g is not None:
+            return g
+    rl, cl = _derived(nrows, ncols, data, start)
+    return _fit(den, data, _basis(rl), _basis(cl))
 
 
 def _graded_terms(g):
-    """(den, data): the term storage of graded storage, minimal."""
+    """(den, data): the term storage of graded storage, minimal, built once.
+    V sqrt(p rad / q) h**(a + shift - b) = V s / t sqrt(n) h**k with
+    s = gcd(p, rad), x = sqfree(p rad), y = gcd(x, q), t = q / y and
+    n = sqfree(x q)."""
     if g.terms is None:
-        cl, big = g.cl, 1
-        rows = []
-        for row, lab in zip(g.rows, g.rl):
-            out = []
+        cl, rad, big, rows = g.cb.labels, g.rad, 1, []
+        for row, (a, p) in zip(g.rows, g.rb.labels):
+            orow = []
             if row:
-                a, p = lab
+                s = gcd(p, rad)
+                x, a = (p // s) * (rad // s), a + g.shift
                 for c in sorted(row):
                     b, q = cl[c]
-                    s = gcd(p, q)
-                    t = q // s  # V sqrt(p / q) = V / t * sqrt(sqfree(p q))
-                    if t != 1:
-                        big = lcm(big, t)
-                    out.append((c, a - b, (p // s) * t, row[c], t))
-            rows.append(out)
-        data = tuple(tuple((c, ((k, n, v * (big // t)),)) for c, k, n, v, t in row)
-                     for row in rows)
-        g.terms = _minimal(g.den * big, data)
+                    y = gcd(x, q)
+                    big = lcm(big, q // y)
+                    orow.append((c, a - b, (x // y) * (q // y), row[c] * s, q // y))
+            rows.append(orow)
+        g.terms = _minimal(g.den * big, tuple(tuple(
+            (c, ((k, n, v * (big // t)),)) for c, k, n, v, t in row) for row in rows))
     return g.terms
 
 
-def _components(g):
-    """The component (a root index) of each row and each column of the
-    nonzero pattern, None for an empty one; built once per storage."""
-    if g.comps is None:
-        nrows = len(g.rows)
-        parent = list(range(nrows + len(g.cl)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        for i, row in enumerate(g.rows):
-            top = find(i)
-            for c in row:
-                root = find(nrows + c)
-                if root != top:
-                    parent[root] = top
-        g.comps = (tuple(find(i) if row else None for i, row in enumerate(g.rows)),
-                   tuple(find(nrows + c) if lab is not None else None
-                         for c, lab in enumerate(g.cl)))
-    return g.comps
-
-
-def _align(pairs):
-    """Per-component gauges (shift, radical) that make each pair of labels
-    equal, or None when none exist.  pairs holds (u, v, left, right): a
-    component u of the left operand, v of the right one, and their labels
-    of one shared index; the left components keep their gauge where they
-    can.  Returns ({u: gauge}, {v: gauge}) without the trivial gauges."""
-    adj = {}
-    for u, v, (a, p), (b, q) in pairs:
-        d, r = b - a, _sf(p, q)
-        adj.setdefault(u, []).append((~v, -d, r))
-        adj.setdefault(~v, []).append((u, d, r))
-    pot = {}
-    for start in sorted(adj, reverse=True):  # left components first
-        if start in pot:
-            continue
-        pot[start] = (0, 1)
-        todo = [start]
-        while todo:
-            x = todo.pop()
-            s, r = pot[x]
-            for y, d, ry in adj[x]:
-                want = (s + d, _sf(r, ry))
-                have = pot.get(y)
-                if have is None:
-                    pot[y] = want
-                    todo.append(y)
-                elif have != want:
-                    return None
-    left, right = {}, {}
-    for x, gauge in pot.items():
-        if gauge != (0, 1):
-            if x >= 0:
-                left[x] = gauge
-            else:
-                right[~x] = gauge
-    return left, right
-
-
-def _moved(g, rgauge, cgauge):
-    """The same matrix with the label of row i moved by the gauge
-    (shift, radical) rgauge[i] and that of column c by cgauge[c], None
-    for no move; an entry's row and column move together, and its
-    numerator changes by gcd(p, r) / gcd(q, r)."""
-    cl, colf, big = list(g.cl), [1] * len(g.cl), 1
-    for c, gauge in enumerate(cgauge):
-        if gauge is not None and cl[c] is not None:
-            (d, r), (b, q) = gauge, cl[c]
-            cl[c] = (b + d, _sf(q, r))
-            if r != 1:
-                colf[c] = f = gcd(q, r)
-                big = lcm(big, f)
-    rl, rows = list(g.rl), []
-    for i, (row, gauge) in enumerate(zip(g.rows, rgauge)):
-        f = 1
-        if gauge is not None and row:
-            (d, r), (a, p) = gauge, rl[i]
-            rl[i] = (a + d, _sf(p, r))
-            f = gcd(p, r)
-        if f == 1 and big == 1:
-            rows.append(row)
-        else:
-            rows.append({c: v * f * (big // colf[c]) for c, v in row.items()})
-    return _graded(g.den * big, rows, rl, cl)
-
-
-def _moved_by(g, gauges):
-    """g with each component moved by its gauge in gauges."""
-    if not gauges:
-        return g
-    rcomp, ccomp = _components(g)
-    return _moved(g, [gauges.get(u) for u in rcomp],
-                  [gauges.get(u) for u in ccomp])
-
-
-def _moved_all(g, gauge):
-    """g with every label moved by one gauge."""
-    if gauge == (0, 1):
-        return g
-    return _moved(g, [gauge] * len(g.rl), [gauge] * len(g.cl))
-
-
-def _common_gauge(left, right):
-    """The gauge (d, r) that moves left onto right wherever both labels
-    exist: offsets differ by d, radicals by the class r.  None when no
-    index has both labels, False when no single gauge does it."""
-    if left == right:
-        return (0, 1)
-    gauge = None
-    for x, y in zip(left, right):
-        if x is None or y is None:
-            continue
-        d = (0, 1) if x == y else (y[0] - x[0], _sf(x[1], y[1]))
-        if gauge is None:
-            gauge = d
-        elif d != gauge:
-            return False
-    return gauge
-
-
-def _pairs(lcomp, left, rcomp, right):
-    return [(u, v, x, y) for u, x, v, y in zip(lcomp, left, rcomp, right)
-            if x is not None and y is not None]
+def _on(den, rows, rl, cl, shift, rad):
+    """Graded storage of int rows with the raw labels (or bases) rl, cl and
+    the constant (shift, rad), as in _Graded, in the bases of the labels: the
+    gauge (a0, p0) of the first label of each side moves into the constant,
+    since sqrt(p) = gcd(p, p0) / p0 * sqrt(sqfree(p p0)) * sqrt(p0)."""
+    rb, cb = _basis(rl), _basis(cl)
+    rl, cl = (x.labels if x.__class__ is _Basis else x for x in (rl, cl))
+    (a0, p0), (b0, q0) = (x[0] if x else (0, 1) for x in (rl, cl))
+    if p0 != 1 or q0 != 1:  # sqrt(p0 q0 rad) = f sqrt(rad')
+        rowf, colf = [gcd(p, p0) for _, p in rl], [gcd(q, q0) for _, q in cl]
+        f, big = gcd(p0, q0) * gcd(_sf(p0, q0), rad), lcm(*colf)
+        rows = [{c: v * f * rowf[i] * (big // colf[c]) for c, v in row.items()}
+                for i, row in enumerate(rows)]
+        den, rad = den * p0 * big, _sf(_sf(p0, q0), rad)
+    return _graded(den, rows, rb, cb, shift + a0 - b0, rad)
 
 
 def _gmatmul(a, b):
-    """a @ b on graded storage, or None when no gauge aligns the inner
-    index."""
-    gauge = _common_gauge(a.cl, b.rl)
-    shift = 0
-    if gauge is False:
-        gauges = _align(_pairs(_components(a)[1], a.cl, _components(b)[0], b.rl))
-        if gauges is None:
-            return None
-        a, b = _moved_by(a, gauges[0]), _moved_by(b, gauges[1])
-    elif gauge is not None:
-        shift, r = gauge
-        if r != 1:
-            b, shift = _moved_all(b, (-shift, r)), 0
+    """a @ b on graded storage, or None when the left column basis is not
+    the right row basis.  Constants add: sqrt(ra) sqrt(rb) = f sqrt(r) for
+    f = gcd(ra, rb)."""
+    if a.cb is not b.rb:
+        return None
     brows = b.rows
     out = []
     for arow in a.rows:
@@ -479,40 +466,23 @@ def _gmatmul(a, b):
         if 0 in acc.values():
             acc = {c: v for c, v in acc.items() if v}
         out.append(acc)
-    cl = b.cl if not shift else tuple(
-        None if lab is None else (lab[0] - shift, lab[1]) for lab in b.cl)
-    return _graded(a.den * b.den, out, a.rl, cl, prune=True)
-
-
-def _aligned(a, b):
-    """(a, b) re-gauged so that their labels agree wherever both exist, or
-    None when no gauge does it (then the matrices differ in some entry's
-    h-power or radicand class)."""
-    rows, cols = _common_gauge(a.rl, b.rl), _common_gauge(a.cl, b.cl)
-    if rows is False or cols is False or (rows and cols and rows != cols):
-        (ra, ca), (rb, cb) = _components(a), _components(b)
-        gauges = _align(_pairs(ra, a.rl, rb, b.rl) + _pairs(ca, a.cl, cb, b.cl))
-        if gauges is None:
-            return None
-        return _moved_by(a, gauges[0]), _moved_by(b, gauges[1])
-    d, r = rows or cols or (0, 1)
-    return a, _moved_all(b, (-d, r))
+    f = gcd(a.rad, b.rad)
+    if f != 1:
+        out = [{c: v * f for c, v in row.items()} for row in out]
+    return _graded(a.den * b.den, out, a.rb, b.cb, a.shift + b.shift,
+                   (a.rad // f) * (b.rad // f))
 
 
 def _gsum(a, b, sign):
-    """a + sign * b on graded storage, or None when no gauge aligns them."""
-    pair = _aligned(a, b)
-    if pair is None:
+    """a + sign * b on graded storage in the same bases and constant."""
+    if a.rb is not b.rb or a.cb is not b.cb or (a.shift, a.rad) != (b.shift, b.rad):
         return None
-    a, b = pair
     den = lcm(a.den, b.den)
     fa, fb = den // a.den, sign * (den // b.den)
     out = []
     for x, y in zip(a.rows, b.rows):
         if not y:
             out.append(x if fa == 1 else {c: v * fa for c, v in x.items()})
-        elif not x:
-            out.append({c: v * fb for c, v in y.items()})
         else:
             acc = x.copy() if fa == 1 else {c: v * fa for c, v in x.items()}
             get = acc.get
@@ -521,108 +491,96 @@ def _gsum(a, b, sign):
             if 0 in acc.values():
                 acc = {c: v for c, v in acc.items() if v}
             out.append(acc)
-    rl = tuple(y if x is None else x for x, y in zip(a.rl, b.rl))
-    cl = tuple(y if x is None else x for x, y in zip(a.cl, b.cl))
-    return _graded(den, out, rl, cl, prune=True)
-
-
-@lru_cache(maxsize=64)
-def _kron_labels(left, right):
-    """The labels of a Kronecker index space, offsets adding and radicals
-    multiplying, and the factor gcd(p1, p2) of each:
-    sqrt(p1) sqrt(p2) = gcd(p1, p2) sqrt(sqfree(p1 p2))."""
-    labels, factors = [], []
-    for x in left:
-        for y in right:
-            if x is None or y is None:
-                labels.append(None)
-                factors.append(1)
-            else:
-                f = gcd(x[1], y[1])
-                labels.append((x[0] + y[0], (x[1] // f) * (y[1] // f)))
-                factors.append(f)
-    return tuple(labels), tuple(factors)
+    return _graded(den, out, a.rb, a.cb, a.shift, a.rad)
 
 
 def _gkron(a, b):
-    """kron(a, b) on graded storage: labels compose (_kron_labels)."""
-    rl, rowf = _kron_labels(a.rl, b.rl)
-    cl, colf = _kron_labels(a.cl, b.cl)
-    big = lcm(*colf)
-    colf = [big // f for f in colf]
-    w = len(b.cl)
+    """kron(a, b) on graded storage: bases compose and constants add."""
+    rb, rowf = _kron_bases(a.rb, b.rb)
+    cb, colf = _kron_bases(a.cb, b.cb)
+    f = gcd(a.rad, b.rad)
+    big = 1 if colf is None else lcm(*colf)
+    w = len(b.cb.labels)
     out = []
     i = 0
     for x in a.rows:
         for y in b.rows:
-            f = rowf[i]
+            g = f if rowf is None else f * rowf[i]
             i += 1
             row = {}
             for k, u in x.items():
-                base, u = k * w, u * f
-                if big == 1:
+                base, u = k * w, u * g
+                if colf is None:
                     for c, v in y.items():
                         row[base + c] = u * v
                 else:
                     for c, v in y.items():
-                        row[base + c] = u * v * colf[base + c]
+                        row[base + c] = u * v * (big // colf[base + c])
             out.append(row)
-    return _graded(a.den * b.den * big, out, rl, cl)
+    return _graded(a.den * b.den * big, out, rb, cb, a.shift + b.shift,
+                   (a.rad // f) * (b.rad // f))
 
 
 def _gscale(g, k, n, num, den):
-    """g times num/den * sqrt(n) * h**k: row labels move by (k, n)."""
-    rl, out = [], []
-    for row, lab in zip(g.rows, g.rl):
-        if lab is None:
-            rl.append(None)
-            out.append(row)
-            continue
-        a, p = lab
-        f = gcd(p, n)
-        rl.append((a + k, (p // f) * (n // f)))
-        f *= num
-        out.append(row if f == 1 else {c: v * f for c, v in row.items()})
-    return _graded(g.den * den, out, rl, g.cl)
+    """g times num/den * sqrt(n) * h**k: the constant moves by (k, n)."""
+    f = gcd(g.rad, n)
+    rad = (g.rad // f) * (n // f)
+    f *= num
+    rows = g.rows if f == 1 else [{c: v * f for c, v in row.items()}
+                                  for row in g.rows]
+    return _graded(g.den * den, rows, g.rb, g.cb, g.shift + k, rad)
 
 
 def _gtranspose(g):
-    """The transpose: labels swap sides with negated offsets, and
-    V sqrt(p / q) = (V p / q) sqrt(q / p).  Each component is then
-    shifted so that its first row i has offset -i, as the certificate
-    would start it; radicals are kept."""
-    big = lcm(*(lab[1] for lab in g.cl if lab is not None))
-    out = [{} for _ in g.cl]
-    for i, (row, lab) in enumerate(zip(g.rows, g.rl)):
+    """The transpose, in the dual bases with the same constant:
+    V sqrt(p rad / q) = (V p / q) sqrt(q rad / p)."""
+    rl, cl = g.rb.labels, g.cb.labels
+    big = lcm(*(cl[c][1] for c in set().union(*g.rows)))
+    out = [{} for _ in cl]
+    for i, row in enumerate(g.rows):
         if row:
-            p = lab[1]
+            p = rl[i][1]
             for c, v in row.items():
-                out[c][i] = v * p * (big // g.cl[c][1])
-    flip = tuple(None if lab is None else (-lab[0], lab[1]) for lab in g.rl)
-    t = _graded(g.den * big, out,
-                tuple(None if lab is None else (-lab[0], lab[1]) for lab in g.cl),
-                flip)
-    gauges = {}
-    for i, (u, lab) in enumerate(zip(_components(t)[0], t.rl)):
-        if u is not None and u not in gauges:
-            gauges[u] = (-i - lab[0], 1)
-    return _moved_by(t, {u: x for u, x in gauges.items() if x != (0, 1)})
+                out[c][i] = v * p * (big // cl[c][1])
+    return _graded(g.den * big, out, _dual(g.cb), _dual(g.rb), g.shift, g.rad)
 
 
 def _unit_like(m):
-    """The identity in the gauge of the square matrix m: each index labelled
-    as a row of m, else as a column of m, else as the certificate would."""
+    """The identity in the row basis of the square matrix m."""
     g = m._g
     if g is None:
         return PolyMatrix.identity(m.rows, m.row_weights)
-    labels = tuple(x or y or z for x, y, z in zip(g.rl, g.cl, _natural(m.rows)))
     return PolyMatrix._wrap(m.rows, m.rows, _Graded(
-        1, tuple({i: 1} for i in range(m.rows)), labels, labels),
+        1, tuple({i: 1} for i in range(m.rows)), g.rb, g.rb, 0, 1),
         m.row_weights, m.row_weights)
 
 
+def _bases(m):
+    """(row basis, column basis) of a graded matrix, else (None, None)."""
+    return (None, None) if m._g is None else (m._g.rb, m._g.cb)
+
+
+def _rebased(m, rows, cols):
+    """m certified again, offered the bases (or raw labels) rows and cols,
+    so that it meets the bases of its operands; m itself when it is in them
+    or either is None."""
+    g = m._g
+    if rows is None or cols is None or (
+            g is not None and g.rb is rows and g.cb is cols):
+        return m
+    return PolyMatrix._of(m.rows, m.cols, m.den, m.data, m.row_weights,
+                          m.col_weights, m._view, None,
+                          (_basis(rows), _basis(cols)))
+
+
+def _gentry(k, n, num, den):
+    """The canonical HPoly of num/den * sqrt(n) * h**k."""
+    return HPoly._canonical((_RAD_ZERO,) * k + (
+        RadScalar._canonical({n: Fraction(num, den)}),))
+
+
 def _same(a, b):
-    """Whether graded storages whose labels agree hold equal matrices."""
+    """Whether graded storages in the same bases and constant are equal."""
     if a.den == b.den:
         return a.rows == b.rows
     da, db = a.den, b.den
@@ -631,17 +589,9 @@ def _same(a, b):
                for x, y in zip(a.rows, b.rows))
 
 
-def _gentry(h, p, q, v, den):
-    """The canonical HPoly of v/den * sqrt(p / q) * h**h."""
-    s = gcd(p, q)
-    rad = RadScalar._canonical({(p // s) * (q // s): Fraction(v * s, den * q)})
-    return HPoly._canonical((_RAD_ZERO,) * h + (rad,))
-
-
 @lru_cache(maxsize=None)
 def _unit_storage(n):
-    """(graded or None, term storage) of the n x n identity, certified once
-    per size."""
+    """(graded or None, term storage) of the n x n identity, certified once."""
     one = ((0, 1, 1),)
     data = tuple(((i, one),) for i in range(n))
     return _certify(n, n, 1, data), (1, data)
@@ -703,11 +653,12 @@ class PolyMatrix:
 
     @classmethod
     def _of(cls, rows, cols, den, data, row_weights, col_weights, view=None,
-            start=None):
+            start=None, bases=None):
         """Wrap term storage that is already minimal (kernel results),
-        graded when it certifies (from the row labels start, if given)."""
+        graded when it certifies (in the offered bases, or from the row
+        labels start, as in _certify)."""
         self = object.__new__(cls)
-        self._set(rows, cols, _certify(rows, cols, den, data, start),
+        self._set(rows, cols, _certify(rows, cols, den, data, start, bases),
                   (den, data), row_weights, col_weights, view)
         return self
 
@@ -795,24 +746,22 @@ class PolyMatrix:
         """The entries as HPoly, built on first read."""
         view = self._view.rows
         if view is None:
-            cols, g = self.cols, self._g
-            rows = []
-            if g is None:
-                den, data = self._t
-                for row in data:
-                    out = [_ZERO] * cols
+            g, rows = self._g, []
+            for i, row in enumerate(self._t[1] if g is None else g.rows):
+                out = [_ZERO] * self.cols
+                if g is None:
                     for c, terms in row:
-                        out[c] = _hpoly(terms, den)
-                    rows.append(tuple(out))
-            else:
-                for row, lab in zip(g.rows, g.rl):
-                    out = [_ZERO] * cols
-                    if row:
-                        a, p = lab
-                        for c, v in row.items():
-                            b, q = g.cl[c]
-                            out[c] = _gentry(a - b, p, q, v, g.den)
-                    rows.append(tuple(out))
+                        out[c] = _hpoly(terms, self._t[0])
+                elif row:  # as in _graded_terms
+                    a, p = g.rb.labels[i]
+                    s = gcd(p, g.rad)
+                    x, a = (p // s) * (g.rad // s), a + g.shift
+                    for c, v in row.items():
+                        b, q = g.cb.labels[c]
+                        y = gcd(x, q)
+                        out[c] = _gentry(a - b, (x // y) * (q // y), v * s,
+                                         g.den * (q // y))
+                rows.append(tuple(out))
             view = tuple(rows)
             object.__setattr__(self._view, "rows", view)
         return view
@@ -843,25 +792,12 @@ class PolyMatrix:
             return self._relabeled(rw, cw)
         if self.is_zero:
             return (other if sign > 0 else -other)._relabeled(rw, cw)
-        if self._g is not None and other._g is not None:
-            g = _gsum(self._g, other._g, sign)
+        a, b = self._g, other._g
+        if a is not None and b is not None:
+            g = _gsum(a, b, sign)
             if g is not None:
                 return PolyMatrix._wrap(self.rows, self.cols, g, rw, cw)
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        out = []
-        for ra, rb in zip(self.data, other.data):
-            if not rb:
-                out.append(_scaled_row(ra, fa))
-            elif not ra:
-                out.append(_scaled_row(rb, fb))
-            else:
-                acc = {}
-                _accumulate(acc, ((0, 1, fa),), ra)
-                _accumulate(acc, ((0, 1, fb),), rb)
-                out.append(_row(acc))
-        return PolyMatrix._of(self.rows, self.cols, *_minimal(den, tuple(out)),
-                              rw, cw)
+        return _term_sum(self, other, sign, rw, cw)
 
     def __add__(self, other):
         return self._entrywise_sum(other, 1)
@@ -870,14 +806,7 @@ class PolyMatrix:
         return self._entrywise_sum(other, -1)
 
     def __neg__(self):
-        g = self._g
-        if g is not None:
-            return PolyMatrix._wrap(self.rows, self.cols, _Graded(
-                g.den, tuple({c: -v for c, v in row.items()} for row in g.rows),
-                g.rl, g.cl), self.row_weights, self.col_weights)
-        return PolyMatrix._of(self.rows, self.cols, self.den,
-                              tuple(_scaled_row(row, -1) for row in self.data),
-                              self.row_weights, self.col_weights)
+        return self * -1
 
     def __mul__(self, scalar):
         """Every stored entry times the scalar's terms."""
@@ -896,11 +825,8 @@ class PolyMatrix:
             return PolyMatrix._wrap(self.rows, self.cols,
                                     _gscale(self._g, *st[0], den),
                                     self.row_weights, self.col_weights)
-        data = tuple([tuple([(c, _times(t, st)) for c, t in row])
-                      for row in self.data])
-        return PolyMatrix._of(self.rows, self.cols,
-                              *_minimal(self.den * den, data),
-                              self.row_weights, self.col_weights)
+        return _term_kron(self, PolyMatrix._of(1, 1, den, (((0, st),),), None, None)
+                          )._relabeled(self.row_weights, self.col_weights)
 
     __rmul__ = __mul__
 
@@ -914,26 +840,13 @@ class PolyMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        if self._g is not None and other._g is not None:
-            g = _gmatmul(self._g, other._g)
+        a, b = self._g, other._g
+        if a is not None and b is not None:
+            g = _gmatmul(a, b)
             if g is not None:
                 return PolyMatrix._wrap(self.rows, other.cols, g,
                                         self.row_weights, other.col_weights)
-        bdata = other.data
-        accs = []
-        for arow in self.data:
-            acc = {}
-            for k, aterms in arow:
-                _accumulate(acc, aterms, bdata[k])
-            accs.append(acc)
-        g = den = self.den * other.den
-        for e in (x for acc in accs for x in acc.values()):
-            if g == 1:
-                break
-            g = gcd(g, e[2]) if e.__class__ is list else gcd(g, *e.values())
-        return PolyMatrix._of(self.rows, other.cols, den // g,
-                              tuple([_row(acc, g) for acc in accs]),
-                              self.row_weights, other.col_weights)
+        return _term_matmul(self, other)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -941,9 +854,10 @@ class PolyMatrix:
         if self.shape != other.shape:
             return False
         a, b = self._g, other._g
-        if a is not None and b is not None:
-            pair = _aligned(a, b)
-            return pair is not None and _same(*pair)
+        if a is not None and b is not None and a.rb is b.rb and a.cb is b.cb:
+            if a.shift == b.shift and a.rad == b.rad:
+                return _same(a, b)
+            return not any(a.rows) and not any(b.rows)
         return self.den == other.den and self.data == other.data
 
     def __hash__(self):
@@ -979,11 +893,12 @@ class PolyMatrix:
             place.setdefault(k % cols, []).append(new)
         g = self._g
         if g is not None:
-            out = [{new: v for c, v in g.rows[i].items() if c in place
-                    for new in place[c]} for i in row_idx]
-            return PolyMatrix._wrap(len(row_idx), len(col_idx), _graded(
-                g.den, out, [g.rl[i] for i in row_idx],
-                [g.cl[k % cols] for k in col_idx], prune=True), rw, cw)
+            return PolyMatrix._wrap(len(row_idx), len(col_idx), _on(
+                g.den, [{new: v for c, v in g.rows[i].items() if c in place
+                         for new in place[c]} for i in row_idx],
+                g.rb if row_idx == [*range(self.rows)] else [g.rb.labels[i] for i in row_idx],
+                g.cb if col_idx == [*range(cols)] else [g.cb.labels[k] for k in col_idx],
+                g.shift, g.rad), rw, cw)
         out = []
         for i in row_idx:
             orow = [(new, terms) for c, terms in self.data[i]
@@ -994,14 +909,14 @@ class PolyMatrix:
                               *_minimal(self.den, tuple(out)), rw, cw)
 
     def column(self, k: int) -> "PolyMatrix":
-        cols, g = self.cols, self._g
-        if g is None or not -cols <= k < cols:
+        g = self._g
+        if g is None or not -self.cols <= k < self.cols:
             return self.submatrix(range(self.rows), [k])
-        k %= cols
-        out = [{0: row[k]} if k in row else {} for row in g.rows]
-        return PolyMatrix._wrap(self.rows, 1, _graded(
-            g.den, out, [lab if row else None for lab, row in zip(g.rl, out)],
-            (g.cl[k],)), self.row_weights, self.col_weights and (self.col_weights[k],))
+        k %= self.cols
+        return PolyMatrix._wrap(self.rows, 1, _on(
+            g.den, [{0: row[k]} if k in row else {} for row in g.rows], g.rb,
+            (g.cb.labels[k],), g.shift, g.rad),
+            self.row_weights, self.col_weights and (self.col_weights[k],))
 
     def row(self, i: int) -> "PolyMatrix":
         return self.submatrix([i], range(self.cols))
@@ -1017,12 +932,11 @@ class PolyMatrix:
         if k < 0:
             raise ValueError(f"negative h power: {k}")
         g = self._g
-        if g is not None and all(lab[0] - k >= max(g.cl[c][0] for c in row)
-                                 for row, lab in zip(g.rows, g.rl) if row):
+        if g is not None and all(a + g.shift - k >= max(g.cb.labels[c][0] for c in row)
+                                 for row, (a, _) in zip(g.rows, g.rb.labels) if row):
             return PolyMatrix._wrap(self.rows, self.cols, _Graded(
-                g.den, g.rows,
-                tuple(None if lab is None else (lab[0] - k, lab[1]) for lab in g.rl),
-                g.cl), self.row_weights, self.col_weights)
+                g.den, g.rows, g.rb, g.cb, g.shift - k, g.rad),
+                self.row_weights, self.col_weights)
         out = []
         for row in self.data:
             orow = []
@@ -1046,10 +960,6 @@ class PolyMatrix:
         return not any(self._g.rows if self._g is not None else self._t[1])
 
     def max_degree(self) -> int:
-        g = self._g
-        if g is not None:
-            return max((lab[0] - min(g.cl[c][0] for c in row)
-                        for row, lab in zip(g.rows, g.rl) if row), default=-1)
         # Terms are sorted by h-power, so an entry's last term has its degree.
         return max((terms[-1][0] for row in self.data for _, terms in row),
                    default=-1)
@@ -1079,12 +989,7 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     if a._g is not None and b._g is not None:
         return PolyMatrix._wrap(a.rows * b.rows, a.cols * b.cols,
                                 _gkron(a._g, b._g), None, None)
-    bcols = b.cols
-    data = tuple(tuple([(k * bcols + c, _times(at, bt)) for k, at in arow
-                        for c, bt in brow])
-                 for arow in a.data for brow in b.data)
-    return PolyMatrix._of(a.rows * b.rows, a.cols * b.cols,
-                          *_minimal(a.den * b.den, data), None, None)
+    return _term_kron(a, b)
 
 
 def commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Check:
     name: str
     status: str  # "pass" | "fail" | "skip"

@@ -37,7 +37,8 @@ from .halfint import HalfInt, as_half, dim_of, half, weight_index, weight_range
 from .hpoly import HPoly
 from .irreps import (GenMatrices, Generator, antipode_matrix, coproduct_terms,
                      irrep, relation_residuals, sinh_hx)
-from .polymatrix import PolyMatrix, _msum, kron, unipotent_inverse
+from .polymatrix import (PolyMatrix, _bases, _msum, _rebased, kron,
+                         unipotent_inverse)
 from .radical import RadScalar, sqrt_factorial_ratio
 from .report import Report, zero_check
 
@@ -85,15 +86,21 @@ class TensorOpFamily:
 
     @cached_property
     def columns(self) -> PolyMatrix:
-        """T, with t_{m1}|j2 m2> as column (m1, m2) in product order."""
-        return PolyMatrix([[p for comp in self.components
-                            for p in comp.entries[row]]
-                           for row in range(self.ctx.target.dim)])
+        """T, with t_{m1}|j2 m2> as column (m1, m2) in product order, in
+        the target basis of the components and the product basis of K."""
+        return _rebased(PolyMatrix([[p for comp in self.components
+                                     for p in comp.entries[row]]
+                                    for row in range(self.ctx.target.dim)]),
+                        _bases(self.components[0])[0], _bases(self._ket)[0])
+
+    @property
+    def _ket(self) -> PolyMatrix:
+        return alpha_table(self.rank, self.ctx.source_j).ket
 
     @cached_property
     def phi(self) -> PolyMatrix:
         """Phi = T K: the alpha-combinations phi(n1, n2) as columns."""
-        return self.columns @ alpha_table(self.rank, self.ctx.source_j).ket
+        return self.columns @ self._ket
 
     @cached_property
     def ladder_sides(self) -> tuple[tuple[PolyMatrix, PolyMatrix], ...]:
@@ -138,9 +145,11 @@ def verify_adjoint_is_representation(ctx: OpSpaceContext, samples,
     """
     report = Report(f"adjoint action is a representation {label}".rstrip())
     residuals = relation_residuals(_adjoint_module(ctx))
+    space = _bases(residuals[0][1])[1]  # of the operator space, vec(t)
     rw, cw = ctx.target.x.row_weights, ctx.source.x.col_weights
     for idx, t in enumerate(samples):
-        vec = PolyMatrix([[p] for row in t.entries for p in row])
+        vec = _rebased(PolyMatrix([[p] for row in t.entries for p in row]),
+                       space, ((0, 1),))
         for name, (_, residual) in zip(_ADJOINT_RELATIONS, residuals):
             r = (residual @ vec).entries
             report.add(zero_check(f"{name} on sample {idx}", PolyMatrix(
@@ -177,6 +186,12 @@ class FockBlock:
     sectors: dict[str, tuple[int, ...]]
 
 
+# The labels (h-offset, radical) of the Fock basis: the quasi-spin doublet
+# |0>, c1 c2|0> has the offsets 0, 1 of its ladder basis, and the modes keep
+# every generator and component in this one basis.
+_FOCK = ((0, 1), (0, 1), (1, 1), (1, 1))
+
+
 def fermion_modes() -> dict[str, PolyMatrix]:
     """Two fermionic modes on the basis |0>, c1|0>, c2|0>, c1 c2|0>
     (creation operators applied left to right)."""
@@ -187,15 +202,15 @@ def fermion_modes() -> dict[str, PolyMatrix]:
         m = [[z] * 4 for _ in range(4)]
         for (i, k, v) in cells:
             m[i][k] = v
-        return PolyMatrix(m)
+        return _rebased(PolyMatrix(m), _FOCK, _FOCK)
 
     c1d = mat([(1, 0, one), (3, 2, one)])
     c2d = mat([(2, 0, one), (3, 1, -one)])
     return {
         "c1+": c1d,
         "c2+": c2d,
-        "c1": c1d.transpose(),
-        "c2": c2d.transpose(),
+        "c1": _rebased(c1d.transpose(), _FOCK, _FOCK),
+        "c2": _rebased(c2d.transpose(), _FOCK, _FOCK),
     }
 
 
@@ -211,7 +226,7 @@ def fermion_realization() -> tuple[FockBlock, TensorOpFamily, TensorOpFamily]:
     n1 = modes["c1+"] @ modes["c1"]
     n2 = modes["c2+"] @ modes["c2"]
     jp = modes["c1+"] @ modes["c2+"]  # quasi-spin raising: pairs the two modes
-    ident = PolyMatrix.identity(4)
+    ident = _rebased(PolyMatrix.identity(4), _FOCK, _FOCK)
     h = HPoly.h(1, 1)
     gens = GenMatrices(x=jp, y=modes["c2"] @ modes["c1"], h=n1 + n2 - ident,
                        ep=ident + jp * h, em=ident - jp * h)

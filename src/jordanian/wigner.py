@@ -33,7 +33,7 @@ from .coupling import (SelectionRuleError, alpha_table, cgc_matrix,
 from .halfint import HalfInt, as_half, dim_of, weight_index, weight_range
 from .hpoly import HPoly
 from .irreps import irrep
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, _unit_like
 from .report import (Check, Report, entry_checks, residual_checks,
                      scalar_check)
 from .tensorops import TensorOpFamily
@@ -203,7 +203,7 @@ def verify_wigner_eckart(fam: TensorOpFamily, label: str = "") -> Report:
     t, phi = fam.columns, fam.phi
     top = coupled_index(j1, j2, j, j)  # row of <j j| in C^T
     spin_j, every = range(top, top + dim_of(j)), range(len(labels))
-    c_j = table.cgc.submatrix(every, spin_j).transpose()
+    c_j = table.cgc_transpose.submatrix(spin_j, every)
     for check in entry_checks(phi, c_j * ivalue, [
             (f"<{j} {m}|phi({n1},{n2})> = I C at n=({n1},{n2}), m={m}", row, col)
             for col, (n1, n2) in enumerate(labels)
@@ -224,7 +224,7 @@ def verify_wigner_eckart(fam: TensorOpFamily, label: str = "") -> Report:
         report.add(check)
 
     dual = table.dual
-    one = PolyMatrix.identity(len(labels))
+    one = _unit_like(dual)
     for name, ok in (
             ("the factorization weight is the coupled-bra coefficient",
              dual.submatrix(spin_j, every) == one.submatrix(spin_j, every)),

@@ -9,7 +9,9 @@ memoized module or table carries storage over from another test:
 * with the certificate made to refuse everything, every matrix keeps term
   storage and the JSON output must not change (timings aside);
 * with the certificate as it is, only the deliberately wrong "variant"
-  residual of ``verify_intermediate_action`` may fall back to term storage.
+  residual of ``verify_intermediate_action`` may fall back to term storage;
+* only that residual takes the term path at all, and every graded matrix
+  fits its interned row and column bases with its one constant.
 
 The residual checks that compare two products slice by slice must report a
 failure exactly as the slice of their difference would.
@@ -109,6 +111,49 @@ def test_only_the_variant_residual_falls_back(tmp_path):
             (name, line)
 
 
+# Every call of a term-path operation, and whether the stack holds the
+# variant lines of verify_intermediate_action; every graded storage checked
+# against its bases: interned, first label (0, 1), and its entries, if any,
+# fit them with its own constant in one pass of the certificate.
+BASES_CENSUS = """
+import json, sys, traceback
+import jordanian.polymatrix as pm
+from jordanian import cli
+term, misfits, graded = [], [], [0]
+
+def variant_line(frame):
+    return frame.name == "verify_intermediate_action" and "variant" in frame.line
+
+def counted(fn):
+    def wrapper(*args):
+        term.append(any(map(variant_line, traceback.extract_stack())))
+        return fn(*args)
+    return wrapper
+for name in ("_term_matmul", "_term_sum", "_term_kron"):
+    setattr(pm, name, counted(getattr(pm, name)))
+
+wrapped = pm.PolyMatrix._set
+def checking_set(self, rows, cols, g, terms, *rest):
+    if g is not None:
+        graded[0] += 1
+        fit = pm._fit(*pm._graded_terms(g), g.rb, g.cb)
+        if not all(pm._BASES[b.labels] is b and b.labels[:1] in ((), ((0, 1),))
+                   for b in (g.rb, g.cb)) or any(g.rows) and (
+                fit is None or (fit.shift, fit.rad) != (g.shift, g.rad)):
+            misfits.append(repr((rows, cols)))
+    return wrapped(self, rows, cols, g, terms, *rest)
+pm.PolyMatrix._set = checking_set
+""" + VERIFY + """
+print(json.dumps({"term": term, "misfits": misfits, "graded": graded[0]}))
+"""
+
+
+def test_only_the_variant_takes_the_term_path(tmp_path):
+    census = json.loads(_run(BASES_CENSUS, tmp_path / "out.json"))
+    assert census["term"] and all(census["term"])
+    assert census["graded"] > 1000 and census["misfits"] == []
+
+
 def test_refused_certificate_keeps_term_storage(monkeypatch):
     monkeypatch.setattr("jordanian.polymatrix._certify", lambda *args: None)
     m = PolyMatrix([[1, 2], [0, 3]])
@@ -182,14 +227,18 @@ def test_perturbed_ket_fails_as_the_difference_would(monkeypatch):
 
 def test_fresh_tables_need_no_regauging(monkeypatch):
     # G, G^-1, D and D_c are certified in the labels of the rational cores
-    # R and Q they multiply, so building K and C aligns no operand.
-    calls, align = [], pm._align
+    # R and Q they multiply, so building K and C meets matching bases in
+    # every product and takes no term-path operation.
+    calls = []
 
-    def counting(pairs):
-        calls.append(pairs)
-        return align(pairs)
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(pm, "_align", counting)
+    for name in ("_term_matmul", "_term_sum", "_term_kron"):
+        monkeypatch.setattr(pm, name, counting(getattr(pm, name)))
     pairs = [(half(t1, 2), half(t2, 2)) for t1 in range(1, 6)
              for t2 in range(1, 6)]
     fresh = [(coupling._alpha_table_cached.__wrapped__(j1, j2),

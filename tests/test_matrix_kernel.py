@@ -12,6 +12,7 @@ built from random labels and integer cores, the same matrices moved to
 other gauges per component, and term storage, in any mix.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -26,8 +27,8 @@ from jordanian.coupling import alpha_table
 from jordanian.halfint import half
 from jordanian.hpoly import HPoly
 from jordanian.irreps import Generator, coproduct_gens, irrep
-from jordanian.polymatrix import (PolyMatrix, commutator, exp_nilpotent, kron,
-                                  unipotent_inverse)
+from jordanian.polymatrix import (PolyMatrix, _bases, commutator, exp_nilpotent,
+                                  kron, unipotent_inverse)
 from jordanian.radical import RadScalar, squarefree_decompose
 
 RADICANDS = (1, 2, 3, 6)
@@ -344,43 +345,78 @@ def _labels(draw, n, low, high):
 
 def _from_core(rl, cl, den, core, row_weights=None, col_weights=None):
     """The matrix with entry v/den * sqrt(p_i / q_c) * h**(a_i - b_c) for
-    row labels (a_i, p_i), column labels (b_c, q_c) and core entries v."""
-    return PolyMatrix([[HPoly.h(a - b, RadScalar.of(Fraction(v, den * q), p * q))
-                        if v else HPoly.zero() for v, (b, q) in zip(row, cl)]
-                       for row, (a, p) in zip(core, rl)], row_weights, col_weights)
+    row labels (a_i, p_i), column labels (b_c, q_c) and core entries v, in
+    graded storage over the bases of those labels.  The public constructor
+    must certify it from its entries alone, before it is offered them."""
+    m = PolyMatrix([[HPoly.h(a - b, RadScalar.of(Fraction(v, den * q), p * q))
+                     if v else HPoly.zero() for v, (b, q) in zip(row, cl)]
+                    for row, (a, p) in zip(core, rl)], row_weights, col_weights)
+    assert m._g is not None
+    return polymatrix._rebased(m, rl, cl)
 
 
 def _core(draw, rows, cols):
     return [[draw(st.integers(-6, 6)) for _ in range(cols)] for _ in range(rows)]
 
 
-@st.composite
-def graded_matrices(draw, rows=None, cols=None, rl=None, cl=None):
-    """Random row and column labels (offsets with a_i >= b_c) times a random
-    integer core: matrices the certificate must accept."""
+def _graded_parts(draw, rows=None, cols=None, rl=None, cl=None):
+    """Random row and column labels (offsets with a_i >= b_c), a random
+    integer core, a denominator and weights: the arguments of _from_core."""
     rows = rows or draw(st.integers(1, 4))
     cols = cols or draw(st.integers(1, 4))
-    rl = rl or _labels(draw, rows, 2, 4)
-    cl = cl or _labels(draw, cols, 0, 2)
-    m = _from_core(rl, cl, draw(st.sampled_from(DENOMINATORS)),
-                   _core(draw, rows, cols), draw(_weight_choices(rows)),
-                   draw(_weight_choices(cols)))
+    return (rl or _labels(draw, rows, 2, 4), cl or _labels(draw, cols, 0, 2),
+            draw(st.sampled_from(DENOMINATORS)), _core(draw, rows, cols),
+            draw(_weight_choices(rows)), draw(_weight_choices(cols)))
+
+
+@st.composite
+def graded_matrices(draw, rows=None, cols=None, rl=None, cl=None):
+    """Labels times an integer core: matrices the certificate must accept,
+    in the bases of their labels."""
+    m = _from_core(*_graded_parts(draw, rows, cols, rl, cl))
     assert m._g is not None
     return m
 
 
-def _regauged(draw, m):
-    """m with each component of its graded storage moved by a random
-    gauge (shift, radical): the same matrix under other labels."""
-    g = m._g
-    if g is None:
-        return m
-    rcomp, ccomp = polymatrix._components(g)
+def _components(core):
+    """The component of each row and each column (rows first) of the
+    nonzero pattern of core; an empty row or column is its own."""
+    rows, cols = len(core), len(core[0])
+    parent = list(range(rows + cols))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+    for i, row in enumerate(core):
+        for c, v in enumerate(row):
+            if v:
+                parent[find(rows + c)] = find(i)
+    return [find(x) for x in range(rows + cols)]
+
+
+def _regauged(draw, parts):
+    """The matrix of _from_core(*parts) with the labels of each component
+    moved by a random gauge (d, r): (a, p) -> (a + d, sqfree(p r)) on both
+    sides, and each core entry times gcd(p, r) / gcd(q, r), so that the
+    entries stay the same; then built over the bases of the moved labels."""
+    rl, cl, den, core, rw, cw = parts
+    comps = _components(core)
     gauges = {u: (draw(st.integers(-3, 3)), draw(st.sampled_from(RADICANDS)))
-              for u in set(rcomp + ccomp) if u is not None}
-    moved = PolyMatrix._wrap(m.rows, m.cols, polymatrix._moved_by(g, gauges),
-                             m.row_weights, m.col_weights)
+              for u in set(comps)}
+
+    def move(labels, offset):
+        return [(a + gauges[comps[offset + i]][0],
+                 polymatrix._sf(p, gauges[comps[offset + i]][1]))
+                for i, (a, p) in enumerate(labels)]
+    r = [gauges[u][1] for u in comps]
+    moved_core = [[Fraction(v * gcd(p, r[i]), gcd(q, r[len(rl) + c]))
+                   for c, (v, (_, q)) in enumerate(zip(row, cl))]
+                  for i, (row, (_, p)) in enumerate(zip(core, rl))]
+    moved = _from_core(move(rl, 0), move(cl, len(rl)), den, moved_core, rw, cw)
+    m = _from_core(*parts)
     assert moved == m and hash(moved) == hash(m) and moved.data == m.data
+    assert moved._g is not None
     return moved
 
 
@@ -392,8 +428,8 @@ def operands(draw, rows=None, cols=None):
     kind = draw(st.sampled_from(("graded", "regauged", "any")))
     if kind == "any":
         return draw(matrices(rows, cols))
-    m = draw(graded_matrices(rows, cols))
-    return _regauged(draw, m) if kind == "regauged" else m
+    parts = _graded_parts(draw, rows, cols)
+    return _regauged(draw, parts) if kind == "regauged" else _from_core(*parts)
 
 
 @examples(60)
@@ -427,20 +463,108 @@ def test_graded_entrywise_ops_and_slices_match_oracle(data):
 @given(st.data())
 def test_mismatched_gauges_are_aligned_not_dropped(data):
     # A and B share the inner labels (A @ B) or all labels (A + B); each is
-    # then moved to its own gauge per component.  The kernel must re-gauge
-    # and stay on graded storage, with the oracle's result.
+    # then moved to its own gauge per component.  Operands whose bases then
+    # differ take the term path, and its result is certified again: it must
+    # stay on graded storage, with the oracle's result.
     r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
     outer, inner = _labels(data.draw, r, 2, 4), _labels(data.draw, k, 0, 2)
-    a = data.draw(graded_matrices(r, k, outer, inner))
-    b = data.draw(graded_matrices(k, c, rl=[(x + 2, p) for x, p in inner]))
-    a2, b2 = _regauged(data.draw, a), _regauged(data.draw, b)
-    product = a2 @ b2
+    pa = _graded_parts(data.draw, r, k, outer, inner)
+    pb = _graded_parts(data.draw, k, c, rl=[(x + 2, p) for x, p in inner])
+    a, b = _from_core(*pa), _from_core(*pb)
+    a2, b2 = _regauged(data.draw, pa), _regauged(data.draw, pb)
+    with _term_calls() as calls:
+        product = a2 @ b2
+    assert bool(calls) == (a2._g.cb is not b2._g.rb)
     assert product._g is not None
     assert_matches(product, oracle.matmul(a, b))
-    same = data.draw(graded_matrices(r, k, outer, inner))
-    total = a2 + _regauged(data.draw, same)
+    ps = _graded_parts(data.draw, r, k, outer, inner)
+    same, same2 = _from_core(*ps), _regauged(data.draw, ps)
+    with _term_calls() as calls:
+        total = a2 + same2
+    assert bool(calls) == (not a2.is_zero and not same2.is_zero and (
+        _bases(a2) != _bases(same2) or a2._g.shift != same2._g.shift
+        or a2._g.rad != same2._g.rad))
     assert total._g is not None
     assert_matches(total, oracle.add(a, same))
+
+
+# -- the basis kernel ------------------------------------------------------------
+
+TERM_PATH = ("_term_matmul", "_term_sum", "_term_kron")
+
+
+@contextmanager
+def _term_calls():
+    """The names of the term-path operations called while the block runs."""
+    calls = []
+    saved = [getattr(polymatrix, name) for name in TERM_PATH]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+    for fn in saved:
+        setattr(polymatrix, fn.__name__, counted(fn))
+    try:
+        yield calls
+    finally:
+        for fn in saved:
+            setattr(polymatrix, fn.__name__, fn)
+
+
+def _moved(labels, d, r):
+    """Every label moved by one gauge (d, r): the same basis."""
+    return [(a + d, polymatrix._sf(p, r)) for a, p in labels]
+
+
+@examples(60)
+@given(st.data())
+def test_matching_bases_take_the_basis_kernel(data):
+    # A (r x k) and B (k x c) over random labels; B's row labels are A's
+    # column labels moved by one gauge, so B's row basis is A's column
+    # basis under another constant.  A2 has A's labels moved by one gauge
+    # on both sides: the same bases and constant.  Every operation below
+    # stays on integer storage, keeps the bases the rules give, and agrees
+    # with the oracle; a sum of two constants falls back and still agrees.
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    rl, kl = _labels(data.draw, r, 4, 6), _labels(data.draw, k, 2, 4)
+    d, rad = data.draw(st.integers(0, 2)), data.draw(st.sampled_from(RADICANDS))
+    a = data.draw(graded_matrices(r, k, rl, kl))
+    b = data.draw(graded_matrices(k, c, _moved(kl, d, rad)))
+    e, rad2 = data.draw(st.integers(-2, 2)), data.draw(st.sampled_from(RADICANDS))
+    a2 = data.draw(graded_matrices(r, k, _moved(rl, e, rad2), _moved(kl, e, rad2)))
+    ga, gb = a._g, b._g
+    assert ga.cb is gb.rb and _bases(a2) == _bases(a)
+    row_idx = data.draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=5))
+    col_idx = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=5))
+    s = data.draw(single_terms)
+    with _term_calls() as calls:
+        product, total, diff = a @ b, a + a2, a - a2
+        same = a == a2
+        kr, t, scaled = kron(a, b), a.transpose(), a * s
+        sub = a.submatrix(row_idx, col_idx)
+        col, row = a.column(col_idx[0]), a.row(row_idx[0])
+    assert calls == []
+    assert _bases(product) == (ga.rb, gb.cb) and _bases(total) == _bases(a)
+    assert (product._g.shift, product._g.rad) == (
+        ga.shift + gb.shift, polymatrix._sf(ga.rad, gb.rad))
+    assert _bases(t) == (polymatrix._dual(ga.cb), polymatrix._dual(ga.rb))
+    assert same == (oracle.sub(a, a2).is_zero)
+    assert_matches(product, oracle.matmul(a, b))
+    assert_matches(total, oracle.add(a, a2))
+    assert_matches(diff, oracle.sub(a, a2))
+    assert_matches(kr, oracle.kron(a, b))
+    assert_matches(t, oracle.transpose(a))
+    assert_matches(scaled, oracle.scale(a, HPoly.constant(s)))
+    assert_matches(sub, oracle.submatrix(a, row_idx, col_idx))
+    assert_matches(col, oracle.submatrix(a, range(r), col_idx[:1]))
+    assert_matches(row, oracle.submatrix(a, row_idx[:1], range(k)))
+    # The same bases under another constant: the term path, by value.
+    shifted = a * HPoly.h(1)
+    assert _bases(shifted) == _bases(a)
+    assert (a == shifted) == a.is_zero
+    assert_matches(a + shifted, oracle.add(a, shifted))
 
 
 def test_two_radicands_in_one_entry_keep_term_storage():

@@ -1,10 +1,15 @@
 """Check details: a failing zero check says where its residual is nonzero."""
 
+import copy
+import pickle
+
+import pytest
+
 from jordanian.hpoly import HPoly
 from jordanian.irreps import irrep
 from jordanian.polymatrix import PolyMatrix, commutator, kron
-from jordanian.report import (entry_checks, residual_checks, scalar_check,
-                              zero_check)
+from jordanian.report import (Check, entry_checks, residual_checks,
+                              scalar_check, zero_check)
 
 
 def _perturbed_relation():
@@ -61,3 +66,16 @@ def test_entry_checks_match_scalar_checks():
             scalar_check(name, left.entry(i, k), right.entry(i, k))
             for name, i, k in cells]
     assert any(c.status == "fail" for c in entry_checks(left, bad, cells))
+
+
+def test_check_records_are_slotted_and_survive_pickle_and_deepcopy():
+    # A check record holds no per-instance dict (slots), and a frozen slotted
+    # dataclass must still pickle and deep-copy to an equal record.
+    check = Check("[X,Y] = H", "fail", "residual degree 1")
+    assert not hasattr(check, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(check)), copy.deepcopy(check)):
+        assert copied == check and copied is not check
+        assert (copied.name, copied.status, copied.detail) == (
+            "[X,Y] = H", "fail", "residual degree 1")
+    with pytest.raises(AttributeError):
+        check.status = "pass"
