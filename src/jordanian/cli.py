@@ -21,8 +21,11 @@ import os
 import re
 import sys
 import time
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 from .coupling import (SelectionRuleError, alpha_table, cgc_matrix,
                        coupled_bra, coupled_index, coupled_ket, decompose,
@@ -36,7 +39,7 @@ from .hpoly import HPoly, as_hpoly
 from .irreps import (casimir_matrix, irrep, verify_casimir,
                      verify_defining_relations, verify_hopf_axioms)
 from .polymatrix import PolyMatrix
-from .report import Check, Report
+from .report import Check, CheckBlock, Report
 from .serialize import DEN, HPOW, NUM, RADICAND, matrix_to_json
 from .tensorops import (OpSpaceContext, TensorOpFamily, boson_lowering_family,
                         boson_raising_family, couple_tensor_ops,
@@ -79,7 +82,7 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _csv_text(rows: list[list[str]]) -> str:
+def _csv_text(rows: Iterable[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -90,9 +93,10 @@ def _json_text(payload) -> str:
     """The text of json.dumps(payload, indent=2, sort_keys=True), written
     without the standard library's pure-Python encoder, which indent
     selects.  Keys must be strings: any other key raises TypeError.  A
-    list of Check records is written as the list of their dicts
-    {"detail", "name", "status"} would be, and an HPoly as its
-    serialize.scalar_to_json list of term objects."""
+    list of Check records and blocks is written as the list of the dicts
+    {"detail", "name", "status"} of its checks would be, an HPoly as its
+    serialize.scalar_to_json list of term objects, and _Rows as the list
+    of its row objects."""
     out: list[str] = []
     _write_json(payload, out, "\n")
     return "".join(out)
@@ -131,8 +135,9 @@ def _write_json(value, out: list[str], newline: str) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if type(value) is list and type(value[0]) is Check:
-            out.append(_json_checks(value, inner) + newline + "]")
+        if type(value) is list and type(value[0]) in (Check, CheckBlock):
+            objs = _json_checks(value, inner)
+            out.append("[" + ",".join(objs) + newline + "]" if objs else "[]")
             return
         sep = "[" + inner
         for item in value:
@@ -151,22 +156,61 @@ def _write_json(value, out: list[str], newline: str) -> None:
             _write_json(value[key], out, inner)
             sep = "," + inner
         out.append(newline + "}")
+    elif type(value) is _Rows:
+        _json_rows(value, out, newline)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON "
                         f"serializable")
 
 
-def _json_checks(checks: list[Check], inner: str) -> str:
-    """A list of Check records up to its closing line break: "[", then one
-    object per check at the indent inner, keys in sorted order."""
+def _json_checks(checks: list[Check | CheckBlock], inner: str) -> list[str]:
+    """One object per check of a list of Check records and blocks, at the
+    indent inner, keys in sorted order; a block's objects differ only in
+    the name, so they come from one template."""
     s, key = _json_string, inner + '  "'
+    objs: list[str] = []
     try:
-        return "[" + ",".join([
-            f'{inner}{{{key}detail": {s(c.detail)},{key}name": {s(c.name)},'
-            f'{key}status": {s(c.status)}{inner}}}' for c in checks])
+        for c in checks:
+            head = f'{inner}{{{key}detail": {s(c.detail)},{key}name": '
+            tail = f',{key}status": {s(c.status)}{inner}}}'
+            objs += [head + s(name) + tail for name in c.names()]
     except AttributeError:
-        raise TypeError("a list that starts with a Check holds Check "
-                        "records only") from None
+        raise TypeError("a list that starts with a check holds Check "
+                        "records and blocks only") from None
+    return objs
+
+
+class _Rows:
+    """Labelled rows for _json_text: each row an object with the given
+    columns as keys, exact scalars in the value column."""
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: tuple[str, ...], rows: list):
+        self.columns, self.rows = columns, rows
+
+
+def _json_rows(value: _Rows, out: list[str], newline: str) -> None:
+    """Append the row objects of value as a list closed at newline.  The
+    key texts and their sorted order are worked out once for all rows;
+    each row object is its cells after their keys, labels through
+    _json_string (integers as they are) and exact values through
+    _json_scalar at the row's indent."""
+    if not value.rows:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    cell = inner + "  "
+    keys = [(i, f'{cell}{_json_string(c)}: ', c == "value")
+            for i, c in sorted(enumerate(value.columns), key=itemgetter(1))]
+    sep = "["
+    for row in value.rows:
+        out.append(sep + inner + "{" + ",".join([
+            key + (_json_scalar(as_hpoly(row[i]), cell) if exact
+                   else int.__repr__(row[i]) if isinstance(row[i], int)
+                   else _json_string(str(row[i])))
+            for i, key, exact in keys]) + inner + "}")
+        sep = ","
+    out.append(newline + "]")
 
 
 def _json_scalar(p: HPoly, newline: str) -> str:
@@ -224,10 +268,9 @@ def _render_rows(args, meta: dict, columns: tuple[str, ...], rows: list, *,
     as objects under key (a single row merged into meta when key is None),
     CSV with a header, or the title and line.format(*row) per row."""
     if args.format == "json":
-        objs = [{c: _json_cell(c, v) for c, v in zip(columns, row)}
-                for row in rows]
-        text = _json_text({**meta, **objs[0]} if key is None
-                          else {**meta, key: objs})
+        text = _json_text(
+            {**meta, **{c: _json_cell(c, v) for c, v in zip(columns, rows[0])}}
+            if key is None else {**meta, key: _Rows(columns, rows)})
     elif args.format == "csv":
         text = _csv_text([list(columns)]
                          + [[str(v) for v in row] for row in rows])
@@ -251,12 +294,20 @@ def _render_reports(args, meta: dict, key: str, lead: tuple[str, ...],
         out = _json_text({**meta, "passed": ok, key: runs})
     else:
         ok = all(r.ok for _, r in reports)
-        out = (_csv_text([[*lead, "check", "status", "detail"]]
-                         + [[*cells, c.name, c.status, c.detail]
-                            for cells, r in reports for c in r.checks])
+        out = (_csv_text(chain([[*lead, "check", "status", "detail"]],
+                               _check_rows(reports)))
                if args.format == "csv" else "\n".join(text()))
     _emit(out, args.out)
     return 0 if ok else 1
+
+
+def _check_rows(reports: list[tuple[tuple[str, ...], Report]]):
+    """One CSV row per check, led by its report's cells; a block's rows
+    are made from its names as they are written."""
+    for cells, r in reports:
+        for item in r.items:
+            for name in item.names():
+                yield [*cells, name, item.status, item.detail]
 
 
 # -- family selection ---------------------------------------------------------
@@ -524,8 +575,7 @@ def _cmd_wigner_eckart(args) -> int:
             counts = r.counts()
             lines.append(f"== {r.suite}: {counts['pass']} passed, "
                          f"{counts['fail']} failed")
-            lines += ["  " + line for line in r.lines()
-                      if args.verbose or not line.startswith("PASS")]
+            lines += ["  " + line for line in r.lines(passing=args.verbose)]
         return lines + [str(reduced_matrix_element(fam))]
 
     return _render_reports(args, meta, "reports", ("suite",),
@@ -554,7 +604,7 @@ def _cmd_verify(args) -> int:
             lines.append(f"  {status:6s} {r.suite} "
                          f"({counts['pass']} checks, {r.elapsed:.2f}s)")
             if args.verbose or not r.ok:
-                lines += ["    " + line for line in r.lines()
+                lines += ["    " + line for line in r.lines(passing=args.verbose)
                           if args.verbose or line.startswith("FAIL")]
             lines += ["    NOTE " + n for n in r.notes]
         verdict = ("all checks passed" if all(r.ok for _, r in reports)

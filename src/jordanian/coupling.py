@@ -148,11 +148,12 @@ class AlphaTable:
 
 
 def alpha_table(j1, j2) -> AlphaTable:
-    return _alpha_table_cached(as_half(j1), as_half(j2))
+    return _alpha_table_cached(as_half(j1).twice, as_half(j2).twice)
 
 
 @lru_cache(maxsize=None)
-def _alpha_table_cached(j1: HalfInt, j2: HalfInt) -> AlphaTable:
+def _alpha_table_cached(twice1: int, twice2: int) -> AlphaTable:
+    j1, j2 = HalfInt.from_twice(twice1), HalfInt.from_twice(twice2)
     n1, n2 = dim_of(j1) - 1, dim_of(j2) - 1
     (g1, gi1, _), (g2, gi2, _) = _slot_gauges(n1), _slot_gauges(n2)
     ket = kron(gi1, gi2) @ _gauge_free_alpha(n1, n2) @ kron(g1, g2)
@@ -305,18 +306,16 @@ def slot_sums(j1, j2) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     return tuple(map(_slot_sum, (r1.zp, r1.zm, r1.hm), (r2.zp, r2.zm, r2.hm)))
 
 
-def _unit_checks(report: Report, j1, j2, name, by_bra: bool) -> Report:
-    """Slice B K = 1 into one scalar check per entry (n, m), named
-    name(m, n) with m and n given as the texts of (m1, m2, -m1, -m2); the
-    outer loop runs over the bras n if by_bra, else over the kets m.  The
-    expected entries are those of one identity matrix."""
+def _unit_checks(report: Report, j1, j2, inner, by_bra: bool) -> Report:
+    """Slice B K = 1 into one scalar check per entry.  The outer loop runs
+    over the bras (rows) if by_bra, else over the kets (columns); the inner
+    loop over the names inner(k1, k2) of the other side's labels, each a
+    template of the outer label's texts.  The expected entries are those
+    of one identity matrix."""
     bk = alpha_table(j1, j2)._bra_ket
-    labels = list(enumerate((str(k1), str(k2), str(-k1), str(-k2))
-                            for k1, k2 in product_labels(j1, j2)))
-    for check in entry_checks(bk, _unit_like(bk), [
-            (name(m, n), r, c) for (r, n), (c, m) in (
-                (o, i) if by_bra else (i, o) for o in labels for i in labels)]):
-        report.add(check)
+    report.extend(entry_checks(
+        bk, _unit_like(bk), [inner(k1, k2) for k1, k2 in product_labels(j1, j2)],
+        product_label_texts(j1, j2), by_row=by_bra))
     return report
 
 
@@ -325,7 +324,7 @@ def verify_alpha_orthogonality(j1, j2) -> Report:
     j1, j2 = as_half(j1), as_half(j2)
     return _unit_checks(
         Report(f"alpha orthogonality for spins ({j1}, {j2})"), j1, j2,
-        lambda m, n: f"sum_k alpha[k;({m[0]},{m[1]})] alpha[-k;({n[2]},{n[3]})]",
+        lambda k1, k2: f"sum_k alpha[k;({{0}},{{1}})] alpha[-k;({-k1},{-k2})]",
         by_bra=False)
 
 
@@ -334,7 +333,7 @@ def verify_intermediate_orthonormality(j1, j2) -> Report:
     j1, j2 = as_half(j1), as_half(j2)
     return _unit_checks(
         Report(f"intermediate orthonormality for spins ({j1}, {j2})"), j1, j2,
-        lambda m, n: f"<({n[0]},{n[1]})|({m[0]},{m[1]})>", by_bra=True)
+        lambda k1, k2: f"<({{0}},{{1}})|({k1},{k2})>", by_bra=True)
 
 
 def _second_slot_variant(j1: HalfInt, j2: HalfInt, sign: int):
@@ -349,6 +348,12 @@ def _second_slot_variant(j1: HalfInt, j2: HalfInt, sign: int):
                 RadScalar.sqrt(a.as_int() * b.as_int()))
             defined.add(m2.twice)
     return _slot_sum(irrep(j1).zp if sign > 0 else irrep(j1).zm, PolyMatrix(w)), defined
+
+
+# The checks of each product label (m1, m2): a ket column and a bra row of
+# the residuals of H, Zp and Zm, in this order.
+_ACTION_NAMES = tuple(f"{tag} {side} ({{0}},{{1}})" for tag in ("H", "Zp", "Zm")
+                      for side in ("ket", "bra"))
 
 
 def verify_intermediate_action(j1, j2) -> Report:
@@ -366,12 +371,10 @@ def verify_intermediate_action(j1, j2) -> Report:
     zp, zm, dh = coupled_ladder(j1, j2)
     sp, sm, sh = slot_sums(j1, j2)
     labels = product_labels(j1, j2)
-    residuals, variant_agrees, variant_applicable = [], True, False
-    for tag, sign, z, s in (("H", 0, dh, sh), ("Zp", 1, zp, sp),
-                            ("Zm", -1, zm, sm)):
+    sides, variant_agrees, variant_applicable = [], True, False
+    for sign, z, s in ((0, dh, sh), (1, zp, sp), (-1, zm, sm)):
         zk = z @ k
-        residuals.append((tag, residual_checks(zk, k @ s),
-                          residual_checks(b @ z, s @ b)))
+        sides += [(zk, k @ s, PolyMatrix.column), (b @ z, s @ b, PolyMatrix.row)]
         if sign and j1 != j2:  # tracked, not asserted
             v, defined = _second_slot_variant(j1, j2, sign)
             cols = [c for c, (_, m2) in enumerate(labels) if m2.twice in defined]
@@ -380,10 +383,8 @@ def verify_intermediate_action(j1, j2) -> Report:
                 variant = zk - k @ v
                 variant_agrees &= variant.submatrix(range(variant.rows),
                                                     cols).is_zero
-    for c, (m1, m2) in enumerate(labels):
-        for tag, kets, bras in residuals:
-            report.add(kets(f"{tag} ket ({m1},{m2})", lambda m: m.column(c)))
-            report.add(bras(f"{tag} bra ({m1},{m2})", lambda m: m.row(c)))
+    report.extend(residual_checks(sides, _ACTION_NAMES,
+                                  product_label_texts(j1, j2)))
     if j1 == j2:
         report.note("second-slot coefficient: spin labels coincide, the j1/j2 "
                     "variants are identical")

@@ -1,10 +1,26 @@
-"""Verification reports: named checks with exact residual descriptions."""
+"""Verification reports: named checks with exact residual descriptions.
+
+A report holds two kinds of items, in the order they were added:
+
+- a ``Check`` record: one named check, its status and its detail;
+- a ``CheckBlock``: many checks that share one status and one detail, as
+  when one ``==`` between two whole matrices has proved every cell.  A block
+  keeps name templates and label cells, and formats a check's name only
+  when the check is written (JSON, CSV, verbose text) or read through
+  ``Report.checks``.  The verifiers build a block only for checks that all
+  pass; a comparison that fails is reported cell by cell, with the details
+  each cell's own check gives.
+
+``counts``, ``ok`` and ``failures`` read block sizes and statuses without
+expanding a block; ``Report.checks`` and ``lines`` give one record or line
+per check, blocks expanded in place.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 
 @dataclass(frozen=True, slots=True)
@@ -13,52 +29,105 @@ class Check:
     status: str  # "pass" | "fail" | "skip"
     detail: str = ""
 
+    def names(self) -> tuple[str]:
+        return (self.name,)
 
-_status = attrgetter("status")
+
+@dataclass(frozen=True, slots=True)
+class CheckBlock:
+    """One check per (cell, template), cells outer and templates inner,
+    named template.format(*cell); every check has this status and detail."""
+    templates: tuple[str, ...]
+    cells: Sequence[tuple]
+    status: str
+    detail: str = ""
+
+    def __len__(self) -> int:
+        return len(self.templates) * len(self.cells)
+
+    def names(self) -> Iterator[str]:
+        formats = [t.format for t in self.templates]
+        return (f(*cell) for cell in self.cells for f in formats)
+
+    def __iter__(self) -> Iterator[Check]:
+        status, detail = self.status, self.detail
+        return (Check(name, status, detail) for name in self.names())
+
+
+def _size(item: Check | CheckBlock) -> int:
+    return 1 if type(item) is Check else len(item)
+
+
+def _expanded(item: Check | CheckBlock) -> Iterable[Check]:
+    return (item,) if type(item) is Check else item
+
+
+_MARKS = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}
 
 
 @dataclass
 class Report:
     suite: str
-    checks: list[Check] = field(default_factory=list)
+    items: list[Check | CheckBlock] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     elapsed: float = 0.0
 
     @property
+    def checks(self) -> list[Check]:
+        """Every check as a Check record, blocks expanded in place."""
+        return [c for item in self.items for c in _expanded(item)]
+
+    @property
     def ok(self) -> bool:
-        return "fail" not in map(_status, self.checks)
+        return not self.counts()["fail"]
 
     def counts(self) -> dict[str, int]:
-        tally = Counter(map(_status, self.checks))
+        tally = Counter()
+        for item in self.items:
+            tally[item.status] += _size(item)
         return {s: tally[s] for s in ("pass", "fail", "skip")}
 
-    def add(self, check: Check) -> None:
-        self.checks.append(check)
+    def add(self, item: Check | CheckBlock) -> None:
+        self.items.append(item)
+
+    def extend(self, checks: CheckBlock | Iterable[Check]) -> None:
+        """Add a block as one item, or each check of any other iterable."""
+        if type(checks) is CheckBlock:
+            self.add(checks)
+        else:
+            for check in checks:
+                self.add(check)
 
     def note(self, message: str) -> None:
         self.notes.append(message)
 
     def failures(self) -> list[Check]:
-        return [c for c in self.checks if c.status == "fail"]
+        return [c for item in self.items if item.status == "fail"
+                for c in _expanded(item)]
 
-    def lines(self) -> list[str]:
+    def lines(self, passing: bool = True) -> list[str]:
+        """One line per check, then one per note.  passing=False leaves the
+        PASS lines out, and formats none of their names."""
         out = []
-        for c in self.checks:
-            mark = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[c.status]
-            out.append(f"{mark}  {c.name}" + (f": {c.detail}" if c.detail else ""))
+        for item in self.items:
+            if passing or item.status != "pass":
+                mark = _MARKS[item.status]
+                tail = f": {item.detail}" if item.detail else ""
+                out += [f"{mark}  {name}{tail}" for name in item.names()]
         for n in self.notes:
             out.append(f"NOTE  {n}")
         return out
 
     def to_json(self) -> dict:
         """The report as a JSON payload for cli._json_text, which writes
-        the Check records under "checks" as objects with the keys detail,
-        name and status.  The checks are handed over as they are, not
-        copied into one dict each; counts and passed come from one pass."""
+        the items under "checks" as one object per check with the keys
+        detail, name and status, a block's objects from one template.  The
+        items are handed over as they are; counts and passed come from
+        one pass."""
         counts = self.counts()
         return {
             "suite": self.suite,
-            "checks": self.checks,
+            "checks": self.items,
             "notes": list(self.notes),
             "counts": counts,
             "passed": not counts["fail"],
@@ -89,11 +158,11 @@ def zero_check(name: str, residual) -> Check:
                  f"first {where} = {p}")
 
 
-def residual_checks(left, right):
-    """A function (name, part) -> the zero_check of part(left - right),
-    where part slices a matrix (a column, a row).  A slice on which left
-    and right agree passes without the difference being formed; the
-    difference is formed once, for the first slice that differs."""
+def _slice_checks(left, right):
+    """A function (name, part) -> the zero_check of part(left - right).  A
+    slice on which left and right agree passes without the difference
+    being formed; the difference is formed once, for the first slice that
+    differs."""
     same = left == right
     diff = []
 
@@ -106,14 +175,39 @@ def residual_checks(left, right):
     return check
 
 
-def entry_checks(left, right, cells) -> list[Check]:
-    """The scalar_check of entry (i, k) of left against that of right for
-    each (name, i, k) of cells.  When the two matrices are equal, every
-    check passes without an entry being read."""
+def residual_checks(sides, templates: Sequence[str],
+                    cells: Sequence[tuple]) -> CheckBlock | list[Check]:
+    """The zero_check of part(left - right, a) for each cell a (outer) and
+    each side (left, right, part) with its template (inner), named
+    template.format(*cell); part slices a matrix, as PolyMatrix.column
+    does.  When every left equals its right, one passing block stands for
+    all of them and nothing is sliced."""
+    if all(left == right for left, right, _ in sides):
+        return CheckBlock(tuple(templates), cells, "pass", "exact zero")
+    parts = [(_slice_checks(left, right), part, t)
+             for (left, right, part), t in zip(sides, templates)]
+    return [check(t.format(*cell), lambda m: part(m, a))
+            for a, cell in enumerate(cells) for check, part, t in parts]
+
+
+def entry_checks(left, right, templates: Sequence[str],
+                 cells: Sequence[tuple], *,
+                 by_row: bool) -> CheckBlock | list[Check]:
+    """The scalar_check of each entry of left against that of right, one
+    per (cell, template), cells outer and templates inner, named
+    template.format(*cell).  The cells index the rows and the templates
+    the columns if by_row, and the other way round if not.  When the two
+    matrices are equal, one passing block stands for every entry and none
+    is read."""
     if left == right:
-        return [Check(name, "pass", "exact") for name, _, _ in cells]
-    return [scalar_check(name, left.entry(i, k), right.entry(i, k))
-            for name, i, k in cells]
+        return CheckBlock(tuple(templates), cells, "pass", "exact")
+    checks = []
+    for a, cell in enumerate(cells):
+        for b, t in enumerate(templates):
+            i, k = (a, b) if by_row else (b, a)
+            checks.append(scalar_check(t.format(*cell), left.entry(i, k),
+                                       right.entry(i, k)))
+    return checks
 
 
 def scalar_check(name: str, left, right) -> Check:

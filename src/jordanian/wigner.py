@@ -28,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coupling import (SelectionRuleError, alpha_table, cgc_matrix,
-                       coupled_index, product_labels, product_weight_index,
-                       triangle_allowed, uh_cgc_bra)
-from .halfint import HalfInt, as_half, dim_of, weight_index, weight_range
+                       coupled_index, product_label_texts, product_labels,
+                       product_weight_index, triangle_allowed, uh_cgc_bra)
+from .halfint import (HalfInt, as_half, dim_of, weight_index, weight_range,
+                      weight_texts)
 from .hpoly import HPoly
 from .irreps import irrep
 from .polymatrix import PolyMatrix, _unit_like
@@ -98,6 +99,12 @@ def _ladder_sides(fam: TensorOpFamily):
     return fam.ladder_sides
 
 
+# The checks of each phi(n1, n2), one per residual of _ladder_sides.
+_PHI_NAMES = ("H phi({0},{1}) = 2({0}+{1}) phi",
+              "Z+ phi({0},{1}) follows the two-slot ladder rule",
+              "Z- phi({0},{1}) follows the two-slot ladder rule")
+
+
 def verify_phi_recurrence(fam: TensorOpFamily, label: str = "") -> Report:
     """The phi vectors carry the classical intermediate-basis action.
 
@@ -105,14 +112,10 @@ def verify_phi_recurrence(fam: TensorOpFamily, label: str = "") -> Report:
     Z+- phi(n1,n2) = sqrt((j1-+n1)(j1+-n1+1)) phi(n1+-1,n2)
                    + sqrt((j2-+n2)(j2+-n2+1)) phi(n1,n2+-1).
     """
-    rh, rp, rm = (residual_checks(left, right)
-                  for left, right in _ladder_sides(fam))
     report = Report(f"intermediate action on operator combinations {label}".rstrip())
-    for col, (n1, n2) in enumerate(product_labels(fam.rank, fam.ctx.source_j)):
-        rule = f"phi({n1},{n2}) follows the two-slot ladder rule"
-        for name, residual in ((f"H phi({n1},{n2}) = 2({n1}+{n2}) phi", rh),
-                               (f"Z+ {rule}", rp), (f"Z- {rule}", rm)):
-            report.add(residual(name, lambda m: m.column(col)))
+    report.extend(residual_checks(
+        [(left, right, PolyMatrix.column) for left, right in _ladder_sides(fam)],
+        _PHI_NAMES, product_label_texts(fam.rank, fam.ctx.source_j)))
     return report
 
 
@@ -198,30 +201,25 @@ def verify_wigner_eckart(fam: TensorOpFamily, label: str = "") -> Report:
     report.add(Check("reduced matrix element extraction", "pass",
                      f"I = {ivalue}"))
 
-    labels = product_labels(j1, j2)
+    texts = product_label_texts(j1, j2)
     table = alpha_table(j1, j2)
     t, phi = fam.columns, fam.phi
     top = coupled_index(j1, j2, j, j)  # row of <j j| in C^T
-    spin_j, every = range(top, top + dim_of(j)), range(len(labels))
+    spin_j, every = range(top, top + dim_of(j)), range(len(texts))
     c_j = table.cgc_transpose.submatrix(spin_j, every)
-    for check in entry_checks(phi, c_j * ivalue, [
-            (f"<{j} {m}|phi({n1},{n2})> = I C at n=({n1},{n2}), m={m}", row, col)
-            for col, (n1, n2) in enumerate(labels)
-            for row, m in enumerate(weight_range(j))]):
-        report.add(check)
+    report.extend(entry_checks(phi, c_j * ivalue, [
+        f"<{j} {m}|phi({{0}},{{1}})> = I C at n=({{0}},{{1}}), m={m}"
+        for m in weight_texts(j)], texts, by_row=False))
 
-    rebuilt = residual_checks(t, phi @ table.bra)
-    for col, (m1, m2) in enumerate(labels):
-        report.add(rebuilt(
-            f"t_({m1})|{j2} {m2}> rebuilt from phi via the inverse table",
-            lambda m: m.column(col)))
+    report.extend(residual_checks(
+        [(t, phi @ table.bra, PolyMatrix.column)],
+        [f"t_({{0}})|{j2} {{1}}> rebuilt from phi via the inverse table"], texts))
 
     bras = table.coupled_bras  # the spin-j rows are the weights W
-    for check in entry_checks(t, bras.submatrix(spin_j, every) * ivalue, [
-            (f"<{j} {m}|t_({m1})|{j2} {m2}> = I * bra coefficient", row, col)
-            for row, m in enumerate(weight_range(j))
-            for col, (m1, m2) in enumerate(labels)]):
-        report.add(check)
+    report.extend(entry_checks(
+        t, bras.submatrix(spin_j, every) * ivalue,
+        [f"<{j} {{0}}|t_({m1})|{j2} {m2}> = I * bra coefficient"
+         for m1, m2 in texts], [(m,) for m in weight_texts(j)], by_row=True))
 
     dual = table.dual
     one = _unit_like(dual)

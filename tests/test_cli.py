@@ -27,7 +27,7 @@ from jordanian.halfint import HalfInt, half, weight_range
 from jordanian.hpoly import HPoly
 from jordanian.irreps import irrep
 from jordanian.radical import RadScalar
-from jordanian.report import Check
+from jordanian.report import Check, CheckBlock, Report
 from jordanian.serialize import (matrix_from_json, matrix_to_json,
                                  scalar_from_json, scalar_to_json)
 from jordanian.tensorops import rank1_generators
@@ -901,12 +901,14 @@ def test_json_writer_takes_string_keys_only(key):
 
 
 def _as_dicts(payload):
-    """payload with each Check record as the dict the JSON shows for it."""
+    """payload with each Check record as the dict the JSON shows for it,
+    and each block as the dicts of its checks."""
     if isinstance(payload, Check):
         return {"name": payload.name, "status": payload.status,
                 "detail": payload.detail}
     if isinstance(payload, list):
-        return [_as_dicts(v) for v in payload]
+        return [d for v in payload for d in (
+            map(_as_dicts, v) if isinstance(v, CheckBlock) else [_as_dicts(v)])]
     if isinstance(payload, dict):
         return {k: _as_dicts(v) for k, v in payload.items()}
     return payload
@@ -914,9 +916,14 @@ def _as_dicts(payload):
 
 _texts = st.text(st.sampled_from('"\\/\x00\x1f\x7f\t\n é☃\U0001d11e')
                  | st.characters(), max_size=8)
-_check_lists = st.lists(st.builds(
-    Check, _texts, st.sampled_from(["pass", "fail", "skip"]), _texts),
-    max_size=4)
+_statuses = st.sampled_from(["pass", "fail", "skip"])
+_escaped = _texts.map(lambda t: t.replace("{", "{{").replace("}", "}}"))
+_check_blocks = st.builds(
+    CheckBlock, st.lists(st.tuples(_escaped, _escaped).map("{0}".join),
+                         min_size=1, max_size=3).map(tuple),
+    st.lists(st.tuples(_texts), max_size=3).map(tuple), _statuses, _texts)
+_check_lists = st.lists(st.builds(Check, _texts, _statuses, _texts)
+                        | _check_blocks, max_size=4)
 _payloads = st.recursive(
     _check_lists | st.none() | st.booleans() | st.integers() | _texts,
     lambda inner: st.lists(inner, max_size=3)
@@ -928,6 +935,9 @@ _payloads = st.recursive(
 @example({"checks": [Check("a \"b\" \\ c", "pass"),
                      Check("ü\x00", "fail", "")],
           "none": [], "deeper": [[Check("", "skip", "\U0001d11e")]]})
+@example({"empty block": [CheckBlock(("{0}",), (), "pass")],
+          "blocks": [CheckBlock(("<{0}|", "|{0}>"), (("a",), ("\"",)), "pass",
+                                "exact"), Check("c", "fail", "x")]})
 def test_json_writer_writes_check_lists_as_their_dicts(payload):
     assert cli._json_text(payload) == _dumps(_as_dicts(payload))
 
@@ -935,10 +945,32 @@ def test_json_writer_writes_check_lists_as_their_dicts(payload):
 @pytest.mark.parametrize("payload", [
     [Check("a", "pass"), {"name": "b"}], [{"name": "a"}, Check("b", "pass")],
     [Check("a", "pass"), Check(1, "pass")], (Check("a", "pass"),),
+    [CheckBlock(("{0}",), (("a",),), "pass"), {"name": "b"}],
+    [{"name": "a"}, CheckBlock(("{0}",), (("b",),), "pass")],
+    [Check("a", "pass"), CheckBlock(("{0}",), (("b",),), "pass"), None],
+    (CheckBlock(("{0}",), (("a",),), "pass"),),
 ], ids=repr)
 def test_json_writer_rejects_lists_mixing_checks(payload):
     with pytest.raises(TypeError):
         cli._json_text(payload)
+
+
+def test_verify_reports_write_as_their_expanded_checks():
+    # Every report of verify --max-j 2 against the same report with each
+    # block expanded into its Check records: the same counts, verdict,
+    # lines, JSON text and CSV rows.
+    reports = [r for _, fn in cli.SUITES for r in fn(half(2))]
+    assert sum(type(item) is CheckBlock for r in reports for item in r.items)
+    assert sum(r.counts()["pass"] for r in reports) == 8790
+    for r in reports:
+        eager = Report(r.suite, r.checks, list(r.notes), r.elapsed)
+        assert all(type(item) is Check for item in eager.items)
+        assert (r.counts(), r.ok) == (eager.counts(), eager.ok)
+        for passing in (True, False):
+            assert r.lines(passing) == eager.lines(passing)
+        assert cli._json_text(r.to_json()) == cli._json_text(eager.to_json())
+        assert list(cli._check_rows([(("s", r.suite), r)])) == [
+            ["s", r.suite, c.name, c.status, c.detail] for c in eager.items]
 
 
 def test_verify_json_is_json_dumps_text_on_stdout_and_in_the_out_file(
@@ -989,6 +1021,23 @@ _scalar_payloads = st.recursive(
           "value": HPoly.h(2, RadScalar.of(Fraction(-10**40, 3), 6))})
 def test_json_writer_writes_exact_scalars_as_scalar_to_json(payload):
     assert cli._json_text(payload) == _dumps(_as_scalar_dicts(payload))
+
+
+@pytest.mark.parametrize("columns", [("k1", "multiplicity", "value"),
+                                     ("value", "b", "a")], ids=str)
+def test_json_writer_writes_rows_as_their_objects(columns):
+    # Labels as strings, integers as they are and the value column as
+    # scalar_to_json, one object per row with sorted keys; no rows, [].
+    exact = [HPoly.h(2, RadScalar.of(Fraction(-3, 4), 6)), 0, HPoly.one()]
+    labels = [("1/2", -1), ("0", 2 ** 70), ('"q" \\ é', 0)]
+    rows = [tuple(v if c == "value" else next(cells) for c in columns)
+            for v, cells in zip(exact, map(iter, labels))]
+    for some in (rows, rows[:1], []):
+        expected = [{c: scalar_to_json(v) if c == "value" else v
+                     if isinstance(v, int) else str(v)
+                     for c, v in zip(columns, row)} for row in some]
+        assert (cli._json_text({"meta": "m", "entries": cli._Rows(columns, some)})
+                == _dumps({"meta": "m", "entries": expected}))
 
 
 def test_json_writer_writes_matrices_as_matrix_to_json():

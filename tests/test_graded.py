@@ -28,10 +28,13 @@ import jordanian.polymatrix as pm
 from jordanian import coupling
 from jordanian.coupling import (AlphaTable, alpha_table, coupled_ladder,
                                 decompose, product_labels, slot_sums,
-                                verify_intermediate_action)
+                                verify_alpha_orthogonality,
+                                verify_intermediate_action,
+                                verify_intermediate_orthonormality)
 from jordanian.halfint import half
+from jordanian.hpoly import HPoly
 from jordanian.polymatrix import PolyMatrix
-from jordanian.report import zero_check
+from jordanian.report import Check, scalar_check, zero_check
 
 SRC = str(Path(jordanian.__file__).resolve().parent.parent)
 
@@ -223,6 +226,41 @@ def test_perturbed_ket_fails_as_the_difference_would(monkeypatch):
         coupling._certified_decomposition.cache_clear()
 
 
+def test_perturbed_bra_ket_fails_cell_by_cell(monkeypatch):
+    # B K with one entry raised: both B K = 1 verifiers give up their block
+    # and report every entry as its own scalar check, named and detailed
+    # as the per-entry formulation names and details it.
+    kept = alpha_table(J1, J2)
+    table = AlphaTable(J1, J2, kept.ket, kept.bra, kept.cgc)
+    bk = table._bra_ket
+    n = bk.rows
+    bump = PolyMatrix([[HPoly.h(1, 2) if (i, c) == (2, 3) else 0
+                        for c in range(n)] for i in range(n)])
+    vars(table)["_bra_ket"] = bk + bump
+    real = coupling.alpha_table
+    monkeypatch.setattr(coupling, "alpha_table",
+                        lambda a, b: table if (a, b) == (J1, J2) else real(a, b))
+    labels = [(str(k1), str(k2), str(-k1), str(-k2))
+              for k1, k2 in product_labels(J1, J2)]
+    one = PolyMatrix.identity(n)
+    for verify, name, by_bra in (
+            (verify_alpha_orthogonality, lambda m, n: f"sum_k alpha[k;({m[0]},"
+             f"{m[1]})] alpha[-k;({n[2]},{n[3]})]", False),
+            (verify_intermediate_orthonormality,
+             lambda m, n: f"<({n[0]},{n[1]})|({m[0]},{m[1]})>", True)):
+        report = verify(J1, J2)
+        assert all(type(item) is Check for item in report.items)
+        assert report.items == [
+            scalar_check(name(m, nn), table._bra_ket.entry(r, c),
+                         one.entry(r, c))
+            for (r, nn), (c, m) in (
+                (o, i) if by_bra else (i, o)
+                for o in enumerate(labels) for i in enumerate(labels))]
+        assert [c.detail for c in report.failures()] == [
+            f"{table._bra_ket.entry(2, 3)} != 0"]
+        assert report.counts() == {"pass": n * n - 1, "fail": 1, "skip": 0}
+
+
 # -- gauges built in the labels of their cores ---------------------------------
 
 def test_fresh_tables_need_no_regauging(monkeypatch):
@@ -241,7 +279,7 @@ def test_fresh_tables_need_no_regauging(monkeypatch):
         monkeypatch.setattr(pm, name, counting(getattr(pm, name)))
     pairs = [(half(t1, 2), half(t2, 2)) for t1 in range(1, 6)
              for t2 in range(1, 6)]
-    fresh = [(coupling._alpha_table_cached.__wrapped__(j1, j2),
+    fresh = [(coupling._alpha_table_cached.__wrapped__(j1.twice, j2.twice),
               coupling._cgc_cached.__wrapped__(j1, j2)) for j1, j2 in pairs]
     assert calls == []
     for (j1, j2), (table, c) in zip(pairs, fresh):

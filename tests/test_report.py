@@ -4,12 +4,15 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import examples
 from jordanian.hpoly import HPoly
 from jordanian.irreps import irrep
 from jordanian.polymatrix import PolyMatrix, commutator, kron
-from jordanian.report import (Check, entry_checks, residual_checks,
-                              scalar_check, zero_check)
+from jordanian.report import (Check, CheckBlock, Report, entry_checks,
+                              residual_checks, scalar_check, zero_check)
 
 
 def _perturbed_relation():
@@ -50,22 +53,124 @@ def _left_right():
 
 def test_residual_checks_report_slices_of_the_difference():
     left, good, bad = _left_right()
+    cells = [(c,) for c in range(left.cols)]
     for right in (good, bad):
-        check = residual_checks(left, right)
-        for c in range(left.cols):
+        checks = residual_checks([(left, right, PolyMatrix.column)],
+                                 ["column {0}"], cells)
+        for c, check in zip(range(left.cols), checks, strict=True):
             name = f"column {c}"
-            assert check(name, lambda m: m.column(c)) == \
-                zero_check(name, (left - right).column(c))
+            assert check == zero_check(name, (left - right).column(c))
+    assert type(residual_checks([(left, good, PolyMatrix.column)],
+                                ["column {0}"], cells)) is CheckBlock
+
+
+def test_residual_checks_interleave_their_sides_per_cell():
+    # Cells outer, sides inner; one side that differs sends every side
+    # through its slices, and the sides that agree still pass.
+    left, good, bad = _left_right()
+    sides = [(left, good, PolyMatrix.row), (left, bad, PolyMatrix.column)]
+    checks = residual_checks(sides, ["row {0}", "column {0}"],
+                             [(a,) for a in range(3)])
+    assert checks == [
+        zero_check(f"{kind} {a}", part(left - right, a))
+        for a in range(3)
+        for kind, (_, right, part) in zip(("row", "column"), sides)]
+    assert [c.status for c in checks[::2]] == ["pass"] * 3
+
+
+def _row_major(n):
+    """Templates (one per column k) and cells (one per row i) that name
+    entry (i, k) "(i,k)", and the same names in row-major order."""
+    return ([f"({{0}},{k})" for k in range(n)], [(i,) for i in range(n)],
+            [(f"({i},{k})", i, k) for i in range(n) for k in range(n)])
 
 
 def test_entry_checks_match_scalar_checks():
     left, good, bad = _left_right()
-    cells = [(f"({i},{k})", i, k) for i in range(3) for k in range(3)]
+    templates, rows, cells = _row_major(3)
     for right in (good, bad):
-        assert entry_checks(left, right, cells) == [
+        assert list(entry_checks(left, right, templates, rows,
+                                 by_row=True)) == [
             scalar_check(name, left.entry(i, k), right.entry(i, k))
             for name, i, k in cells]
-    assert any(c.status == "fail" for c in entry_checks(left, bad, cells))
+        # The cells index the columns when by_row is false.
+        assert list(entry_checks(
+            left, right, [f"({i},{{0}})" for i in range(3)],
+            [(k,) for k in range(3)], by_row=False)) == [
+            scalar_check(f"({i},{k})", left.entry(i, k), right.entry(i, k))
+            for k in range(3) for i in range(3)]
+    assert any(c.status == "fail" for c in entry_checks(
+        left, bad, templates, rows, by_row=True))
+    block = entry_checks(left, good, templates, rows, by_row=True)
+    assert type(block) is CheckBlock and len(block) == 9
+
+
+# -- check blocks ------------------------------------------------------------
+
+_texts = st.text(st.sampled_from("{}a -/,é\n\"") | st.characters(), max_size=6)
+
+
+@st.composite
+def _blocks(draw):
+    """A block with random templates over random label cells: literal text
+    (braces doubled) and placeholders {i} below the cells' length."""
+    arity = draw(st.integers(0, 3))
+    fields = st.integers(0, arity - 1).map("{{{}}}".format) if arity else \
+        st.nothing()
+    literal = _texts.map(lambda t: t.replace("{", "{{").replace("}", "}}"))
+    templates = draw(st.lists(st.lists(literal | fields, max_size=4).map(
+        "".join), min_size=1, max_size=3))
+    cells = draw(st.lists(st.tuples(*[_texts] * arity), max_size=4))
+    return CheckBlock(tuple(templates), tuple(cells),
+                      draw(st.sampled_from(["pass", "fail", "skip"])),
+                      draw(_texts))
+
+
+def _eager(items):
+    """items with each block replaced by its checks, names formatted."""
+    out = []
+    for item in items:
+        if type(item) is CheckBlock:
+            out += [Check(t.format(*cell), item.status, item.detail)
+                    for cell in item.cells for t in item.templates]
+        else:
+            out.append(item)
+    return out
+
+
+_items = st.lists(_blocks() | st.builds(
+    Check, _texts, st.sampled_from(["pass", "fail", "skip"]), _texts),
+    max_size=4)
+
+
+@examples(100)
+@given(_items)
+def test_blocks_expand_to_the_eager_check_list(items):
+    eager = _eager(items)
+    for item in items:
+        if type(item) is CheckBlock:
+            assert list(item) == _eager([item])
+            assert len(item) == len(list(item.names()))
+    report, expanded = Report("r", list(items)), Report("r", eager)
+    assert report.checks == eager
+    assert report.counts() == expanded.counts()
+    assert report.ok == expanded.ok
+    assert report.failures() == expanded.failures()
+    for passing in (True, False):
+        assert report.lines(passing) == expanded.lines(passing)
+    assert expanded.lines(False) == [line for line in expanded.lines()
+                                     if not line.startswith("PASS")]
+
+
+def test_report_extend_adds_a_block_as_one_item():
+    block = CheckBlock(("a{0}", "b{0}"), (("1",), ("2",)), "pass", "exact")
+    report = Report("r")
+    report.extend(block)
+    report.extend([Check("c", "fail", "x")])
+    assert report.items == [block, Check("c", "fail", "x")]
+    assert [c.name for c in report.checks] == ["a1", "b1", "a2", "b2", "c"]
+    assert report.counts() == {"pass": 4, "fail": 1, "skip": 0}
+    assert report.failures() == [Check("c", "fail", "x")]
 
 
 def test_check_records_are_slotted_and_survive_pickle_and_deepcopy():
