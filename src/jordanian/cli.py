@@ -73,13 +73,18 @@ def _spin_range(lo: HalfInt, hi: HalfInt) -> list[HalfInt]:
     return [HalfInt.from_twice(t) for t in range(lo.twice, hi.twice + 1)]
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | list[str], out: str | None) -> None:
+    """Write text and a line break to the file out, or to stdout.  Text
+    given as a list of pieces is written piece by piece, never joined into
+    one string or encoded as a whole."""
+    pieces = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(pieces)
             f.write("\n")
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
 
 
 def _csv_text(rows: Iterable[list[str]]) -> str:
@@ -181,8 +186,8 @@ def _json_checks(checks: list[Check | CheckBlock], inner: str) -> list[str]:
 
 
 class _Rows:
-    """Labelled rows for _json_text: each row an object with the given
-    columns as keys, exact scalars in the value column."""
+    """Labelled rows for _json_text: a list of objects, one per row, with
+    the given columns as keys, written by _row_writer."""
     __slots__ = ("columns", "rows")
 
     def __init__(self, columns: tuple[str, ...], rows: list):
@@ -190,27 +195,29 @@ class _Rows:
 
 
 def _json_rows(value: _Rows, out: list[str], newline: str) -> None:
-    """Append the row objects of value as a list closed at newline.  The
-    key texts and their sorted order are worked out once for all rows;
-    each row object is its cells after their keys, labels through
-    _json_string (integers as they are) and exact values through
-    _json_scalar at the row's indent."""
+    """Append the row objects of value as a list closed at newline."""
     if not value.rows:
         out.append("[]")
         return
     inner = newline + "  "
-    cell = inner + "  "
+    row_text = _row_writer(value.columns, inner)
+    out.append("[" + ",".join([inner + row_text(row) for row in value.rows])
+               + newline + "]")
+
+
+def _row_writer(columns: tuple[str, ...], newline: str):
+    """A function row -> the JSON object of a row closed at newline, keys
+    sorted: exact scalars in the value column through _json_scalar,
+    integers as they are, other labels as strings.  The key texts and
+    their order are worked out once for all rows."""
+    cell = newline + "  "
     keys = [(i, f'{cell}{_json_string(c)}: ', c == "value")
-            for i, c in sorted(enumerate(value.columns), key=itemgetter(1))]
-    sep = "["
-    for row in value.rows:
-        out.append(sep + inner + "{" + ",".join([
-            key + (_json_scalar(as_hpoly(row[i]), cell) if exact
-                   else int.__repr__(row[i]) if isinstance(row[i], int)
-                   else _json_string(str(row[i])))
-            for i, key, exact in keys]) + inner + "}")
-        sep = ","
-    out.append(newline + "]")
+            for i, c in sorted(enumerate(columns), key=itemgetter(1))]
+    return lambda row: "{" + ",".join([
+        key + (_json_scalar(as_hpoly(row[i]), cell) if exact
+               else int.__repr__(row[i]) if isinstance(row[i], int)
+               else _json_string(str(row[i])))
+        for i, key, exact in keys]) + newline + "}"
 
 
 def _json_scalar(p: HPoly, newline: str) -> str:
@@ -253,24 +260,16 @@ def _render_matrices(args, title: str, meta: dict, mats: dict, *,
     return 0
 
 
-def _json_cell(column: str, value):
-    """Exact scalars in the value column (as HPoly values, which _json_text
-    writes), integers as they are, labels as strings."""
-    if column == "value":
-        return as_hpoly(value)
-    return value if isinstance(value, int) else str(value)
-
-
 def _render_rows(args, meta: dict, columns: tuple[str, ...], rows: list, *,
                  title: str | None = None, line: str | None = None,
                  key: str | None = "entries") -> int:
     """Labelled coefficient rows (alpha, cgc, decompose): JSON with the rows
-    as objects under key (a single row merged into meta when key is None),
-    CSV with a header, or the title and line.format(*row) per row."""
+    as objects under key (a single row merged into meta, whose values are
+    labels, when key is None), CSV with a header, or the title and
+    line.format(*row) per row."""
     if args.format == "json":
-        text = _json_text(
-            {**meta, **{c: _json_cell(c, v) for c, v in zip(columns, rows[0])}}
-            if key is None else {**meta, key: _Rows(columns, rows)})
+        text = (_row_writer((*meta, *columns), "\n")((*meta.values(), *rows[0]))
+                if key is None else _json_text({**meta, key: _Rows(columns, rows)}))
     elif args.format == "csv":
         text = _csv_text([list(columns)]
                          + [[str(v) for v in row] for row in rows])
@@ -291,7 +290,8 @@ def _render_reports(args, meta: dict, key: str, lead: tuple[str, ...],
     if args.format == "json":  # each report's passed flag is its ok
         runs = [r.to_json() for _, r in reports]
         ok = all(run["passed"] for run in runs)
-        out = _json_text({**meta, "passed": ok, key: runs})
+        out = []  # the pieces of _json_text, written without joining
+        _write_json({**meta, "passed": ok, key: runs}, out, "\n")
     else:
         ok = all(r.ok for _, r in reports)
         out = (_csv_text(chain([[*lead, "check", "status", "detail"]],

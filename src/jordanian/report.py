@@ -11,9 +11,11 @@ A report holds two kinds of items, in the order they were added:
   pass; a comparison that fails is reported cell by cell, with the details
   each cell's own check gives.
 
-``counts``, ``ok`` and ``failures`` read block sizes and statuses without
-expanding a block; ``Report.checks`` and ``lines`` give one record or line
-per check, blocks expanded in place.
+Every check enters through ``Report.add``, one call per check: a block is
+passed once for each check it holds and stored once.  ``counts``, ``ok``
+and ``failures`` read block sizes and statuses without expanding a block;
+``Report.checks`` and ``lines`` give one record or line per check, blocks
+expanded in place.
 """
 
 from __future__ import annotations
@@ -33,14 +35,17 @@ class Check:
         return (self.name,)
 
 
-@dataclass(frozen=True, slots=True)
 class CheckBlock:
     """One check per (cell, template), cells outer and templates inner,
-    named template.format(*cell); every check has this status and detail."""
-    templates: tuple[str, ...]
-    cells: Sequence[tuple]
-    status: str
-    detail: str = ""
+    named template.format(*cell); every check has this status and detail.
+    A plain slotted class: a dataclass would cost its generated methods at
+    every import, and blocks are compared by identity only."""
+    __slots__ = ("templates", "cells", "status", "detail")
+
+    def __init__(self, templates: tuple[str, ...], cells: Sequence[tuple],
+                 status: str, detail: str = ""):
+        self.templates, self.cells = templates, cells
+        self.status, self.detail = status, detail
 
     def __len__(self) -> int:
         return len(self.templates) * len(self.cells)
@@ -88,12 +93,19 @@ class Report:
         return {s: tally[s] for s in ("pass", "fail", "skip")}
 
     def add(self, item: Check | CheckBlock) -> None:
-        self.items.append(item)
+        """Add one check.  A block is added once per check it holds, and
+        only the first of those calls stores it, so add is called once per
+        check whatever its form: code that wraps add to count checks or to
+        act between them sees every check."""
+        items = self.items
+        if type(item) is Check or not items or items[-1] is not item:
+            items.append(item)
 
     def extend(self, checks: CheckBlock | Iterable[Check]) -> None:
-        """Add a block as one item, or each check of any other iterable."""
+        """Add each check of a block or of any other iterable."""
         if type(checks) is CheckBlock:
-            self.add(checks)
+            for _ in range(len(checks)):
+                self.add(checks)
         else:
             for check in checks:
                 self.add(check)
@@ -158,36 +170,32 @@ def zero_check(name: str, residual) -> Check:
                  f"first {where} = {p}")
 
 
-def _slice_checks(left, right):
-    """A function (name, part) -> the zero_check of part(left - right).  A
-    slice on which left and right agree passes without the difference
-    being formed; the difference is formed once, for the first slice that
-    differs."""
-    same = left == right
-    diff = []
-
-    def check(name: str, part) -> Check:
-        if same or part(left) == part(right):
-            return Check(name, "pass", "exact zero")
-        if not diff:
-            diff.append(left - right)
-        return zero_check(name, part(diff[0]))
-    return check
-
-
 def residual_checks(sides, templates: Sequence[str],
                     cells: Sequence[tuple]) -> CheckBlock | list[Check]:
     """The zero_check of part(left - right, a) for each cell a (outer) and
     each side (left, right, part) with its template (inner), named
     template.format(*cell); part slices a matrix, as PolyMatrix.column
     does.  When every left equals its right, one passing block stands for
-    all of them and nothing is sliced."""
-    if all(left == right for left, right, _ in sides):
+    all of them and nothing is sliced.  Otherwise a side whose left equals
+    its right passes slice by slice, and so does a slice on which they
+    agree; a side's difference is formed once, at its first slice that
+    differs."""
+    same = [left == right for left, right, _ in sides]
+    if all(same):
         return CheckBlock(tuple(templates), cells, "pass", "exact zero")
-    parts = [(_slice_checks(left, right), part, t)
-             for (left, right, part), t in zip(sides, templates)]
-    return [check(t.format(*cell), lambda m: part(m, a))
-            for a, cell in enumerate(cells) for check, part, t in parts]
+    paired = list(zip(same, sides, templates, strict=True))
+    diffs: dict[int, object] = {}
+    checks = []
+    for a, cell in enumerate(cells):
+        for s, (equal, (left, right, part), t) in enumerate(paired):
+            name = t.format(*cell)
+            if equal or part(left, a) == part(right, a):
+                checks.append(Check(name, "pass", "exact zero"))
+            else:
+                if s not in diffs:
+                    diffs[s] = left - right
+                checks.append(zero_check(name, part(diffs[s], a)))
+    return checks
 
 
 def entry_checks(left, right, templates: Sequence[str],

@@ -76,6 +76,8 @@ def test_residual_checks_interleave_their_sides_per_cell():
         for a in range(3)
         for kind, (_, right, part) in zip(("row", "column"), sides)]
     assert [c.status for c in checks[::2]] == ["pass"] * 3
+    with pytest.raises(ValueError):  # a side without its template
+        residual_checks(sides, ["row {0}"], [(0,)])
 
 
 def _row_major(n):
@@ -162,12 +164,26 @@ def test_blocks_expand_to_the_eager_check_list(items):
                                      if not line.startswith("PASS")]
 
 
-def test_report_extend_adds_a_block_as_one_item():
+def test_report_extend_adds_a_block_as_one_item(monkeypatch):
+    # Report.add is called once per check, a block once per check it
+    # holds, while the block is stored once; a record added twice in a row
+    # is two checks.
+    added = []
+    original = Report.add
+
+    def add(self, item):
+        added.append(item)
+        original(self, item)
+    monkeypatch.setattr(Report, "add", add)
     block = CheckBlock(("a{0}", "b{0}"), (("1",), ("2",)), "pass", "exact")
     report = Report("r")
     report.extend(block)
     report.extend([Check("c", "fail", "x")])
+    assert added == [block] * 4 + [Check("c", "fail", "x")]
     assert report.items == [block, Check("c", "fail", "x")]
+    again = Report("again")
+    again.extend([added[-1], added[-1]])
+    assert again.items == [added[-1]] * 2
     assert [c.name for c in report.checks] == ["a1", "b1", "a2", "b2", "c"]
     assert report.counts() == {"pass": 4, "fail": 1, "skip": 0}
     assert report.failures() == [Check("c", "fail", "x")]
