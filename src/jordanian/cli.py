@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .coupling import (SelectionRuleError, alpha_table, cgc_matrix,
                        coupled_bra, coupled_index, coupled_ket, decompose,
@@ -73,10 +74,10 @@ def _spin_range(lo: HalfInt, hi: HalfInt) -> list[HalfInt]:
     return [HalfInt.from_twice(t) for t in range(lo.twice, hi.twice + 1)]
 
 
-def _emit(text: str | list[str], out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
     """Write text and a line break to the file out, or to stdout.  Text
-    given as a list of pieces is written piece by piece, never joined into
-    one string or encoded as a whole."""
+    given as pieces (a list or a generator) is written piece by piece,
+    never joined into one string or encoded as a whole."""
     pieces = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w", encoding="utf-8") as f:
@@ -92,6 +93,16 @@ def _csv_text(rows: Iterable[list[str]]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
+
+
+def _csv_pieces(rows: Iterable[list[str]]):
+    """The text of _csv_text(rows), rows never empty, one piece per row as
+    it is made: each row's line break goes before the next row's piece."""
+    line: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=line.append), lineterminator="\n")
+    for n, row in enumerate(rows):
+        writer.writerow(row)
+        yield "\n" + line.pop()[:-1] if n else line.pop()[:-1]
 
 
 def _json_text(payload) -> str:
@@ -294,8 +305,8 @@ def _render_reports(args, meta: dict, key: str, lead: tuple[str, ...],
         _write_json({**meta, "passed": ok, key: runs}, out, "\n")
     else:
         ok = all(r.ok for _, r in reports)
-        out = (_csv_text(chain([[*lead, "check", "status", "detail"]],
-                               _check_rows(reports)))
+        out = (_csv_pieces(chain([[*lead, "check", "status", "detail"]],
+                                 _check_rows(reports)))
                if args.format == "csv" else "\n".join(text()))
     _emit(out, args.out)
     return 0 if ok else 1

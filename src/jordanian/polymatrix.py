@@ -4,12 +4,12 @@ Matrices carry optional weight labels on rows and columns (the half-integer
 m of each basis vector) so representation-theoretic indexing stays explicit.
 All operations are exact; a zero residual matrix is literally zero.
 
-Storage.  Almost every matrix the package builds has one monomial per
-entry, its h-power and radical following the bases of the rows and
-columns: a basis labels each index with an (h-offset, squarefree radical).
-Graded storage keeps a dict ``{col: numerator}`` of ints per row over one
-positive int denominator, a row basis, a column basis and one constant
-(shift, rad); the entry at (i, c) is numerator/den * sqrt(p_i rad / q_c) *
+Storage.  Every matrix the package builds has one monomial per entry, its
+h-power and radical following the bases of the rows and columns: a basis
+labels each index with an (h-offset, squarefree radical).  Graded storage
+keeps a dict ``{col: numerator}`` of ints per row over one positive int
+denominator, a row basis, a column basis and one constant (shift, rad);
+the entry at (i, c) is numerator/den * sqrt(p_i rad / q_c) *
 h**(a_i + shift - b_c) for the labels (a_i, p_i) and (b_c, q_c).  Bases are
 interned by their labels moved by the gauge of the first label (which
 moves into the constant), so the ladder basis of a spin, the product
@@ -20,14 +20,15 @@ The bases are a certificate, not an assumption: ``_fit`` checks every
 entry against offered bases in one pass, and the public constructor offers
 the labels ``_derived`` finds over the nonzero pattern, each component
 starting from the spin (rows-1)/2 ladder gauge (-i, sqfree(i! (rows-1-i)!))
-or from row labels the construction offers.  A matrix with an entry of two
-or more terms, or that no labels fit, keeps term storage: for each row, a
-tuple of ``(col, terms)`` pairs in column order, ``terms`` a sorted tuple
-of ``(h-power, radicand, numerator)`` triples with squarefree radicands
-over one ``den``.  ``den`` and ``data`` read term storage, built on first
-read for a graded matrix, with ``den`` minimal, so equal matrices have
-equal ``den`` and ``data``: ``hash`` reads them, and so does ``==`` unless
-both operands are graded in the same bases.
+or from row labels the construction offers.  A matrix built by the caller
+with an entry of two or more terms, or that no labels fit, keeps term
+storage: for each row, a tuple of ``(col, terms)`` pairs in column order,
+``terms`` a sorted tuple of ``(h-power, radicand, numerator)`` triples with
+squarefree radicands over one ``den``.  ``den`` and ``data`` are that
+canonical form for either storage, built on first read for a graded
+matrix, with ``den`` minimal, so equal matrices have equal ``den`` and
+``data``: ``hash`` and pickling read them, and so does ``==`` unless both
+operands are graded in the same bases.
 
 Arithmetic.  On graded operands ``@`` (the left column basis is the right
 row basis; constants add), ``+``, ``-`` (the same bases and constant),
@@ -35,11 +36,13 @@ row basis; constants add), ``+``, ``-`` (the same bases and constant),
 one monomial (the constant moves), ``transpose`` (the dual bases, offsets
 negated), slices and ``divide_h`` do integer work only, a slice moving the
 gauge of its first labels into the constant; the denominator is reduced
-once it outgrows a machine word.  Anything else runs on term storage (the
-``_term_*`` functions; a product entry is one [h-power, radicand,
-numerator] term until a second (h-power, radicand) reaches it), and the
-result is certified again, offered the bases the graded kernel would have
-given it.  A sum with an all-zero operand returns the other.
+once it outgrows a machine word.  Anything else (an operand in term
+storage, graded bases or constants that differ, a scalar of two or more
+terms, a power of h that does not divide) goes through one entrywise
+fallback, ``_entrywise``: HPoly arithmetic entry by entry, as
+tests/matrix_oracle.py computes, with the result certified again by the
+public constructor.  No construction of the library reaches it, so its
+speed does not matter.  A sum with an all-zero operand returns the other.
 
 ``HPoly`` is the boundary type.  The public constructor reads HPoly entries
 (or anything ``as_hpoly`` accepts) once.  ``entries`` and ``entry()`` read
@@ -123,119 +126,6 @@ def _minimal(den, data):
                     return den, data
     return den // g, tuple(tuple((c, tuple((k, n, v // g) for k, n, v in terms))
                                  for c, terms in row) for row in data)
-
-
-def _times(aterms, bterms):
-    """The stored terms of the product of two nonzero entries (never zero:
-    the scalars form an integral domain)."""
-    if len(aterms) == 1 == len(bterms):
-        (k1, n1, a), = aterms
-        (k2, n2, b), = bterms
-        if n1 == 1 or n2 == 1:
-            return ((k1 + k2, n1 * n2, a * b),)
-        g = gcd(n1, n2)
-        return ((k1 + k2, (n1 // g) * (n2 // g), a * b * g),)
-    acc = {}
-    _accumulate(acc, aterms, ((0, bterms),))
-    return _row(acc)[0][1]
-
-
-def _accumulate(acc, aterms, brow):
-    """Add the products of one entry's terms with every entry of a stored
-    row into acc, keyed by column.  An entry is one [h-power, radicand,
-    numerator] list until a second (h-power, radicand) reaches it, and a
-    {(h-power, radicand): numerator} dict from then on."""
-    get = acc.get
-    for k1, n1, a in aterms:
-        for c, bterms in brow:
-            e = get(c)
-            for k2, n2, b in bterms:
-                if n1 == 1 or n2 == 1:
-                    n, v = n1 * n2, a * b
-                else:
-                    g = gcd(n1, n2)
-                    n, v = (n1 // g) * (n2 // g), a * b * g
-                k = k1 + k2
-                if e is None:
-                    acc[c] = e = [k, n, v]
-                elif e.__class__ is list:
-                    if e[0] == k and e[1] == n:
-                        e[2] += v
-                    else:
-                        acc[c] = e = {(e[0], e[1]): e[2], (k, n): v}
-                else:
-                    e[k, n] = e.get((k, n), 0) + v
-
-
-def _row(acc):
-    """The stored row of an accumulator, in column order; zero terms and
-    entries are dropped."""
-    row = []
-    for c in sorted(acc):
-        e = acc[c]
-        if e.__class__ is list:
-            k, n, v = e
-            if v:
-                row.append((c, ((k, n, v),)))
-        else:
-            terms = tuple(sorted((k, n, v) for (k, n), v in e.items() if v))
-            if terms:
-                row.append((c, terms))
-    return tuple(row)
-
-
-def _scaled_row(row, f):
-    """A stored row with every numerator multiplied by the int f."""
-    return row if f == 1 else tuple((c, tuple((k, n, v * f) for k, n, v in terms))
-                                    for c, terms in row)
-
-
-# The operations on term storage, the fallback for operands not graded in
-# matching bases; each result is certified again, offered their bases.
-
-def _term_matmul(a, b):
-    """a @ b: each output row summed in a dict keyed by column."""
-    bdata = b.data
-    accs = []
-    for arow in a.data:
-        acc = {}
-        for k, aterms in arow:
-            _accumulate(acc, aterms, bdata[k])
-        accs.append(acc)
-    ga, gb = a._g, b._g
-    return PolyMatrix._of(a.rows, b.cols,
-                          *_minimal(a.den * b.den, tuple(map(_row, accs))),
-                          a.row_weights, b.col_weights, None, None,
-                          ga and gb and (ga.rb, gb.cb))
-
-
-def _term_sum(a, b, sign, row_weights, col_weights):
-    """a + sign * b with the given weights."""
-    den = lcm(a.den, b.den)
-    fa, fb = den // a.den, sign * (den // b.den)
-    out = []
-    for ra, rb in zip(a.data, b.data):
-        if not rb:
-            out.append(_scaled_row(ra, fa))
-        else:
-            acc = {}
-            _accumulate(acc, ((0, 1, fa),), ra)
-            _accumulate(acc, ((0, 1, fb),), rb)
-            out.append(_row(acc))
-    g = a._g or b._g
-    return PolyMatrix._of(a.rows, a.cols, *_minimal(den, tuple(out)),
-                          row_weights, col_weights, None, None,
-                          g and (g.rb, g.cb))
-
-
-def _term_kron(a, b):
-    """kron(a, b), each entry formed as one product."""
-    bcols = b.cols
-    data = tuple(tuple([(k * bcols + c, _times(at, bt)) for k, at in arow
-                        for c, bt in brow])
-                 for arow in a.data for brow in b.data)
-    return PolyMatrix._of(a.rows * b.rows, a.cols * b.cols,
-                          *_minimal(a.den * b.den, data), None, None)
 
 
 # -- bases ----------------------------------------------------------------------
@@ -573,6 +463,15 @@ def _rebased(m, rows, cols):
                           (_basis(rows), _basis(cols)))
 
 
+def _entrywise(rows, cols, entry, row_weights=None, col_weights=None):
+    """The fallback for operands the graded kernel cannot take (an entry of
+    two or more terms, or graded bases or constants that differ): the
+    matrix of the HPoly entry(i, c), computed as tests/matrix_oracle.py
+    computes, and certified again by the public constructor."""
+    return PolyMatrix([[entry(i, c) for c in range(cols)] for i in range(rows)],
+                      row_weights, col_weights)
+
+
 def _gentry(k, n, num, den):
     """The canonical HPoly of num/den * sqrt(n) * h**k."""
     return HPoly._canonical((_RAD_ZERO,) * k + (
@@ -654,9 +553,9 @@ class PolyMatrix:
     @classmethod
     def _of(cls, rows, cols, den, data, row_weights, col_weights, view=None,
             start=None, bases=None):
-        """Wrap term storage that is already minimal (kernel results),
-        graded when it certifies (in the offered bases, or from the row
-        labels start, as in _certify)."""
+        """Wrap term storage that is already minimal, graded when it
+        certifies (in the offered bases, or from the row labels start, as
+        in _certify)."""
         self = object.__new__(cls)
         self._set(rows, cols, _certify(rows, cols, den, data, start, bases),
                   (den, data), row_weights, col_weights, view)
@@ -797,7 +696,9 @@ class PolyMatrix:
             g = _gsum(a, b, sign)
             if g is not None:
                 return PolyMatrix._wrap(self.rows, self.cols, g, rw, cw)
-        return _term_sum(self, other, sign, rw, cw)
+        x, y = self.entries, other.entries
+        return _entrywise(self.rows, self.cols,
+                          lambda i, c: x[i][c] + sign * y[i][c], rw, cw)
 
     def __add__(self, other):
         return self._entrywise_sum(other, 1)
@@ -809,14 +710,14 @@ class PolyMatrix:
         return self * -1
 
     def __mul__(self, scalar):
-        """Every stored entry times the scalar's terms."""
+        """Every entry times the scalar, a monomial moving the constant."""
         if isinstance(scalar, (int, Fraction)):
             den, st = scalar.denominator, ((0, 1, scalar.numerator),) if scalar else ()
         else:
-            s = as_hpoly(scalar)
-            if s is NotImplemented:
+            scalar = as_hpoly(scalar)
+            if scalar is NotImplemented:
                 return NotImplemented
-            den, (row,) = _flatten(((s,),))
+            den, (row,) = _flatten(((scalar,),))
             st = row[0][1] if row else ()
         if not st:
             return PolyMatrix.zeros(self.rows, self.cols, self.row_weights,
@@ -825,8 +726,9 @@ class PolyMatrix:
             return PolyMatrix._wrap(self.rows, self.cols,
                                     _gscale(self._g, *st[0], den),
                                     self.row_weights, self.col_weights)
-        return _term_kron(self, PolyMatrix._of(1, 1, den, (((0, st),),), None, None)
-                          )._relabeled(self.row_weights, self.col_weights)
+        x = self.entries
+        return _entrywise(self.rows, self.cols, lambda i, c: x[i][c] * scalar,
+                          self.row_weights, self.col_weights)
 
     __rmul__ = __mul__
 
@@ -846,7 +748,11 @@ class PolyMatrix:
             if g is not None:
                 return PolyMatrix._wrap(self.rows, other.cols, g,
                                         self.row_weights, other.col_weights)
-        return _term_matmul(self, other)
+        x = [[(k, p) for k, p in enumerate(row) if p] for row in self.entries]
+        y = other.entries
+        return _entrywise(self.rows, other.cols, lambda i, c: sum(
+            (p * y[k][c] for k, p in x[i] if y[k][c]), _ZERO),
+            self.row_weights, other.col_weights)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -873,13 +779,9 @@ class PolyMatrix:
         if self._g is not None:
             return PolyMatrix._wrap(self.cols, self.rows, _gtranspose(self._g),
                                     self.col_weights, self.row_weights)
-        cols = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.data):
-            for c, terms in row:
-                cols[c].append((i, terms))
-        return PolyMatrix._of(self.cols, self.rows, self.den,
-                              tuple(map(tuple, cols)),
-                              self.col_weights, self.row_weights)
+        x = self.entries
+        return _entrywise(self.cols, self.rows, lambda i, c: x[c][i],
+                          self.col_weights, self.row_weights)
 
     def submatrix(self, row_idx, col_idx) -> "PolyMatrix":
         row_idx, col_idx = list(row_idx), list(col_idx)
@@ -899,14 +801,9 @@ class PolyMatrix:
                 g.rb if row_idx == [*range(self.rows)] else [g.rb.labels[i] for i in row_idx],
                 g.cb if col_idx == [*range(cols)] else [g.cb.labels[k] for k in col_idx],
                 g.shift, g.rad), rw, cw)
-        out = []
-        for i in row_idx:
-            orow = [(new, terms) for c, terms in self.data[i]
-                    if c in place for new in place[c]]
-            orow.sort()  # new positions are distinct: terms never compared
-            out.append(tuple(orow))
-        return PolyMatrix._of(len(row_idx), len(col_idx),
-                              *_minimal(self.den, tuple(out)), rw, cw)
+        x = self.entries
+        return _entrywise(len(row_idx), len(col_idx),
+                          lambda i, c: x[row_idx[i]][col_idx[c]], rw, cw)
 
     def column(self, k: int) -> "PolyMatrix":
         g = self._g
@@ -937,17 +834,9 @@ class PolyMatrix:
             return PolyMatrix._wrap(self.rows, self.cols, _Graded(
                 g.den, g.rows, g.rb, g.cb, g.shift - k, g.rad),
                 self.row_weights, self.col_weights)
-        out = []
-        for row in self.data:
-            orow = []
-            for c, terms in row:
-                if terms[0][0] < k:
-                    raise ValueError(f"{_hpoly(terms, self.den)} is not "
-                                     f"divisible by h^{k}")
-                orow.append((c, tuple((p - k, n, v) for p, n, v in terms)))
-            out.append(tuple(orow))
-        return PolyMatrix._of(self.rows, self.cols, self.den, tuple(out),
-                              self.row_weights, self.col_weights)
+        x = self.entries
+        return _entrywise(self.rows, self.cols, lambda i, c: x[i][c].divide_h(k),
+                          self.row_weights, self.col_weights)
 
     def eval_h(self, value) -> "PolyMatrix":
         """Entrywise evaluation at rational h; the result has constant entries."""
@@ -966,11 +855,8 @@ class PolyMatrix:
 
     def first_nonzero(self):
         """(i, k, entry) of the first nonzero entry, or None."""
-        for i, row in enumerate(self.data):
-            if row:
-                k, terms = row[0]
-                return i, k, _hpoly(terms, self.den)
-        return None
+        return next(((i, k, p) for i, row in enumerate(self.entries)
+                     for k, p in enumerate(row) if p), None)
 
     def __str__(self):
         cells = [[str(p) for p in row] for row in self.entries]
@@ -989,7 +875,9 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     if a._g is not None and b._g is not None:
         return PolyMatrix._wrap(a.rows * b.rows, a.cols * b.cols,
                                 _gkron(a._g, b._g), None, None)
-    return _term_kron(a, b)
+    x, y, n, w = a.entries, b.entries, b.rows, b.cols
+    return _entrywise(a.rows * n, a.cols * w,
+                      lambda i, c: x[i // n][c // w] * y[i % n][c % w])
 
 
 def commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import matrix_oracle as oracle
 from alpha_oracle import (alpha_entry, orthogonality_sum, racah_cgc,
                           uh_cgc_bra_sum, uh_cgc_sum)
 from jordanian import coupling
@@ -131,6 +132,85 @@ def test_intermediate_action_and_second_slot_notes():
     probed = verify_intermediate_action(half(3, 2), H12)
     assert probed.ok
     assert any("does NOT match" in n for n in probed.notes)
+
+
+# -- the second-slot NOTE against the residual that used to decide it -----------
+
+VARIANT_NOTE = ("second-slot coefficient: the j2 form holds exactly; the "
+                "variant using j1 in the second slot ")
+
+
+def _residual_agrees(j1, j2, sign, w):
+    """Whether Delta(Z) K - K V vanishes on the product columns of the m2
+    where W is defined, V = Z (x) 1 + 1 (x) W with W[col - sign][col] = w[col]:
+    the residual that decided the NOTE before, computed entry by entry."""
+    d1, d2 = dim_of(j1), dim_of(j2)
+    w_matrix = PolyMatrix([[w[c] if c in w and r == c - sign else 0
+                            for c in range(d2)] for r in range(d2)])
+    z1 = irrep(j1).zp if sign > 0 else irrep(j1).zm
+    v = oracle.add(oracle.kron(z1, oracle.identity(d2)),
+                   oracle.kron(oracle.identity(d1), w_matrix))
+    zp, zm, _ = coupled_ladder(j1, j2)
+    z, k = (zp if sign > 0 else zm), alpha_table(j1, j2).ket
+    residual = oracle.sub(oracle.matmul(z, k), oracle.matmul(k, v))
+    cols = [c for c in range(d1 * d2) if c % d2 in w]
+    return oracle.submatrix(residual, range(d1 * d2), cols).is_zero
+
+
+def _note_for(monkeypatch, j1, j2, sign, w):
+    """The notes of verify_intermediate_action when only this sign's W is
+    defined, with the columns w."""
+    monkeypatch.setattr(coupling, "_second_slot_variant",
+                        lambda a, b, s: w if s == sign else {})
+    report = verify_intermediate_action(j1, j2)
+    assert report.ok
+    return report.notes
+
+
+def _expected_notes(j1, j2, sign, w):
+    if not w:
+        return []
+    agrees = _residual_agrees(j1, j2, sign, w)
+    return [VARIANT_NOTE + ("also matched" if agrees else "does NOT match")]
+
+
+PAIRS_TO_5_2 = [(a, b) for a in SPINS_TO_5_2 for b in SPINS_TO_5_2 if a != b]
+
+
+@pytest.mark.parametrize("j1,j2", PAIRS_TO_5_2, ids=str)
+def test_second_slot_note_decides_as_the_residual(monkeypatch, j1, j2):
+    real = coupling._second_slot_variant
+    applicable = False
+    for sign in (1, -1):
+        w = real(j1, j2, sign)
+        applicable |= bool(w)
+        assert _note_for(monkeypatch, j1, j2, sign, w) == _expected_notes(
+            j1, j2, sign, w)
+    monkeypatch.setattr(coupling, "_second_slot_variant", real)
+    notes = verify_intermediate_action(j1, j2).notes
+    assert notes == ([VARIANT_NOTE + "does NOT match"] if applicable else [])
+
+
+def _ladder_columns(j2, sign, w):
+    """The j2 ladder coefficients on the columns of w."""
+    ladder = irrep(j2).zp if sign > 0 else irrep(j2).zm
+    return {c: ladder.entry(c - sign, c).constant_value() for c in w}
+
+
+@pytest.mark.parametrize("j1,j2", [(half(3, 2), H12), (half(1), half(2)),
+                                   (half(1, 2), half(5, 2))], ids=str)
+@pytest.mark.parametrize("sign", (1, -1))
+def test_second_slot_note_mutants(monkeypatch, j1, j2, sign):
+    # W with the j2 ladder coefficient is the j2 form: it matches.  One
+    # wrong coefficient among them must still fail to match.
+    w = coupling._second_slot_variant(j1, j2, sign)
+    right = _ladder_columns(j2, sign, w)
+    for c in right:
+        wrong = {**right, c: right[c] + 1}
+        assert _note_for(monkeypatch, j1, j2, sign, wrong) == [
+            VARIANT_NOTE + "does NOT match"] == _expected_notes(j1, j2, sign, wrong)
+    assert _note_for(monkeypatch, j1, j2, sign, right) == [
+        VARIANT_NOTE + "also matched"] == _expected_notes(j1, j2, sign, right)
 
 
 SPINS_TO_3 = [HalfInt.from_twice(t) for t in range(7)]

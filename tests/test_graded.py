@@ -7,11 +7,11 @@ derives row and column labels that every entry fits.  Two whole runs of
 memoized module or table carries storage over from another test:
 
 * with the certificate made to refuse everything, every matrix keeps term
-  storage and the JSON output must not change (timings aside);
-* with the certificate as it is, only the deliberately wrong "variant"
-  residual of ``verify_intermediate_action`` may fall back to term storage;
-* only that residual takes the term path at all, and every graded matrix
-  fits its interned row and column bases with its one constant.
+  storage, every operation goes through the entrywise fallback, and the
+  JSON output must not change (timings aside);
+* with the certificate as it is, no matrix of the four suites keeps term
+  storage, the fallback is never called, and every graded matrix fits its
+  interned row and column bases with its one constant.
 
 The residual checks that compare two products slice by slice must report a
 failure exactly as the slice of their difference would.
@@ -103,37 +103,31 @@ def test_refusing_the_certificate_changes_no_output(tmp_path):
     assert _without_timings(have) == _without_timings(want)
 
 
-def test_only_the_variant_residual_falls_back(tmp_path):
+def test_no_verify_matrix_keeps_term_storage(tmp_path):
+    # The second-slot NOTE of verify_intermediate_action is decided by a
+    # classical comparison, so no suite builds a matrix in term storage.
     census = json.loads(_run(CENSUS, tmp_path / "out.json"))
-    counts, origins = census["counts"], census["origins"]
-    # The variant residual exists at this max-j, so some term storage does.
-    assert counts["term"] > 0
-    assert counts["graded"] > 50 * counts["term"]
-    for name, line in origins:
-        assert name == "verify_intermediate_action" and "variant" in line, \
-            (name, line)
+    assert census["counts"]["graded"] > 1000
+    assert census["counts"]["term"] == 0 and census["origins"] == []
 
 
-# Every call of a term-path operation, and whether the stack holds the
-# variant lines of verify_intermediate_action; every graded storage checked
-# against its bases: interned, first label (0, 1), and its entries, if any,
-# fit them with its own constant in one pass of the certificate.
+# Every call of the entrywise fallback, with the innermost frame outside
+# polymatrix.py that reached it; every graded storage checked against its
+# bases: interned, first label (0, 1), and its entries, if any, fit them
+# with its own constant in one pass of the certificate.
 BASES_CENSUS = """
 import json, sys, traceback
 import jordanian.polymatrix as pm
 from jordanian import cli
-term, misfits, graded = [], [], [0]
+fallback, misfits, graded = [], [], [0]
 
-def variant_line(frame):
-    return frame.name == "verify_intermediate_action" and "variant" in frame.line
-
-def counted(fn):
-    def wrapper(*args):
-        term.append(any(map(variant_line, traceback.extract_stack())))
-        return fn(*args)
-    return wrapper
-for name in ("_term_matmul", "_term_sum", "_term_kron"):
-    setattr(pm, name, counted(getattr(pm, name)))
+entrywise = pm._entrywise
+def counted(*args):
+    frame = next(f for f in reversed(traceback.extract_stack()[:-1])
+                 if not f.filename.endswith("polymatrix.py"))
+    fallback.append((frame.name, frame.line))
+    return entrywise(*args)
+pm._entrywise = counted
 
 wrapped = pm.PolyMatrix._set
 def checking_set(self, rows, cols, g, terms, *rest):
@@ -147,13 +141,14 @@ def checking_set(self, rows, cols, g, terms, *rest):
     return wrapped(self, rows, cols, g, terms, *rest)
 pm.PolyMatrix._set = checking_set
 """ + VERIFY + """
-print(json.dumps({"term": term, "misfits": misfits, "graded": graded[0]}))
+print(json.dumps({"fallback": fallback, "misfits": misfits,
+                  "graded": graded[0]}))
 """
 
 
-def test_only_the_variant_takes_the_term_path(tmp_path):
+def test_verify_never_takes_the_fallback(tmp_path):
     census = json.loads(_run(BASES_CENSUS, tmp_path / "out.json"))
-    assert census["term"] and all(census["term"])
+    assert census["fallback"] == []
     assert census["graded"] > 1000 and census["misfits"] == []
 
 
@@ -266,17 +261,15 @@ def test_perturbed_bra_ket_fails_cell_by_cell(monkeypatch):
 def test_fresh_tables_need_no_regauging(monkeypatch):
     # G, G^-1, D and D_c are certified in the labels of the rational cores
     # R and Q they multiply, so building K and C meets matching bases in
-    # every product and takes no term-path operation.
+    # every product and never takes the entrywise fallback.
     calls = []
+    fallback = pm._entrywise
 
-    def counting(fn):
-        def wrapper(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-        return wrapper
+    def counting(*args):
+        calls.append(args[:2])
+        return fallback(*args)
 
-    for name in ("_term_matmul", "_term_sum", "_term_kron"):
-        monkeypatch.setattr(pm, name, counting(getattr(pm, name)))
+    monkeypatch.setattr(pm, "_entrywise", counting)
     pairs = [(half(t1, 2), half(t2, 2)) for t1 in range(1, 6)
              for t2 in range(1, 6)]
     fresh = [(coupling._alpha_table_cached.__wrapped__(j1.twice, j2.twice),

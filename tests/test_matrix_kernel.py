@@ -9,7 +9,9 @@ integer storage must be well formed, with a minimal denominator, and must
 round-trip through the public constructor.  That holds for both storages:
 graded matrices (one monomial per entry, certified row and column labels)
 built from random labels and integer cores, the same matrices moved to
-other gauges per component, and term storage, in any mix.
+other gauges per component, and term storage, in any mix.  Operands the
+graded kernel cannot take go through the entrywise fallback, so the
+properties with term operands test it against the oracle.
 """
 
 from contextlib import contextmanager
@@ -464,22 +466,22 @@ def test_graded_entrywise_ops_and_slices_match_oracle(data):
 def test_mismatched_gauges_are_aligned_not_dropped(data):
     # A and B share the inner labels (A @ B) or all labels (A + B); each is
     # then moved to its own gauge per component.  Operands whose bases then
-    # differ take the term path, and its result is certified again: it must
-    # stay on graded storage, with the oracle's result.
+    # differ take the entrywise fallback, and its result is certified again:
+    # it must stay on graded storage, with the oracle's result.
     r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
     outer, inner = _labels(data.draw, r, 2, 4), _labels(data.draw, k, 0, 2)
     pa = _graded_parts(data.draw, r, k, outer, inner)
     pb = _graded_parts(data.draw, k, c, rl=[(x + 2, p) for x, p in inner])
     a, b = _from_core(*pa), _from_core(*pb)
     a2, b2 = _regauged(data.draw, pa), _regauged(data.draw, pb)
-    with _term_calls() as calls:
+    with _fallback_calls() as calls:
         product = a2 @ b2
     assert bool(calls) == (a2._g.cb is not b2._g.rb)
     assert product._g is not None
     assert_matches(product, oracle.matmul(a, b))
     ps = _graded_parts(data.draw, r, k, outer, inner)
     same, same2 = _from_core(*ps), _regauged(data.draw, ps)
-    with _term_calls() as calls:
+    with _fallback_calls() as calls:
         total = a2 + same2
     assert bool(calls) == (not a2.is_zero and not same2.is_zero and (
         _bases(a2) != _bases(same2) or a2._g.shift != same2._g.shift
@@ -490,27 +492,20 @@ def test_mismatched_gauges_are_aligned_not_dropped(data):
 
 # -- the basis kernel ------------------------------------------------------------
 
-TERM_PATH = ("_term_matmul", "_term_sum", "_term_kron")
-
-
 @contextmanager
-def _term_calls():
-    """The names of the term-path operations called while the block runs."""
+def _fallback_calls():
+    """One item per call of the entrywise fallback while the block runs."""
     calls = []
-    saved = [getattr(polymatrix, name) for name in TERM_PATH]
+    fallback = polymatrix._entrywise
 
-    def counted(fn):
-        def wrapper(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-        return wrapper
-    for fn in saved:
-        setattr(polymatrix, fn.__name__, counted(fn))
+    def counted(*args):
+        calls.append(args[:2])
+        return fallback(*args)
+    polymatrix._entrywise = counted
     try:
         yield calls
     finally:
-        for fn in saved:
-            setattr(polymatrix, fn.__name__, fn)
+        polymatrix._entrywise = fallback
 
 
 def _moved(labels, d, r):
@@ -539,7 +534,7 @@ def test_matching_bases_take_the_basis_kernel(data):
     row_idx = data.draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=5))
     col_idx = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=5))
     s = data.draw(single_terms)
-    with _term_calls() as calls:
+    with _fallback_calls() as calls:
         product, total, diff = a @ b, a + a2, a - a2
         same = a == a2
         kr, t, scaled = kron(a, b), a.transpose(), a * s
@@ -560,7 +555,7 @@ def test_matching_bases_take_the_basis_kernel(data):
     assert_matches(sub, oracle.submatrix(a, row_idx, col_idx))
     assert_matches(col, oracle.submatrix(a, range(r), col_idx[:1]))
     assert_matches(row, oracle.submatrix(a, row_idx[:1], range(k)))
-    # The same bases under another constant: the term path, by value.
+    # The same bases under another constant: the fallback, by value.
     shifted = a * HPoly.h(1)
     assert _bases(shifted) == _bases(a)
     assert (a == shifted) == a.is_zero
