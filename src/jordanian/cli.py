@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -88,16 +87,10 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         sys.stdout.write("\n")
 
 
-def _csv_text(rows: Iterable[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
-
-
 def _csv_pieces(rows: Iterable[list[str]]):
-    """The text of _csv_text(rows), rows never empty, one piece per row as
-    it is made: each row's line break goes before the next row's piece."""
+    """The CSV text of rows (at least one, none empty) with "\n" line
+    breaks and none after the last row, one piece per row as it is made:
+    each row's line break goes before the next row's piece."""
     line: list[str] = []
     writer = csv.writer(SimpleNamespace(write=line.append), lineterminator="\n")
     for n, row in enumerate(rows):
@@ -260,10 +253,10 @@ def _render_matrices(args, title: str, meta: dict, mats: dict, *,
         text = _json_text({**meta, key: {
             str(n): matrix_to_json(m, encode=False) for n, m in mats.items()}})
     elif args.format == "csv":
-        text = _csv_text([[column, "row", "col", "entry"]]
-                         + [[str(n), str(i), str(k), str(m.entry(i, k))]
-                            for n, m in mats.items()
-                            for i in range(m.rows) for k in range(m.cols)])
+        text = _csv_pieces([[column, "row", "col", "entry"]]
+                           + [[str(n), str(i), str(k), str(m.entry(i, k))]
+                              for n, m in mats.items()
+                              for i in range(m.rows) for k in range(m.cols)])
     else:
         text = "\n\n".join([title] + [f"{label.format(n)} =\n{m}"
                                       for n, m in mats.items()])
@@ -282,8 +275,8 @@ def _render_rows(args, meta: dict, columns: tuple[str, ...], rows: list, *,
         text = (_row_writer((*meta, *columns), "\n")((*meta.values(), *rows[0]))
                 if key is None else _json_text({**meta, key: _Rows(columns, rows)}))
     elif args.format == "csv":
-        text = _csv_text([list(columns)]
-                         + [[str(v) for v in row] for row in rows])
+        text = _csv_pieces([list(columns)]
+                           + [[str(v) for v in row] for row in rows])
     else:
         text = "\n".join(([title] if title else [])
                          + [line.format(*row) for row in rows if line])

@@ -339,10 +339,11 @@ def verify_intermediate_orthonormality(j1, j2) -> Report:
 def _second_slot_variant(j1: HalfInt, j2: HalfInt, sign: int) -> dict:
     """{col: w} where W is defined: W has w = sqrt((j1 -+ m2)(j2 +- m2 + 1)),
     m2 the weight of col, at (col - sign, col), where the j2 ladder matrix
-    Z_j2 (sign 1 raises, -1 lowers) has its coefficient.  The suite checks
-    Delta(Z) K = K S and B K = 1 makes K invertible, so for the variant
-    V = Z (x) 1 + 1 (x) W, Delta(Z) K - K V = K (1 (x) (Z_j2 - W)) vanishes on
-    the product columns of these m2 exactly when W equals Z_j2 there."""
+    Z_j2 (sign 1 raises, -1 lowers) has its coefficient.  When the checks
+    of Delta(Z) K = K S pass, and B K = 1 makes K invertible, then for the
+    variant V = Z (x) 1 + 1 (x) W, Delta(Z) K - K V = K (1 (x) (Z_j2 - W))
+    vanishes on the product columns of these m2 exactly when W equals Z_j2
+    there."""
     ws = weight_range(j2)
     w = {}
     for col, m2 in enumerate(ws):
@@ -366,9 +367,11 @@ def verify_intermediate_action(j1, j2) -> Report:
     The second-slot ladder coefficient uses the second spin label (the j2
     form); the report records whether the variant with the first spin label
     in that slot also matches, to document which form actually holds.  That
-    is decided without a product with K: where the variant is defined, it
-    matches exactly when its second-slot matrix W equals the j2 ladder
-    matrix (see _second_slot_variant), a d2 x d2 classical comparison.
+    is decided without a product with K: where the variant is defined and
+    the residuals of this report vanish, it matches exactly when its
+    second-slot matrix W equals the j2 ladder matrix (see
+    _second_slot_variant), a d2 x d2 classical comparison.  When a residual
+    fails, the note says the variant is not decided.
     """
     j1, j2 = as_half(j1), as_half(j2)
     report = Report(f"intermediate-vector ladder action for spins ({j1}, {j2})")
@@ -389,6 +392,10 @@ def verify_intermediate_action(j1, j2) -> Report:
     if j1 == j2:
         report.note("second-slot coefficient: spin labels coincide, the j1/j2 "
                     "variants are identical")
+    elif variant_applicable and not report.ok:
+        report.note("second-slot coefficient: the j2-form residuals fail, so "
+                    "whether the variant using j1 in the second slot matches "
+                    "is not decided")
     elif variant_applicable:
         report.note("second-slot coefficient: the j2 form holds exactly; the "
                     "variant using j1 in the second slot "

@@ -213,6 +213,23 @@ def test_second_slot_note_mutants(monkeypatch, j1, j2, sign):
         VARIANT_NOTE + "also matched"] == _expected_notes(j1, j2, sign, right)
 
 
+def test_second_slot_note_is_undecided_when_the_residuals_fail(monkeypatch):
+    # With K raised by 1 at one entry, Delta(Z) K = K S fails, and the
+    # classical comparison no longer decides the variant: the note says so.
+    j1, j2 = half(3, 2), H12
+    table = alpha_table(j1, j2)
+    n = table.ket.rows
+    bump = PolyMatrix([[1 if (i, c) == (1, 4) else 0 for c in range(n)]
+                       for i in range(n)])
+    bad = coupling.AlphaTable(j1, j2, table.ket + bump, table.bra, table.cgc)
+    monkeypatch.setattr(coupling, "alpha_table", lambda a, b: bad)
+    report = verify_intermediate_action(j1, j2)
+    assert not report.ok
+    assert report.notes == [
+        "second-slot coefficient: the j2-form residuals fail, so whether the "
+        "variant using j1 in the second slot matches is not decided"]
+
+
 SPINS_TO_3 = [HalfInt.from_twice(t) for t in range(7)]
 
 
