@@ -32,8 +32,8 @@ from functools import lru_cache
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
                       weight_range)
 from .hpoly import HPoly
-from .polymatrix import (PolyMatrix, _bases, _msum, _rebased, _unit_like,
-                         commutator, exp_nilpotent, kron, power_series)
+from .polymatrix import (PolyMatrix, _msum, _unit_like, commutator,
+                         exp_nilpotent, kron, power_series)
 from .radical import RadScalar, falling_binomial
 from .report import Check, Report, zero_check
 
@@ -60,20 +60,23 @@ def ladder_factor(j: HalfInt, m: HalfInt, sign: int) -> RadScalar:
     return RadScalar.sqrt(a * b)
 
 
+@lru_cache(maxsize=None)
 def sl2_irrep(j) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
-    """Classical spin-j ladder matrices (Zp, Zm, Hm), h-free.
+    """Classical spin-j ladder matrices (Zp, Zm, Hm), h-free; memoized.
 
     Zp|j m> = sqrt((j-m)(j+m+1)) |j m+1>, Zm lowers, Hm|j m> = 2m |j m>.
-    The coefficients are real, so Zm = Zp^T, kept in the ladder basis
-    rather than its dual.
+    The coefficients are real, so Zm = Zp^T, built from its entries as Zp
+    is, so that both are in the ladder basis.
     """
     ws = weight_range(as_half(j))
     n = len(ws)
     # column c = j - m: sqrt((j-m)(j+m+1)) = sqrt(c (n - c)), n = 2j + 1
     zp = PolyMatrix([[RadScalar.sqrt(c * (n - c)) if c == r + 1 else 0
                       for c in range(n)] for r in range(n)], ws, ws)
+    zm = PolyMatrix([[RadScalar.sqrt(r * (n - r)) if r == c + 1 else 0
+                      for c in range(n)] for r in range(n)], ws, ws)
     hm = PolyMatrix.diagonal([Fraction(m.twice) for m in ws], ws)
-    return zp, _rebased(zp.transpose(), *_bases(zp)), hm
+    return zp, zm, hm
 
 
 def x_matrix(j) -> PolyMatrix:

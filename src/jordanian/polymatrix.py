@@ -28,17 +28,18 @@ squarefree radicands over one ``den``.  ``den`` and ``data`` are that
 canonical form for either storage, built on first read for a graded
 matrix, with ``den`` minimal, so equal matrices have equal ``den`` and
 ``data``: ``hash`` and pickling read them, and so does ``==`` unless both
-operands are graded in the same bases.
+operands are graded in the same bases.  A graded denominator is kept
+minimal too, so ``==`` between graded storages in the same bases and
+constant is plain equality of ``den`` and rows.
 
 Arithmetic.  On graded operands ``@`` (the left column basis is the right
 row basis; constants add), ``+``, ``-`` (the same bases and constant),
 ``kron`` (bases compose, kept per pair of bases), scalar ``*`` and ``/`` by
 one monomial (the constant moves), ``transpose`` (the dual bases, offsets
 negated), slices and ``divide_h`` do integer work only, a slice moving the
-gauge of its first labels into the constant; the denominator is reduced
-once it outgrows a machine word.  Anything else (an operand in term
-storage, graded bases or constants that differ, a scalar of two or more
-terms, a power of h that does not divide) goes through one entrywise
+gauge of its first labels into the constant.  Anything else (an operand in
+term storage, graded bases or constants that differ, a scalar of two or
+more terms, a power of h that does not divide) goes through one entrywise
 fallback, ``_entrywise``: HPoly arithmetic entry by entry, as
 tests/matrix_oracle.py computes, with the result certified again by the
 public constructor.  No construction of the library reaches it, so its
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial, gcd, lcm
 
 from .halfint import HalfInt
@@ -218,10 +220,12 @@ class _Graded:
 
 
 def _graded(den, rows, rb, cb, shift, rad):
-    """Graded storage; den is reduced once it outgrows a machine word."""
-    if den >> 62 and (g := gcd(den, *(v for row in rows for v in row.values()))) != 1:
+    """Graded storage with den minimal: divided by its gcd with every
+    numerator, so equal matrices in the same bases and constant have equal
+    den and rows."""
+    if den != 1 and (g := gcd(den, *chain.from_iterable(map(dict.values, rows)))) != 1:
         den //= g
-        rows = [{c: v // g for c, v in row.items()} for row in rows]
+        rows = [{c: v // g for c, v in row.items()} if row else row for row in rows]
     return _Graded(den, tuple(rows), rb, cb, shift, rad)
 
 
@@ -287,14 +291,9 @@ def _derived(nrows, ncols, data, start):
             [lab or (x + d, _sf(y, r)) for lab, (x, y) in zip(cl, natural)])
 
 
-def _certify(nrows, ncols, den, data, start=None, bases=None):
-    """Graded storage of term storage, or None: in the offered bases
-    (rb, cb) when every entry fits them, else in the bases of the labels
-    _derived finds (from the row labels start, if given)."""
-    if bases is not None:
-        g = _fit(den, data, *bases)
-        if g is not None:
-            return g
+def _certify(nrows, ncols, den, data, start=None):
+    """Graded storage of term storage in the bases of the labels _derived
+    finds (from the row labels start, if given), or None."""
     rl, cl = _derived(nrows, ncols, data, start)
     return _fit(den, data, _basis(rl), _basis(cl))
 
@@ -323,18 +322,17 @@ def _graded_terms(g):
 
 
 def _on(den, rows, rl, cl, shift, rad):
-    """Graded storage of int rows with the raw labels (or bases) rl, cl and
-    the constant (shift, rad), as in _Graded, in the bases of the labels: the
+    """Graded storage of int rows with the raw labels rl, cl and the
+    constant (shift, rad), as in _Graded, in the bases of the labels: the
     gauge (a0, p0) of the first label of each side moves into the constant,
     since sqrt(p) = gcd(p, p0) / p0 * sqrt(sqfree(p p0)) * sqrt(p0)."""
     rb, cb = _basis(rl), _basis(cl)
-    rl, cl = (x.labels if x.__class__ is _Basis else x for x in (rl, cl))
     (a0, p0), (b0, q0) = (x[0] if x else (0, 1) for x in (rl, cl))
     if p0 != 1 or q0 != 1:  # sqrt(p0 q0 rad) = f sqrt(rad')
         rowf, colf = [gcd(p, p0) for _, p in rl], [gcd(q, q0) for _, q in cl]
         f, big = gcd(p0, q0) * gcd(_sf(p0, q0), rad), lcm(*colf)
         rows = [{c: v * f * rowf[i] * (big // colf[c]) for c, v in row.items()}
-                for i, row in enumerate(rows)]
+                if row else row for i, row in enumerate(rows)]
         den, rad = den * p0 * big, _sf(_sf(p0, q0), rad)
     return _graded(den, rows, rb, cb, shift + a0 - b0, rad)
 
@@ -451,16 +449,15 @@ def _bases(m):
 
 
 def _rebased(m, rows, cols):
-    """m certified again, offered the bases (or raw labels) rows and cols,
-    so that it meets the bases of its operands; m itself when it is in them
-    or either is None."""
+    """m in the bases (or raw labels) rows and cols when its canonical form
+    fits them, else m itself (also for term storage or when either is None)."""
     g = m._g
-    if rows is None or cols is None or (
-            g is not None and g.rb is rows and g.cb is cols):
+    if g is None or rows is None or cols is None:
         return m
-    return PolyMatrix._of(m.rows, m.cols, m.den, m.data, m.row_weights,
-                          m.col_weights, m._view, None,
-                          (_basis(rows), _basis(cols)))
+    rb, cb = _basis(rows), _basis(cols)
+    if g.rb is rb and g.cb is cb or (g := _fit(m.den, m.data, rb, cb)) is None:
+        return m
+    return PolyMatrix._wrap(m.rows, m.cols, g, m.row_weights, m.col_weights)
 
 
 def _entrywise(rows, cols, entry, row_weights=None, col_weights=None):
@@ -476,16 +473,6 @@ def _gentry(k, n, num, den):
     """The canonical HPoly of num/den * sqrt(n) * h**k."""
     return HPoly._canonical((_RAD_ZERO,) * k + (
         RadScalar._canonical({n: Fraction(num, den)}),))
-
-
-def _same(a, b):
-    """Whether graded storages in the same bases and constant are equal."""
-    if a.den == b.den:
-        return a.rows == b.rows
-    da, db = a.den, b.den
-    return all(x.keys() == y.keys() and all(v * db == y[c] * da
-                                            for c, v in x.items())
-               for x, y in zip(a.rows, b.rows))
 
 
 @lru_cache(maxsize=None)
@@ -551,14 +538,12 @@ class PolyMatrix:
         init(self, "_view", view if view is not None else _View())
 
     @classmethod
-    def _of(cls, rows, cols, den, data, row_weights, col_weights, view=None,
-            start=None, bases=None):
+    def _of(cls, rows, cols, den, data, row_weights, col_weights, start=None):
         """Wrap term storage that is already minimal, graded when it
-        certifies (in the offered bases, or from the row labels start, as
-        in _certify)."""
+        certifies (from the row labels start, if given, as in _certify)."""
         self = object.__new__(cls)
-        self._set(rows, cols, _certify(rows, cols, den, data, start, bases),
-                  (den, data), row_weights, col_weights, view)
+        self._set(rows, cols, _certify(rows, cols, den, data, start),
+                  (den, data), row_weights, col_weights)
         return self
 
     @classmethod
@@ -762,7 +747,7 @@ class PolyMatrix:
         a, b = self._g, other._g
         if a is not None and b is not None and a.rb is b.rb and a.cb is b.cb:
             if a.shift == b.shift and a.rad == b.rad:
-                return _same(a, b)
+                return a.den == b.den and a.rows == b.rows
             return not any(a.rows) and not any(b.rows)
         return self.den == other.den and self.data == other.data
 
@@ -796,24 +781,16 @@ class PolyMatrix:
         g = self._g
         if g is not None:
             return PolyMatrix._wrap(len(row_idx), len(col_idx), _on(
-                g.den, [{new: v for c, v in g.rows[i].items() if c in place
-                         for new in place[c]} for i in row_idx],
-                g.rb if row_idx == [*range(self.rows)] else [g.rb.labels[i] for i in row_idx],
-                g.cb if col_idx == [*range(cols)] else [g.cb.labels[k] for k in col_idx],
+                g.den, [{new: row[c] for c, news in place.items() if c in row
+                         for new in news} for row in map(g.rows.__getitem__, row_idx)],
+                [g.rb.labels[i] for i in row_idx], [g.cb.labels[k] for k in col_idx],
                 g.shift, g.rad), rw, cw)
         x = self.entries
         return _entrywise(len(row_idx), len(col_idx),
                           lambda i, c: x[row_idx[i]][col_idx[c]], rw, cw)
 
     def column(self, k: int) -> "PolyMatrix":
-        g = self._g
-        if g is None or not -self.cols <= k < self.cols:
-            return self.submatrix(range(self.rows), [k])
-        k %= self.cols
-        return PolyMatrix._wrap(self.rows, 1, _on(
-            g.den, [{0: row[k]} if k in row else {} for row in g.rows], g.rb,
-            (g.cb.labels[k],), g.shift, g.rad),
-            self.row_weights, self.col_weights and (self.col_weights[k],))
+        return self.submatrix(range(self.rows), [k])
 
     def row(self, i: int) -> "PolyMatrix":
         return self.submatrix([i], range(self.cols))

@@ -10,8 +10,9 @@ memoized module or table carries storage over from another test:
   storage, every operation goes through the entrywise fallback, and the
   JSON output must not change (timings aside);
 * with the certificate as it is, no matrix of the four suites keeps term
-  storage, the fallback is never called, and every graded matrix fits its
-  interned row and column bases with its one constant.
+  storage, the fallback is never called, every graded matrix fits its
+  interned row and column bases with its one constant, and at most 9
+  comparisons meet graded operands in different bases.
 
 The residual checks that compare two products slice by slice must report a
 failure exactly as the slice of their difference would.
@@ -23,6 +24,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import jordanian
 import jordanian.polymatrix as pm
 from jordanian import coupling
@@ -33,6 +36,7 @@ from jordanian.coupling import (AlphaTable, alpha_table, coupled_ladder,
                                 verify_intermediate_orthonormality)
 from jordanian.halfint import half
 from jordanian.hpoly import HPoly
+from jordanian.irreps import irrep
 from jordanian.polymatrix import PolyMatrix
 from jordanian.report import Check, scalar_check, zero_check
 
@@ -114,12 +118,13 @@ def test_no_verify_matrix_keeps_term_storage(tmp_path):
 # Every call of the entrywise fallback, with the innermost frame outside
 # polymatrix.py that reached it; every graded storage checked against its
 # bases: interned, first label (0, 1), and its entries, if any, fit them
-# with its own constant in one pass of the certificate.
+# with its own constant in one pass of the certificate; every == between
+# graded operands in different bases, which compares canonical forms.
 BASES_CENSUS = """
 import json, sys, traceback
 import jordanian.polymatrix as pm
 from jordanian import cli
-fallback, misfits, graded = [], [], [0]
+fallback, misfits, graded, across = [], [], [0], [0]
 
 entrywise = pm._entrywise
 def counted(*args):
@@ -128,6 +133,14 @@ def counted(*args):
     fallback.append((frame.name, frame.line))
     return entrywise(*args)
 pm._entrywise = counted
+
+equal = pm.PolyMatrix.__eq__
+def counted_eq(self, other):
+    a, b = self._g, getattr(other, "_g", None)
+    if a is not None and b is not None and (a.rb, a.cb) != (b.rb, b.cb):
+        across[0] += 1
+    return equal(self, other)
+pm.PolyMatrix.__eq__ = counted_eq
 
 wrapped = pm.PolyMatrix._set
 def checking_set(self, rows, cols, g, terms, *rest):
@@ -142,14 +155,35 @@ def checking_set(self, rows, cols, g, terms, *rest):
 pm.PolyMatrix._set = checking_set
 """ + VERIFY + """
 print(json.dumps({"fallback": fallback, "misfits": misfits,
-                  "graded": graded[0]}))
+                  "graded": graded[0], "across": across[0]}))
 """
 
 
-def test_verify_never_takes_the_fallback(tmp_path):
-    census = json.loads(_run(BASES_CENSUS, tmp_path / "out.json"))
-    assert census["fallback"] == []
-    assert census["graded"] > 1000 and census["misfits"] == []
+@pytest.fixture(scope="module")
+def bases_census(tmp_path_factory):
+    out = tmp_path_factory.mktemp("census") / "out.json"
+    return json.loads(_run(BASES_CENSUS, out))
+
+
+def test_verify_never_takes_the_fallback(bases_census):
+    assert bases_census["fallback"] == []
+    assert bases_census["graded"] > 1000 and bases_census["misfits"] == []
+
+
+def test_verify_compares_across_bases_at_most_nine_times(bases_census):
+    # Equal matrices in the same bases have the same minimal storage, so
+    # almost every == is plain equality; the few in different bases compare
+    # canonical forms, and none of them reaches the fallback.
+    assert bases_census["across"] <= 9
+    assert bases_census["fallback"] == []
+
+
+def test_zm_shares_the_bases_of_zp():
+    for twice in range(8):
+        rep = irrep(half(twice, 2))
+        assert rep.zm._g is not None
+        assert (rep.zm._g.rb, rep.zm._g.cb) == (rep.zp._g.rb, rep.zp._g.cb)
+        assert rep.zm == rep.zp.transpose()
 
 
 def test_refused_certificate_keeps_term_storage(monkeypatch):

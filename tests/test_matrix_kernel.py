@@ -5,13 +5,14 @@ Every kernel operation (``@``, ``kron``, ``+``, ``-``, unary ``-``, scalar
 ``divide_h``, and through them ``commutator``, ``exp_nilpotent`` and
 ``unipotent_inverse``) must give the matrix that HPoly arithmetic gives
 entry by entry, in canonical form, with the same weight labels.  Its
-integer storage must be well formed, with a minimal denominator, and must
-round-trip through the public constructor.  That holds for both storages:
-graded matrices (one monomial per entry, certified row and column labels)
-built from random labels and integer cores, the same matrices moved to
-other gauges per component, and term storage, in any mix.  Operands the
-graded kernel cannot take go through the entrywise fallback, so the
-properties with term operands test it against the oracle.
+integer storage must be well formed, with a minimal denominator (graded
+storage too, so equal matrices in the same bases hold the same storage),
+and must round-trip through the public constructor.  That holds for both
+storages: graded matrices (one monomial per entry, certified row and
+column labels) built from random labels and integer cores, the same
+matrices moved to other gauges per component, and term storage, in any
+mix.  Operands the graded kernel cannot take go through the entrywise
+fallback, so the properties with term operands test it against the oracle.
 """
 
 from contextlib import contextmanager
@@ -560,6 +561,82 @@ def test_matching_bases_take_the_basis_kernel(data):
     assert _bases(shifted) == _bases(a)
     assert (a == shifted) == a.is_zero
     assert_matches(a + shifted, oracle.add(a, shifted))
+
+
+def _assert_minimal(m):
+    """Graded storage, if any, with gcd(den, numerators) = 1."""
+    g = m._g
+    if g is not None:
+        assert gcd(g.den, *(v for row in g.rows for v in row.values())) == 1
+
+
+@examples(60)
+@given(st.data())
+def test_graded_denominators_are_minimal_and_equal_matrices_share_storage(data):
+    # Every graded result keeps its denominator minimal, so two graded
+    # matrices that compare equal in the same bases hold the same den,
+    # rows and constant, reached by whatever path.  An all-zero matrix has
+    # den 1 and no entries, and its constant carries no value (== ignores
+    # it), so the constant is compared for nonzero matrices only.
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = data.draw(operands(r, k)), data.draw(operands(k, c))
+    a2 = data.draw(operands(r, k))
+    s, shift = data.draw(single_terms), data.draw(st.integers(0, 3))
+    row_idx = data.draw(st.lists(st.integers(-r, r - 1), min_size=1, max_size=5))
+    col_idx = data.draw(st.lists(st.integers(-k, k - 1), min_size=1, max_size=5))
+    raised = a * HPoly.h(shift)
+    for m in (a @ b, a + a2, a - a2, kron(a, b), a * s, a / s, a * Fraction(-2, 3),
+              a / 3, raised, a.transpose(), a.submatrix(row_idx, col_idx),
+              a.column(col_idx[0]), a.row(row_idx[0]), raised.divide_h(shift)):
+        _assert_minimal(m)
+    for x, y in ((a, a * s / s), (a, a * Fraction(6, 5) / 6 * 5),
+                 (a, (a + a2) - a2), (a, raised.divide_h(shift)),
+                 (a, a.transpose().transpose()), (a, a.submatrix(range(r), range(k)))):
+        assert x == y
+        if x._g is not None and y._g is not None and _bases(x) == _bases(y):
+            gx, gy = x._g, y._g
+            assert (gx.den, gx.rows) == (gy.den, gy.rows)
+            if not x.is_zero:
+                assert (gx.shift, gx.rad) == (gy.shift, gy.rad)
+
+
+def test_column_is_the_one_column_submatrix_in_both_storages():
+    graded = irrep(1).zp
+    term = PolyMatrix([[RadScalar.sqrt(2) + RadScalar.sqrt(3), 1], [0, HPoly.h(1)]],
+                      (half(1, 2), half(-1, 2)), (half(1, 2), half(-1, 2)))
+    assert graded._g is not None and term._g is None
+    for m in (graded, term):
+        for k in range(-m.cols, m.cols):
+            col, sub = m.column(k), m.submatrix(range(m.rows), [k])
+            assert col.entries == sub.entries == tuple(
+                (row[k],) for row in m.entries)
+            assert col.row_weights == m.row_weights
+            assert col.col_weights == (m.col_weights[k],)
+            assert _bases(col) == _bases(sub)
+        for k in (m.cols, -m.cols - 1):
+            with pytest.raises(IndexError):
+                m.column(k)
+
+
+def test_rebased_takes_the_offered_bases_only_when_they_fit():
+    zp = irrep(1).zp
+    rb, cb = _bases(zp)
+    # The transpose is in the dual bases; Zp's own bases fit its entries.
+    t = zp.transpose()
+    assert _bases(t) != (rb, cb)
+    moved = polymatrix._rebased(t, rb, cb)
+    assert _bases(moved) == (rb, cb) and moved is not t
+    assert_matches(moved, oracle.transpose(zp))
+    assert polymatrix._rebased(moved, rb, cb) is moved
+    # Bases that no constant fits (sqrt2 at (0, 1) and (1, 2) would need
+    # radicals 2 and 1): the matrix itself.
+    flat, skew = (polymatrix._basis(((0, 1), (0, 1), (0, q))) for q in (1, 2))
+    assert polymatrix._rebased(zp, flat, skew) is zp
+    assert polymatrix._rebased(zp, None, cb) is zp
+    # Term storage: the matrix itself, whatever is offered.
+    term = PolyMatrix([[RadScalar.sqrt(2) + RadScalar.sqrt(3), 0, 0], [0] * 3, [0] * 3])
+    assert term._g is None
+    assert polymatrix._rebased(term, rb, cb) is term
 
 
 def test_two_radicands_in_one_entry_keep_term_storage():
