@@ -226,16 +226,23 @@ def _row_writer(columns: tuple[str, ...], newline: str):
 
 def _json_scalar(p: HPoly, newline: str) -> str:
     """An exact scalar as its list of term objects, one template per term,
-    keys in sorted order (den, hpow, num, radicand)."""
+    keys in sorted order (den, hpow, num, radicand).  The text is kept on
+    p with its indent newline, so a scalar written again at the same
+    indent is formed once."""
     if not p:
         return "[]"
+    kept = getattr(p, "_json", None)
+    if kept is not None and kept[0] == newline:
+        return kept[1]
     inner = newline + "  "
     key = inner + '  "'
     den, hpow, num, rad = (f'{key}{name}": ' for name in (DEN, HPOW, NUM,
                                                           RADICAND))
-    return "[" + ",".join([
+    text = "[" + ",".join([
         f'{inner}{{{den}"{q.denominator}",{hpow}{k},{num}"{q.numerator}",'
         f'{rad}"{n}"{inner}}}' for q, n, k in p.sorted_terms()]) + newline + "]"
+    object.__setattr__(p, "_json", (newline, text))
+    return text
 
 
 def _maybe_eval(mat: PolyMatrix, h_eval: Fraction | None) -> PolyMatrix:

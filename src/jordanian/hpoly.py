@@ -23,10 +23,11 @@ class HPoly:
 
     Instances are immutable: memoized matrices share their entries with
     every caller, so the slots are frozen once set.  The text of the first
-    str() is kept; ==, hash and pickling never read it.
+    str() is kept, and so is the JSON text cli._json_scalar last formed,
+    with the indent it was formed at; ==, hash and pickling read neither.
     """
 
-    __slots__ = ("coeffs", "_text")
+    __slots__ = ("coeffs", "_text", "_json")
 
     def __init__(self, coeffs=()):
         out = []

@@ -48,7 +48,10 @@ speed does not matter.  A sum with an all-zero operand returns the other.
 ``HPoly`` is the boundary type.  The public constructor reads HPoly entries
 (or anything ``as_hpoly`` accepts) once.  ``entries`` and ``entry()`` read
 a tuple of tuples of canonical ``HPoly``, built on first read and then kept
-on the instance; matrices that share storage share it.
+on the instance; matrices that share storage share it.  A graded entry is
+one shared ``HPoly`` per monomial value per process (``_gentry`` interns
+it), so every matrix, slice and request that reads a value reads the same
+object, and its str() and JSON texts are formed once.
 """
 
 from __future__ import annotations
@@ -469,10 +472,20 @@ def _entrywise(rows, cols, entry, row_weights=None, col_weights=None):
                       row_weights, col_weights)
 
 
+_ENTRIES: dict[tuple, HPoly] = {}
+
+
 def _gentry(k, n, num, den):
-    """The canonical HPoly of num/den * sqrt(n) * h**k."""
-    return HPoly._canonical((_RAD_ZERO,) * k + (
-        RadScalar._canonical({n: Fraction(num, den)}),))
+    """The canonical HPoly of num/den * sqrt(n) * h**k, num nonzero: one
+    object per value, interned by (k, n) and the reduced fraction the way
+    _interned keeps bases, so its texts are formed once."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    p = _ENTRIES.get((k, n, num, den))
+    if p is None:
+        p = _ENTRIES[k, n, num, den] = HPoly._canonical((_RAD_ZERO,) * k + (
+            RadScalar._canonical({n: Fraction(num, den)}),))
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -627,7 +640,7 @@ class PolyMatrix:
 
     @property
     def entries(self) -> tuple[tuple[HPoly, ...], ...]:
-        """The entries as HPoly, built on first read."""
+        """The entries as HPoly, built on first read, graded ones interned."""
         view = self._view.rows
         if view is None:
             g, rows = self._g, []

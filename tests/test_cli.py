@@ -1019,6 +1019,8 @@ _scalar_payloads = st.recursive(
 @example(HPoly.zero())
 @example({"entries": [HPoly.zero(), HPoly.one(), [HPoly.h(3, -1)]],
           "value": HPoly.h(2, RadScalar.of(Fraction(-10**40, 3), 6))})
+@example((lambda p: {"a": p, "b": [p, {"c": [p]}], "d": p})(
+    HPoly.h(1, RadScalar.of(Fraction(-3, 4), 6)) + 1))  # one object, 3 indents
 def test_json_writer_writes_exact_scalars_as_scalar_to_json(payload):
     assert cli._json_text(payload) == _dumps(_as_scalar_dicts(payload))
 

@@ -20,24 +20,30 @@ failure exactly as the slice of their difference would.
 
 import json
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import jordanian
 import jordanian.polymatrix as pm
+from conftest import examples
 from jordanian import coupling
-from jordanian.coupling import (AlphaTable, alpha_table, coupled_ladder,
-                                decompose, product_labels, slot_sums,
-                                verify_alpha_orthogonality,
+from jordanian.coupling import (AlphaTable, alpha_table, coupled_ket,
+                                coupled_ladder, decompose, product_labels,
+                                slot_sums, verify_alpha_orthogonality,
                                 verify_intermediate_action,
                                 verify_intermediate_orthonormality)
 from jordanian.halfint import half
 from jordanian.hpoly import HPoly
 from jordanian.irreps import irrep
 from jordanian.polymatrix import PolyMatrix
+from jordanian.radical import RadScalar
 from jordanian.report import Check, scalar_check, zero_check
 
 SRC = str(Path(jordanian.__file__).resolve().parent.parent)
@@ -312,3 +318,68 @@ def test_fresh_tables_need_no_regauging(monkeypatch):
     for (j1, j2), (table, c) in zip(pairs, fresh):
         assert table.ket == alpha_table(j1, j2).ket
         assert c == table.cgc == alpha_table(j1, j2).cgc
+
+
+# -- interned entries ------------------------------------------------------------
+#
+# Each monomial value read from graded storage is one shared HPoly per
+# process, so its str() and JSON texts are formed once.
+
+def _interned_ids():
+    return {id(p) for p in pm._ENTRIES.values()}
+
+
+def test_rereading_a_ket_returns_the_same_entries():
+    j1, j2, j, m = half(2, 2), half(1, 2), half(1, 2), half(1, 2)
+    first, second = (coupled_ket(j1, j2, j, m).entries for _ in range(2))
+    assert first is not second
+    assert all(p is q for row, again in zip(first, second)
+               for p, q in zip(row, again))
+
+
+def test_a_slice_reads_the_entries_of_its_matrix():
+    zp = irrep(1).zp
+    i, k, p = zp.first_nonzero()
+    assert zp.submatrix([i], [k]).scalar() is p
+
+
+def test_one_value_over_different_denominators_is_one_object():
+    # den is minimal over the whole matrix: the 1 of the first matrix is
+    # stored as 2/2, the 1 of the second as 1/1.
+    halves, ones = PolyMatrix([[1, Fraction(1, 2)]]), PolyMatrix([[1]])
+    assert halves._g.den == 2 and ones._g.den == 1
+    assert halves.entry(0, 0) is ones.entry(0, 0)
+
+
+@examples(50)
+@given(st.integers(0, 4), st.sampled_from([1, 2, 3, 6, 30]),
+       st.integers(-10**9, 10**9).filter(bool), st.integers(1, 10**9),
+       st.integers(1, 10**6))
+def test_interned_entries_are_their_values(k, n, num, den, scale):
+    p = pm._gentry(k, n, num * scale, den * scale)
+    assert p is pm._gentry(k, n, num, den)
+    assert p == HPoly.h(k, RadScalar.of(Fraction(num, den), n))
+
+
+def test_a_second_read_interns_nothing_new():
+    j1, j2, j, m = half(3, 2), half(1, 1), half(5, 2), half(-1, 2)
+    coupled_ket(j1, j2, j, m).entries
+    size = len(pm._ENTRIES)
+    entries = coupled_ket(j1, j2, j, m).entries
+    assert len(pm._ENTRIES) == size
+    assert {id(p) for row in entries for p in row if p} <= _interned_ids()
+
+
+def test_interned_entries_stay_immutable_values():
+    p = irrep(half(3, 2)).exp_hx.first_nonzero()[2]
+    assert id(p) in _interned_ids()
+    twin = HPoly(p.coeffs)
+    for name in ("coeffs", "_text", "_json"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, "x")
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p == twin and hash(p) == hash(twin)
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and hash(copy) == hash(p)
+    assert pickle.dumps(p) == pickle.dumps(twin)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordanian.cli import _json_scalar
 from jordanian.hpoly import HPoly, as_hpoly
 from jordanian.radical import RadScalar, format_terms
 
@@ -151,19 +152,25 @@ def test_degree_of_products(p):
 @settings(max_examples=60)
 @given(polys)
 def test_kept_text_is_invisible(p):
-    # str() keeps the text it formed; nothing else may see it.
+    # str() and the JSON writer keep the texts they formed; nothing else
+    # may see them.
     twin = HPoly(p.coeffs)
     before = hash(p)
     text = str(p)
     assert text == format_terms(p.sorted_terms())
     assert str(p) is text
+    json_text = _json_scalar(p, "\n  ")
+    assert _json_scalar(p, "\n  ") is json_text
+    assert json_text == _json_scalar(HPoly(p.coeffs), "\n  ")
     assert p == twin and twin == p and hash(p) == hash(twin) == before
     assert pickle.dumps(p) == pickle.dumps(twin)
     copy = pickle.loads(pickle.dumps(p))
     assert copy == p and hash(copy) == before and str(copy) == text
-    for name in ("_text", "coeffs"):
+    assert _json_scalar(copy, "\n  ") == json_text
+    for name in ("_text", "_json", "coeffs"):
         with pytest.raises(AttributeError):
             setattr(p, name, "x")
         with pytest.raises(AttributeError):
             delattr(p, name)
     assert str(p) is text and p.coeffs == twin.coeffs
+    assert _json_scalar(p, "\n  ") == json_text
