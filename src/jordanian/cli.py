@@ -8,6 +8,11 @@ computes its result and passes it to one of three renderers (named matrices,
 labelled rows, reports), the only readers of --format.  Exit codes: 0 on
 success, 1 when a verification check fails, 2 on usage errors, including an
 --out file that cannot be written.
+
+argparse defines the options and gives all help, usage and error text.  A
+well-formed request (exact option strings with acceptable values) is parsed
+by an option table read off its command's parser; anything else, such as
+help, a usage error or an abbreviated option, goes to argparse.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import os
 import re
 import sys
 import time
+import weakref
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
@@ -744,20 +750,117 @@ def _kept_parser() -> tuple[argparse.ArgumentParser,
     return parser, commands
 
 
+class _OptionTable:
+    """The options of one command parser, read off its actions: per option
+    string the action's position, dest, type, choices and whether it is a
+    flag; the defaults, the positions of the required actions and of each
+    mutually exclusive group.  It holds no action, which would lead back to
+    its parser.  parse() gives the namespace argparse gives for an argv it
+    can take and None for any other, which argparse then parses."""
+    __slots__ = ("options", "defaults", "required", "groups")
+
+    def __init__(self, options, defaults, required, groups):
+        self.options, self.defaults = options, defaults
+        self.required, self.groups = required, groups
+
+    @classmethod
+    def read(cls, parser: argparse.ArgumentParser) -> _OptionTable | None:
+        """The table of parser, or None when the table cannot mirror it:
+        an action other than help, a one-value store or store True, a
+        positional, a string default with a type, parser defaults or a
+        required group."""
+        options, defaults, required = {}, {}, set()
+        position = {action: n for n, action in enumerate(parser._actions)}
+        for action, n in position.items():
+            if type(action) is argparse._HelpAction:
+                continue  # -h and --help are left to argparse
+            flag = type(action) is argparse._StoreTrueAction
+            if (not action.option_strings
+                    or not flag and (type(action) is not argparse._StoreAction
+                                     or action.nargs is not None)
+                    or isinstance(action.default, str) and action.type):
+                return None
+            for option in action.option_strings:
+                options[option] = (n, action.dest, action.type,
+                                   action.choices, flag)
+            if action.default is not argparse.SUPPRESS:
+                defaults[action.dest] = action.default
+            if action.required:
+                required.add(n)
+        groups = parser._mutually_exclusive_groups
+        if parser._defaults or any(g.required for g in groups):
+            return None
+        return cls(options, defaults, frozenset(required),
+                   [frozenset(map(position.get, g._group_actions))
+                    for g in groups])
+
+    def parse(self, command: str,
+              argv: list[str]) -> argparse.Namespace | None:
+        """The namespace of the command's options argv, or None unless every
+        token is an exact option string with an acceptable value (one that
+        starts with "-" only in the --opt=value form, and not "--"), no
+        required option is missing and no group has two options."""
+        values, seen, i = {}, set(), 0
+        while i < len(argv):
+            token = argv[i]
+            entry = self.options.get(token)
+            if entry is None:  # --opt=value, never on a flag
+                option, eq, value = token.partition("=")
+                entry = self.options.get(option) if eq else None
+                # argparse may strip a "--" value, leaving none.
+                if entry is None or entry[4] or value == "--":
+                    return None
+            elif not entry[4]:  # --opt value
+                i += 1
+                if i == len(argv) or argv[i][:1] == "-":
+                    return None
+                value = argv[i]
+            n, dest, kind, choices, flag = entry
+            if flag:
+                value = True
+            elif kind is not None:
+                try:
+                    value = kind(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+            seen.add(n)
+            i += 1
+        if not self.required <= seen or any(len(g & seen) > 1
+                                            for g in self.groups):
+            return None
+        args = argparse.Namespace(**self.defaults)
+        args.command = command
+        vars(args).update(values)
+        return args
+
+
+# Each command parser's table, dropped with the parser.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _option_table(command: argparse.ArgumentParser) -> _OptionTable | None:
+    try:
+        return _TABLES[command]
+    except KeyError:
+        table = _TABLES[command] = _OptionTable.read(command)
+        return table
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_negative_values(list(argv))
     parser, commands = _kept_parser()
-    # A command's own parser gives the namespace, the usage errors and the
-    # help text that the full parser gives through it.  Only the full
-    # parser words the error for arguments left over ("jordanian: error:
-    # unrecognized arguments"), so an argv with leftovers is parsed again.
+    # A well-formed request is parsed by its command's option table.  Any
+    # other (help, a usage error, an abbreviated option) goes to the full
+    # parser, which gives all help, usage and error text.
     command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-    if command is None or rest:
+    table = command and _option_table(command)
+    args = table and table.parse(argv[0], argv[1:])
+    if args is None:
         args = parser.parse_args(argv)
     if args.format is None:
         args.format = os.environ.get("JORDANIAN_FORMAT", "pretty")

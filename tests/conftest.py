@@ -3,8 +3,8 @@
 The default profile keeps Hypothesis' 100 examples, so every test runs the
 count it declares.  ``pytest --hypothesis-profile deep`` runs 10 times as
 many; tests that scale their count by the loaded profile through
-``examples`` (the kernel tests in test_matrix_kernel.py and the JSON writer
-properties in test_cli.py) follow it.
+``examples`` (the kernel tests in test_matrix_kernel.py, and the JSON writer
+and option-table properties in test_cli.py) follow it.
 """
 
 from hypothesis import settings

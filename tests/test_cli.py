@@ -7,10 +7,14 @@ exactly as a shell invocation would.
 """
 
 import argparse
+import contextlib
 import functools
+import gc
 import hashlib
+import io
 import json
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -794,6 +798,12 @@ PARSE_CASES = [
       ("irrep", "alpha", "cgc", "decompose", "tensorop", "wigner-eckart",
        "verify")],
     ["irrep", "--j", "1", "-h", "--bogus"],
+    ["irrep", "--j", "1", "--gen", "X", "--j", "1/2"],       # repeated option
+    ["cgc", "--j1", "1", "--j2", "1/2", "--j", "1/2", "--m=-1/2"],
+    ["cgc", "--j1", "1", "--j2", "1/2", "--j", "1/2", "--m", "1/2",
+     "--bra=1"],                                             # = on a flag
+    ["decompose", "--j1", "1", "--j2", "1", "--out", "-x"],  # value like -x
+    ["decompose", "--j1", "1", "--j2", "1", "--out="],       # empty --out
 ]
 
 
@@ -822,6 +832,153 @@ def test_kept_parser_maps_every_command_to_its_subparser():
                               "tensorop", "wigner-eckart", "verify"]
     assert all(p.prog == f"jordanian {name}" for name, p in commands.items())
     assert cli._kept_parser() == (parser, commands)
+
+
+# -- the option table ---------------------------------------------------------------
+
+
+def _argparse_vars(command, name, argv):
+    """vars() of the namespace the command's parser gives argv, or None
+    when it exits (usage error or help) or leaves arguments over."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, rest = command.parse_known_args(
+                argv, argparse.Namespace(command=name))
+        except SystemExit:
+            return None
+    return None if rest else vars(args)
+
+
+_GOOD_VALUES = {cli._spin: ["0", "1/2", "1", "3/2", "-1/2", "-1", "-3/2"],
+                cli._rational: ["0", "1/2", "-1/3"], None: ["o.txt", ""]}
+_BAD_VALUES = ["x", "0.3", "", "1/0", "-x", "--", "-", "-0.5", "a=b", "yaml",
+               "quark", "nope", "casimir", "json"]
+# Abbreviations, help, options of other commands, unknown options and bare
+# values.
+_STRAY_TOKENS = ["--form", "--realiz", "--verb", "--h", "--gen", "--max",
+                 "-h", "--help", "--classical", "--bra", "--bogus", "-x",
+                 "extra", "1/2"]
+
+
+@st.composite
+def _command_argvs(draw):
+    """A command name and an argv made from its own option strings, in the
+    --opt v and --opt=v forms, with good and bad values: required options
+    mostly present, other options repeated or left out, flags with and
+    without =, and stray tokens mixed in."""
+    _, commands = cli._kept_parser()
+    name = draw(st.sampled_from(list(commands)))
+    command = commands[name]
+    actions = [a for a in command._actions
+               if not isinstance(a, argparse._HelpAction)]
+    picked = [a for a in actions if a.required and draw(st.integers(0, 9))]
+    picked += draw(st.lists(st.sampled_from(actions), max_size=5))
+    tokens = []
+    for action in picked:
+        option = draw(st.sampled_from(action.option_strings))
+        good = (list(action.choices) if action.choices
+                else [] if action.nargs == 0 else _GOOD_VALUES[action.type])
+        value = draw(st.sampled_from(
+            good if good and draw(st.integers(0, 3)) else good + _BAD_VALUES))
+        form = draw(st.sampled_from(["space", "eq", "bare"] if good
+                                    else ["bare", "bare", "eq"]))
+        tokens.append({"space": [option, value], "eq": [f"{option}={value}"],
+                       "bare": [option]}[form])
+    for token in draw(st.lists(st.sampled_from(_STRAY_TOKENS), max_size=2)):
+        tokens.insert(draw(st.integers(0, len(tokens))),
+                      [token, *draw(st.lists(st.sampled_from(_BAD_VALUES),
+                                             max_size=1))])
+    argv = _merge_negative_values([name, *(t for ts in tokens for t in ts)])
+    return name, argv[1:]
+
+
+@examples(100)
+@given(_command_argvs())
+@example(("cgc", ["--j1", "1", "--j2", "1", "--j", "1", "--classical",
+                  "--bra"]))
+@example(("irrep", ["--j", "1", "--form", "csv"]))
+@example(("verify", ["--verbose=1"]))
+@example(("irrep", ["--gen", "X"]))
+@example(("verify", ["--suite", "nope"]))
+@example(("decompose", ["--j1", "1", "--j2", "1", "--out=--"]))
+def test_option_table_parses_as_argparse_or_refuses(case):
+    name, argv = case
+    command = cli._kept_parser()[1][name]
+    args = cli._option_table(command).parse(name, argv)
+    if args is not None:
+        assert vars(args) == _argparse_vars(command, name, argv)
+
+
+def test_option_table_takes_every_request_that_exits_0(capsys, monkeypatch):
+    # All but help requests and abbreviated options, which stay with
+    # argparse.
+    monkeypatch.delenv("JORDANIAN_FORMAT", raising=False)
+    _, commands = cli._kept_parser()
+    taken = 0
+    for argv in PARSE_CASES:
+        if (_outcome(capsys, argv)[0] != 0
+                or not {"-h", "--help"}.isdisjoint(argv)):
+            continue
+        argv = _merge_negative_values(argv)
+        command = commands[argv[0]]
+        if not all(t.partition("=")[0] in command._option_string_actions
+                   for t in argv[1:] if t.startswith("-")):
+            continue
+        args = cli._option_table(command).parse(argv[0], argv[1:])
+        assert args is not None, argv
+        assert vars(args) == _argparse_vars(command, argv[0], argv[1:])
+        taken += 1
+    assert taken > 0
+
+
+def test_each_request_parses_to_its_own_namespace(capsys, monkeypatch):
+    seen = []
+
+    def mutating_handler(args):
+        seen.append(dict(vars(args)))
+        args.gen, args.h_eval, args.j = "Y", Fraction(1), half(7)
+        vars(args).pop("out")
+        return 0
+
+    monkeypatch.delenv("JORDANIAN_FORMAT", raising=False)
+    monkeypatch.setattr(cli, "_cmd_irrep", mutating_handler)
+    for _ in range(2):
+        assert run(capsys, "irrep", "--j", "1") == (0, "", "")
+    assert seen[0] == seen[1] == {"command": "irrep", "j": half(1),
+                                  "gen": None, "h_eval": None,
+                                  "format": "pretty", "out": None}
+
+
+def test_clearing_the_kept_parser_drops_its_tables(capsys, monkeypatch):
+    argv = ["irrep", "--j", "1/2", "--gen", "Y", "--format", "csv"]
+    cli._kept_parser.cache_clear()  # a parser that no other test has seen
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, "cgc", "--j1", "1/2", "--j2", "1/2", "--j", "0",
+               "--classical")[0] == 0
+    commands = cli._kept_parser()[1]
+    old = [weakref.ref(commands[name]) for name in ("irrep", "cgc")]
+    del commands
+    assert None not in map(cli._option_table, (ref() for ref in old))
+
+    def narrower_parser():  # the same parser, with Y no longer a --gen choice
+        parser = build_parser()
+        commands = next(a.choices for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        gen = commands["irrep"]._option_string_actions["--gen"]
+        gen.choices = [c for c in gen.choices if c != "Y"]
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", narrower_parser)
+    cli._kept_parser.cache_clear()
+    try:
+        code, out, err = _outcome(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'Y'" in err
+        gc.collect()  # the old parsers go, and with them their tables
+        assert [ref() for ref in old] == [None, None]
+    finally:
+        cli._kept_parser.cache_clear()
 
 
 # 16-hex SHA-256 prefixes of `jordanian --help` and of each subcommand's
