@@ -34,7 +34,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 
 from .coupling import (SelectionRuleError, alpha_table, cgc_matrix,
-                       coupled_bra, coupled_index, coupled_ket, decompose,
+                       coupled_index, decompose,
                        product_label_texts, product_labels,
                        product_weight_index, triangle_allowed,
                        uh_cgc, uh_cgc_bra, verify_alpha_orthogonality,
@@ -46,7 +46,7 @@ from .irreps import (casimir_matrix, irrep, verify_casimir,
                      verify_defining_relations, verify_hopf_axioms)
 from .polymatrix import PolyMatrix
 from .report import Check, CheckBlock, Report
-from .serialize import DEN, HPOW, NUM, RADICAND, matrix_to_json
+from .serialize import DEN, HPOW, NUM, RADICAND
 from .tensorops import (OpSpaceContext, TensorOpFamily, boson_lowering_family,
                         boson_raising_family, couple_tensor_ops,
                         fermion_modes, fermion_realization,
@@ -110,8 +110,9 @@ def _json_text(payload) -> str:
     selects.  Keys must be strings: any other key raises TypeError.  A
     list of Check records and blocks is written as the list of the dicts
     {"detail", "name", "status"} of its checks would be, an HPoly as its
-    serialize.scalar_to_json list of term objects, and _Rows as the list
-    of its row objects."""
+    serialize.scalar_to_json list of term objects, a PolyMatrix as its
+    serialize.matrix_to_json object, and _Rows as the list of its row
+    objects."""
     out: list[str] = []
     _write_json(payload, out, "\n")
     return "".join(out)
@@ -173,6 +174,8 @@ def _write_json(value, out: list[str], newline: str) -> None:
         out.append(newline + "}")
     elif type(value) is _Rows:
         _json_rows(value, out, newline)
+    elif type(value) is PolyMatrix:
+        _json_matrix(value, out, newline)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON "
                         f"serializable")
@@ -230,6 +233,34 @@ def _row_writer(columns: tuple[str, ...], newline: str):
         for i, key, exact in keys]) + newline + "}"
 
 
+def _json_matrix(m: PolyMatrix, out: list[str], newline: str) -> None:
+    """Append the object serialize.matrix_to_json gives m, keys sorted.
+    The text of its entries is formed once and kept on the view the matrix
+    shares with its relabelings, with the indent newline it was formed at;
+    at another indent it is moved there by one replace, since every line
+    break in it starts an indent.  The shape and weights are written from
+    the matrix itself."""
+    inner = newline + "  "
+    kept = getattr(m._view, "json", None)
+    if kept is None:
+        cell = inner + "  "
+        entries = "[" + ",".join([cell + _json_scalar(p, cell) for row in m.entries
+                                  for p in row]) + inner + "]"
+        object.__setattr__(m._view, "json", (newline, entries))
+    else:
+        entries = kept[1] if kept[0] == newline else kept[1].replace(kept[0],
+                                                                      newline)
+    fields = {"entries": entries,
+              "shape": f"[{inner}  {m.rows},{inner}  {m.cols}{inner}]"}
+    for name, weights in (("row_weights", m.row_weights),
+                          ("col_weights", m.col_weights)):
+        if weights is not None:
+            fields[name] = "[" + ",".join([f"{inner}  {_json_string(str(w))}"
+                                           for w in weights]) + inner + "]"
+    out.append("{" + ",".join([f'{inner}"{name}": {fields[name]}'
+                               for name in sorted(fields)]) + newline + "}")
+
+
 def _json_scalar(p: HPoly, newline: str) -> str:
     """An exact scalar as its list of term objects, one template per term,
     keys in sorted order (den, hpow, num, radicand).  The text is kept on
@@ -263,13 +294,13 @@ def _render_matrices(args, title: str, meta: dict, mats: dict, *,
     """Named matrices (irrep, tensorop): JSON of every matrix under key, CSV
     rows column,row,col,entry, or the title and one label-named block each."""
     if args.format == "json":
-        text = _json_text({**meta, key: {
-            str(n): matrix_to_json(m, encode=False) for n, m in mats.items()}})
+        text = _json_text({**meta, key: {str(n): m for n, m in mats.items()}})
     elif args.format == "csv":
         text = _csv_pieces([[column, "row", "col", "entry"]]
-                           + [[str(n), str(i), str(k), str(m.entry(i, k))]
+                           + [[str(n), str(i), str(k), str(p)]
                               for n, m in mats.items()
-                              for i in range(m.rows) for k in range(m.cols)])
+                              for i, row in enumerate(m.entries)
+                              for k, p in enumerate(row)])
     else:
         text = "\n\n".join([title] + [f"{label.format(n)} =\n{m}"
                                       for n, m in mats.items()])
@@ -506,9 +537,10 @@ def _cmd_alpha(args) -> int:
         return _render_rows(args, meta, columns,
                             [(*labels, table.value(*labels))], line=line,
                             key=None)
-    texts, ket = product_label_texts(j1, j2), table.ket.entries
-    entries = [(*texts[r], *texts[c], ket[r][c])
-               for c in range(len(texts)) for r in range(len(texts)) if ket[r][c]]
+    texts = product_label_texts(j1, j2)  # column by column, as K's columns
+    entries = [(*texts[r], *texts[c], p)
+               for c, column in enumerate(zip(*table.ket.entries))
+               for r, p in enumerate(column) if p]
     return _render_rows(args, meta, columns, entries, line=line,
                         title=f"alpha table for the pair ({j1}, {j2}); "
                               f"{len(entries)} nonzero entries")
@@ -531,17 +563,24 @@ def _cmd_cgc(args) -> int:
     labels = [(args.k1, args.k2)] if single else product_labels(j1, j2)
     texts = ([(str(args.k1), str(args.k2))] if single
              else product_label_texts(j1, j2))
-    if kind == "classical":  # C's spin-j columns: one m = k1 + k2 per row
+    # Entries of memoized matrices, each read from its storage.
+    if kind == "classical":  # C's spin-j column of weight m = k1 + k2
         top = coupled_index(j1, j2, j, j)
         rows = [product_weight_index(j1, j2, *k) for k in labels]  # may raise
-        values = [next(filter(None, row), row[0]) for row in cgc_matrix(
-            j1, j2).submatrix(rows, range(top, top + dim_of(j))).entries]
+        c, zero = cgc_matrix(j1, j2), HPoly.zero()
+        values = [c.entry(r, top + (j.twice - k1.twice - k2.twice) // 2)
+                  if abs(k1.twice + k2.twice) <= j.twice else zero
+                  for r, (k1, k2) in zip(rows, labels)]
     elif single:
         values = [(uh_cgc_bra if args.bra else uh_cgc)(j1, j2, j, *labels[0], m)]
-    elif kind == "bra":
-        values = coupled_bra(j1, j2, j, m).entries[0]
-    else:
-        values = [c for (c,) in coupled_ket(j1, j2, j, m).entries]
+    else:  # the row <j m| of C^T B, or the column |j m> of K C
+        table, at = alpha_table(j1, j2), coupled_index(j1, j2, j, m)
+        if kind == "bra":
+            bras = table.coupled_bras
+            values = [bras.entry(at, k) for k in range(bras.cols)]
+        else:
+            kets = table.coupled
+            values = [kets.entry(k, at) for k in range(kets.rows)]
     m_text = str(args.m) if args.m is not None else "k1+k2"
     return _render_rows(
         args, {"j1": str(j1), "j2": str(j2), "j": str(j), "m": m_text,
@@ -796,10 +835,13 @@ class _OptionTable:
 
     def parse(self, command: str,
               argv: list[str]) -> argparse.Namespace | None:
-        """The namespace of the command's options argv, or None unless every
-        token is an exact option string with an acceptable value (one that
-        starts with "-" only in the --opt=value form, and not "--"), no
-        required option is missing and no group has two options."""
+        """The namespace argparse gives the command's options argv once
+        _merge_negative_values has merged them, or None unless every token
+        is an exact option string with an acceptable value, no required
+        option is missing and no group has two options.  A value may start
+        with "-" in the --opt=value form (but not be "--"), or in the
+        --opt value form where the merge would merge it: a negative number
+        after a value option."""
         values, seen, i = {}, set(), 0
         while i < len(argv):
             token = argv[i]
@@ -812,7 +854,8 @@ class _OptionTable:
                     return None
             elif not entry[4]:  # --opt value
                 i += 1
-                if i == len(argv) or argv[i][:1] == "-":
+                if i == len(argv) or argv[i][:1] == "-" and not (
+                        token in _VALUE_OPTIONS and _NEGATIVE_VALUE.match(argv[i])):
                     return None
                 value = argv[i]
             n, dest, kind, choices, flag = entry
@@ -850,9 +893,7 @@ def _option_table(command: argparse.ArgumentParser) -> _OptionTable | None:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _merge_negative_values(list(argv))
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _kept_parser()
     # A well-formed request is parsed by its command's option table.  Any
     # other (help, a usage error, an abbreviated option) goes to the full
@@ -861,7 +902,7 @@ def main(argv=None) -> int:
     table = command and _option_table(command)
     args = table and table.parse(argv[0], argv[1:])
     if args is None:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_merge_negative_values(argv))
     if args.format is None:
         args.format = os.environ.get("JORDANIAN_FORMAT", "pretty")
         if args.format not in FORMATS:

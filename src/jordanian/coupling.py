@@ -33,11 +33,12 @@ intermediate kets.  B = P K^T P, with P reversing the weight order, has
 alpha[-k; -m] at (m, k): its rows are the intermediate bras.  C has
 <j1 n1; j2 n2 | j m> at (n, (j, m)), memoized apart from K for sl2_cgc.
 Coupled kets are the columns of K C, coupled bras the rows of C^T B; a
-coefficient is read from a slice of them, never from a whole table's HPoly
-view.  The verifiers slice residuals of B K = 1
-(alpha orthogonality, intermediate orthonormality), of Delta(Z) K = K S and
-B Delta(Z) = S B for Z = H, Zp, Zm with S = Z (x) 1 + 1 (x) Z classical
-(intermediate action), and of Casimir (K C) = (K C) diag(j(j+1)) (decompose).
+coefficient is read as one entry of their storage (PolyMatrix.entry), never
+through a slice or a whole table's HPoly view.  The verifiers slice
+residuals of B K = 1 (alpha orthogonality, intermediate orthonormality), of
+Delta(Z) K = K S and B Delta(Z) = S B for Z = H, Zp, Zm with
+S = Z (x) 1 + 1 (x) Z classical (intermediate action), and of
+Casimir (K C) = (K C) diag(j(j+1)) (decompose).
 
 The coupled ladder comes from module data.  X is primitive, so tanh
 addition gives Delta(Zp) = S (1 + (h^2/4) Zp (x) Zp)^-1, S the slot sum of
@@ -140,11 +141,11 @@ class AlphaTable:
         return self.coupled_bras @ self.coupled
 
     def value(self, k1, k2, m1, m2) -> HPoly:
-        """alpha[k1 k2; m1 m2], read as a 1x1 slice of K, so that K's HPoly
-        view is not built; ValueError for a weight off its ladder."""
-        return self.ket.submatrix(
-            [product_weight_index(self.j1, self.j2, k1, k2)],
-            [product_weight_index(self.j1, self.j2, m1, m2)]).scalar()
+        """alpha[k1 k2; m1 m2], one entry of K read from its storage (no
+        slice, and K's HPoly view is not built); ValueError for a weight
+        off its ladder."""
+        return self.ket.entry(product_weight_index(self.j1, self.j2, k1, k2),
+                              product_weight_index(self.j1, self.j2, m1, m2))
 
 
 def alpha_table(j1, j2) -> AlphaTable:
@@ -417,7 +418,7 @@ def sl2_cgc(j1, j2, j, m1, m2) -> RadScalar:
         col = coupled_index(j1, j2, j, m1 + m2)
     except ValueError:  # a weight off its ladder, or |m1 + m2| > j
         return RadScalar.zero()
-    return cgc_matrix(j1, j2).submatrix([row], [col]).scalar().constant_value()
+    return cgc_matrix(j1, j2).entry(row, col).constant_value()
 
 
 def triangle_allowed(j1, j2, j) -> bool:
@@ -537,12 +538,12 @@ def coupled_bra(j1, j2, j, m) -> PolyMatrix:
 def uh_cgc(j1, j2, j, k1, k2, m) -> HPoly:
     """Deformed Clebsch-Gordan coefficient: the coefficient of the product
     ket |j1 k1>(x)|j2 k2> in the coupled ket |j m>: an entry of K C."""
-    return alpha_table(j1, j2).coupled.submatrix([product_weight_index(
-        j1, j2, k1, k2)], [coupled_index(j1, j2, j, m)]).scalar()
+    return alpha_table(j1, j2).coupled.entry(product_weight_index(
+        j1, j2, k1, k2), coupled_index(j1, j2, j, m))
 
 
 def uh_cgc_bra(j1, j2, j, k1, k2, m) -> HPoly:
     """Coefficient of <j1 k1|(x)<j2 k2| in the coupled bra <j m|: an entry
     of C^T B."""
-    return alpha_table(j1, j2).coupled_bras.submatrix([coupled_index(
-        j1, j2, j, m)], [product_weight_index(j1, j2, k1, k2)]).scalar()
+    return alpha_table(j1, j2).coupled_bras.entry(coupled_index(
+        j1, j2, j, m), product_weight_index(j1, j2, k1, k2))

@@ -46,12 +46,16 @@ public constructor.  No construction of the library reaches it, so its
 speed does not matter.  A sum with an all-zero operand returns the other.
 
 ``HPoly`` is the boundary type.  The public constructor reads HPoly entries
-(or anything ``as_hpoly`` accepts) once.  ``entries`` and ``entry()`` read
-a tuple of tuples of canonical ``HPoly``, built on first read and then kept
-on the instance; matrices that share storage share it.  A graded entry is
-one shared ``HPoly`` per monomial value per process (``_gentry`` interns
-it), so every matrix, slice and request that reads a value reads the same
-object, and its str() and JSON texts are formed once.
+(or anything ``as_hpoly`` accepts) once.  ``entries`` reads a tuple of
+tuples of canonical ``HPoly``, built on first read and then kept on the
+instance's view; matrices that share storage share the view.  ``entry()``
+of a graded matrix reads its one entry from the storage without building
+the view, so reading a coefficient of a memoized matrix builds no slice
+and no view.  A graded entry is one shared ``HPoly`` per monomial value per
+process (``_gentry`` interns it), so ``entry()``, ``entries``, slices and
+requests all read the same object, and its str() and JSON texts are formed
+once.  The view keeps the matrix's texts too, each formed once: its str()
+and the JSON text of its entries that the CLI writes.
 """
 
 from __future__ import annotations
@@ -497,10 +501,14 @@ def _unit_storage(n):
 
 
 class _View:
-    """The HPoly entries of one storage, built on first read and written
-    once; matrices that share the storage share the cell."""
+    """The HPoly entries of one storage and its texts, each built on first
+    read and written once; matrices that share the storage share them.
+    text is the str() of the matrix, json an (indent, text) pair: the JSON
+    text of its entries that cli writes, with the indent it was formed at.
+    The texts stay unset until formed (read them with a getattr default),
+    so a view costs no more to make than its rows cell."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "text", "json")
 
     def __init__(self):
         object.__setattr__(self, "rows", None)
@@ -664,7 +672,24 @@ class PolyMatrix:
         return view
 
     def entry(self, i: int, k: int) -> HPoly:
-        return self.entries[i][k]
+        """entries[i][k], indexed as a tuple (negative indices count from
+        the end, others out of range raise IndexError).  A graded entry is
+        read from the storage, as entries reads it, without building the
+        view: the same interned object."""
+        g = self._g
+        if g is None:
+            return self.entries[i][k]
+        if not -self.cols <= k < self.cols:
+            raise IndexError(f"column {k} out of range for {self.cols} columns")
+        v = g.rows[i].get(k % self.cols)
+        if v is None:
+            return _ZERO
+        (a, p), (b, q) = g.rb.labels[i], g.cb.labels[k]
+        s = gcd(p, g.rad)  # as entries reads the row
+        x = (p // s) * (g.rad // s)
+        y = gcd(x, q)
+        return _gentry(a + g.shift - b, (x // y) * (q // y), v * s,
+                       g.den * (q // y))
 
     def row_index(self, m: HalfInt) -> int:
         if self.row_weights is None:
@@ -849,12 +874,16 @@ class PolyMatrix:
                      for k, p in enumerate(row) if p), None)
 
     def __str__(self):
-        cells = [[str(p) for p in row] for row in self.entries]
-        widths = [max(len(cells[i][k]) for i in range(self.rows)) for k in range(self.cols)]
-        lines = []
-        for row in cells:
-            lines.append("[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]")
-        return "\n".join(lines)
+        """The entries in aligned columns, formed once and kept on the view."""
+        text = getattr(self._view, "text", None)
+        if text is None:
+            cells = [[str(p) for p in row] for row in self.entries]
+            widths = [max(len(cells[i][k]) for i in range(self.rows))
+                      for k in range(self.cols)]
+            text = "\n".join(["[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths))
+                              + " ]" for row in cells])
+            object.__setattr__(self._view, "text", text)
+        return text
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols})"

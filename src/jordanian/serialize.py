@@ -40,14 +40,11 @@ def scalar_from_json(obj) -> HPoly:
     return acc
 
 
-def matrix_to_json(m: PolyMatrix, encode: bool = True) -> dict:
-    """The shape, the row-major entries and the weight labels; encode=False
-    leaves the entries as HPoly values, for a writer that encodes them
-    itself (the CLI's)."""
-    entries = [p for row in m.entries for p in row]
+def matrix_to_json(m: PolyMatrix) -> dict:
+    """The shape, the row-major entries and the weight labels."""
     out = {
         "shape": [m.rows, m.cols],
-        "entries": [scalar_to_json(p) for p in entries] if encode else entries,
+        "entries": [scalar_to_json(p) for row in m.entries for p in row],
     }
     if m.row_weights is not None:
         out["row_weights"] = [str(w) for w in m.row_weights]

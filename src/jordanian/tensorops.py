@@ -164,11 +164,11 @@ def verify_tensor_operator(fam: TensorOpFamily, label: str = "") -> Report:
     dmats = {Generator.X: rep.x, Generator.Y: rep.y, Generator.H: rep.hm}
     report = Report(f"tensor operator check {label}".rstrip())
     for gen, dmat in dmats.items():
+        d = dmat.entries  # every entry is read: the memoized view
         for col, m in enumerate(fam.weights):
             lhs = adjoint_action(gen, fam.components[col], fam.ctx)
-            terms = [t * dmat.entry(row, col)
-                     for row, t in enumerate(fam.components)
-                     if dmat.entry(row, col)]
+            terms = [t * d[row][col] for row, t in enumerate(fam.components)
+                     if d[row][col]]
             rhs = (_msum(terms) if terms
                    else PolyMatrix.zeros(lhs.rows, lhs.cols))
             name = f"ad {gen.value} on component m={m}"

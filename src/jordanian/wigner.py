@@ -136,7 +136,7 @@ def verify_overlap_recurrence(fam: TensorOpFamily, label: str = "") -> Report:
             for sym, sign, sides in (("raising", 1, raising),
                                      ("lowering", -1, lowering)):
                 row = weight_index(j, m) - sign  # the weight m + sign
-                lhs, rhs = (side.entry(row, col) if 0 <= row < dim_of(j)
+                lhs, rhs = (side.entries[row][col] if 0 <= row < dim_of(j)
                             else zero for side in sides)
                 report.add(scalar_check(
                     f"{sym} recurrence at n=({n1},{n2}), m={m}", lhs, rhs))

@@ -30,6 +30,7 @@ from jordanian.coupling import coupled_spins
 from jordanian.halfint import HalfInt, half, weight_range
 from jordanian.hpoly import HPoly
 from jordanian.irreps import irrep
+from jordanian.polymatrix import PolyMatrix
 from jordanian.radical import RadScalar
 from jordanian.report import Check, CheckBlock, Report
 from jordanian.serialize import (matrix_from_json, matrix_to_json,
@@ -766,6 +767,10 @@ PARSE_CASES = [
        "--m1", "0", "--m2", "-1/2", "--format", fmt] for fmt in cli.FORMATS],
     ["alpha", "--format", "csv", "--j2", "1/2", "--j1", "1/2"],
     ["cgc", "--j1", "1", "--j2", "1/2", "--j", "1/2", "--m", "-1/2", "--bra"],
+    ["cgc", "--j1", "1", "--j2", "1/2", "--j", "1/2", "--m", "-1/2"],
+    ["cgc", "--j1", "3/2", "--j2", "1", "--j", "3/2", "--m", "-1/2",
+     "--k1", "-3/2", "--k2", "-1"],
+    ["cgc", "--j1", "1", "--j2", "1/2", "--j", "1/2", "--m", "-x"],  # not a spin
     ["cgc", "--j1", "1", "--j2", "1/2", "--j", "3/2", "--m", "-3/2",
      "--k1", "-1", "--k2", "-1/2", "--format", "json"],
     ["cgc", "--j1", "1", "--j2", "1", "--j", "0", "--classical", "--format",
@@ -908,6 +913,50 @@ def test_option_table_parses_as_argparse_or_refuses(case):
     args = cli._option_table(command).parse(name, argv)
     if args is not None:
         assert vars(args) == _argparse_vars(command, name, argv)
+
+
+def _split_negative_values(argv):
+    """argv with each --opt=-v that _merge_negative_values makes split back
+    into --opt and -v."""
+    out = []
+    for token in argv:
+        option, eq, value = token.partition("=")
+        if eq and option in cli._VALUE_OPTIONS and cli._NEGATIVE_VALUE.match(value):
+            out += [option, value]
+        else:
+            out.append(token)
+    return out
+
+
+@examples(100)
+@given(_command_argvs())
+@example(("cgc", ["--j1", "1", "--j2", "1/2", "--j", "1/2", "--m=-1/2"]))
+@example(("cgc", ["--j1=1", "--j2", "1", "--j", "1", "--m=-1", "--k1=-1",
+                  "--k2=0"]))
+@example(("irrep", ["--j", "1", "--h-eval=-1/3", "--out", "-x"]))
+def test_option_table_takes_negative_values_where_the_merge_would(case):
+    # The table reads "--opt -1/2" itself, as argparse reads the merged
+    # "--opt=-1/2", and refuses every other value that starts with "-".
+    name, merged = case
+    argv = _split_negative_values(merged)
+    assert _merge_negative_values(argv) == merged
+    command = cli._kept_parser()[1][name]
+    table = cli._option_table(command)
+    args = table.parse(name, argv)
+    assert (args is None) == (table.parse(name, merged) is None)
+    if args is not None:
+        assert vars(args) == _argparse_vars(command, name, merged)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--j1", "1", "--j2", "1/2", "--j", "1/2", "--m", "-x"],
+    ["--j1", "1", "--j2", "1/2", "--j", "1/2", "--m", "-0.5"],
+    ["--j1", "1", "--j2", "1/2", "--j", "1/2", "--m", "--"],
+    ["--j1", "1", "--j2", "1/2", "--j", "1/2", "--m", "1/2", "--out", "-1"],
+], ids=" ".join)
+def test_option_table_refuses_other_values_that_start_with_a_dash(argv):
+    command = cli._kept_parser()[1]["cgc"]
+    assert cli._option_table(command).parse("cgc", argv) is None
 
 
 def test_option_table_takes_every_request_that_exits_0(capsys, monkeypatch):
@@ -1202,8 +1251,57 @@ def test_json_writer_writes_rows_as_their_objects(columns):
 def test_json_writer_writes_matrices_as_matrix_to_json():
     for m in (irrep(half(3, 2)).exp_hx, rank1_generators(1).component(0),
               coupling.cgc_matrix(1, half(1, 2))):
-        assert (cli._json_text({"m": matrix_to_json(m, encode=False)})
+        assert (cli._json_text({"m": m})
                 == _dumps({"m": matrix_to_json(m)}))
+
+
+def _pretty(m):
+    """The aligned-column text of m, formed from its entries."""
+    cells = [[str(p) for p in row] for row in m.entries]
+    widths = [max(len(row[k]) for row in cells) for k in range(m.cols)]
+    return "\n".join("[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths))
+                     + " ]" for row in cells)
+
+
+def test_matrices_keep_their_texts_on_the_shared_view(capsys, monkeypatch):
+    monkeypatch.delenv("JORDANIAN_FORMAT", raising=False)
+    j, fam = half(5, 2), rank1_generators(1)
+    rep = irrep(j)
+    requests = {
+        ("irrep", "--j", "5/2"): {
+            "j": "5/2", "dim": 6, "weights": [str(w) for w in weight_range(j)],
+            "matrices": {"X": rep.x, "Y": rep.y, "H": rep.hm}},
+        ("tensorop", "--realization", "rank1", "--j", "1"): {
+            "realization": "rank1", "rank": "1", "j": "1",
+            "components": dict(zip(map(str, weight_range(fam.rank)),
+                                   fam.components))}}
+    formed = []
+    real = cli._json_scalar
+    monkeypatch.setattr(cli, "_json_scalar",
+                        lambda p, newline: formed.append(p) or real(p, newline))
+    for argv, payload in requests.items():
+        key = "matrices" if "matrices" in payload else "components"
+        mats = payload[key]
+        expected = _dumps({**payload, key: {n: matrix_to_json(m)
+                                            for n, m in mats.items()}}) + "\n"
+        assert run(capsys, *argv, "--format", "json") == (0, expected, "")
+        assert all(getattr(m._view, "json", None) for m in mats.values())
+        formed.clear()  # a repeated request writes every matrix as kept
+        assert run(capsys, *argv, "--format", "json") == (0, expected, "")
+        assert formed == []
+    for m in (rep.x, fam.components[0], PolyMatrix(rep.x.entries)):
+        assert str(m) == _pretty(m) and str(m) is str(m)
+        # A relabeled matrix shares the view and its texts, not its weights.
+        for weights in (None, tuple(reversed(m.row_weights or ())) or None):
+            other = m._relabeled(weights, weights)
+            assert other._view is m._view and str(other) is str(m)
+            for x in (m, other):  # kept at one indent, moved to the others
+                assert cli._json_text({"m": x}) == _dumps({"m": matrix_to_json(x)})
+                assert cli._json_text([x]) == _dumps([matrix_to_json(x)])
+        for name in ("rows", "text", "json"):
+            with pytest.raises(AttributeError):
+                setattr(m._view, name, None)
+    assert str(rep.x) == str(irrep(j).x)
 
 
 def _json_requests():

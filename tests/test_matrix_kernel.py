@@ -462,6 +462,41 @@ def test_graded_entrywise_ops_and_slices_match_oracle(data):
     assert_matches(a.row(row_idx[0]), oracle.submatrix(a, row_idx[:1], range(a.cols)))
 
 
+def _fresh(m):
+    """m on its own storage with a view of its own, not yet built."""
+    return PolyMatrix._wrap(m.rows, m.cols, m._g, m.row_weights, m.col_weights)
+
+
+@examples(60)
+@given(st.data())
+def test_entry_reads_graded_storage_as_the_view_does(data):
+    # Every (i, k), negative ones too: entry() of graded storage is the
+    # value the labels and core give, and the very object the view holds,
+    # and reading it builds no view.  Term storage reads its view.
+    kind = data.draw(st.sampled_from(("graded", "regauged", "term")))
+    parts = _graded_parts(data.draw)
+    rl, cl, den, core = parts[:4]
+    if kind == "term":
+        m = data.draw(matrices(len(rl), len(cl)))
+        expected = m.entries
+    else:
+        m = _regauged(data.draw, parts) if kind == "regauged" else _from_core(*parts)
+        m = _fresh(m)
+        expected = [[HPoly.h(a - b, RadScalar.of(Fraction(v, den * q), p * q))
+                     if v else HPoly.zero() for v, (b, q) in zip(row, cl)]
+                    for row, (a, p) in zip(core, rl)]
+    cells = [(i, k) for i in range(-m.rows, m.rows) for k in range(-m.cols, m.cols)]
+    read = {(i, k): m.entry(i, k) for i, k in cells}
+    if kind != "term":
+        assert m._view.rows is None
+    for (i, k), p in read.items():
+        assert p == expected[i][k]
+        assert p is m.entries[i][k]
+    for i, k in ((m.rows, 0), (-m.rows - 1, 0), (0, m.cols), (0, -m.cols - 1)):
+        with pytest.raises(IndexError):
+            m.entry(i, k)
+
+
 @examples(60)
 @given(st.data())
 def test_mismatched_gauges_are_aligned_not_dropped(data):
