@@ -14,17 +14,18 @@ with d = c - a, s = 2j - a - c and F the extended binomial coefficient
 (-1)^m C(m-n-1, m) for n < 0, zero for m < 0); R is zero unless
 d1, d2 >= 0, and has power-of-two denominators.  So the table is
 K = G^-1 R G with R rational and the radicals in the diagonal gauge
-G = G1 (x) G2, G_i = diag(g_i) per spin with g_i(c)^2 = c!/(2j_i - c)!.
-The "intermediate" vectors they define transform under the coupled ladder
-operators exactly like classical product vectors, so classical
-Clebsch-Gordan coefficients finish the job.  Their matrix has the same
-shape: C = (D1 (x) D2) Q D_c, with Q the rational Racah single sum (nonzero
-only where m1 + m2 = m) and the radicals in two diagonal gauges,
-D_i = diag(d_i), d_i(m) = sqrt((j_i+m)! (j_i-m)!), per spin and
-D_c = diag(sqrt((2j+1) Delta(j1 j2 j)) d_j(m)): one scale per coupled spin j
-times the same per-spin gauge,
-Delta(j1 j2 j) = (j1+j2-j)! (j1-j2+j)! (-j1+j2+j)! / (j1+j2+j+1)!.  Each
-gauge is certified in the labels of the core it multiplies.
+G = G1 (x) G2, g_i(c)^2 = c!/(2j_i - c)! per spin.  The "intermediate"
+vectors they define transform under the coupled ladder operators exactly
+like classical product vectors, so classical Clebsch-Gordan coefficients
+finish the job.  Their matrix has the same shape: C = (D1 (x) D2) Q D_c,
+with Q the rational Racah single sum (nonzero only where m1 + m2 = m),
+d_i(m) = sqrt((j_i+m)! (j_i-m)!) per spin, and
+D_c(j, m) = sqrt((2j+1) Delta(j1 j2 j)) d_j(m): one scale per coupled spin
+j times the same per-spin gauge, with
+Delta(j1 j2 j) = (j1+j2-j)! (j1-j2+j)! (-j1+j2+j)! / (j1+j2+j+1)!.  No
+gauge is built as a matrix: its squarefree radicals are folded into the
+basis labels of graded storage and the rest into the integer numerators,
+so K, C and C^T are built straight into graded storage.
 
 Three matrices hold it all, each built once per pair (alpha_table), with
 weight pairs in product order (product_labels) and coupled vectors in
@@ -51,15 +52,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, isqrt, lcm
 
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
                       weight_index, weight_range, weight_texts)
 from .hpoly import HPoly
 from .irreps import (Generator, GenMatrices, casimir_from_gens,
                      coproduct_matrix, irrep)
-from .polymatrix import (PolyMatrix, _bases, _rebased, _unit_like, kron,
-                         unipotent_inverse)
+from .polymatrix import (PolyMatrix, _bases, _dual, _natural, _rebased,
+                         _unit_like, kron, unipotent_inverse)
 from .radical import RadScalar, sqrt_factorial_ratio
 from .report import Report, entry_checks, residual_checks
 
@@ -123,10 +124,13 @@ class AlphaTable:
 
     @property
     def cgc_transpose(self) -> PolyMatrix:
-        """C^T in the bases of C, swapped: C is classical, so its transpose
-        needs no dual bases.  Formed on each read, not kept."""
-        rows, cols = _bases(self.cgc)
-        return _rebased(self.cgc.transpose(), cols, rows)
+        """C^T in the bases of C, swapped: every entry of C is h^0, so the
+        transpose's numerators hold there with the shift negated (a C in
+        term storage is transposed entrywise).  Formed on each read."""
+        t = self.cgc.transpose()
+        g = t._g
+        return t if g is None else PolyMatrix._labelled(
+            g.den, g.rows, _dual(g.rb).labels, _dual(g.cb).labels, -g.shift, g.rad)
 
     @cached_property
     def coupled_bras(self) -> PolyMatrix:
@@ -155,105 +159,104 @@ def alpha_table(j1, j2) -> AlphaTable:
 @lru_cache(maxsize=None)
 def _alpha_table_cached(twice1: int, twice2: int) -> AlphaTable:
     j1, j2 = HalfInt.from_twice(twice1), HalfInt.from_twice(twice2)
-    n1, n2 = dim_of(j1) - 1, dim_of(j2) - 1
-    (g1, gi1, _), (g2, gi2, _) = _slot_gauges(n1), _slot_gauges(n2)
-    ket = kron(gi1, gi2) @ _gauge_free_alpha(n1, n2) @ kron(g1, g2)
+    ket = _alpha_ket(dim_of(j1) - 1, dim_of(j2) - 1)  # raises for a negative spin
     rev = range(ket.rows - 1, -1, -1)  # P, the reversed weight order
     return AlphaTable(j1, j2, ket, ket.transpose().submatrix(rev, rev),
                       _cgc_cached(j1, j2))
 
 
 @lru_cache(maxsize=None)
-def _cgc_cached(j1: HalfInt, j2: HalfInt) -> PolyMatrix:
-    """C of a pair, memoized apart from K."""
-    return _racah_core(dim_of(j1) - 1, dim_of(j2) - 1)
+def _slot_gauges(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, s) per position c = j - m of one spin, n = 2j: c! (n-c)! = s^2 p,
+    p squarefree (the radical of its ladder label), so d(c) = s sqrt(p)."""
+    return tuple((p, isqrt(factorial(c) * factorial(n - c) // p))
+                 for c, (_, p) in enumerate(_natural(n + 1)))
 
 
-@lru_cache(maxsize=None)
-def _slot_gauges(n: int) -> tuple[PolyMatrix, PolyMatrix, tuple[RadScalar, ...]]:
-    """G, G^-1 and the diagonal d of D for one spin, n = 2j, at positions
-    c = j - m: g(c)^2 = c!/(n-c)! and d(c)^2 = c! (n-c)! = (j+m)! (j-m)!;
-    G has the cores' labels (-c, 1) on its rows, G^-1 and D on columns."""
-    g = [sqrt_factorial_ratio(fact_num=(c,), fact_den=(n - c,))
-         for c in range(n + 1)]
-    return (PolyMatrix.diagonal(g, start=tuple((-c, 1) for c in range(n + 1))),
-            PolyMatrix.diagonal([x.inverse() for x in g]),
-            tuple(x * factorial(n - c) for c, x in enumerate(g)))
+def _product_gauges(n1: int, n2: int) -> list[tuple[tuple[int, int], int]]:
+    """(raw label (-(c1 + c2), P), u) per product index, P = sqfree(p1 p2)
+    and d1(c1) d2(c2) = u sqrt(P): sqrt(p1 p2) = gcd(p1, p2) sqrt(P)."""
+    out = []
+    for c1, (p1, s1) in enumerate(_slot_gauges(n1)):
+        for c2, (p2, s2) in enumerate(_slot_gauges(n2)):
+            g = gcd(p1, p2)
+            out.append(((-(c1 + c2), (p1 // g) * (p2 // g)), s1 * s2 * g))
+    return out
 
 
 def _binomial(n: int, m: int) -> int:
     """falling_binomial(n, m) for int n, in integer arithmetic."""
     if m < 0:
         return 0
-    if n >= 0:
-        return comb(n, m)
-    return -comb(m - n - 1, m) if m % 2 else comb(m - n - 1, m)
+    return comb(n, m) if n >= 0 else (-1) ** m * comb(m - n - 1, m)
 
 
-def _gauge_free_alpha(n1: int, n2: int) -> PolyMatrix:
-    """R, rows a and columns c in product order (n = 2j per slot), over
-    the denominator 2^(n1+n2)."""
-    b, w, top = _binomial, n2 + 1, n1 + n2
-    entries = {}
+def _alpha_ket(n1: int, n2: int) -> PolyMatrix:
+    """K = G^-1 R G, R over 2^(n1+n2): per slot g(c) = d(c)/(n-c)! and
+    1/g(a) = d(a)/a!, so K[a, c] = R[a, c] x(a) y(c) sqrt(P_a / P_c) in the
+    product labels, x(a) = u(a)/(a1! a2!), y(c) = u(c) P_c/((n1-c1)! (n2-c2)!)."""
+    b, w, top, f1, f2 = _binomial, n2 + 1, n1 + n2, factorial(n1), factorial(n2)
+    labels, u = zip(*_product_gauges(n1, n2))
+    ratio = [(f1 // factorial(c1)) * (f2 // factorial(c2))
+             for c1 in range(n1 + 1) for c2 in range(w)]  # over n1! n2!
+    x = [v * r for v, r in zip(u, ratio)]
+    y = [v * p * r for v, (_, p), r in zip(u, labels, reversed(ratio))]
+    rows = []
     for a1 in range(n1 + 1):
         for a2 in range(w):
+            row, xa = {}, x[a1 * w + a2]
             for c1 in range(a1, n1 + 1):
                 d1, s1 = c1 - a1, n1 - a1 - c1
                 for c2 in range(a2, w):
                     d2, s2 = c2 - a2, n2 - a2 - c2
                     bb = (b(s1, d2) * b(s2, d1)
                           - b(s1 - 1, d2 - 1) * b(s2 - 1, d1 - 1))
-                    entries[a1 * w + a2, c1 * w + c2] = (
-                        d1 + d2, (-bb if d2 % 2 else bb) << (top - d1 - d2))
-    size = (n1 + 1) * w
-    return PolyMatrix._monomials(size, size, 1 << top, entries,
-                                 _product_offsets(n1, n2))
+                    if bb:
+                        row[c1 * w + c2] = ((-bb if d2 % 2 else bb) << (
+                            top - d1 - d2)) * xa * y[c1 * w + c2]
+            rows.append(row)
+    return PolyMatrix._labelled((f1 * f2) ** 2 << top, rows, labels, labels)
 
 
-def _product_offsets(n1: int, n2: int) -> tuple[tuple[int, int], ...]:
-    """Row labels (-(c1 + c2), 1) of the product basis, the gauge of the
-    rational cores R and Q: h-offset minus the summed positions, no
-    radical."""
-    return tuple((-(c1 + c2), 1) for c1 in range(n1 + 1) for c2 in range(n2 + 1))
-
-
-def _racah_core(n1: int, n2: int) -> PolyMatrix:
-    """C = (D1 (x) D2) Q D_c of a pair (n = 2j per slot).  Q at (n1 n2; j m)
-    is, for m1 + m2 = m, the single sum over z of (-1)^z divided by
-    z! (j1+j2-j-z)! (j1-m1-z)! (j2+m2-z)! (j-j2+m1+z)! (j-j1-m2+z)!;
-    D_c(j, m) = sqrt((2j+1) Delta(j1 j2 j)) d_j(m), one scale per coupled
-    spin times the spin-j gauge d_j of _slot_gauges."""
+@lru_cache(maxsize=None)
+def _cgc_cached(j1: HalfInt, j2: HalfInt) -> PolyMatrix:
+    """C = (D1 (x) D2) Q D_c of a pair, memoized apart from K.  Q is the
+    sum over z of (-1)^z / (z! (j1+j2-j-z)! (j1-m1-z)! (j2+m2-z)!
+    (j-j2+m1+z)! (j-j1-m2+z)!) where m1 + m2 = m.  For the scale
+    r sqrt(sigma) of spin j, D_c(j, m) = e sqrt(q) with e rational and the
+    column label q = sqfree(sigma p_j(m)): C = u(i) Q e q sqrt(P_i / q)."""
+    n1, n2 = dim_of(j1) - 1, dim_of(j2) - 1
     f, w = factorial, n2 + 1
-    sums, dc, labels = {}, [], []
+    labels, u = zip(*_product_gauges(n1, n2))
+    sums, cols, scales = {}, [], []
     for t in range(n1 + n2, abs(n1 - n2) - 1, -2):  # t = 2j
         # j1+j2-j, j1-j2+j, -j1+j2+j
         tri = ((n1 + n2 - t) // 2, (n1 - n2 + t) // 2, (n2 - n1 + t) // 2)
-        scale = sqrt_factorial_ratio(fact_num=tri,
-                                     fact_den=((n1 + n2 + t) // 2 + 1,),
-                                     int_num=(t + 1,))
-        for c, d in enumerate(_slot_gauges(t)[2]):  # c = j - m
-            col = len(dc)
-            dc.append(scale * d)
-            labels.append((-(c + tri[0]), 1))  # Q's label of column (j, m)
+        r, sigma = sqrt_factorial_ratio(fact_num=tri,
+                                        fact_den=((n1 + n2 + t) // 2 + 1,),
+                                        int_num=(t + 1,)).single_term()
+        for c, (p, s) in enumerate(_slot_gauges(t)):  # c = j - m
+            col, g = len(cols), gcd(sigma, p)
+            cols.append((-(c + tri[0]), (sigma // g) * (p // g)))
+            scales.append(r * (s * g * cols[-1][1]))
             for c1 in range(n1 + 1):
                 c2 = c - c1 + tri[0]  # from m1 + m2 = m
                 if not 0 <= c2 <= n2:
                     continue
                 # j1-m1 = c1, j2+m2 = n2-c2, j-j2+m1 = e1, j-j1-m2 = e2
                 e1, e2 = tri[1] - c1, c2 - tri[0]
-                zs = range(max(0, -e1, -e2), min(tri[0], c1, n2 - c2) + 1)
-                dens = [f(z) * f(tri[0] - z) * f(c1 - z) * f(n2 - c2 - z)
-                        * f(e1 + z) * f(e2 + z) for z in zs]
-                den = lcm(*dens)
-                sums[c1 * w + c2, col] = den, sum(
-                    -(den // d) if z % 2 else den // d
-                    for z, d in zip(zs, dens))
-    den = lcm(*(d for d, _ in sums.values()))
-    q = PolyMatrix._monomials((n1 + 1) * w, len(dc), den, {
-        key: (0, v * (den // d)) for key, (d, v) in sums.items()},
-        _product_offsets(n1, n2))
-    d1, d2 = (PolyMatrix.diagonal(_slot_gauges(n)[2]) for n in (n1, n2))
-    return kron(d1, d2) @ q @ PolyMatrix.diagonal(dc, start=labels)
+                sums[c1 * w + c2, col] = [
+                    (-1 if z % 2 else 1, f(z) * f(tri[0] - z) * f(c1 - z)
+                     * f(n2 - c2 - z) * f(e1 + z) * f(e2 + z))
+                    for z in range(max(0, -e1, -e2), min(tri[0], c1, n2 - c2) + 1)]
+    den = lcm(*(d for terms in sums.values() for _, d in terms))
+    big = lcm(*(x.denominator for x in scales))
+    e = [x.numerator * (big // x.denominator) for x in scales]
+    rows = [{} for _ in labels]
+    for (i, col), terms in sums.items():
+        if v := sum(s * (den // d) for s, d in terms):
+            rows[i][col] = v * u[i] * e[col]
+    return PolyMatrix._labelled(den * big, rows, labels, cols)
 
 
 def alpha_coeff(j1, j2, k1, k2, m1, m2) -> HPoly:

@@ -19,10 +19,11 @@ matrix reaches them: from entries, a slice or a reversal.
 The bases are a certificate, not an assumption: ``_fit`` checks every
 entry against offered bases in one pass, and the public constructor offers
 the labels ``_derived`` finds over the nonzero pattern, each component
-starting from the spin (rows-1)/2 ladder gauge (-i, sqfree(i! (rows-1-i)!))
-or from row labels the construction offers.  A matrix built by the caller
-with an entry of two or more terms, or that no labels fit, keeps term
-storage: for each row, a tuple of ``(col, terms)`` pairs in column order,
+starting from the spin (rows-1)/2 ladder gauge (-i, sqfree(i! (rows-1-i)!));
+a construction that knows its labels (the coupling matrices) builds graded
+storage from int rows and raw labels (``_labelled``).  A matrix built by
+the caller with an entry of two or more terms, or that no labels fit, keeps
+term storage: for each row, a tuple of ``(col, terms)`` pairs in column order,
 ``terms`` a sorted tuple of ``(h-power, radicand, numerator)`` triples with
 squarefree radicands over one ``den``.  ``den`` and ``data`` are that
 canonical form for either storage, built on first read for a graded
@@ -263,20 +264,19 @@ def _fit(den, data, rb, cb):
     return _graded(den * (rad or 1), rows, rb, cb, shift or 0, rad or 1)
 
 
-def _derived(nrows, ncols, data, start):
+def _derived(nrows, ncols, data):
     """Row and column labels for term storage, propagated breadth first
     over the nonzero pattern from the first term of each entry: h-power
     a_i - b_c and radicand sqfree(p_i q_c).  The first row i of a component
-    is labelled start[i], by default the spin (nrows-1)/2 gauge; an empty
-    row takes start[i] too, and an empty column the spin (ncols-1)/2 gauge
-    moved as far as the first labelled column is.  _fit checks them."""
+    is labelled with the spin (nrows-1)/2 gauge; an empty row takes it
+    too, and an empty column the spin (ncols-1)/2 gauge moved as far as
+    the first labelled column is.  _fit checks them."""
     cells = [{c: terms[0] for c, terms in row} for row in data]
     at_col = [[] for _ in range(ncols)]
     for i, row in enumerate(cells):
         for c in row:
             at_col[c].append(i)
-    start = start or _natural(nrows)
-    rl, cl = [None] * nrows, [None] * ncols
+    start, rl, cl = _natural(nrows), [None] * nrows, [None] * ncols
     for first, row in enumerate(cells):
         if row and rl[first] is None:
             rl[first], todo = start[first], [first]
@@ -298,10 +298,9 @@ def _derived(nrows, ncols, data, start):
             [lab or (x + d, _sf(y, r)) for lab, (x, y) in zip(cl, natural)])
 
 
-def _certify(nrows, ncols, den, data, start=None):
-    """Graded storage of term storage in the bases of the labels _derived
-    finds (from the row labels start, if given), or None."""
-    rl, cl = _derived(nrows, ncols, data, start)
+def _certify(nrows, ncols, den, data):
+    """Graded storage of term storage in the bases _derived finds, or None."""
+    rl, cl = _derived(nrows, ncols, data)
     return _fit(den, data, _basis(rl), _basis(cl))
 
 
@@ -559,13 +558,19 @@ class PolyMatrix:
         init(self, "_view", view if view is not None else _View())
 
     @classmethod
-    def _of(cls, rows, cols, den, data, row_weights, col_weights, start=None):
-        """Wrap term storage that is already minimal, graded when it
-        certifies (from the row labels start, if given, as in _certify)."""
+    def _of(cls, rows, cols, den, data, row_weights, col_weights):
+        """Wrap minimal term storage, graded when it certifies."""
         self = object.__new__(cls)
-        self._set(rows, cols, _certify(rows, cols, den, data, start),
+        self._set(rows, cols, _certify(rows, cols, den, data),
                   (den, data), row_weights, col_weights)
         return self
+
+    @classmethod
+    def _labelled(cls, den, rows, rl, cl, shift=0, rad=1):
+        """Graded storage of int rows over den with the raw labels rl, cl
+        and the constant (shift, rad), as in _on; no certificate."""
+        return cls._wrap(len(rl), len(cl), _on(den, rows, rl, cl, shift, rad),
+                         None, None)
 
     @classmethod
     def _wrap(cls, rows, cols, graded, row_weights, col_weights):
@@ -616,27 +621,14 @@ class PolyMatrix:
         return self
 
     @classmethod
-    def _monomials(cls, rows, cols, den, entries, start=None):
-        """The matrix with entry (i, k) = v/den * h**p for each
-        ((i, k), (p, v)) of the dict entries, v an int; rational entries
-        built straight into minimal storage, no HPoly per entry.  start
-        offers the certificate row labels, as in _certify."""
-        data = [[] for _ in range(rows)]
-        for (i, k), (p, v) in sorted(entries.items()):
-            if v:
-                data[i].append((k, ((p, 1, v),)))
-        return cls._of(rows, cols, *_minimal(den, tuple(map(tuple, data))),
-                       None, None, start=start)
-
-    @classmethod
-    def diagonal(cls, values, weights=None, start=None):
-        """diag(values); start offers row labels, as in _certify."""
+    def diagonal(cls, values, weights=None):
+        """diag(values)."""
         n = len(values)
         den, (row,) = _flatten([_coerce_row(values)])
         data = [()] * n
         for i, terms in row:
             data[i] = ((i, terms),)
-        return cls._of(n, n, den, tuple(data), weights, weights, start=start)
+        return cls._of(n, n, den, tuple(data), weights, weights)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -40,7 +40,7 @@ from .irreps import (GenMatrices, Generator, antipode_matrix, coproduct_terms,
 from .polymatrix import (PolyMatrix, _bases, _msum, _rebased, kron,
                          unipotent_inverse)
 from .radical import RadScalar, sqrt_factorial_ratio
-from .report import Check, Report, zero_check
+from .report import Check, Report, residual_checks, zero_check
 
 
 @dataclass(frozen=True)
@@ -409,37 +409,39 @@ def _factorial_ratio(j: HalfInt, m: HalfInt, n: int, k: int) -> RadScalar:
         fact_den=((j + m).as_int(), (j - m).as_int() - n - 1 + k))
 
 
-def _action_columns(jt: HalfInt, m: HalfInt, ups, lead: RadScalar,
-                    mid: RadScalar) -> tuple[PolyMatrix, PolyMatrix]:
-    """(t[+1/2]|j m>, t[-1/2]|j m>) as columns over spin jt, where
-    t[+1/2]|j m> = sum_n ups[n] (h/2)^n |jt m+1/2+n> and t[-1/2]|j m> =
-    lead |jt m-1/2> + mid h |jt m+1/2> + (h/2) (the n >= 1 terms of
-    t[+1/2]|j m>).  Zero coefficients are dropped, so they may sit off the
-    ladder."""
+def _action_entries(j: HalfInt, m: HalfInt, raising: bool) -> tuple[list, list]:
+    """The entries over the target spin jt of (t[+1/2]|j m>, t[-1/2]|j m>)
+    of the raising or lowering family, where t[+1/2]|j m> =
+    sum_n ups[n] (h/2)^n |jt m+1/2+n> and t[-1/2]|j m> = lead |jt m-1/2>
+    + mid h |jt m+1/2> + (h/2) (the n >= 1 terms of t[+1/2]|j m>).  Zero
+    coefficients are dropped, so they may sit off the ladder."""
+    jm, jp = (j - m).as_int(), (j + m).as_int()
+    if raising:
+        jt, lead = j + half(1, 2), RadScalar.sqrt(jm + 1)
+        ups = [_factorial_ratio(j, m, n, 1) for n in range(jm + 1)]
+        mid = RadScalar.sqrt(jp + 1) * Fraction(-jp, 2)
+    else:
+        jt, lead = j - half(1, 2), RadScalar.sqrt(jp)
+        ups = [-_factorial_ratio(j, m, n, 0) for n in range(jm)]
+        mid = RadScalar.sqrt(jm) * Fraction(-(jm + 1), 2)
     up = [(m + half(1, 2) + n, HPoly.h(n, c * Fraction(1, 2**n)))
           for n, c in enumerate(ups)]
     dn = [(m - half(1, 2), HPoly.constant(lead)),
           (m + half(1, 2), HPoly.h(1, mid))]
     dn += [(mt, c * HPoly.h(1, Fraction(1, 2))) for mt, c in up[1:]]
-    columns = []
-    for terms in (up, dn):
-        rows = [[HPoly.zero()] for _ in range(dim_of(jt))]
+    columns = ([HPoly.zero()] * dim_of(jt), [HPoly.zero()] * dim_of(jt))
+    for column, terms in zip(columns, (up, dn)):
         for mt, coeff in terms:
             if coeff:
-                rows[weight_index(jt, mt)][0] += coeff
-        columns.append(PolyMatrix(rows))
-    return tuple(columns)
+                column[weight_index(jt, mt)] += coeff
+    return columns
 
 
 def boson_raising_action(j, m) -> tuple[PolyMatrix, PolyMatrix]:
     """Closed-form action of the raising family on |j m>, as target columns
     (t[+1/2]|j m>, t[-1/2]|j m>)."""
-    j, m = as_half(j), as_half(m)
-    return _action_columns(
-        j + half(1, 2), m,
-        [_factorial_ratio(j, m, n, 1) for n in range((j - m).as_int() + 1)],
-        RadScalar.sqrt((j - m).as_int() + 1),
-        RadScalar.sqrt((j + m).as_int() + 1) * Fraction(-(j + m).as_int(), 2))
+    return tuple(PolyMatrix([[p] for p in column])
+                 for column in _action_entries(as_half(j), as_half(m), True))
 
 
 def boson_lowering_action(j, m) -> tuple[PolyMatrix, PolyMatrix]:
@@ -450,12 +452,8 @@ def boson_lowering_action(j, m) -> tuple[PolyMatrix, PolyMatrix]:
     m-1/2 term carries sqrt(j+m), the single h-linear term carries
     -(h/2) sqrt(j-m) (j-m+1), and the tail repeats the t[+1/2] pattern.
     """
-    j, m = as_half(j), as_half(m)
-    return _action_columns(
-        j - half(1, 2), m,
-        [-_factorial_ratio(j, m, n, 0) for n in range((j - m).as_int())],
-        RadScalar.sqrt((j + m).as_int()),
-        RadScalar.sqrt((j - m).as_int()) * Fraction(-((j - m).as_int() + 1), 2))
+    return tuple(PolyMatrix([[p] for p in column])
+                 for column in _action_entries(as_half(j), as_half(m), False))
 
 
 def verify_boson_action(j) -> Report:
@@ -468,18 +466,19 @@ def verify_boson_action(j) -> Report:
     """
     j = as_half(j)
     report = Report(f"boson action formulas at spin {j}")
-    families = [("raising", boson_raising_family, boson_raising_action, "")]
+    families = [("raising", boson_raising_family, True, "")]
     if j.twice >= 1:
-        families.append(("lowering", boson_lowering_family,
-                         boson_lowering_action, " (derived form)"))
-    for name, family, action, form in families:
-        t_up, t_dn = family(j).components
-        for col, m in enumerate(weight_range(j)):
-            want_up, want_dn = action(j, m)
-            report.add(zero_check(f"{name} t[+1/2] on |{j} {m}>",
-                                  t_up.column(col) - want_up))
-            report.add(zero_check(f"{name} t[-1/2] on |{j} {m}>{form}",
-                                  t_dn.column(col) - want_dn))
+        families.append(("lowering", boson_lowering_family, False,
+                         " (derived form)"))
+    cells = [(m,) for m in weight_range(j)]
+    for name, family, raising, form in families:
+        # each component's closed-form action on every |j m>, as one matrix
+        columns = [_action_entries(j, m, raising) for m in weight_range(j)]
+        sides = [(t, PolyMatrix(list(zip(*(c[s] for c in columns)))),
+                  PolyMatrix.column) for s, t in enumerate(family(j).components)]
+        report.extend(residual_checks(
+            sides, (f"{name} t[+1/2] on |{j} {{0}}>",
+                    f"{name} t[-1/2] on |{j} {{0}}>{form}"), cells))
     if j.twice < 1:
         return report
     jt = j - half(1, 2)
@@ -516,8 +515,14 @@ def fermion_wigner_families() -> tuple[TensorOpFamily, TensorOpFamily]:
 
 
 def identity_family(j) -> TensorOpFamily:
-    """The rank-0 family whose single component is the identity operator."""
-    g = irrep(as_half(j)).gens()
+    """The rank-0 family whose single component is the identity operator.
+    Memoized per spin; the family is immutable."""
+    return _identity_cached(as_half(j))
+
+
+@lru_cache(maxsize=None)
+def _identity_cached(j: HalfInt) -> TensorOpFamily:
+    g = irrep(j).gens()
     return TensorOpFamily(
         rank=half(0),
         components=(PolyMatrix.identity(g.dim, g.weights),),

@@ -1,11 +1,14 @@
 """Differential oracle for the coupling core: the defining formulas.
 
-The library builds the alpha table as K = G^-1 R G in integer positions
-and reads every coupling quantity off the matrices K, B = P K^T P and C
-(the classical CGCs).  ``alpha_entry`` computes one alpha coefficient from
-its per-entry formula in half-integer labels and ``racah_cgc`` one
-classical CGC from the Racah single sum; the other functions compute the
-same quantities the long way, as the sums that define them, reading only
+The library builds the alpha table K = G^-1 R G and the classical CGCs
+C = (D1 (x) D2) Q D_c straight into graded storage, in integer positions:
+the gauges' squarefree radicals go into the basis labels and the rest into
+integer numerators, with no gauge matrix and no product.  It reads every
+coupling quantity off K, B = P K^T P and C.  ``alpha_entry`` computes one
+alpha coefficient from its per-entry formula in half-integer labels and
+``racah_cgc`` one classical CGC from the Racah single sum, each with its
+radical from sqrt_factorial_ratio; the other functions compute the same
+quantities the long way, as the sums that define them, reading only
 ``alpha_table(...).value`` and ``racah_cgc``.  Tests compare the two.
 """
 

@@ -2,13 +2,18 @@
 
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import matrix_oracle as oracle
+from conftest import examples
 from alpha_oracle import (alpha_entry, orthogonality_sum, racah_cgc,
                           uh_cgc_bra_sum, uh_cgc_sum)
-from jordanian import coupling
+from jordanian import coupling, polymatrix
 from jordanian.coupling import (alpha_coeff, alpha_table, cgc_matrix,
                                 coupled_basis, coupled_bra, coupled_labels,
                                 coupled_ladder, coupled_spins, decompose,
@@ -21,7 +26,7 @@ from jordanian.coupling import (alpha_coeff, alpha_table, cgc_matrix,
 from jordanian.halfint import HalfInt, dim_of, half, weight_range
 from jordanian.hpoly import HPoly
 from jordanian.irreps import coproduct_gens, irrep
-from jordanian.polymatrix import PolyMatrix
+from jordanian.polymatrix import PolyMatrix, _bases
 from jordanian.radical import RadScalar, falling_binomial, sqrt_factorial_ratio
 from jordanian.tensorops import boson_raising_family
 from jordanian.wigner import reduced_matrix_element
@@ -505,6 +510,43 @@ def test_coupling_matrices_keep_their_storage():
 def test_cgc_matrix_is_the_memoized_c():
     for j1, j2 in ((H12, H12), (half(1), H12), (half(3, 2), half(1))):
         assert cgc_matrix(j1, j2) is alpha_table(j1, j2).cgc
+
+
+@lru_cache(maxsize=None)
+def _oracle_tables(t1, t2):
+    """K, B, C and C^T of a pair (doubled spins) entry by entry from the
+    defining formulas: alpha[k; m] at (k, m) of K and alpha[-k; -m] at
+    (m, k) of B, and the Racah sum at (n, (j, m)) of C."""
+    j1, j2 = HalfInt.from_twice(t1), HalfInt.from_twice(t2)
+    labels = product_labels(j1, j2)
+    alpha = {(k, m): alpha_entry(j1, j2, *k, *m) for k in labels for m in labels}
+    cgc = [[racah_cgc(j1, j2, j, n1, n2) if n1 + n2 == m else 0
+            for j, m in coupled_labels(j1, j2)] for n1, n2 in labels]
+    return (PolyMatrix([[alpha[k, m] for m in labels] for k in labels]),
+            PolyMatrix([[alpha[(-k1, -k2), (-m1, -m2)] for k1, k2 in labels]
+                        for m1, m2 in labels]),
+            PolyMatrix(cgc), PolyMatrix(list(zip(*cgc))))
+
+
+def _refuse_entrywise(*args):
+    raise AssertionError("a coupling product left the graded kernel")
+
+
+@examples(10)
+@given(st.integers(0, 9), st.integers(0, 9))
+def test_direct_builds_match_the_per_entry_oracles(t1, t2):
+    # Doubled spins up to 9, past the fingerprints' 7/2: K, B, C and C^T
+    # equal the per-entry formulas, K's columns and C's rows share one
+    # interned basis, as do C^T's columns and B's rows, and both coupled
+    # products stay on the graded kernel.
+    table = alpha_table(HalfInt.from_twice(t1), HalfInt.from_twice(t2))
+    ct = table.cgc_transpose
+    assert (table.ket, table.bra, table.cgc, ct) == _oracle_tables(t1, t2)
+    assert _bases(table.ket)[1] is _bases(table.cgc)[0] is not None
+    assert _bases(ct)[1] is _bases(table.bra)[0] is not None
+    with patch.object(polymatrix, "_entrywise", _refuse_entrywise):
+        assert table.ket @ table.cgc == table.coupled
+        assert ct @ table.bra == table.coupled_bras
 
 
 # -- coupled modules -----------------------------------------------------------

@@ -72,12 +72,17 @@ pm.PolyMatrix._set = counting_set
 print(json.dumps({"counts": counts, "origins": sorted(origins)}))
 """
 
-# The certificate refuses every matrix; no graded storage may appear.
+# The certificate refuses every matrix; no graded storage may appear.  The
+# constructions that build graded storage straight from their labels
+# (PolyMatrix._labelled) hand the same values to _of instead, as term
+# storage.
 REFUSE = """
 import sys
 import jordanian.polymatrix as pm
 from jordanian import cli
 pm._certify = lambda *args: None
+pm.PolyMatrix._labelled = classmethod(lambda cls, den, rows, rl, cl, shift=0, rad=1: cls._of(
+    len(rl), len(cl), *pm._graded_terms(pm._on(den, rows, rl, cl, shift, rad)), None, None))
 wrapped = pm.PolyMatrix._set
 def term_only_set(self, rows, cols, graded, terms, *rest):
     assert graded is None, "graded storage without the certificate"

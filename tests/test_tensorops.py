@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from jordanian import tensorops
 from jordanian.halfint import HalfInt, dim_of, half, weight_index, weight_range
 from jordanian.hpoly import HPoly
 from jordanian.irreps import (GenMatrices, Generator, irrep, ladder_factor,
@@ -307,6 +308,43 @@ def test_boson_action_notes_quote_derived_coefficients():
     assert any("* 3, not * 1" in n for n in notes)
 
 
+def _bumped(build, comp, i, k, value):
+    """build with entry (i, k) of component comp raised by value."""
+    def family(j):
+        fam = build(j)
+        t = fam.components[comp]
+        rows = [list(row) for row in t.entries]
+        rows[i][k] += value
+        comps = list(fam.components)
+        comps[comp] = PolyMatrix(rows, t.row_weights, t.col_weights)
+        return TensorOpFamily(fam.rank, tuple(comps), fam.ctx)
+    return family
+
+
+# The failing checks of verify_boson_action(3/2) with entry (2, 1) of the
+# raising t[-1/2] raised by h and entry (0, 3) of the lowering t[+1/2] by
+# 2, as the formulation that subtracted one column at a time reported them.
+BUMPED_FAILURES = [
+    ("raising t[-1/2] on |3/2 1/2>",
+     "residual degree 1; 1 of 5 entries nonzero; first (2,0) = (1)*h"),
+    ("lowering t[+1/2] on |3/2 -3/2>",
+     "residual degree 0; 1 of 3 entries nonzero; first (0,0) = (2)"),
+]
+
+
+def test_boson_action_reports_a_bumped_entry_column_by_column(monkeypatch):
+    clean = verify_boson_action(half(3, 2))
+    monkeypatch.setattr(tensorops, "boson_raising_family",
+                        _bumped(boson_raising_family, 1, 2, 1, H))
+    monkeypatch.setattr(tensorops, "boson_lowering_family",
+                        _bumped(boson_lowering_family, 0, 0, 3, HPoly.constant(2)))
+    report = verify_boson_action(half(3, 2))
+    assert [(c.name, c.detail) for c in report.failures()] == BUMPED_FAILURES
+    assert [c.name for c in report.checks] == [c.name for c in clean.checks]
+    assert report.counts() == {"pass": 14, "fail": 2, "skip": 0}
+    assert report.notes == clean.notes
+
+
 def test_raising_action_matches_ladder_product_oracle():
     # Independent recomputation of t[+1/2]|j m>: expanding the unipotent
     # inverse as a geometric series gives coefficient
@@ -473,7 +511,7 @@ def _fingerprints(fam):
 
 
 @pytest.mark.parametrize("build", [boson_raising_family, boson_lowering_family,
-                                   rank1_generators],
+                                   rank1_generators, identity_family],
                          ids=lambda f: f.__name__)
 def test_memoized_families_are_shared_and_read_only(build):
     fam = build(1)

@@ -219,7 +219,8 @@ def wigner_suite_builds(monkeypatch, capsys):
                          (coupling, "_cgc_cached"),
                          (tensorops, "_boson_raising_cached"),
                          (tensorops, "_boson_lowering_cached"),
-                         (tensorops, "_rank1_cached")):
+                         (tensorops, "_rank1_cached"),
+                         (tensorops, "_identity_cached")):
         monkeypatch.setattr(module, name, functools.lru_cache(maxsize=None)(
             getattr(module, name).__wrapped__))
     builds = {"dual": []}
