@@ -125,8 +125,8 @@ class AlphaTable:
     @property
     def cgc_transpose(self) -> PolyMatrix:
         """C^T in the bases of C, swapped: every entry of C is h^0, so the
-        transpose's numerators hold there with the shift negated (a C in
-        term storage is transposed entrywise).  Formed on each read."""
+        transpose's numerators hold there with the shift negated (a C that
+        is not graded is transposed entrywise).  Formed on each read."""
         t = self.cgc.transpose()
         g = t._g
         return t if g is None else PolyMatrix._labelled(

@@ -21,42 +21,41 @@ entry against offered bases in one pass, and the public constructor offers
 the labels ``_derived`` finds over the nonzero pattern, each component
 starting from the spin (rows-1)/2 ladder gauge (-i, sqfree(i! (rows-1-i)!));
 a construction that knows its labels (the coupling matrices) builds graded
-storage from int rows and raw labels (``_labelled``).  A matrix built by
-the caller with an entry of two or more terms, or that no labels fit, keeps
-term storage: for each row, a tuple of ``(col, terms)`` pairs in column order,
-``terms`` a sorted tuple of ``(h-power, radicand, numerator)`` triples with
-squarefree radicands over one ``den``.  ``den`` and ``data`` are that
-canonical form for either storage, built on first read for a graded
-matrix, with ``den`` minimal, so equal matrices have equal ``den`` and
-``data``: ``hash`` and pickling read them, and so does ``==`` unless both
-operands are graded in the same bases.  A graded denominator is kept
-minimal too, so ``==`` between graded storages in the same bases and
-constant is plain equality of ``den`` and rows.
+storage from int rows and raw labels (``_labelled``).  Every other
+construction reads its entries through one reader, ``_monomials``: each
+nonzero entry as (h-power, squarefree radicand, numerator) over one int
+denominator, or a refusal when an entry has two or more terms.  So there
+are two storages: a matrix built by the caller with such an entry, or that
+no labels fit, keeps only its HPoly entries.  A graded denominator is kept
+minimal, so ``==`` between graded storages in the same bases and constant
+is plain equality of ``den`` and rows; any other ``==``, ``hash`` and
+pickling read the entries, which are canonical.
 
 Arithmetic.  On graded operands ``@`` (the left column basis is the right
 row basis; constants add), ``+``, ``-`` (the same bases and constant),
 ``kron`` (bases compose, kept per pair of bases), scalar ``*`` and ``/`` by
 one monomial (the constant moves), ``transpose`` (the dual bases, offsets
 negated), slices and ``divide_h`` do integer work only, a slice moving the
-gauge of its first labels into the constant.  Anything else (an operand in
-term storage, graded bases or constants that differ, a scalar of two or
-more terms, a power of h that does not divide) goes through one entrywise
-fallback, ``_entrywise``: HPoly arithmetic entry by entry, as
+gauge of its first labels into the constant.  Anything else (an operand
+that is not graded, graded bases or constants that differ, a scalar of two
+or more terms, a power of h that does not divide) goes through one
+entrywise fallback, ``_entrywise``: HPoly arithmetic entry by entry, as
 tests/matrix_oracle.py computes, with the result certified again by the
 public constructor.  No construction of the library reaches it, so its
 speed does not matter.  A sum with an all-zero operand returns the other.
 
 ``HPoly`` is the boundary type.  The public constructor reads HPoly entries
 (or anything ``as_hpoly`` accepts) once.  ``entries`` reads a tuple of
-tuples of canonical ``HPoly``, built on first read and then kept on the
-instance's view; matrices that share storage share the view.  ``entry()``
-of a graded matrix reads its one entry from the storage without building
-the view, so reading a coefficient of a memoized matrix builds no slice
-and no view.  A graded entry is one shared ``HPoly`` per monomial value per
-process (``_gentry`` interns it), so ``entry()``, ``entries``, slices and
-requests all read the same object, and its str() and JSON texts are formed
-once.  The view keeps the matrix's texts too, each formed once: its str()
-and the JSON text of its entries that the CLI writes.
+tuples of canonical ``HPoly``: the entries themselves for a matrix that is
+not graded, and for graded storage built on first read and then kept on
+the instance's view; matrices that share storage share the view.
+``entry()`` of a graded matrix reads its one entry from the storage without
+building the view, so reading a coefficient of a memoized matrix builds no
+slice and no view.  A graded entry is one shared ``HPoly`` per monomial
+value per process (``_gentry`` interns it), so ``entry()``, ``entries``,
+slices and requests all read the same object, and its str() and JSON texts
+are formed once.  The view keeps the matrix's texts too, each formed once:
+its str() and the JSON text of its entries that the CLI writes.
 """
 
 from __future__ import annotations
@@ -85,57 +84,32 @@ def _coerce_row(row):
     return tuple(out)
 
 
-# -- term storage ---------------------------------------------------------------
+# -- the reader ----------------------------------------------------------------
 
 _ZERO = HPoly.zero()
 _RAD_ZERO = RadScalar.zero()
 
 
-def _flatten(entries):
-    """(den, data) of rows of HPoly entries, den their least common
-    denominator (which is minimal)."""
-    den = 1
+def _monomials(entries):
+    """(den, rows) of rows of HPoly entries: per row a dict {col: (k, n, num)}
+    of its nonzero entries num/den * sqrt(n) * h**k in column order, den
+    their least common denominator (which is minimal); None when an entry
+    has two or more terms."""
+    den, rows = 1, []
     for row in entries:
-        for p in row:
-            for r in p.coeffs:
-                for q in r.terms.values():
-                    if q.denominator != 1:
-                        den = lcm(den, q.denominator)
-    return den, tuple(
-        tuple((c, tuple(sorted((k, n, q.numerator * (den // q.denominator))
-                               for k, r in enumerate(p.coeffs)
-                               for n, q in r.terms.items())))
-              for c, p in enumerate(row) if p.coeffs)
-        for row in entries)
-
-
-def _hpoly(terms, den):
-    """The canonical HPoly of one stored entry."""
-    powers = {}
-    for k, n, v in terms:
-        t = powers.get(k)
-        if t is None:
-            powers[k] = t = {}
-        t[n] = Fraction(v, den)
-    coeffs = [_RAD_ZERO] * (terms[-1][0] + 1)
-    for k, t in powers.items():
-        coeffs[k] = RadScalar._canonical(t)
-    return HPoly._canonical(tuple(coeffs))
-
-
-def _minimal(den, data):
-    """(den, data) with den divided by its gcd with every numerator."""
-    if den == 1:
-        return den, data
-    g = den
-    for row in data:
-        for _, terms in row:
-            for t in terms:
-                g = gcd(g, t[2])
-                if g == 1:
-                    return den, data
-    return den // g, tuple(tuple((c, tuple((k, n, v // g) for k, n, v in terms))
-                                 for c, terms in row) for row in data)
+        out = {}
+        for c, p in enumerate(row):
+            if p.coeffs:
+                *low, top = p.coeffs
+                if len(top.terms) != 1 or any(low):
+                    return None
+                (n, q), = top.terms.items()
+                out[c] = (len(low), n, q)
+                if q.denominator != 1:
+                    den = lcm(den, q.denominator)
+        rows.append(out)
+    return den, [{c: (k, n, q.numerator * (den // q.denominator))
+                  for c, (k, n, q) in row.items()} for row in rows]
 
 
 # -- bases ----------------------------------------------------------------------
@@ -217,14 +191,13 @@ def _kron_bases(left, right):
 
 class _Graded:
     """Int rows {col: numerator} over den in the bases rb and cb with the
-    constant (shift, rad), as in the module docstring; the term storage is
-    built on first use."""
+    constant (shift, rad), as in the module docstring."""
 
-    __slots__ = ("den", "rows", "rb", "cb", "shift", "rad", "terms")
+    __slots__ = ("den", "rows", "rb", "cb", "shift", "rad")
 
     def __init__(self, den, rows, rb, cb, shift, rad):
         self.den, self.rows, self.rb, self.cb = den, rows, rb, cb
-        self.shift, self.rad, self.terms = shift, rad, None
+        self.shift, self.rad = shift, rad
 
 
 def _graded(den, rows, rb, cb, shift, rad):
@@ -237,20 +210,17 @@ def _graded(den, rows, rb, cb, shift, rad):
     return _Graded(den, tuple(rows), rb, cb, shift, rad)
 
 
-def _fit(den, data, rb, cb):
-    """Graded storage of term storage in the bases rb and cb, or None when
-    an entry has two terms or no one constant fits them all: one pass.
-    v sqrt(n) = V/rad sqrt(p rad / q), V = v q/y rad/g for g = gcd(p, rad)
-    and y = gcd(sqfree(p rad), q)."""
+def _fit(den, cells, rb, cb):
+    """Graded storage of the monomial rows (den, cells) that _monomials
+    reads in the bases rb and cb, or None when no one constant fits them
+    all: one pass.  v sqrt(n) = V/rad sqrt(p rad / q), V = v q/y rad/g for
+    g = gcd(p, rad) and y = gcd(sqfree(p rad), q)."""
     cl = cb.labels
     shift = rad = None
     rows = []
-    for (a, p), row in zip(rb.labels, data):
+    for (a, p), row in zip(rb.labels, cells):
         out = {}
-        for c, terms in row:
-            if len(terms) != 1:
-                return None
-            (k, n, v), = terms
+        for c, (k, n, v) in row.items():
             b, q = cl[c]
             if shift is None:
                 shift, rad = k - a + b, _sf(_sf(n, p), q)
@@ -264,14 +234,13 @@ def _fit(den, data, rb, cb):
     return _graded(den * (rad or 1), rows, rb, cb, shift or 0, rad or 1)
 
 
-def _derived(nrows, ncols, data):
-    """Row and column labels for term storage, propagated breadth first
-    over the nonzero pattern from the first term of each entry: h-power
-    a_i - b_c and radicand sqfree(p_i q_c).  The first row i of a component
-    is labelled with the spin (nrows-1)/2 gauge; an empty row takes it
-    too, and an empty column the spin (ncols-1)/2 gauge moved as far as
-    the first labelled column is.  _fit checks them."""
-    cells = [{c: terms[0] for c, terms in row} for row in data]
+def _derived(nrows, ncols, cells):
+    """Row and column labels for the monomial rows cells, propagated
+    breadth first over the nonzero pattern from each entry (k, n, num):
+    h-power k = a_i - b_c and radicand n = sqfree(p_i q_c).  The first row
+    i of a component is labelled with the spin (nrows-1)/2 gauge; an empty
+    row takes it too, and an empty column the spin (ncols-1)/2 gauge moved
+    as far as the first labelled column is.  _fit checks them."""
     at_col = [[] for _ in range(ncols)]
     for i, row in enumerate(cells):
         for c in row:
@@ -298,33 +267,14 @@ def _derived(nrows, ncols, data):
             [lab or (x + d, _sf(y, r)) for lab, (x, y) in zip(cl, natural)])
 
 
-def _certify(nrows, ncols, den, data):
-    """Graded storage of term storage in the bases _derived finds, or None."""
-    rl, cl = _derived(nrows, ncols, data)
-    return _fit(den, data, _basis(rl), _basis(cl))
-
-
-def _graded_terms(g):
-    """(den, data): the term storage of graded storage, minimal, built once.
-    V sqrt(p rad / q) h**(a + shift - b) = V s / t sqrt(n) h**k with
-    s = gcd(p, rad), x = sqfree(p rad), y = gcd(x, q), t = q / y and
-    n = sqfree(x q)."""
-    if g.terms is None:
-        cl, rad, big, rows = g.cb.labels, g.rad, 1, []
-        for row, (a, p) in zip(g.rows, g.rb.labels):
-            orow = []
-            if row:
-                s = gcd(p, rad)
-                x, a = (p // s) * (rad // s), a + g.shift
-                for c in sorted(row):
-                    b, q = cl[c]
-                    y = gcd(x, q)
-                    big = lcm(big, q // y)
-                    orow.append((c, a - b, (x // y) * (q // y), row[c] * s, q // y))
-            rows.append(orow)
-        g.terms = _minimal(g.den * big, tuple(tuple(
-            (c, ((k, n, v * (big // t)),)) for c, k, n, v, t in row) for row in rows))
-    return g.terms
+def _certify(ncols, read):
+    """Graded storage of read, the (den, cells) of _monomials, in the bases
+    _derived finds; None when read is None or no labels fit."""
+    if read is None:
+        return None
+    den, cells = read
+    rl, cl = _derived(len(cells), ncols, cells)
+    return _fit(den, cells, _basis(rl), _basis(cl))
 
 
 def _on(den, rows, rl, cl, shift, rad):
@@ -455,13 +405,14 @@ def _bases(m):
 
 
 def _rebased(m, rows, cols):
-    """m in the bases (or raw labels) rows and cols when its canonical form
-    fits them, else m itself (also for term storage or when either is None)."""
+    """m in the bases (or raw labels) rows and cols when the monomials of
+    its entries fit them, else m itself (also when m is not graded or
+    either is None)."""
     g = m._g
     if g is None or rows is None or cols is None:
         return m
     rb, cb = _basis(rows), _basis(cols)
-    if g.rb is rb and g.cb is cb or (g := _fit(m.den, m.data, rb, cb)) is None:
+    if g.rb is rb and g.cb is cb or (g := _fit(*_monomials(m.entries), rb, cb)) is None:
         return m
     return PolyMatrix._wrap(m.rows, m.cols, g, m.row_weights, m.col_weights)
 
@@ -492,16 +443,15 @@ def _gentry(k, n, num, den):
 
 
 @lru_cache(maxsize=None)
-def _unit_storage(n):
-    """(graded or None, term storage) of the n x n identity, certified once."""
-    one = ((0, 1, 1),)
-    data = tuple(((i, one),) for i in range(n))
-    return _certify(n, n, 1, data), (1, data)
+def _unit(n):
+    """The n x n identity without weights, certified once."""
+    return PolyMatrix._cells(n, 1, [{i: (0, 1, 1)} for i in range(n)], None, None)
 
 
 class _View:
-    """The HPoly entries of one storage and its texts, each built on first
-    read and written once; matrices that share the storage share them.
+    """The HPoly entries of one storage and its texts, each written once:
+    the entries given to a matrix that is not graded, else built on first
+    read; matrices that share the storage share them.
     text is the str() of the matrix, json an (indent, text) pair: the JSON
     text of its entries that cli writes, with the indent it was formed at.
     The texts stay unset until formed (read them with a getattr default),
@@ -509,8 +459,8 @@ class _View:
 
     __slots__ = ("rows", "text", "json")
 
-    def __init__(self):
-        object.__setattr__(self, "rows", None)
+    def __init__(self, rows=None):
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PolyMatrix views are read-only: cannot set {name!r}")
@@ -526,20 +476,18 @@ class PolyMatrix:
     frozen once set.
     """
 
-    __slots__ = ("rows", "cols", "row_weights", "col_weights", "_g", "_t",
-                 "_view")
+    __slots__ = ("rows", "cols", "row_weights", "col_weights", "_g", "_view")
 
     def __init__(self, rows_data, row_weights=None, col_weights=None):
         entries = tuple(_coerce_row(r) for r in rows_data)
         cols = len(entries[0]) if entries else 0
         if any(len(r) != cols for r in entries):
             raise ShapeError("ragged rows")
-        den, data = _flatten(entries)
-        self._set(len(entries), cols, _certify(len(entries), cols, den, data),
-                  (den, data), row_weights, col_weights)
+        graded = _certify(cols, _monomials(entries))
+        self._set(len(entries), cols, graded, row_weights, col_weights,
+                  _View(None if graded is not None else entries))
 
-    def _set(self, rows, cols, graded, terms, row_weights, col_weights,
-             view=None):
+    def _set(self, rows, cols, graded, row_weights, col_weights, view):
         if rows < 1 or cols < 1:
             raise ShapeError("matrices must have at least one row and column")
         if row_weights is not None and len(row_weights) != rows:
@@ -554,16 +502,18 @@ class PolyMatrix:
         init(self, "col_weights",
              tuple(col_weights) if col_weights is not None else None)
         init(self, "_g", graded)
-        init(self, "_t", None if graded is not None else terms)
-        init(self, "_view", view if view is not None else _View())
+        init(self, "_view", view)
 
     @classmethod
-    def _of(cls, rows, cols, den, data, row_weights, col_weights):
-        """Wrap minimal term storage, graded when it certifies."""
-        self = object.__new__(cls)
-        self._set(rows, cols, _certify(rows, cols, den, data),
-                  (den, data), row_weights, col_weights)
-        return self
+    def _cells(cls, cols, den, cells, row_weights, col_weights):
+        """The matrix of the monomial rows (den, cells), as _monomials reads
+        them: graded when they certify, else holding the entries they give."""
+        g = _certify(cols, (den, cells))
+        if g is None:
+            return cls([[_gentry(*row[c], den) if c in row else _ZERO
+                         for c in range(cols)] for row in cells],
+                       row_weights, col_weights)
+        return cls._wrap(len(cells), cols, g, row_weights, col_weights)
 
     @classmethod
     def _labelled(cls, den, rows, rl, cl, shift=0, rad=1):
@@ -576,7 +526,7 @@ class PolyMatrix:
     def _wrap(cls, rows, cols, graded, row_weights, col_weights):
         """Wrap graded storage."""
         self = object.__new__(cls)
-        self._set(rows, cols, graded, None, row_weights, col_weights)
+        self._set(rows, cols, graded, row_weights, col_weights, _View())
         return self
 
     def __setattr__(self, name, value):
@@ -586,49 +536,39 @@ class PolyMatrix:
         raise AttributeError(f"PolyMatrix is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        return PolyMatrix._of, (self.rows, self.cols, self.den, self.data,
-                                self.row_weights, self.col_weights)
+        return PolyMatrix, (self.entries, self.row_weights, self.col_weights)
 
     def _relabeled(self, row_weights, col_weights):
         """This matrix with other weights, sharing storage and view."""
         if row_weights == self.row_weights and col_weights == self.col_weights:
             return self
         other = object.__new__(PolyMatrix)
-        other._set(self.rows, self.cols, self._g, self._t, row_weights,
-                   col_weights, self._view)
+        other._set(self.rows, self.cols, self._g, row_weights, col_weights,
+                   self._view)
         return other
-
-    @property
-    def den(self) -> int:
-        """The common denominator of the term storage."""
-        return (self._t or _graded_terms(self._g))[0]
-
-    @property
-    def data(self) -> tuple:
-        """The term storage: per row, (col, terms) pairs in column order."""
-        return (self._t or _graded_terms(self._g))[1]
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int, row_weights=None, col_weights=None):
-        return cls._of(rows, cols, 1, ((),) * rows, row_weights, col_weights)
+        return cls._cells(cols, 1, [{}] * rows, row_weights, col_weights)
 
     @classmethod
     def identity(cls, n: int, weights=None):
-        self = object.__new__(cls)
-        self._set(n, n, *_unit_storage(n), weights, weights)
-        return self
+        return _unit(n)._relabeled(weights, weights)
 
     @classmethod
     def diagonal(cls, values, weights=None):
         """diag(values)."""
+        values = _coerce_row(values)
         n = len(values)
-        den, (row,) = _flatten([_coerce_row(values)])
-        data = [()] * n
-        for i, terms in row:
-            data[i] = ((i, terms),)
-        return cls._of(n, n, den, tuple(data), weights, weights)
+        read = _monomials((values,))
+        if read is None:
+            return cls([[v if i == k else _ZERO for k in range(n)]
+                        for i, v in enumerate(values)], weights, weights)
+        den, (row,) = read
+        return cls._cells(n, den, [{i: row[i]} if i in row else {} for i in range(n)],
+                          weights, weights)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -640,16 +580,13 @@ class PolyMatrix:
 
     @property
     def entries(self) -> tuple[tuple[HPoly, ...], ...]:
-        """The entries as HPoly, built on first read, graded ones interned."""
+        """The entries as HPoly, graded ones built on first read, interned."""
         view = self._view.rows
         if view is None:
             g, rows = self._g, []
-            for i, row in enumerate(self._t[1] if g is None else g.rows):
+            for i, row in enumerate(g.rows):
                 out = [_ZERO] * self.cols
-                if g is None:
-                    for c, terms in row:
-                        out[c] = _hpoly(terms, self._t[0])
-                elif row:  # as in _graded_terms
+                if row:
                     a, p = g.rb.labels[i]
                     s = gcd(p, g.rad)
                     x, a = (p // s) * (g.rad // s), a + g.shift
@@ -670,7 +607,7 @@ class PolyMatrix:
         view: the same interned object."""
         g = self._g
         if g is None:
-            return self.entries[i][k]
+            return self._view.rows[i][k]
         if not -self.cols <= k < self.cols:
             raise IndexError(f"column {k} out of range for {self.cols} columns")
         v = g.rows[i].get(k % self.cols)
@@ -727,20 +664,21 @@ class PolyMatrix:
     def __mul__(self, scalar):
         """Every entry times the scalar, a monomial moving the constant."""
         if isinstance(scalar, (int, Fraction)):
-            den, st = scalar.denominator, ((0, 1, scalar.numerator),) if scalar else ()
+            read = scalar.denominator, [{0: (0, 1, scalar.numerator)} if scalar else {}]
         else:
             scalar = as_hpoly(scalar)
             if scalar is NotImplemented:
                 return NotImplemented
-            den, (row,) = _flatten(((scalar,),))
-            st = row[0][1] if row else ()
-        if not st:
-            return PolyMatrix.zeros(self.rows, self.cols, self.row_weights,
-                                    self.col_weights)
-        if self._g is not None and len(st) == 1:
-            return PolyMatrix._wrap(self.rows, self.cols,
-                                    _gscale(self._g, *st[0], den),
-                                    self.row_weights, self.col_weights)
+            read = _monomials(((scalar,),))
+        if read is not None:
+            den, (cell,) = read
+            if not cell:
+                return PolyMatrix.zeros(self.rows, self.cols, self.row_weights,
+                                        self.col_weights)
+            if self._g is not None:
+                return PolyMatrix._wrap(self.rows, self.cols,
+                                        _gscale(self._g, *cell[0], den),
+                                        self.row_weights, self.col_weights)
         x = self.entries
         return _entrywise(self.rows, self.cols, lambda i, c: x[i][c] * scalar,
                           self.row_weights, self.col_weights)
@@ -779,10 +717,10 @@ class PolyMatrix:
             if a.shift == b.shift and a.rad == b.rad:
                 return a.den == b.den and a.rows == b.rows
             return not any(a.rows) and not any(b.rows)
-        return self.den == other.den and self.data == other.data
+        return self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.den, self.data))
+        return hash((self.rows, self.cols, self.entries))
 
     # -- maps and slices ------------------------------------------------------
 
@@ -853,12 +791,11 @@ class PolyMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self._g.rows if self._g is not None else self._t[1])
+        g = self._g
+        return not any(g.rows) if g is not None else not any(map(any, self._view.rows))
 
     def max_degree(self) -> int:
-        # Terms are sorted by h-power, so an entry's last term has its degree.
-        return max((terms[-1][0] for row in self.data for _, terms in row),
-                   default=-1)
+        return max(p.degree for row in self.entries for p in row)
 
     def first_nonzero(self):
         """(i, k, entry) of the first nonzero entry, or None."""

@@ -28,9 +28,11 @@ M = 1 - (h/2) Zp on spin jt; raising takes (a, b) = (b1+, b2+), lowering
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .coupling import alpha_table, coupled_ket, product_labels, slot_sums
 from .halfint import HalfInt, as_half, dim_of, half, weight_index, weight_range
@@ -186,7 +188,7 @@ class FockBlock:
     kind: str
     labels: tuple[str, ...]
     gens: GenMatrices
-    sectors: dict[str, tuple[int, ...]]
+    sectors: Mapping[str, tuple[int, ...]]
 
 
 # The labels (h-offset, radical) of the Fock basis: the quasi-spin doublet
@@ -197,7 +199,13 @@ _FOCK = ((0, 1), (0, 1), (1, 1), (1, 1))
 
 def fermion_modes() -> dict[str, PolyMatrix]:
     """Two fermionic modes on the basis |0>, c1|0>, c2|0>, c1 c2|0>
-    (creation operators applied left to right)."""
+    (creation operators applied left to right).  The matrices are memoized
+    and immutable; each call returns a fresh dict of them."""
+    return dict(_fermion_modes_cached())
+
+
+@lru_cache(maxsize=None)
+def _fermion_modes_cached() -> dict[str, PolyMatrix]:
     z = HPoly.zero()
     one = HPoly.one()
 
@@ -224,8 +232,14 @@ def fermion_realization() -> tuple[FockBlock, TensorOpFamily, TensorOpFamily]:
     occupied state span a spin-1/2 sector, the two singly occupied states
     span two singlet sectors.  Family A is built on the first mode, family
     B on the second; each swaps the spin-1/2 sector with one singlet.
+    Memoized; the block and families are immutable.
     """
-    modes = fermion_modes()
+    return _fermion_cached()
+
+
+@lru_cache(maxsize=None)
+def _fermion_cached() -> tuple[FockBlock, TensorOpFamily, TensorOpFamily]:
+    modes = _fermion_modes_cached()
     n1 = modes["c1+"] @ modes["c1"]
     n2 = modes["c2+"] @ modes["c2"]
     jp = modes["c1+"] @ modes["c2+"]  # quasi-spin raising: pairs the two modes
@@ -248,7 +262,8 @@ def fermion_realization() -> tuple[FockBlock, TensorOpFamily, TensorOpFamily]:
         kind="fermion",
         labels=("|0>", "c1|0>", "c2|0>", "c1c2|0>"),
         gens=gens,
-        sectors={"doublet": (3, 0), "singlet1": (1,), "singlet2": (2,)},
+        sectors=MappingProxyType(
+            {"doublet": (3, 0), "singlet1": (1,), "singlet2": (2,)}),
     )
     return block, fam_a, fam_b
 

@@ -159,15 +159,14 @@ def reduced_matrix_element(fam: TensorOpFamily) -> ReducedMatrixElement:
             f"rank {j1} cannot connect spin {j2} to spin {j}")
     phi = fam.phi
     top = coupled_index(j1, j2, j, j)  # column of |j j> in C
-    c = cgc_matrix(j1, j2).submatrix(range(phi.cols),
-                                     range(top, top + dim_of(j))).entries
+    c = cgc_matrix(j1, j2)
     value = origin = None
     for col, (n1, n2) in enumerate(product_labels(j1, j2)):
         m = n1 + n2
         if abs(m.twice) > j.twice:
             continue
-        row = weight_index(j, m)  # of <j m| in Phi and of |j m> in c
-        cgc = c[col][row]
+        row = weight_index(j, m)  # of <j m| in Phi
+        cgc = c.entry(col, top + row)  # column top + row of C is |j m>
         if not cgc:
             continue
         candidate = phi.entry(row, col) / cgc.constant_value()

@@ -7,7 +7,7 @@ the library documents.  Tests compare the two.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from jordanian.hpoly import HPoly
 from jordanian.polymatrix import PolyMatrix
@@ -108,3 +108,24 @@ def unipotent_inverse(m) -> PolyMatrix:
         power = matmul(power, neg(n))
         acc = add(acc, power)
     return acc
+
+
+def canonical_terms(m) -> tuple:
+    """(den, data): the canonical term form of m's entries, equal for equal
+    matrices whatever their storage.  den is the least common denominator
+    of every coefficient (so gcd(den, numerators) = 1, and the zero matrix
+    has den 1); data has per row a tuple of (col, terms) pairs of its
+    nonzero entries in column order, terms the sorted (h-power, radicand,
+    numerator) triples of the entry over den."""
+    den = 1
+    for row in m.entries:
+        for p in row:
+            for r in p.coeffs:
+                for q in r.terms.values():
+                    den = lcm(den, q.denominator)
+    return den, tuple(
+        tuple((c, tuple(sorted((k, n, q.numerator * (den // q.denominator))
+                               for k, r in enumerate(p.coeffs)
+                               for n, q in r.terms.items())))
+              for c, p in enumerate(row) if p)
+        for row in m.entries)

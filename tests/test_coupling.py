@@ -415,7 +415,7 @@ def test_coupling_matrices_and_reduced_elements_need_no_sl2_cgc(monkeypatch):
     monkeypatch.setattr(coupling, "sqrt_factorial_ratio", counting)
     fresh = coupling._cgc_cached.__wrapped__(j1, j2)
     assert fresh == cgc_matrix(j1, j2)
-    nonzero = sum(1 for row in fresh.data for _ in row)
+    nonzero = sum(1 for row in oracle.canonical_terms(fresh)[1] for _ in row)
     assert len(roots) == len(coupled_spins(j1, j2)) == 4 < nonzero == 58
     fam = boson_raising_family(half(3, 2))
     assert reduced_matrix_element(fam).value
@@ -495,7 +495,8 @@ STORAGE_FINGERPRINTS = {
 
 
 def _storage_fingerprint(m: PolyMatrix) -> str:
-    key = (m.rows, m.cols, m.den, m.data, m.row_weights, m.col_weights)
+    # den and data: the canonical term form of the entries.
+    key = (m.rows, m.cols, *oracle.canonical_terms(m), m.row_weights, m.col_weights)
     return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 

@@ -1,16 +1,17 @@
-"""Graded storage end to end: the certificate decides, and term storage is
+"""Graded storage end to end: the certificate decides, and the entries are
 the oracle.
 
 ``PolyMatrix`` keeps a matrix in graded storage only when ``_certify``
-derives row and column labels that every entry fits.  Two whole runs of
-``jordanian verify`` pin that down, each in a fresh interpreter so that no
-memoized module or table carries storage over from another test:
+derives row and column labels that every entry fits; otherwise it keeps
+only its entries.  Two whole runs of ``jordanian verify`` pin that down,
+each in a fresh interpreter so that no memoized module or table carries
+storage over from another test:
 
-* with the certificate made to refuse everything, every matrix keeps term
-  storage, every operation goes through the entrywise fallback, and the
-  JSON output must not change (timings aside);
-* with the certificate as it is, no matrix of the four suites keeps term
-  storage, the fallback is never called, every graded matrix fits its
+* with the certificate made to refuse everything, every matrix keeps only
+  its entries, every operation goes through the entrywise fallback, and
+  the JSON output must not change (timings aside);
+* with the certificate as it is, every matrix of the four suites is
+  graded, the fallback is never called, every graded matrix fits its
   interned row and column bases with its one constant, and at most 9
   comparisons meet graded operands in different bases.
 
@@ -50,23 +51,24 @@ SRC = str(Path(jordanian.__file__).resolve().parent.parent)
 
 VERIFY = 'cli.main(["verify", "--max-j", "2", "--format", "json", "--out", sys.argv[1]])'
 
-# Counts the storage of every matrix the run builds; for each matrix in
-# term storage, the innermost frame outside polymatrix.py that built it.
+# Counts the storage of every matrix the run builds; for each matrix that
+# keeps only its entries, the innermost frame outside polymatrix.py that
+# built it.
 CENSUS = """
 import json, sys, traceback
 import jordanian.polymatrix as pm
 from jordanian import cli
-counts, origins = {"graded": 0, "term": 0}, set()
+counts, origins = {"graded": 0, "entries": 0}, set()
 wrapped = pm.PolyMatrix._set
-def counting_set(self, rows, cols, graded, terms, *rest):
+def counting_set(self, rows, cols, graded, *rest):
     if graded is None:
-        counts["term"] += 1
+        counts["entries"] += 1
         frame = next(f for f in reversed(traceback.extract_stack()[:-1])
                      if not f.filename.endswith("polymatrix.py"))
         origins.add((frame.name, frame.line))
     else:
         counts["graded"] += 1
-    return wrapped(self, rows, cols, graded, terms, *rest)
+    return wrapped(self, rows, cols, graded, *rest)
 pm.PolyMatrix._set = counting_set
 """ + VERIFY + """
 print(json.dumps({"counts": counts, "origins": sorted(origins)}))
@@ -74,20 +76,26 @@ print(json.dumps({"counts": counts, "origins": sorted(origins)}))
 
 # The certificate refuses every matrix; no graded storage may appear.  The
 # constructions that build graded storage straight from their labels
-# (PolyMatrix._labelled) hand the same values to _of instead, as term
-# storage.
+# (PolyMatrix._labelled) hand its entries to the public constructor
+# instead, which keeps only the entries; the graded matrix they are read
+# from is the one graded storage allowed.
 REFUSE = """
 import sys
 import jordanian.polymatrix as pm
 from jordanian import cli
 pm._certify = lambda *args: None
-pm.PolyMatrix._labelled = classmethod(lambda cls, den, rows, rl, cl, shift=0, rad=1: cls._of(
-    len(rl), len(cl), *pm._graded_terms(pm._on(den, rows, rl, cl, shift, rad)), None, None))
+labelled, reading = pm.PolyMatrix._labelled, [False]
+def refused_labelled(cls, *args):
+    reading[0] = True
+    entries = labelled(*args).entries
+    reading[0] = False
+    return cls(entries)
+pm.PolyMatrix._labelled = classmethod(refused_labelled)
 wrapped = pm.PolyMatrix._set
-def term_only_set(self, rows, cols, graded, terms, *rest):
-    assert graded is None, "graded storage without the certificate"
-    return wrapped(self, rows, cols, graded, terms, *rest)
-pm.PolyMatrix._set = term_only_set
+def entries_only_set(self, rows, cols, graded, *rest):
+    assert graded is None or reading[0], "graded storage without the certificate"
+    return wrapped(self, rows, cols, graded, *rest)
+pm.PolyMatrix._set = entries_only_set
 """ + VERIFY
 
 
@@ -109,28 +117,28 @@ def _without_timings(value):
 
 
 def test_refusing_the_certificate_changes_no_output(tmp_path):
-    graded, term = tmp_path / "graded.json", tmp_path / "term.json"
+    graded, entries = tmp_path / "graded.json", tmp_path / "entries.json"
     census = json.loads(_run(CENSUS, graded))
-    _run(REFUSE, term)
+    _run(REFUSE, entries)
     assert census["counts"]["graded"] > 0
     want = json.loads(graded.read_text(encoding="utf-8"))
-    have = json.loads(term.read_text(encoding="utf-8"))
+    have = json.loads(entries.read_text(encoding="utf-8"))
     assert _without_timings(have) == _without_timings(want)
 
 
 def test_no_verify_matrix_keeps_term_storage(tmp_path):
     # The second-slot NOTE of verify_intermediate_action is decided by a
-    # classical comparison, so no suite builds a matrix in term storage.
+    # classical comparison, so every matrix of every suite is graded.
     census = json.loads(_run(CENSUS, tmp_path / "out.json"))
     assert census["counts"]["graded"] > 1000
-    assert census["counts"]["term"] == 0 and census["origins"] == []
+    assert census["counts"]["entries"] == 0 and census["origins"] == []
 
 
 # Every call of the entrywise fallback, with the innermost frame outside
 # polymatrix.py that reached it; every graded storage checked against its
 # bases: interned, first label (0, 1), and its entries, if any, fit them
 # with its own constant in one pass of the certificate; every == between
-# graded operands in different bases, which compares canonical forms.
+# graded operands in different bases, which compares entries.
 BASES_CENSUS = """
 import json, sys, traceback
 import jordanian.polymatrix as pm
@@ -154,15 +162,17 @@ def counted_eq(self, other):
 pm.PolyMatrix.__eq__ = counted_eq
 
 wrapped = pm.PolyMatrix._set
-def checking_set(self, rows, cols, g, terms, *rest):
+def checking_set(self, rows, cols, g, *rest):
+    wrapped(self, rows, cols, g, *rest)
     if g is not None:
         graded[0] += 1
-        fit = pm._fit(*pm._graded_terms(g), g.rb, g.cb)
+        read = object.__new__(pm.PolyMatrix)  # its entries, not on self's view
+        wrapped(read, rows, cols, g, None, None, pm._View())
+        fit = pm._fit(*pm._monomials(read.entries), g.rb, g.cb)
         if not all(pm._BASES[b.labels] is b and b.labels[:1] in ((), ((0, 1),))
                    for b in (g.rb, g.cb)) or any(g.rows) and (
                 fit is None or (fit.shift, fit.rad) != (g.shift, g.rad)):
             misfits.append(repr((rows, cols)))
-    return wrapped(self, rows, cols, g, terms, *rest)
 pm.PolyMatrix._set = checking_set
 """ + VERIFY + """
 print(json.dumps({"fallback": fallback, "misfits": misfits,
@@ -184,7 +194,7 @@ def test_verify_never_takes_the_fallback(bases_census):
 def test_verify_compares_across_bases_at_most_nine_times(bases_census):
     # Equal matrices in the same bases have the same minimal storage, so
     # almost every == is plain equality; the few in different bases compare
-    # canonical forms, and none of them reaches the fallback.
+    # entries, and none of them reaches the fallback.
     assert bases_census["across"] <= 9
     assert bases_census["fallback"] == []
 

@@ -5,16 +5,18 @@ Every kernel operation (``@``, ``kron``, ``+``, ``-``, unary ``-``, scalar
 ``divide_h``, and through them ``commutator``, ``exp_nilpotent`` and
 ``unipotent_inverse``) must give the matrix that HPoly arithmetic gives
 entry by entry, in canonical form, with the same weight labels.  Its
-integer storage must be well formed, with a minimal denominator (graded
-storage too, so equal matrices in the same bases hold the same storage),
-and must round-trip through the public constructor.  That holds for both
-storages: graded matrices (one monomial per entry, certified row and
-column labels) built from random labels and integer cores, the same
-matrices moved to other gauges per component, and term storage, in any
-mix.  Operands the graded kernel cannot take go through the entrywise
-fallback, so the properties with term operands test it against the oracle.
+graded storage must have a minimal denominator (so equal matrices in the
+same bases hold the same storage), its canonical term form must be well
+formed, and it must round-trip through the public constructor.  That holds
+for both storages: graded matrices (one monomial per entry, certified row
+and column labels) built from random labels and integer cores, the same
+matrices moved to other gauges per component, and matrices that keep only
+their entries, in any mix.  Operands the graded kernel cannot take go
+through the entrywise fallback, so the properties with such operands test
+it against the oracle.
 """
 
+import pickle
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
@@ -85,13 +87,22 @@ def assert_canonical(m):
 
 
 def assert_storage(m):
-    """Rows of (col, terms) in column order, terms sorted by (h-power,
-    radicand) with nonzero int numerators, den minimal; the constructor
-    rebuilds the same storage from the HPoly view."""
-    assert type(m.den) is int and m.den >= 1
-    assert isinstance(m.data, tuple) and len(m.data) == m.rows
+    """Graded storage in interned bases with den minimal, or the entries
+    alone, held from construction; a canonical term form of rows of
+    (col, terms) in column order, terms sorted by (h-power, radicand) with
+    nonzero int numerators, den minimal; the constructor rebuilds an equal
+    matrix with the same canonical form from the HPoly view."""
+    g = m._g
+    if g is None:
+        assert m._view.rows is not None
+    else:
+        assert all(polymatrix._BASES[b.labels] is b for b in (g.rb, g.cb))
+        _assert_minimal(m)
+    den, data = oracle.canonical_terms(m)
+    assert type(den) is int and den >= 1
+    assert isinstance(data, tuple) and len(data) == m.rows
     numerators = []
-    for row in m.data:
+    for row in data:
         assert isinstance(row, tuple)
         cols = [c for c, _ in row]
         assert cols == sorted(set(cols)) and all(0 <= c < m.cols for c in cols)
@@ -103,10 +114,10 @@ def assert_storage(m):
                 assert type(v) is int and v and k >= 0
                 assert squarefree_decompose(n) == (n, 1)
                 numerators.append(v)
-    assert gcd(m.den, *numerators) == 1  # so the zero matrix has den 1
+    assert gcd(den, *numerators) == 1  # so the zero matrix has den 1
     back = PolyMatrix(m.entries, m.row_weights, m.col_weights)
     assert back == m and hash(back) == hash(m)
-    assert back.den == m.den and back.data == m.data
+    assert oracle.canonical_terms(back) == (den, data)
 
 
 def assert_matches(result, expected):
@@ -276,7 +287,8 @@ def test_kron_of_colliding_multi_term_entries():
     a = PolyMatrix([[_radicals((0, 2, 1), (0, 3, 1)), 0]])
     b = PolyMatrix([[_radicals((0, 3, 1), (0, 2, 1))], [HPoly.h(1)]])
     product = kron(a, b)
-    assert product.data == (((0, ((0, 1, 5), (0, 6, 2))),), ((0, ((1, 2, 1), (1, 3, 1))),))
+    assert oracle.canonical_terms(product)[1] == (
+        ((0, ((0, 1, 5), (0, 6, 2))),), ((0, ((1, 2, 1), (1, 3, 1))),))
     assert_matches(product, oracle.kron(a, b))
 
 
@@ -289,7 +301,7 @@ def test_matmul_entry_that_receives_a_second_term(third, want):
     a = PolyMatrix([[1, HPoly.h(1), third]])
     b = PolyMatrix([[RadScalar.sqrt(2)], [1], [RadScalar.sqrt(2)]])
     product = a @ b
-    assert product.den == 1 and product.data == (((0, want),),)
+    assert oracle.canonical_terms(product) == (1, (((0, want),),))
     assert_matches(product, oracle.matmul(a, b))
 
 
@@ -303,8 +315,8 @@ def test_exact_cancellation_gives_the_zero_matrix(a, b):
     for zero, expected in ((a @ b, oracle.matmul(a, b)),
                            (b - b, oracle.sub(b, b)),
                            (b * 0, oracle.scale(b, 0))):
-        assert zero.is_zero and zero.den == 1
-        assert all(row == () for row in zero.data)
+        assert zero.is_zero and zero._g.den == 1 and not any(zero._g.rows)
+        assert oracle.canonical_terms(zero) == (1, ((),) * zero.rows)
         assert_matches(zero, expected)
 
 
@@ -317,7 +329,8 @@ PAIR_MATRICES = {"K": TABLE.ket, "B": TABLE.bra, "C": TABLE.cgc}
 
 
 def _single_term(m):
-    return all(len(terms) == 1 for row in m.data for _, terms in row)
+    return all(len(terms) == 1 for row in oracle.canonical_terms(m)[1]
+               for _, terms in row)
 
 
 @pytest.mark.parametrize("group", [MODULE_MATRICES, PAIR_MATRICES],
@@ -418,14 +431,15 @@ def _regauged(draw, parts):
                   for i, (row, (_, p)) in enumerate(zip(core, rl))]
     moved = _from_core(move(rl, 0), move(cl, len(rl)), den, moved_core, rw, cw)
     m = _from_core(*parts)
-    assert moved == m and hash(moved) == hash(m) and moved.data == m.data
+    assert moved == m and hash(moved) == hash(m)
+    assert oracle.canonical_terms(moved) == oracle.canonical_terms(m)
     assert moved._g is not None
     return moved
 
 
 @st.composite
 def operands(draw, rows=None, cols=None):
-    """A graded matrix, the same regauged, or a term-storage matrix."""
+    """A graded matrix, the same regauged, or any matrices() draw."""
     rows = rows or draw(st.integers(1, 4))
     cols = cols or draw(st.integers(1, 4))
     kind = draw(st.sampled_from(("graded", "regauged", "any")))
@@ -472,7 +486,8 @@ def _fresh(m):
 def test_entry_reads_graded_storage_as_the_view_does(data):
     # Every (i, k), negative ones too: entry() of graded storage is the
     # value the labels and core give, and the very object the view holds,
-    # and reading it builds no view.  Term storage reads its view.
+    # and reading it builds no view.  A matrix that is not graded reads
+    # the entries it holds.
     kind = data.draw(st.sampled_from(("graded", "regauged", "term")))
     parts = _graded_parts(data.draw)
     rl, cl, den, core = parts[:4]
@@ -668,7 +683,7 @@ def test_rebased_takes_the_offered_bases_only_when_they_fit():
     flat, skew = (polymatrix._basis(((0, 1), (0, 1), (0, q))) for q in (1, 2))
     assert polymatrix._rebased(zp, flat, skew) is zp
     assert polymatrix._rebased(zp, None, cb) is zp
-    # Term storage: the matrix itself, whatever is offered.
+    # Entries only: the matrix itself, whatever is offered.
     term = PolyMatrix([[RadScalar.sqrt(2) + RadScalar.sqrt(3), 0, 0], [0] * 3, [0] * 3])
     assert term._g is None
     assert polymatrix._rebased(term, rb, cb) is term
@@ -676,7 +691,8 @@ def test_rebased_takes_the_offered_bases_only_when_they_fit():
 
 def test_two_radicands_in_one_entry_keep_term_storage():
     # The certificate refuses an entry with two radicands and an h-power
-    # pattern that no labels fit; both keep term storage and still compute.
+    # pattern that no labels fit; both keep only their entries and still
+    # compute.
     two = PolyMatrix([[RadScalar.sqrt(2) + RadScalar.sqrt(3)]])
     unfit = PolyMatrix([[1, HPoly.h(1)], [1, 1]])
     graded = PolyMatrix([[1, HPoly.h(1)], [HPoly.h(1), HPoly.h(2)]])
@@ -687,3 +703,57 @@ def test_two_radicands_in_one_entry_keep_term_storage():
                        oracle.matmul(a, b) if a.cols == b.rows else oracle.matmul(a, a))
     assert_matches(graded + unfit, oracle.add(graded, unfit))
     assert_matches(kron(two, graded), oracle.kron(two, graded))
+
+
+# -- one value, three storages ---------------------------------------------------
+
+@contextmanager
+def _refused_certificate():
+    """The certificate refuses every matrix while the block runs."""
+    certify = polymatrix._certify
+    polymatrix._certify = lambda *args: None
+    try:
+        yield
+    finally:
+        polymatrix._certify = certify
+
+
+def _other_bases(draw, m):
+    """The labels of graded m with each component of its nonzero pattern
+    moved by a random gauge (d, r), (a, p) -> (a + d, sqfree(p r)) on both
+    sides: bases that m's entries fit, in general not m's own."""
+    g = m._g
+    comps = _components([[c in row for c in range(m.cols)] for row in g.rows])
+    gauges = {u: (draw(st.integers(-3, 3)), draw(st.sampled_from(RADICANDS)))
+              for u in set(comps)}
+    moved = [(a + gauges[u][0], polymatrix._sf(p, gauges[u][1]))
+             for (a, p), u in zip(g.rb.labels + g.cb.labels, comps)]
+    return moved[:m.rows], moved[m.rows:]
+
+
+@examples(60)
+@given(st.data())
+def test_one_value_in_three_storages(data):
+    # A matrices() draw, or one the certificate accepts, in three forms:
+    # graded in the bases the certificate derives, graded after _rebased
+    # into other bases that fit, and its entries alone with the certificate
+    # refused (the only form of a draw with an entry of two terms).  All
+    # are one value, and so is each one's pickle round trip.
+    m = data.draw(st.one_of(matrices(), graded_matrices()))
+    forms = []
+    derived = PolyMatrix(m.entries, m.row_weights, m.col_weights)
+    if derived._g is not None:
+        rl, cl = _other_bases(data.draw, derived)
+        moved = polymatrix._rebased(derived, rl, cl)
+        assert _bases(moved) == (polymatrix._basis(rl), polymatrix._basis(cl))
+        forms += [derived, moved]
+    with _refused_certificate():
+        alone = PolyMatrix(m.entries, m.row_weights, m.col_weights)
+    assert alone._g is None
+    forms.append(alone)
+    for x in forms:
+        back = pickle.loads(pickle.dumps(x))
+        assert back.row_weights == x.row_weights and back.col_weights == x.col_weights
+        for y in forms + [back]:
+            assert x == y and hash(x) == hash(y)
+            assert x.max_degree() == y.max_degree() and str(x) == str(y)

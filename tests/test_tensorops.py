@@ -26,6 +26,7 @@ from jordanian.tensorops import (OpSpaceContext, TensorOpFamily,
                                  verify_boson_action,
                                  verify_fermion_sector_exchange,
                                  verify_tensor_operator)
+from matrix_oracle import canonical_terms
 
 H12 = half(1, 2)
 H = HPoly.h(1)
@@ -506,7 +507,7 @@ COUPLED_FINGERPRINTS = (
 
 def _fingerprints(fam):
     return tuple(hashlib.sha256(repr(
-        (t.rows, t.cols, t.den, t.data, t.row_weights, t.col_weights)
+        (t.rows, t.cols, *canonical_terms(t), t.row_weights, t.col_weights)
     ).encode()).hexdigest()[:16] for t in fam.components)
 
 
@@ -520,6 +521,23 @@ def test_memoized_families_are_shared_and_read_only(build):
         fam.components = ()
     with pytest.raises(AttributeError):
         fam.components[0].data = ()
+
+
+def test_fermion_realization_is_memoized_and_modes_come_in_fresh_dicts():
+    first, second = fermion_realization(), fermion_realization()
+    assert all(a is b for a, b in zip(first, second))
+    block = first[0]
+    with pytest.raises(TypeError):
+        block.sectors["doublet"] = ()
+    modes = fermion_modes()
+    names = list(modes)
+    kept = dict(modes)
+    modes["c1+"] = modes.pop("c2")
+    again = fermion_modes()
+    assert again is not modes and list(again) == names
+    assert all(again[name] is kept[name] for name in names)
+    # The families are built on the same memoized modes.
+    assert first[2].components[0] is again["c2+"]
 
 
 def test_families_keep_their_storage():
