@@ -25,7 +25,7 @@ j times the same per-spin gauge, with
 Delta(j1 j2 j) = (j1+j2-j)! (j1-j2+j)! (-j1+j2+j)! / (j1+j2+j+1)!.  No
 gauge is built as a matrix: its squarefree radicals are folded into the
 basis labels of graded storage and the rest into the integer numerators,
-so K, C and C^T are built straight into graded storage.
+so K, B, C, C^T and diag(j(j+1)) are built straight into graded storage.
 
 Three matrices hold it all, each built once per pair (alpha_table), with
 weight pairs in product order (product_labels) and coupled vectors in
@@ -49,7 +49,6 @@ Zp, and Delta(Zm) = ch Delta(Y) ch with ch = cosh(h Delta(X)/2)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, gcd, isqrt, lcm
@@ -59,9 +58,10 @@ from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
 from .hpoly import HPoly
 from .irreps import (Generator, GenMatrices, casimir_from_gens,
                      coproduct_matrix, irrep)
-from .polymatrix import (PolyMatrix, _bases, _dual, _natural, _rebased,
+from .polymatrix import (PolyMatrix, _bases, _dual, _natural,
                          _unit_like, kron, unipotent_inverse)
 from .radical import RadScalar, sqrt_factorial_ratio
+from .record import Frozen, Record
 from .report import Report, entry_checks, residual_checks
 
 
@@ -99,17 +99,14 @@ def _product_label_texts(twice1: int, twice2: int):
                  for k2 in weight_texts(HalfInt.from_twice(twice2)))
 
 
-@dataclass(frozen=True)
-class AlphaTable:
+class AlphaTable(Frozen, Record):
     """The coupling matrices K, B = P K^T P and C of a (j1, j2) pair, and
     their products B K, K C, C^T B and (C^T B)(K C), each formed on first
     use and kept."""
 
-    j1: HalfInt
-    j2: HalfInt
-    ket: PolyMatrix
-    bra: PolyMatrix
-    cgc: PolyMatrix
+    def __init__(self, j1: HalfInt, j2: HalfInt, ket: PolyMatrix,
+                 bra: PolyMatrix, cgc: PolyMatrix):
+        vars(self).update(j1=j1, j2=j2, ket=ket, bra=bra, cgc=cgc)
 
     @cached_property
     def _bra_ket(self) -> PolyMatrix:
@@ -160,9 +157,27 @@ def alpha_table(j1, j2) -> AlphaTable:
 def _alpha_table_cached(twice1: int, twice2: int) -> AlphaTable:
     j1, j2 = HalfInt.from_twice(twice1), HalfInt.from_twice(twice2)
     ket = _alpha_ket(dim_of(j1) - 1, dim_of(j2) - 1)  # raises for a negative spin
-    rev = range(ket.rows - 1, -1, -1)  # P, the reversed weight order
-    return AlphaTable(j1, j2, ket, ket.transpose().submatrix(rev, rev),
-                      _cgc_cached(j1, j2))
+    return AlphaTable(j1, j2, ket, _alpha_bra(ket), _cgc_cached(j1, j2))
+
+
+def _alpha_bra(ket: PolyMatrix) -> PolyMatrix:
+    """B = P K^T P from the rows of graded K in one pass, P reversing the
+    weight order: B[a, c] = K[n-1-c, n-1-a] in K's dual labels reversed,
+    where V sqrt(p rad / q) = (V p / q) sqrt(q rad / p), as in a transpose.
+    A K that keeps only its entries is transposed and reversed entrywise."""
+    g, last = ket._g, ket.rows - 1
+    if g is None:
+        rev = range(last, -1, -1)
+        return ket.transpose().submatrix(rev, rev)
+    rl, cl = g.rb.labels, g.cb.labels
+    big = lcm(*(q for _, q in cl))
+    rows = [{} for _ in cl]
+    for i, row in enumerate(g.rows):
+        p = rl[i][1]
+        for c, v in row.items():
+            rows[last - c][last - i] = v * p * (big // cl[c][1])
+    return PolyMatrix._labelled(g.den * big, rows, [(-b, q) for b, q in reversed(cl)],
+                                [(-a, p) for a, p in reversed(rl)], g.shift, g.rad)
 
 
 @lru_cache(maxsize=None)
@@ -481,13 +496,11 @@ def cgc_matrix(j1, j2) -> PolyMatrix:
     return _cgc_cached(as_half(j1), as_half(j2))
 
 
-@dataclass(frozen=True)
-class CoupledBasis:
+class CoupledBasis(Frozen, Record):
     """Coupled weight vectors |j m> of a product module: the columns of K C."""
 
-    j1: HalfInt
-    j2: HalfInt
-    matrix: PolyMatrix
+    def __init__(self, j1: HalfInt, j2: HalfInt, matrix: PolyMatrix):
+        vars(self).update(j1=j1, j2=j2, matrix=matrix)
 
     def ket(self, j, m) -> PolyMatrix:
         return self.matrix.column(coupled_index(self.j1, self.j2, j, m))
@@ -517,15 +530,25 @@ def _certified_decomposition(j1: HalfInt,
     cas = casimir_from_gens(GenMatrices(None, *_pair_coproducts(j1, j2)))
     _pair_coproducts.cache_clear()
     labels = coupled_labels(j1, j2)
-    coupled = _bases(kc)[1]
-    eigen = _rebased(PolyMatrix.diagonal([casimir_eigenvalue(j) for j, _ in labels]),
-                     coupled, coupled)
-    left, right = cas @ kc, kc @ eigen
+    left, right = cas @ kc, kc @ _casimir_diagonal(labels, _bases(kc)[1])
     if left != right:  # the difference is formed only to name a column
         bad = (left - right).transpose().first_nonzero()
         raise ArithmeticError("coupled Casimir eigenvalue mismatch at "
                               "j={}, m={}".format(*labels[bad[0]]))
     return tuple((j, 1) for j in coupled_spins(j1, j2))
+
+
+def _casimir_diagonal(labels, basis) -> PolyMatrix:
+    """diag(j(j+1)) over the coupled labels (j, m), built straight into
+    graded storage in the coupled basis, every entry rational (h^0); by the
+    public constructor when there is no basis (K C is not graded)."""
+    values = [casimir_eigenvalue(j) for j, _ in labels]
+    if basis is None:
+        return PolyMatrix.diagonal(values)
+    den = lcm(*(q.denominator for q in values))
+    return PolyMatrix._labelled(den, [{i: q.numerator * (den // q.denominator)}
+                                      if q else {} for i, q in enumerate(values)],
+                                basis.labels, basis.labels)
 
 
 def coupled_ket(j1, j2, j, m) -> PolyMatrix:

@@ -5,9 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
+from .record import Frozen
+
 
 @total_ordering
-class HalfInt:
+class HalfInt(Frozen):
     """A half-integer such as 0, 1/2, -3/2, 2, stored as twice its value.
 
     Angular-momentum labels (j) and weights (m, k) are half-integers, and
@@ -41,12 +43,6 @@ class HalfInt:
         self = object.__new__(cls)
         _set_twice(self, int(twice))
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"HalfInt is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"HalfInt is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
         return HalfInt.from_twice, (self.twice,)

@@ -16,9 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .radical import RadScalar, as_rad, format_terms
+from .record import Frozen
 
 
-class HPoly:
+class HPoly(Frozen):
     """A polynomial sum_k c_k h**k with RadScalar coefficients.
 
     Instances are immutable: memoized matrices share their entries with
@@ -46,12 +47,6 @@ class HPoly:
         self = HPoly.__new__(HPoly)
         object.__setattr__(self, "coeffs", coeffs)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"HPoly is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"HPoly is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
         return HPoly._canonical, (self.coeffs,)

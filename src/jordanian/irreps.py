@@ -25,7 +25,6 @@ Basis convention: weights are ordered m = j, j-1, ..., -j, which makes Zp
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,6 +34,7 @@ from .hpoly import HPoly
 from .polymatrix import (PolyMatrix, _msum, _unit_like, commutator,
                          exp_nilpotent, kron, power_series)
 from .radical import RadScalar, falling_binomial
+from .record import Frozen, Record
 from .report import Check, Report, zero_check
 
 
@@ -101,16 +101,13 @@ def exp_hx(j, sign: int = +1) -> PolyMatrix:
     return irrep(j).exp_hx if sign > 0 else irrep(j).exp_mhx
 
 
-@dataclass(frozen=True)
-class GenMatrices:
+class GenMatrices(Frozen, Record):
     """The generator matrices of one module, plus optional weight labels."""
 
-    x: PolyMatrix
-    y: PolyMatrix
-    h: PolyMatrix
-    ep: PolyMatrix  # e^{hX}
-    em: PolyMatrix  # e^{-hX}
-    weights: tuple[HalfInt, ...] | None = None
+    def __init__(self, x: PolyMatrix, y: PolyMatrix, h: PolyMatrix,
+                 ep: PolyMatrix, em: PolyMatrix,  # e^{hX}, e^{-hX}
+                 weights: tuple[HalfInt, ...] | None = None):
+        vars(self).update(x=x, y=y, h=h, ep=ep, em=em, weights=weights)
 
     @property
     def dim(self) -> int:
@@ -132,21 +129,16 @@ class GenMatrices:
         raise ValueError(f"unknown generator {gen!r}")
 
 
-@dataclass(frozen=True)
-class Irrep:
+class Irrep(Frozen, Record):
     """The spin-j module with both generator systems materialized."""
 
-    j: HalfInt
-    weights: tuple[HalfInt, ...]
-    zp: PolyMatrix
-    zm: PolyMatrix
-    hm: PolyMatrix
-    x: PolyMatrix
-    y: PolyMatrix
-    exp_hx: PolyMatrix
-    exp_mhx: PolyMatrix
-    exp_half_hx: PolyMatrix  # e^{hX/2}
-    exp_mhalf_hx: PolyMatrix  # e^{-hX/2}
+    def __init__(self, j: HalfInt, weights: tuple[HalfInt, ...],
+                 zp: PolyMatrix, zm: PolyMatrix, hm: PolyMatrix, x: PolyMatrix,
+                 y: PolyMatrix, exp_hx: PolyMatrix, exp_mhx: PolyMatrix,
+                 exp_half_hx: PolyMatrix, exp_mhalf_hx: PolyMatrix):  # e^{+-hX/2}
+        vars(self).update(j=j, weights=weights, zp=zp, zm=zm, hm=hm, x=x, y=y,
+                          exp_hx=exp_hx, exp_mhx=exp_mhx, exp_half_hx=exp_half_hx,
+                          exp_mhalf_hx=exp_mhalf_hx)
 
     @property
     def dim(self) -> int:

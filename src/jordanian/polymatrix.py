@@ -68,6 +68,7 @@ from math import factorial, gcd, lcm
 from .halfint import HalfInt
 from .hpoly import HPoly, as_hpoly
 from .radical import RadScalar, _legendre_exponent, _primes_up_to
+from .record import Frozen
 
 
 class ShapeError(ValueError):
@@ -448,7 +449,7 @@ def _unit(n):
     return PolyMatrix._cells(n, 1, [{i: (0, 1, 1)} for i in range(n)], None, None)
 
 
-class _View:
+class _View(Frozen):
     """The HPoly entries of one storage and its texts, each written once:
     the entries given to a matrix that is not graded, else built on first
     read; matrices that share the storage share them.
@@ -462,14 +463,8 @@ class _View:
     def __init__(self, rows=None):
         object.__setattr__(self, "rows", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PolyMatrix views are read-only: cannot set {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"PolyMatrix views are read-only: cannot delete {name!r}")
-
-
-class PolyMatrix:
+class PolyMatrix(Frozen):
     """An immutable rows x cols matrix of polynomial entries.
 
     Memoized modules and tables hand out shared instances, so the slots are
@@ -528,12 +523,6 @@ class PolyMatrix:
         self = object.__new__(cls)
         self._set(rows, cols, graded, row_weights, col_weights, _View())
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PolyMatrix is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PolyMatrix is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
         return PolyMatrix, (self.entries, self.row_weights, self.col_weights)

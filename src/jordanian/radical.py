@@ -23,6 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
+from .record import Frozen
+
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Split a natural n as s * f**2 with s squarefree; return (s, f).
@@ -176,7 +178,7 @@ class _ReadOnlyTerms(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
-class RadScalar:
+class RadScalar(Frozen):
     """A finite sum of terms q*sqrt(n), q rational, n squarefree natural.
 
     The terms mapping (radicand -> coefficient) is canonical: no zero
@@ -221,12 +223,6 @@ class RadScalar:
         self = RadScalar.__new__(RadScalar)
         object.__setattr__(self, "terms", _ReadOnlyTerms(terms))
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"RadScalar is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"RadScalar is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
         return RadScalar._canonical, (dict(self.terms),)

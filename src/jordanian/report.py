@@ -16,20 +16,28 @@ passed once for each check it holds and stored once.  ``counts``, ``ok``
 and ``failures`` read block sizes and statuses without expanding a block;
 ``Report.checks`` and ``lines`` give one record or line per check, blocks
 expanded in place.
+
+The package defines no dataclass, whose import would generate and exec its
+methods in every process: its records derive from ``record.Record``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+
+from .record import Frozen, Record
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class Check:
-    name: str
-    status: str  # "pass" | "fail" | "skip"
-    detail: str = ""
+class Check(Frozen, Record):
+    __slots__ = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str = ""):
+        _set(self, "name", name)
+        _set(self, "status", status)  # "pass" | "fail" | "skip"
+        _set(self, "detail", detail)
 
     def names(self) -> tuple[str]:
         return (self.name,)
@@ -38,8 +46,7 @@ class Check:
 class CheckBlock:
     """One check per (cell, template), cells outer and templates inner,
     named template.format(*cell); every check has this status and detail.
-    A plain slotted class: a dataclass would cost its generated methods at
-    every import, and blocks are compared by identity only."""
+    A plain slotted class, not a Record: blocks compare by identity."""
     __slots__ = ("templates", "cells", "status", "detail")
 
     def __init__(self, templates: tuple[str, ...], cells: Sequence[tuple],
@@ -70,12 +77,13 @@ def _expanded(item: Check | CheckBlock) -> Iterable[Check]:
 _MARKS = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}
 
 
-@dataclass
-class Report:
-    suite: str
-    items: list[Check | CheckBlock] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+class Report(Record):
+    __hash__ = None  # mutable
+
+    def __init__(self, suite: str, items: Iterable[Check | CheckBlock] = (),
+                 notes: Iterable[str] = (), elapsed: float = 0.0):
+        self.suite, self.items, self.notes = suite, list(items), list(notes)
+        self.elapsed = elapsed
 
     @property
     def checks(self) -> list[Check]:

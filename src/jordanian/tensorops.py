@@ -29,7 +29,6 @@ M = 1 - (h/2) Zp on spin jt; raising takes (a, b) = (b1+, b2+), lowering
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -42,15 +41,15 @@ from .irreps import (GenMatrices, Generator, antipode_matrix, coproduct_terms,
 from .polymatrix import (PolyMatrix, _bases, _msum, _rebased, kron,
                          unipotent_inverse)
 from .radical import RadScalar, sqrt_factorial_ratio
+from .record import Frozen, Record
 from .report import Check, Report, residual_checks, zero_check
 
 
-@dataclass(frozen=True)
-class OpSpaceContext:
+class OpSpaceContext(Frozen, Record):
     """Source and target modules an operator family maps between."""
 
-    source: GenMatrices
-    target: GenMatrices
+    def __init__(self, source: GenMatrices, target: GenMatrices):
+        vars(self).update(source=source, target=target)
 
     @property
     def source_j(self) -> HalfInt:
@@ -65,16 +64,15 @@ class OpSpaceContext:
         return self.target.weights[0]
 
 
-@dataclass(frozen=True)
-class TensorOpFamily:
+class TensorOpFamily(Frozen, Record):
     """A candidate rank-`rank` tensor operator family.
 
     Components are ordered by the fixed weight convention m = rank..-rank.
     """
 
-    rank: HalfInt
-    components: tuple[PolyMatrix, ...]
-    ctx: OpSpaceContext
+    def __init__(self, rank: HalfInt, components: tuple[PolyMatrix, ...],
+                 ctx: OpSpaceContext):
+        vars(self).update(rank=rank, components=components, ctx=ctx)
 
     def component(self, m) -> PolyMatrix:
         return self.components[weight_index(self.rank, as_half(m))]
@@ -181,14 +179,12 @@ def verify_tensor_operator(fam: TensorOpFamily, label: str = "") -> Report:
 
 # -- fermionic realization ---------------------------------------------------
 
-@dataclass(frozen=True)
-class FockBlock:
+class FockBlock(Frozen, Record):
     """A finite Fock module with its generator matrices and irrep sectors."""
 
-    kind: str
-    labels: tuple[str, ...]
-    gens: GenMatrices
-    sectors: Mapping[str, tuple[int, ...]]
+    def __init__(self, kind: str, labels: tuple[str, ...], gens: GenMatrices,
+                 sectors: Mapping[str, tuple[int, ...]]):
+        vars(self).update(kind=kind, labels=labels, gens=gens, sectors=sectors)
 
 
 # The labels (h-offset, radical) of the Fock basis: the quasi-spin doublet

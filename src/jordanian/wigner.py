@@ -25,8 +25,6 @@ identity) and (C^T B)(K C) = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coupling import (SelectionRuleError, alpha_table, cgc_matrix,
                        coupled_index, product_label_texts, product_labels,
                        product_weight_index, triangle_allowed, uh_cgc_bra)
@@ -35,6 +33,7 @@ from .halfint import (HalfInt, as_half, dim_of, weight_index, weight_range,
 from .hpoly import HPoly
 from .irreps import irrep
 from .polymatrix import PolyMatrix, _unit_like
+from .record import Frozen, Record
 from .report import (Check, Report, entry_checks, residual_checks,
                      scalar_check)
 from .tensorops import TensorOpFamily
@@ -44,14 +43,12 @@ class ChannelMismatch(ArithmeticError):
     """Different channels disagree on the reduced matrix element."""
 
 
-@dataclass(frozen=True)
-class ReducedMatrixElement:
+class ReducedMatrixElement(Frozen, Record):
     """The invariant factor of one family between two modules."""
 
-    rank: HalfInt
-    source_j: HalfInt
-    target_j: HalfInt
-    value: HPoly
+    def __init__(self, rank: HalfInt, source_j: HalfInt, target_j: HalfInt,
+                 value: HPoly):
+        vars(self).update(rank=rank, source_j=source_j, target_j=target_j, value=value)
 
     def __str__(self) -> str:
         return (f"I({self.rank} {self.source_j} {self.target_j}) "

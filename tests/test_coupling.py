@@ -23,10 +23,11 @@ from jordanian.coupling import (alpha_coeff, alpha_table, cgc_matrix,
                                 verify_alpha_orthogonality,
                                 verify_intermediate_action,
                                 verify_intermediate_orthonormality)
-from jordanian.halfint import HalfInt, dim_of, half, weight_range
+from jordanian.halfint import (HalfInt, casimir_eigenvalue, dim_of, half,
+                               weight_range)
 from jordanian.hpoly import HPoly
 from jordanian.irreps import coproduct_gens, irrep
-from jordanian.polymatrix import PolyMatrix, _bases
+from jordanian.polymatrix import PolyMatrix, _bases, _rebased
 from jordanian.radical import RadScalar, falling_binomial, sqrt_factorial_ratio
 from jordanian.tensorops import boson_raising_family
 from jordanian.wigner import reduced_matrix_element
@@ -529,6 +530,12 @@ def _oracle_tables(t1, t2):
             PolyMatrix(cgc), PolyMatrix(list(zip(*cgc))))
 
 
+def _storage_fields(m: PolyMatrix) -> tuple:
+    g = m._g
+    return (m.shape, m.row_weights, m.col_weights,
+            g.den, g.rows, g.rb, g.cb, g.shift, g.rad)
+
+
 def _refuse_entrywise(*args):
     raise AssertionError("a coupling product left the graded kernel")
 
@@ -539,10 +546,14 @@ def test_direct_builds_match_the_per_entry_oracles(t1, t2):
     # Doubled spins up to 9, past the fingerprints' 7/2: K, B, C and C^T
     # equal the per-entry formulas, K's columns and C's rows share one
     # interned basis, as do C^T's columns and B's rows, and both coupled
-    # products stay on the graded kernel.
+    # products stay on the graded kernel.  B, built from K's rows in one
+    # pass, has the storage of the two-pass P K^T P, field by field.
     table = alpha_table(HalfInt.from_twice(t1), HalfInt.from_twice(t2))
     ct = table.cgc_transpose
     assert (table.ket, table.bra, table.cgc, ct) == _oracle_tables(t1, t2)
+    rev = range(table.ket.rows - 1, -1, -1)
+    two_pass = table.ket.transpose().submatrix(rev, rev)
+    assert _storage_fields(table.bra) == _storage_fields(two_pass)
     assert _bases(table.ket)[1] is _bases(table.cgc)[0] is not None
     assert _bases(ct)[1] is _bases(table.bra)[0] is not None
     with patch.object(polymatrix, "_entrywise", _refuse_entrywise):
@@ -568,6 +579,20 @@ def test_decompose_hands_out_a_fresh_list():
     first = decompose(half(1), H12)
     first.clear()
     assert decompose(half(1), H12) == [(half(3, 2), 1), (H12, 1)]
+
+
+def test_casimir_diagonal_is_built_as_the_rebased_diagonal():
+    # diag(j(j+1)) of the certificate, built straight into graded storage,
+    # has the storage the public diagonal refitted to the coupled basis had.
+    for t1 in range(6):
+        for t2 in range(6):
+            j1, j2 = HalfInt.from_twice(t1), HalfInt.from_twice(t2)
+            labels, basis = coupled_labels(j1, j2), _bases(alpha_table(j1, j2).coupled)[1]
+            former = _rebased(PolyMatrix.diagonal(
+                [casimir_eigenvalue(j) for j, _ in labels]), basis, basis)
+            built = coupling._casimir_diagonal(labels, basis)
+            assert _storage_fields(built) == _storage_fields(former), (t1, t2)
+            assert _bases(built) == (basis, basis)
 
 
 def test_failed_certification_raises_on_every_call(monkeypatch):

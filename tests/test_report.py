@@ -191,7 +191,7 @@ def test_report_extend_adds_a_block_as_one_item(monkeypatch):
 
 def test_check_records_are_slotted_and_survive_pickle_and_deepcopy():
     # A check record holds no per-instance dict (slots), and a frozen slotted
-    # dataclass must still pickle and deep-copy to an equal record.
+    # record must still pickle and deep-copy to an equal record.
     check = Check("[X,Y] = H", "fail", "residual degree 1")
     assert not hasattr(check, "__dict__")
     for copied in (pickle.loads(pickle.dumps(check)), copy.deepcopy(check)):
