@@ -51,15 +51,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, gcd, isqrt, lcm
+from math import comb, factorial, gcd, lcm
 
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
                       weight_index, weight_range, weight_texts)
 from .hpoly import HPoly
-from .irreps import (Generator, GenMatrices, casimir_from_gens,
+from .irreps import (Generator, GenMatrices, _slot_gauges, casimir_from_gens,
                      coproduct_matrix, irrep)
-from .polymatrix import (PolyMatrix, _bases, _dual, _natural,
-                         _unit_like, kron, unipotent_inverse)
+from .polymatrix import (PolyMatrix, _bases, _dual, _unit_like, kron,
+                         unipotent_inverse)
 from .radical import RadScalar, sqrt_factorial_ratio
 from .record import Frozen, Record
 from .report import Report, entry_checks, residual_checks
@@ -178,14 +178,6 @@ def _alpha_bra(ket: PolyMatrix) -> PolyMatrix:
             rows[last - c][last - i] = v * p * (big // cl[c][1])
     return PolyMatrix._labelled(g.den * big, rows, [(-b, q) for b, q in reversed(cl)],
                                 [(-a, p) for a, p in reversed(rl)], g.shift, g.rad)
-
-
-@lru_cache(maxsize=None)
-def _slot_gauges(n: int) -> tuple[tuple[int, int], ...]:
-    """(p, s) per position c = j - m of one spin, n = 2j: c! (n-c)! = s^2 p,
-    p squarefree (the radical of its ladder label), so d(c) = s sqrt(p)."""
-    return tuple((p, isqrt(factorial(c) * factorial(n - c) // p))
-                 for c, (_, p) in enumerate(_natural(n + 1)))
 
 
 def _product_gauges(n1: int, n2: int) -> list[tuple[tuple[int, int], int]]:

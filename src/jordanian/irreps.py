@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import factorial, isqrt, lcm
 
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
                       weight_range)
 from .hpoly import HPoly
-from .polymatrix import (PolyMatrix, _msum, _unit_like, commutator,
+from .polymatrix import (PolyMatrix, _msum, _natural, _unit_like, commutator,
                          exp_nilpotent, kron, power_series)
 from .radical import RadScalar, falling_binomial
 from .record import Frozen, Record
@@ -61,22 +62,41 @@ def ladder_factor(j: HalfInt, m: HalfInt, sign: int) -> RadScalar:
 
 
 @lru_cache(maxsize=None)
+def _slot_gauges(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, s) per position c = j - m of one spin, n = 2j: c! (n-c)! = s^2 p,
+    p squarefree (the radical of its ladder label), so d(c) = s sqrt(p)."""
+    return tuple((p, isqrt(factorial(c) * factorial(n - c) // p))
+                 for c, (_, p) in enumerate(_natural(n + 1)))
+
+
+def _ladder_map(den: int, rows, nt: int, ns: int, shift: int = 0) -> PolyMatrix:
+    """D_t (R / den) D_s^-1 between ladder bases of nt and ns dimensions, no
+    weights, for int rows R and d(c) = s sqrt(p) (_slot_gauges): the entry
+    R[r, c] / den * s_t(r) / s_s(c) sqrt(p_t(r) / p_s(c)) h**(c - r + shift)
+    in the labels (-c, p); a zero R has the certificate's constant (0, 1)."""
+    gt, gs = _slot_gauges(nt - 1), _slot_gauges(ns - 1)
+    big = lcm(*(s for _, s in gs))
+    return PolyMatrix._labelled(
+        den * big, [{c: v * gt[r][1] * (big // gs[c][1]) for c, v in row.items()}
+                    for r, row in enumerate(rows)],
+        _natural(nt), _natural(ns), shift if any(rows) else 0)
+
+
+@lru_cache(maxsize=None)
 def sl2_irrep(j) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """Classical spin-j ladder matrices (Zp, Zm, Hm), h-free; memoized.
 
     Zp|j m> = sqrt((j-m)(j+m+1)) |j m+1>, Zm lowers, Hm|j m> = 2m |j m>.
-    The coefficients are real, so Zm = Zp^T, built from its entries as Zp
-    is, so that both are in the ladder basis.
+    In position c = j - m and the gauge d(c) = sqrt(c! (2j-c)!) they are
+    the integer matrices Zp: c -> c-1 with c, Zm: c -> c+1 with 2j - c and
+    Hm = diag(2j - 2c), each built straight into the ladder basis.
     """
     ws = weight_range(as_half(j))
     n = len(ws)
-    # column c = j - m: sqrt((j-m)(j+m+1)) = sqrt(c (n - c)), n = 2j + 1
-    zp = PolyMatrix([[RadScalar.sqrt(c * (n - c)) if c == r + 1 else 0
-                      for c in range(n)] for r in range(n)], ws, ws)
-    zm = PolyMatrix([[RadScalar.sqrt(r * (n - r)) if r == c + 1 else 0
-                      for c in range(n)] for r in range(n)], ws, ws)
-    hm = PolyMatrix.diagonal([Fraction(m.twice) for m in ws], ws)
-    return zp, zm, hm
+    return tuple(_ladder_map(1, rows, n, n, s)._relabeled(ws, ws) for rows, s in (
+        ([{r + 1: r + 1} if r + 1 < n else {} for r in range(n)], -1),
+        ([{r - 1: n - r} if r else {} for r in range(n)], 1),
+        ([{c: n - 1 - 2 * c} if n - 1 != 2 * c else {} for c in range(n)], 0)))
 
 
 def x_matrix(j) -> PolyMatrix:
@@ -101,6 +121,11 @@ def exp_hx(j, sign: int = +1) -> PolyMatrix:
     return irrep(j).exp_hx if sign > 0 else irrep(j).exp_mhx
 
 
+# The field of GenMatrices holding each generator but the unit.
+_FIELDS = {Generator.X: "x", Generator.Y: "y", Generator.H: "h",
+           Generator.EXP_HX: "ep", Generator.EXP_MHX: "em"}
+
+
 class GenMatrices(Frozen, Record):
     """The generator matrices of one module, plus optional weight labels."""
 
@@ -113,20 +138,21 @@ class GenMatrices(Frozen, Record):
     def dim(self) -> int:
         return self.x.rows
 
+    @cached_property
+    def _antipodes(self) -> dict[Generator, PolyMatrix]:
+        """S(gen) of every generator (antipode_matrix), formed on first use
+        and kept, as an AlphaTable keeps its products."""
+        return {Generator.X: -self.x, Generator.Y: -(self.ep @ self.y @ self.em),
+                Generator.H: -(self.ep @ self.h @ self.em),
+                Generator.UNIT: self.of(Generator.UNIT),
+                Generator.EXP_HX: self.em, Generator.EXP_MHX: self.ep}
+
     def of(self, gen: Generator) -> PolyMatrix:
-        if gen is Generator.X:
-            return self.x
-        if gen is Generator.Y:
-            return self.y
-        if gen is Generator.H:
-            return self.h
         if gen is Generator.UNIT:  # in the module's basis, that of X
             return _unit_like(self.x)._relabeled(self.weights, self.weights)
-        if gen is Generator.EXP_HX:
-            return self.ep
-        if gen is Generator.EXP_MHX:
-            return self.em
-        raise ValueError(f"unknown generator {gen!r}")
+        if gen not in _FIELDS:
+            raise ValueError(f"unknown generator {gen!r}")
+        return getattr(self, _FIELDS[gen])
 
 
 class Irrep(Frozen, Record):
@@ -145,6 +171,10 @@ class Irrep(Frozen, Record):
         return dim_of(self.j)
 
     def gens(self) -> GenMatrices:
+        return self._gens  # one object, so its antipodes are formed once
+
+    @cached_property
+    def _gens(self) -> GenMatrices:
         return GenMatrices(self.x, self.y, self.hm, self.exp_hx, self.exp_mhx,
                            self.weights)
 
@@ -226,24 +256,14 @@ def counit(gen: Generator) -> Fraction:
 
 
 def antipode_matrix(gen: Generator, gens: GenMatrices) -> PolyMatrix:
-    """The antipode S(gen) evaluated in a module.
+    """The antipode S(gen) evaluated in a module, formed once per module.
 
     S(X) = -X, S(Y) = -e^{hX} Y e^{-hX}, S(H) = -e^{hX} H e^{-hX},
     S(e^{+-hX}) = e^{-+hX}.
     """
-    if gen is Generator.X:
-        return -gens.x
-    if gen is Generator.Y:
-        return -(gens.ep @ gens.y @ gens.em)
-    if gen is Generator.H:
-        return -(gens.ep @ gens.h @ gens.em)
-    if gen is Generator.UNIT:
-        return gens.of(gen)
-    if gen is Generator.EXP_HX:
-        return gens.em
-    if gen is Generator.EXP_MHX:
-        return gens.ep
-    raise ValueError(f"unknown generator {gen!r}")
+    if not isinstance(gen, Generator):
+        raise ValueError(f"unknown generator {gen!r}")
+    return gens._antipodes[gen]
 
 
 def coproduct_matrix(gen: Generator, g1: GenMatrices, g2: GenMatrices) -> PolyMatrix:

@@ -20,16 +20,17 @@ The bases are a certificate, not an assumption: ``_fit`` checks every
 entry against offered bases in one pass, and the public constructor offers
 the labels ``_derived`` finds over the nonzero pattern, each component
 starting from the spin (rows-1)/2 ladder gauge (-i, sqfree(i! (rows-1-i)!));
-a construction that knows its labels (the coupling matrices) builds graded
-storage from int rows and raw labels (``_labelled``).  Every other
-construction reads its entries through one reader, ``_monomials``: each
-nonzero entry as (h-power, squarefree radicand, numerator) over one int
-denominator, or a refusal when an entry has two or more terms.  So there
-are two storages: a matrix built by the caller with such an entry, or that
-no labels fit, keeps only its HPoly entries.  A graded denominator is kept
-minimal, so ``==`` between graded storages in the same bases and constant
-is plain equality of ``den`` and rows; any other ``==``, ``hash`` and
-pickling read the entries, which are canonical.
+a construction that knows its labels (the coupling, ladder, boson and Fock
+matrices) builds graded storage from int rows and raw labels
+(``_labelled``), and a family's T from its components' rows (``_beside``).
+Every other construction reads its entries through one reader,
+``_monomials``: each nonzero entry as (h-power, squarefree radicand,
+numerator) over one int denominator, or a refusal when an entry has two or
+more terms.  So there are two storages: a matrix built by the caller with
+such an entry, or that no labels fit, keeps only its HPoly entries.  A
+graded denominator is kept minimal, so ``==`` between graded storages in
+the same bases and constant is plain equality of ``den`` and rows; any
+other ``==``, ``hash`` and pickling read the entries, which are canonical.
 
 Arithmetic.  On graded operands ``@`` (the left column basis is the right
 row basis; constants add), ``+``, ``-`` (the same bases and constant),
@@ -65,7 +66,6 @@ from functools import lru_cache
 from itertools import chain
 from math import factorial, gcd, lcm
 
-from .halfint import HalfInt
 from .hpoly import HPoly, as_hpoly
 from .radical import RadScalar, _legendre_exponent, _primes_up_to
 from .record import Frozen
@@ -282,14 +282,16 @@ def _on(den, rows, rl, cl, shift, rad):
     """Graded storage of int rows with the raw labels rl, cl and the
     constant (shift, rad), as in _Graded, in the bases of the labels: the
     gauge (a0, p0) of the first label of each side moves into the constant,
-    since sqrt(p) = gcd(p, p0) / p0 * sqrt(sqfree(p p0)) * sqrt(p0)."""
+    since sqrt(p) = gcd(p, p0) / p0 * sqrt(sqfree(p p0)) * sqrt(p0).  The
+    rows are kept as given when every factor they would take is 1."""
     rb, cb = _basis(rl), _basis(cl)
     (a0, p0), (b0, q0) = (x[0] if x else (0, 1) for x in (rl, cl))
     if p0 != 1 or q0 != 1:  # sqrt(p0 q0 rad) = f sqrt(rad')
         rowf, colf = [gcd(p, p0) for _, p in rl], [gcd(q, q0) for _, q in cl]
         f, big = gcd(p0, q0) * gcd(_sf(p0, q0), rad), lcm(*colf)
-        rows = [{c: v * f * rowf[i] * (big // colf[c]) for c, v in row.items()}
-                if row else row for i, row in enumerate(rows)]
+        if f != 1 or p0 != 1 or min(colf, default=big) != big:  # else all 1
+            rows = [{c: v * f * rowf[i] * (big // colf[c]) for c, v in row.items()}
+                    if row else row for i, row in enumerate(rows)]
         den, rad = den * p0 * big, _sf(_sf(p0, q0), rad)
     return _graded(den, rows, rb, cb, shift + a0 - b0, rad)
 
@@ -416,6 +418,40 @@ def _rebased(m, rows, cols):
     if g.rb is rb and g.cb is cb or (g := _fit(*_monomials(m.entries), rb, cb)) is None:
         return m
     return PolyMatrix._wrap(m.rows, m.cols, g, m.row_weights, m.col_weights)
+
+
+def _beside(mats, cb):
+    """The graded matrices side by side, no weights, in their one row basis
+    and the column basis cb if its block over each is that one's column
+    basis (b, q) moved by the block's first label (d, r) to (b + d,
+    sqfree(q r)) and the nonzero blocks' constants (s + d, sqfree(m r))
+    agree, else None (also when cb is None).  An entry moves by sqrt(m / q)
+    = e / g sqrt(sqfree(m r) / sqfree(q r)), e = gcd(m, r), g = gcd(q, r)."""
+    gs = [m._g for m in mats]
+    if cb is None or None in gs or any(g.rb is not gs[0].rb for g in gs) or sum(
+            len(g.cb.labels) for g in gs) != len(cb.labels):
+        return None
+    labels, blocks, consts, start = cb.labels, [], set(), 0
+    for g in gs:
+        (d, r), cl = labels[start], g.cb.labels
+        gq = [gcd(q, r) for _, q in cl]
+        if labels[start:start + len(cl)] != tuple(
+                (b + d, (q // f) * (r // f)) for (b, q), f in zip(cl, gq)):
+            return None
+        if any(g.rows):
+            consts.add((g.shift + d, _sf(g.rad, r)))
+            blocks.append((start, g, gcd(g.rad, r), gq))
+        start += len(cl)
+    if len(consts) > 1:
+        return None
+    den = lcm(1, *(g.den * lcm(*gq) for _, g, _, gq in blocks))
+    rows = [{} for _ in gs[0].rb.labels]
+    for start, g, e, gq in blocks:
+        fac = [e * (den // (g.den * f)) for f in gq]
+        for row, out in zip(g.rows, rows):
+            out.update((start + c, v * fac[c]) for c, v in row.items())
+    return PolyMatrix._wrap(len(rows), len(labels), _graded(
+        den, rows, gs[0].rb, cb, *(consts.pop() if consts else (0, 1))), None, None)
 
 
 def _entrywise(rows, cols, entry, row_weights=None, col_weights=None):
@@ -608,16 +644,6 @@ class PolyMatrix(Frozen):
         y = gcd(x, q)
         return _gentry(a + g.shift - b, (x // y) * (q // y), v * s,
                        g.den * (q // y))
-
-    def row_index(self, m: HalfInt) -> int:
-        if self.row_weights is None:
-            raise ValueError("matrix has no row weights")
-        return self.row_weights.index(m)
-
-    def col_index(self, m: HalfInt) -> int:
-        if self.col_weights is None:
-            raise ValueError("matrix has no col weights")
-        return self.col_weights.index(m)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -248,18 +248,6 @@ class RadScalar(Frozen):
         return cls._make({s: Fraction(f)})
 
     @classmethod
-    def sqrt_fraction(cls, q) -> "RadScalar":
-        """Exact square root of a nonnegative rational."""
-        q = Fraction(q)
-        if q < 0:
-            raise ValueError(f"cannot take a real square root of {q}")
-        if q == 0:
-            return cls.zero()
-        # sqrt(a/b) = sqrt(a*b)/b
-        s, f = squarefree_decompose(q.numerator * q.denominator)
-        return cls._make({s: Fraction(f, q.denominator)})
-
-    @classmethod
     def of(cls, q, n: int = 1) -> "RadScalar":
         """Canonical form of q*sqrt(n)."""
         q = Fraction(q)

@@ -23,7 +23,10 @@ directly in the algebra generators on any one module.  Both boson families
 follow one rule: from transfer matrices a, b into spin jt,
 t[+1/2] = M^-1 a and t[-1/2] = M b + (h/2)(t[+1/2] - a H) with
 M = 1 - (h/2) Zp on spin jt; raising takes (a, b) = (b1+, b2+), lowering
-(-b2, b1).
+(-b2, b1).  The transfer matrices and the closed-form actions the families
+are held to (verify_boson_action) are integer matrices in the ladder gauges,
+built straight into graded storage (irreps._ladder_map); a family's T
+(TensorOpFamily.columns) is its components' graded rows side by side.
 """
 
 from __future__ import annotations
@@ -31,16 +34,17 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import perm
 from types import MappingProxyType
 
 from .coupling import alpha_table, coupled_ket, product_labels, slot_sums
 from .halfint import HalfInt, as_half, dim_of, half, weight_index, weight_range
 from .hpoly import HPoly
-from .irreps import (GenMatrices, Generator, antipode_matrix, coproduct_terms,
-                     irrep, relation_residuals, sinh_hx)
-from .polymatrix import (PolyMatrix, _bases, _msum, _rebased, kron,
+from .irreps import (GenMatrices, Generator, _ladder_map, antipode_matrix,
+                     coproduct_terms, irrep, relation_residuals, sinh_hx)
+from .polymatrix import (PolyMatrix, _bases, _beside, _msum, _rebased, kron,
                          unipotent_inverse)
-from .radical import RadScalar, sqrt_factorial_ratio
+from .radical import RadScalar
 from .record import Frozen, Record
 from .report import Check, Report, residual_checks, zero_check
 
@@ -86,12 +90,14 @@ class TensorOpFamily(Frozen, Record):
 
     @cached_property
     def columns(self) -> PolyMatrix:
-        """T, with t_{m1}|j2 m2> as column (m1, m2) in product order, in
-        the target basis of the components and the product basis of K."""
-        return _rebased(PolyMatrix([[p for comp in self.components
-                                     for p in comp.entries[row]]
-                                    for row in range(self.ctx.target.dim)]),
-                        _bases(self.components[0])[0], _bases(self._ket)[0])
+        """T, with t_{m1}|j2 m2> as column (m1, m2) in product order: the
+        components' graded rows side by side in K's row basis, else their
+        entries refitted to the first one's row basis and K's row basis."""
+        kb = _bases(self._ket)[0]
+        return _beside(self.components, kb) or _rebased(
+            PolyMatrix([[p for comp in self.components for p in comp.entries[row]]
+                        for row in range(self.ctx.target.dim)]),
+            _bases(self.components[0])[0], kb)
 
     @property
     def _ket(self) -> PolyMatrix:
@@ -202,22 +208,14 @@ def fermion_modes() -> dict[str, PolyMatrix]:
 
 @lru_cache(maxsize=None)
 def _fermion_modes_cached() -> dict[str, PolyMatrix]:
-    z = HPoly.zero()
-    one = HPoly.one()
-
-    def mat(cells):
-        m = [[z] * 4 for _ in range(4)]
-        for (i, k, v) in cells:
-            m[i][k] = v
-        return _rebased(PolyMatrix(m), _FOCK, _FOCK)
-
-    c1d = mat([(1, 0, one), (3, 2, one)])
-    c2d = mat([(2, 0, one), (3, 1, -one)])
+    # c1+ takes |0>, c2|0> to c1|0>, c1 c2|0>; c2+ takes |0>, c1|0> to
+    # c2|0>, -c1 c2|0>; c1, c2 are their transposes.  Every entry is h^0,
+    # so the constant shift of c2+ is -1 and that of c2 is 1.
     return {
-        "c1+": c1d,
-        "c2+": c2d,
-        "c1": _rebased(c1d.transpose(), _FOCK, _FOCK),
-        "c2": _rebased(c2d.transpose(), _FOCK, _FOCK),
+        "c1+": PolyMatrix._labelled(1, [{}, {0: 1}, {}, {2: 1}], _FOCK, _FOCK),
+        "c2+": PolyMatrix._labelled(1, [{}, {}, {0: 1}, {1: -1}], _FOCK, _FOCK, -1),
+        "c1": PolyMatrix._labelled(1, [{1: 1}, {}, {3: 1}, {}], _FOCK, _FOCK),
+        "c2": PolyMatrix._labelled(1, [{2: 1}, {3: -1}, {}, {}], _FOCK, _FOCK, 1),
     }
 
 
@@ -325,30 +323,19 @@ def boson_transfer_matrices(j) -> dict[str, PolyMatrix]:
 
     In the ladder basis |j m| = normalized (b1+)^(j+m) (b2+)^(j-m) |0>:
     b1+ raises (j, m) to (j+1/2, m+1/2) with sqrt(j+m+1), b2+ to
-    (j+1/2, m-1/2) with sqrt(j-m+1); b1, b2 lower correspondingly.
+    (j+1/2, m-1/2) with sqrt(j-m+1); b1, b2 lower correspondingly.  In
+    position c = j - m and the ladder gauges these are c -> c with 1,
+    c -> c+1 with 1, c -> c with 2j - c and c -> c-1 with c.
     """
-    j = as_half(j)
-    up_j = j + half(1, 2)
-    entries = {
-        "b1+": (up_j, half(1, 2), lambda m: (j + m).as_int() + 1),
-        "b2+": (up_j, half(-1, 2), lambda m: (j - m).as_int() + 1),
-        "b1": (j - half(1, 2), half(-1, 2), lambda m: (j + m).as_int()),
-        "b2": (j - half(1, 2), half(1, 2), lambda m: (j - m).as_int()),
-    }
-    out = {}
-    for name, (jt, shift, weight_fn) in entries.items():
-        if jt.twice < 0:
-            continue
-        rows = [[HPoly.zero()] * dim_of(j) for _ in range(dim_of(jt))]
-        for col, m in enumerate(weight_range(j)):
-            target_m = m + shift
-            if abs(target_m.twice) > jt.twice:
-                continue
-            v = weight_fn(m)
-            if v:
-                rows[weight_index(jt, target_m)][col] = HPoly.constant(RadScalar.sqrt(v))
-        out[name] = PolyMatrix(rows, weight_range(jt), weight_range(j))
-    return out
+    j, n = as_half(j), dim_of(j)
+    up = [{c: 1} for c in range(n)] + [{}]
+    out = {"b1+": _ladder_map(1, up, n + 1, n),
+           "b2+": _ladder_map(1, [{}] + up[:-1], n + 1, n, 1)}
+    if n > 1:
+        out["b1"] = _ladder_map(1, [{c: n - 1 - c} for c in range(n - 1)], n - 1, n)
+        out["b2"] = _ladder_map(1, [{c + 1: c + 1} for c in range(n - 1)], n - 1, n, -1)
+    return {name: m._relabeled(weight_range(HalfInt.from_twice(m.rows - 1)),
+                               weight_range(j)) for name, m in out.items()}
 
 
 def _boson_family(j: HalfInt, jt: HalfInt, a: PolyMatrix,
@@ -412,47 +399,36 @@ def boson_realization(j) -> tuple[FockBlock, TensorOpFamily, TensorOpFamily]:
     return block, boson_raising_family(j), boson_lowering_family(j)
 
 
-def _factorial_ratio(j: HalfInt, m: HalfInt, n: int, k: int) -> RadScalar:
-    """sqrt((j-m)! (j+m+n+k)! / ((j+m)! (j-m-n-1+k)!)); k = 1 for the
-    raising family, k = 0 for the lowering family."""
-    return sqrt_factorial_ratio(
-        fact_num=((j - m).as_int(), (j + m).as_int() + n + k),
-        fact_den=((j + m).as_int(), (j - m).as_int() - n - 1 + k))
-
-
-def _action_entries(j: HalfInt, m: HalfInt, raising: bool) -> tuple[list, list]:
-    """The entries over the target spin jt of (t[+1/2]|j m>, t[-1/2]|j m>)
-    of the raising or lowering family, where t[+1/2]|j m> =
-    sum_n ups[n] (h/2)^n |jt m+1/2+n> and t[-1/2]|j m> = lead |jt m-1/2>
-    + mid h |jt m+1/2> + (h/2) (the n >= 1 terms of t[+1/2]|j m>).  Zero
-    coefficients are dropped, so they may sit off the ladder."""
-    jm, jp = (j - m).as_int(), (j + m).as_int()
-    if raising:
-        jt, lead = j + half(1, 2), RadScalar.sqrt(jm + 1)
-        ups = [_factorial_ratio(j, m, n, 1) for n in range(jm + 1)]
-        mid = RadScalar.sqrt(jp + 1) * Fraction(-jp, 2)
-    else:
-        jt, lead = j - half(1, 2), RadScalar.sqrt(jp)
-        ups = [-_factorial_ratio(j, m, n, 0) for n in range(jm)]
-        mid = RadScalar.sqrt(jm) * Fraction(-(jm + 1), 2)
-    up = [(m + half(1, 2) + n, HPoly.h(n, c * Fraction(1, 2**n)))
-          for n, c in enumerate(ups)]
-    dn = [(m - half(1, 2), HPoly.constant(lead)),
-          (m + half(1, 2), HPoly.h(1, mid))]
-    dn += [(mt, c * HPoly.h(1, Fraction(1, 2))) for mt, c in up[1:]]
-    columns = ([HPoly.zero()] * dim_of(jt), [HPoly.zero()] * dim_of(jt))
-    for column, terms in zip(columns, (up, dn)):
-        for mt, coeff in terms:
-            if coeff:
-                column[weight_index(jt, mt)] += coeff
-    return columns
+def _closed_forms(j: HalfInt, raising: bool) -> tuple[PolyMatrix, PolyMatrix]:
+    """The closed-form actions of the raising or lowering family, column m
+    holding t[+1/2]|j m> = sum_n ups[n] (h/2)^n |jt m+1/2+n> and t[-1/2]|j m>
+    = lead |jt m-1/2> + mid h |jt m+1/2> + (h/2) (its n >= 1 terms).  In
+    position c = j - m and the ladder gauges, with f(c, k) = c! / (c-k)!:
+    raising, ups[n] = f(c, n), lead 1, mid -(2j-c)/2; lowering, ups[n] =
+    -f(c, n+1), lead 2j-c, mid -c(c+1)/2; zero coefficients are dropped."""
+    n = dim_of(j)
+    nt, off = (n + 1, 0) if raising else (n - 1, 1)  # ups[k] sits at c-off-k
+    ups, dns = [{} for _ in range(nt)], [{} for _ in range(nt)]
+    for c in range(n):
+        for k in range(c + 1 - off):
+            f = perm(c, k + off) if raising else -perm(c, k + off)
+            ups[c - off - k][c] = f << (n - k)
+            if k:
+                dns[c - off - k][c] = f << (n - k - 1)
+        lead, mid = (1, n - 1 - c) if raising else (n - 1 - c, c * (c + 1))
+        if lead:
+            dns[c + 1 - off][c] = lead << n
+        if mid:
+            dns[c - off][c] = -mid << (n - 1)
+    return (_ladder_map(1 << n, ups, nt, n, -off),
+            _ladder_map(1 << n, dns, nt, n, 1 - off))
 
 
 def boson_raising_action(j, m) -> tuple[PolyMatrix, PolyMatrix]:
     """Closed-form action of the raising family on |j m>, as target columns
     (t[+1/2]|j m>, t[-1/2]|j m>)."""
-    return tuple(PolyMatrix([[p] for p in column])
-                 for column in _action_entries(as_half(j), as_half(m), True))
+    return tuple(t.column(weight_index(as_half(j), as_half(m)))
+                 for t in _closed_forms(as_half(j), True))
 
 
 def boson_lowering_action(j, m) -> tuple[PolyMatrix, PolyMatrix]:
@@ -463,8 +439,8 @@ def boson_lowering_action(j, m) -> tuple[PolyMatrix, PolyMatrix]:
     m-1/2 term carries sqrt(j+m), the single h-linear term carries
     -(h/2) sqrt(j-m) (j-m+1), and the tail repeats the t[+1/2] pattern.
     """
-    return tuple(PolyMatrix([[p] for p in column])
-                 for column in _action_entries(as_half(j), as_half(m), False))
+    return tuple(t.column(weight_index(as_half(j), as_half(m)))
+                 for t in _closed_forms(as_half(j), False))
 
 
 def verify_boson_action(j) -> Report:
@@ -483,10 +459,8 @@ def verify_boson_action(j) -> Report:
                          " (derived form)"))
     cells = [(m,) for m in weight_range(j)]
     for name, family, raising, form in families:
-        # each component's closed-form action on every |j m>, as one matrix
-        columns = [_action_entries(j, m, raising) for m in weight_range(j)]
-        sides = [(t, PolyMatrix(list(zip(*(c[s] for c in columns)))),
-                  PolyMatrix.column) for s, t in enumerate(family(j).components)]
+        sides = [(t, want, PolyMatrix.column) for t, want in
+                 zip(family(j).components, _closed_forms(j, raising))]
         report.extend(residual_checks(
             sides, (f"{name} t[+1/2] on |{j} {{0}}>",
                     f"{name} t[-1/2] on |{j} {{0}}>{form}"), cells))

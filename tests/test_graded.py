@@ -25,6 +25,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -398,3 +399,65 @@ def test_interned_entries_stay_immutable_values():
     copy = pickle.loads(pickle.dumps(p))
     assert copy == p and hash(copy) == hash(p)
     assert pickle.dumps(p) == pickle.dumps(twin)
+
+
+# -- the labelled constructor -------------------------------------------------
+
+def _former_on(den, rows, rl, cl, shift, rad):
+    """polymatrix._on as it was before it kept rows whose factors are all 1:
+    every row rebuilt whenever a first label has a radical."""
+    rb, cb = pm._basis(rl), pm._basis(cl)
+    (a0, p0), (b0, q0) = (x[0] if x else (0, 1) for x in (rl, cl))
+    if p0 != 1 or q0 != 1:
+        rowf, colf = [gcd(p, p0) for _, p in rl], [gcd(q, q0) for _, q in cl]
+        f, big = gcd(p0, q0) * gcd(pm._sf(p0, q0), rad), lcm(*colf)
+        rows = [{c: v * f * rowf[i] * (big // colf[c]) for c, v in row.items()}
+                if row else row for i, row in enumerate(rows)]
+        den, rad = den * p0 * big, pm._sf(pm._sf(p0, q0), rad)
+    return pm._graded(den, rows, rb, cb, shift + a0 - b0, rad)
+
+
+RADICALS = [1, 2, 3, 5, 6, 10, 15, 30]
+
+
+@st.composite
+def labelled_rows(draw):
+    """(den, rows, rl, cl, shift, rad) for _on; in about half the draws
+    no radical on the first row label and a first column radical dividing
+    every other, so every factor of the rescale is 1 unless it shares a
+    prime with rad."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    offsets, radicals = st.integers(-3, 3), st.sampled_from(RADICALS)
+    rl = [(draw(offsets), draw(radicals)) for _ in range(nrows)]
+    cl = [(draw(offsets), draw(radicals)) for _ in range(ncols)]
+    rad = draw(radicals)
+    if draw(st.booleans()):
+        q0 = draw(st.sampled_from([1, 2, 3, 5]))
+        prime = st.sampled_from([r for r in RADICALS if gcd(r, q0) == 1])
+        rl[0] = (rl[0][0], 1)
+        cl = [(b, q0 * draw(prime) if c else q0) for c, (b, _) in enumerate(cl)]
+        rad = draw(st.one_of(prime, st.just(q0)))
+    rows = [draw(st.dictionaries(st.integers(0, ncols - 1),
+                                 st.integers(-50, 50).filter(bool), max_size=ncols))
+            for _ in range(nrows)]
+    return draw(st.integers(1, 12)), rows, rl, cl, draw(st.integers(-2, 2)), rad
+
+
+def _fields(g):
+    return g.den, g.rows, g.rb, g.cb, g.shift, g.rad
+
+
+@examples(60)
+@given(labelled_rows())
+def test_labelled_storage_is_that_of_the_former_rescale(args):
+    assert _fields(pm._on(*args)) == _fields(_former_on(*args))
+
+
+def test_labelled_rows_are_kept_when_every_factor_is_1():
+    # No radical on the first row label, and 3 divides both column radicals:
+    # every factor is 1, so the rows are not rebuilt.
+    rows = [{0: 1, 1: 1}, {1: 1}]
+    g = pm._on(1, rows, [(0, 1), (-1, 2)], [(0, 3), (-1, 6)], 0, 1)
+    assert all(a is b for a, b in zip(g.rows, rows))
+    assert _fields(g) == _fields(_former_on(1, rows, [(0, 1), (-1, 2)],
+                                            [(0, 3), (-1, 6)], 0, 1))

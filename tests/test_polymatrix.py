@@ -54,18 +54,6 @@ def test_entry_and_scalar_access():
         m.scalar()
 
 
-def test_weight_lookup():
-    w = (half(1), half(-1))
-    m = PolyMatrix([[1, 0], [0, 1]], row_weights=w, col_weights=w)
-    assert m.row_index(half(-1)) == 1
-    assert m.col_index(half(1)) == 0
-    bare = PolyMatrix([[1]])
-    with pytest.raises(ValueError):
-        bare.row_index(half(1))
-    with pytest.raises(ValueError):
-        bare.col_index(half(1))
-
-
 def test_weights_propagate_through_products_and_slices():
     w = (half(1), half(-1))
     m = PolyMatrix([[1, 2], [3, 4]], row_weights=w, col_weights=w)

@@ -3,15 +3,21 @@
 import hashlib
 import re
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import boson_oracle
+from conftest import examples
 from jordanian import tensorops
 from jordanian.halfint import HalfInt, dim_of, half, weight_index, weight_range
 from jordanian.hpoly import HPoly
 from jordanian.irreps import (GenMatrices, Generator, irrep, ladder_factor,
-                              relation_residuals)
-from jordanian.polymatrix import PolyMatrix, anticommutator, commutator
+                              relation_residuals, sl2_irrep)
+from jordanian.polymatrix import (PolyMatrix, _bases, _beside, anticommutator,
+                                  commutator)
 from jordanian.radical import RadScalar
 from jordanian.tensorops import (OpSpaceContext, TensorOpFamily,
                                  _adjoint_module, adjoint_action,
@@ -555,3 +561,113 @@ def test_families_keep_their_storage():
                couple_tensor_ops(boson_raising_family(1),
                                  boson_raising_family(H12), 1))
     assert tuple(map(_fingerprints, coupled)) == COUPLED_FINGERPRINTS
+
+
+# -- graded builds against the HPoly oracle -------------------------------------
+
+SPINS_TO_9_2 = [HalfInt.from_twice(t) for t in range(10)]
+
+
+def _storage(m):
+    """Shape, weights and every field of m's storage: the graded fields, or
+    the entries of a matrix that keeps only its entries."""
+    g = m._g
+    return (m.shape, m.row_weights, m.col_weights) + (
+        (m.entries,) if g is None else (g.den, g.rows, g.rb, g.cb, g.shift, g.rad))
+
+
+@pytest.mark.parametrize("j", SPINS_TO_9_2, ids=str)
+def test_ladder_and_transfer_builds_match_the_hpoly_oracle(j):
+    # The ladder and the transfer matrices, built as integer rows in the
+    # ladder gauges, have the storage the public constructor gave their
+    # entries, field by field.
+    assert list(map(_storage, sl2_irrep(j))) \
+        == list(map(_storage, boson_oracle.sl2_ladder(j)))
+    built, want = boson_transfer_matrices(j), boson_oracle.transfer_matrices(j)
+    assert list(built) == list(want)
+    for name, m in want.items():
+        assert _storage(built[name]) == _storage(m), name
+
+
+@pytest.mark.parametrize("j", SPINS_TO_9_2, ids=str)
+def test_closed_forms_match_the_hpoly_oracle(j):
+    # The closed-form actions as matrices, field by field, and the columns
+    # boson_raising_action and boson_lowering_action read from them.
+    for raising in (True, False) if j.twice else (True,):
+        built = tensorops._closed_forms(j, raising)
+        assert list(map(_storage, built)) \
+            == list(map(_storage, boson_oracle.closed_forms(j, raising)))
+        action = boson_raising_action if raising else boson_lowering_action
+        for m in weight_range(j):
+            want = boson_oracle.action_entries(j, m, raising)
+            assert action(j, m) == tuple(PolyMatrix([[p] for p in column])
+                                         for column in want)
+
+
+def _families(j):
+    fams = [boson_raising_family(j), identity_family(j)]
+    if j.twice:
+        fams += [boson_lowering_family(j), rank1_generators(j)]
+    return fams
+
+
+@pytest.mark.parametrize("j", SPINS_TO_9_2, ids=str)
+def test_family_columns_match_the_hpoly_oracle(j):
+    # T, the components' graded rows side by side in K's row basis, has the
+    # storage of the components' entries refitted there, field by field.
+    for fam in _families(j):
+        assert _beside(fam.components, _bases(fam._ket)[0]) is not None
+        assert _bases(fam.columns)[1] is _bases(fam._ket)[0] is not None
+        assert _storage(fam.columns) == _storage(boson_oracle.family_columns(fam))
+
+
+def test_other_family_columns_match_the_hpoly_oracle():
+    # The restricted fermion families and a coupled boson family.
+    fams = [*fermion_wigner_families(),
+            couple_tensor_ops(boson_raising_family(1), boson_raising_family(H12), 1)]
+    for fam in fams:
+        assert _storage(fam.columns) == _storage(boson_oracle.family_columns(fam))
+
+
+def test_family_columns_refuse_components_off_one_constant():
+    # A component moved by h (or by sqrt(2)) stays graded in its bases, but
+    # its constant no longer matches the other's in K's basis: the
+    # components' entries are refitted, as by the oracle.
+    fam = boson_raising_family(half(3, 2))
+    for factor in (H, HPoly.constant(RadScalar.sqrt(2))):
+        up, dn = fam.components
+        moved = TensorOpFamily(fam.rank, (up * factor, dn), fam.ctx)
+        assert _beside(moved.components, _bases(fam._ket)[0]) is None
+        assert _storage(moved.columns) == _storage(boson_oracle.family_columns(moved))
+
+
+@examples(20)
+@given(st.data())
+def test_a_perturbed_component_fails_the_boson_action_under_its_names(data):
+    # One entry of one component, raised by a monomial, fails exactly the
+    # check of its column, under the names of the clean report; T of the
+    # perturbed family still matches the oracle.
+    j = HalfInt.from_twice(data.draw(st.integers(1, 9), label="2j"))
+    raising = data.draw(st.booleans(), label="raising")
+    build = boson_raising_family if raising else boson_lowering_family
+    comp = data.draw(st.integers(0, 1), label="component")
+    t = build(j).components[comp]
+    i = data.draw(st.integers(0, t.rows - 1), label="row")
+    k = data.draw(st.integers(0, t.cols - 1), label="column")
+    bump = data.draw(st.sampled_from([HPoly.one(), H, HPoly.h(2, RadScalar.sqrt(3)),
+                                      -t.entry(i, k) or HPoly.constant(-2)]))
+    clean = verify_boson_action(j)
+    bumped = _bumped(build, comp, i, k, bump)
+    with patch.object(tensorops, "boson_raising_family" if raising
+                      else "boson_lowering_family", bumped):
+        report = verify_boson_action(j)
+    name = "raising" if raising else "lowering"
+    sign = "-" if comp else "+"
+    form = " (derived form)" if comp and not raising else ""
+    m = weight_range(j)[k]
+    assert [c.name for c in report.checks] == [c.name for c in clean.checks]
+    assert [c.name for c in report.failures()] \
+        == [f"{name} t[{sign}1/2] on |{j} {m}>{form}"]
+    assert report.notes == clean.notes
+    fam = bumped(j)
+    assert _storage(fam.columns) == _storage(boson_oracle.family_columns(fam))
