@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, gcd, lcm
 
-from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
+from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of, spin_memo,
                       weight_index, weight_range, weight_texts)
 from .hpoly import HPoly
 from .irreps import (Generator, GenMatrices, _slot_gauges, casimir_from_gens,
@@ -76,27 +76,17 @@ def product_weight_index(j1, j2, k1, k2) -> int:
             + weight_index(j2, as_half(k2)))
 
 
+@spin_memo
 def product_labels(j1, j2) -> tuple[tuple[HalfInt, HalfInt], ...]:
     """The weight pairs (k1, k2) in product-basis order; one tuple per
     pair, built on first request and then shared."""
-    return _product_labels(as_half(j1).twice, as_half(j2).twice)
+    return tuple((k1, k2) for k1 in weight_range(j1) for k2 in weight_range(j2))
 
 
-@lru_cache(maxsize=None)
-def _product_labels(twice1: int, twice2: int):
-    return tuple((k1, k2) for k1 in weight_range(HalfInt.from_twice(twice1))
-                 for k2 in weight_range(HalfInt.from_twice(twice2)))
-
-
+@spin_memo
 def product_label_texts(j1, j2) -> tuple[tuple[str, str], ...]:
     """The texts of product_labels(j1, j2), kept beside them."""
-    return _product_label_texts(as_half(j1).twice, as_half(j2).twice)
-
-
-@lru_cache(maxsize=None)
-def _product_label_texts(twice1: int, twice2: int):
-    return tuple((k1, k2) for k1 in weight_texts(HalfInt.from_twice(twice1))
-                 for k2 in weight_texts(HalfInt.from_twice(twice2)))
+    return tuple((k1, k2) for k1 in weight_texts(j1) for k2 in weight_texts(j2))
 
 
 class AlphaTable(Frozen, Record):
@@ -149,15 +139,10 @@ class AlphaTable(Frozen, Record):
                               product_weight_index(self.j1, self.j2, m1, m2))
 
 
+@spin_memo
 def alpha_table(j1, j2) -> AlphaTable:
-    return _alpha_table_cached(as_half(j1).twice, as_half(j2).twice)
-
-
-@lru_cache(maxsize=None)
-def _alpha_table_cached(twice1: int, twice2: int) -> AlphaTable:
-    j1, j2 = HalfInt.from_twice(twice1), HalfInt.from_twice(twice2)
     ket = _alpha_ket(dim_of(j1) - 1, dim_of(j2) - 1)  # raises for a negative spin
-    return AlphaTable(j1, j2, ket, _alpha_bra(ket), _cgc_cached(j1, j2))
+    return AlphaTable(j1, j2, ket, _alpha_bra(ket), cgc_matrix(j1, j2))
 
 
 def _alpha_bra(ket: PolyMatrix) -> PolyMatrix:
@@ -225,13 +210,14 @@ def _alpha_ket(n1: int, n2: int) -> PolyMatrix:
     return PolyMatrix._labelled((f1 * f2) ** 2 << top, rows, labels, labels)
 
 
-@lru_cache(maxsize=None)
-def _cgc_cached(j1: HalfInt, j2: HalfInt) -> PolyMatrix:
-    """C = (D1 (x) D2) Q D_c of a pair, memoized apart from K.  Q is the
-    sum over z of (-1)^z / (z! (j1+j2-j-z)! (j1-m1-z)! (j2+m2-z)!
-    (j-j2+m1+z)! (j-j1-m2+z)!) where m1 + m2 = m.  For the scale
-    r sqrt(sigma) of spin j, D_c(j, m) = e sqrt(q) with e rational and the
-    column label q = sqfree(sigma p_j(m)): C = u(i) Q e q sqrt(P_i / q)."""
+@spin_memo
+def cgc_matrix(j1, j2) -> PolyMatrix:
+    """C, rows in product order and columns in coupled_labels order:
+    (D1 (x) D2) Q D_c of a pair, memoized apart from K.  Q is the sum over
+    z of (-1)^z / (z! (j1+j2-j-z)! (j1-m1-z)! (j2+m2-z)! (j-j2+m1+z)!
+    (j-j1-m2+z)!) where m1 + m2 = m.  For the scale r sqrt(sigma) of spin
+    j, D_c(j, m) = e sqrt(q) with e rational and the column label
+    q = sqfree(sigma p_j(m)): C = u(i) Q e q sqrt(P_i / q)."""
     n1, n2 = dim_of(j1) - 1, dim_of(j2) - 1
     f, w = factorial, n2 + 1
     labels, u = zip(*_product_gauges(n1, n2))
@@ -451,25 +437,19 @@ def coupled_spins(j1: HalfInt, j2: HalfInt) -> tuple[HalfInt, ...]:
     return tuple(HalfInt.from_twice(t) for t in range(top.twice, bottom.twice - 2, -2))
 
 
+@spin_memo
 def coupled_labels(j1, j2) -> tuple[tuple[HalfInt, HalfInt], ...]:
     """The coupled vectors (j, m), spins j1+j2 down to |j1-j2| and weights
     j..-j: the column order of C and K C.  One tuple per pair, built on
     first request and then shared."""
-    return _coupled_labels(as_half(j1).twice, as_half(j2).twice)
+    return tuple((j, m) for j in coupled_spins(j1, j2) for m in weight_range(j))
 
 
-@lru_cache(maxsize=None)
-def _coupled_labels(twice1: int, twice2: int):
-    return tuple((j, m) for j in coupled_spins(HalfInt.from_twice(twice1),
-                                               HalfInt.from_twice(twice2))
-                 for m in weight_range(j))
-
-
-@lru_cache(maxsize=None)
-def _coupled_positions(twice1: int, twice2: int) -> dict[tuple[int, int], int]:
+@spin_memo
+def _coupled_positions(j1, j2) -> dict[tuple[int, int], int]:
     """Position in coupled_labels of each (2j, 2m)."""
     return {(j.twice, m.twice): i
-            for i, (j, m) in enumerate(_coupled_labels(twice1, twice2))}
+            for i, (j, m) in enumerate(coupled_labels(j1, j2))}
 
 
 def coupled_index(j1, j2, j, m) -> int:
@@ -477,15 +457,10 @@ def coupled_index(j1, j2, j, m) -> int:
     product holds no such vector."""
     j1, j2, j, m = as_half(j1), as_half(j2), as_half(j), as_half(m)
     try:
-        return _coupled_positions(j1.twice, j2.twice)[j.twice, m.twice]
+        return _coupled_positions(j1, j2)[j.twice, m.twice]
     except KeyError:
         raise SelectionRuleError(
             f"no vector |{j} {m}> in {j1} (x) {j2}") from None
-
-
-def cgc_matrix(j1, j2) -> PolyMatrix:
-    """C, rows in product order and columns in coupled_labels order."""
-    return _cgc_cached(as_half(j1), as_half(j2))
 
 
 class CoupledBasis(Frozen, Record):
@@ -511,12 +486,11 @@ def decompose(j1, j2) -> list[tuple[HalfInt, int]]:
     eigenvalue j(j+1); any mismatch raises.  Each spin occurs once.  The
     certification runs once per pair; a failed one raises on every call.
     """
-    return list(_certified_decomposition(as_half(j1), as_half(j2)))
+    return list(_certified_decomposition(j1, j2))
 
 
-@lru_cache(maxsize=None)
-def _certified_decomposition(j1: HalfInt,
-                             j2: HalfInt) -> tuple[tuple[HalfInt, int], ...]:
+@spin_memo
+def _certified_decomposition(j1, j2) -> tuple[tuple[HalfInt, int], ...]:
     kc = coupled_basis(j1, j2).matrix
     # The Casimir never reads Delta(X), so it is not built.
     cas = casimir_from_gens(GenMatrices(None, *_pair_coproducts(j1, j2)))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import total_ordering, wraps
 
 from .record import Frozen
 
@@ -137,26 +137,39 @@ def dim_of(j: HalfInt) -> int:
     return j.twice + 1
 
 
+def spin_memo(build):
+    """Memoize a construction per spin: each spelling of a spin (int,
+    Fraction, text or HalfInt) is keyed by its doubled value and reaches
+    ``build`` as a HalfInt.  The results are kept in the dict ``built`` on
+    the memo, keyed by the tuple of doubled spins; a build that raises
+    keeps nothing.
+
+    >>> weight_range("1/2") is weight_range(half(1, 2)) is weight_range(" 0.5")
+    True
+    """
+    @wraps(build)
+    def memo(*spins):
+        key = tuple([j.twice if type(j) is HalfInt else as_half(j).twice
+                     for j in spins])
+        if key not in memo.built:
+            memo.built[key] = build(*map(HalfInt.from_twice, key))
+        return memo.built[key]
+
+    memo.built = {}
+    return memo
+
+
+@spin_memo
 def weight_range(j: HalfInt) -> tuple[HalfInt, ...]:
     """Weights j, j-1, ..., -j in the fixed (descending) basis order; one
     tuple per spin, built on first request and then shared."""
-    return _weight_range(j.twice)
+    return tuple(HalfInt.from_twice(j.twice - 2 * i) for i in range(dim_of(j)))
 
 
-@lru_cache(maxsize=None)
-def _weight_range(twice: int) -> tuple[HalfInt, ...]:
-    dim = dim_of(HalfInt.from_twice(twice))  # raises for a negative spin
-    return tuple(HalfInt.from_twice(twice - 2 * i) for i in range(dim))
-
-
+@spin_memo
 def weight_texts(j: HalfInt) -> tuple[str, ...]:
     """The texts of weight_range(j), kept beside it: one tuple per spin."""
-    return _weight_texts(j.twice)
-
-
-@lru_cache(maxsize=None)
-def _weight_texts(twice: int) -> tuple[str, ...]:
-    return tuple(map(str, _weight_range(twice)))
+    return tuple(map(str, weight_range(j)))
 
 
 def weight_index(j: HalfInt, m: HalfInt) -> int:

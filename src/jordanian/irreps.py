@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, isqrt, lcm
 
-from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
+from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of, spin_memo,
                       weight_range)
 from .hpoly import HPoly
 from .polymatrix import (PolyMatrix, _msum, _natural, _unit_like, commutator,
@@ -82,16 +82,16 @@ def _ladder_map(den: int, rows, nt: int, ns: int, shift: int = 0) -> PolyMatrix:
         _natural(nt), _natural(ns), shift if any(rows) else 0)
 
 
-@lru_cache(maxsize=None)
+@spin_memo
 def sl2_irrep(j) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
-    """Classical spin-j ladder matrices (Zp, Zm, Hm), h-free; memoized.
+    """Classical spin-j ladder matrices (Zp, Zm, Hm), h-free; memoized per spin.
 
     Zp|j m> = sqrt((j-m)(j+m+1)) |j m+1>, Zm lowers, Hm|j m> = 2m |j m>.
     In position c = j - m and the gauge d(c) = sqrt(c! (2j-c)!) they are
     the integer matrices Zp: c -> c-1 with c, Zm: c -> c+1 with 2j - c and
     Hm = diag(2j - 2c), each built straight into the ladder basis.
     """
-    ws = weight_range(as_half(j))
+    ws = weight_range(j)
     n = len(ws)
     return tuple(_ladder_map(1, rows, n, n, s)._relabeled(ws, ws) for rows, s in (
         ([{r + 1: r + 1} if r + 1 < n else {} for r in range(n)], -1),
@@ -121,9 +121,10 @@ def exp_hx(j, sign: int = +1) -> PolyMatrix:
     return irrep(j).exp_hx if sign > 0 else irrep(j).exp_mhx
 
 
-# The field of GenMatrices holding each generator but the unit.
+# The field of GenMatrices holding each generator (the unit: a kept identity).
 _FIELDS = {Generator.X: "x", Generator.Y: "y", Generator.H: "h",
-           Generator.EXP_HX: "ep", Generator.EXP_MHX: "em"}
+           Generator.UNIT: "_identity", Generator.EXP_HX: "ep",
+           Generator.EXP_MHX: "em"}
 
 
 class GenMatrices(Frozen, Record):
@@ -144,12 +145,14 @@ class GenMatrices(Frozen, Record):
         and kept, as an AlphaTable keeps its products."""
         return {Generator.X: -self.x, Generator.Y: -(self.ep @ self.y @ self.em),
                 Generator.H: -(self.ep @ self.h @ self.em),
-                Generator.UNIT: self.of(Generator.UNIT),
+                Generator.UNIT: self._identity,
                 Generator.EXP_HX: self.em, Generator.EXP_MHX: self.ep}
 
+    @cached_property
+    def _identity(self) -> PolyMatrix:  # in the module's basis, that of X
+        return _unit_like(self.x)._relabeled(self.weights, self.weights)
+
     def of(self, gen: Generator) -> PolyMatrix:
-        if gen is Generator.UNIT:  # in the module's basis, that of X
-            return _unit_like(self.x)._relabeled(self.weights, self.weights)
         if gen not in _FIELDS:
             raise ValueError(f"unknown generator {gen!r}")
         return getattr(self, _FIELDS[gen])
@@ -179,13 +182,9 @@ class Irrep(Frozen, Record):
                            self.weights)
 
 
+@spin_memo
 def irrep(j) -> Irrep:
-    """The (2j+1)-dimensional irrep; memoized."""
-    return _irrep_cached(as_half(j))
-
-
-@lru_cache(maxsize=None)
-def _irrep_cached(j: HalfInt) -> Irrep:
+    """The (2j+1)-dimensional irrep; memoized per spin."""
     x = x_matrix(j)
     # e^{hX}, e^{-hX}, e^{hX/2}, e^{-hX/2}, in the field order of Irrep
     exps = (exp_nilpotent(x, HPoly.h(1, Fraction(f, 2))) for f in (2, -2, 1, -1))
@@ -213,15 +212,11 @@ def casimir_from_gens(gens: GenMatrices) -> PolyMatrix:
     return mixed + (gens.h @ gens.h) * Fraction(1, 4) + (sh @ sh) * Fraction(1, 4)
 
 
+@spin_memo
 def casimir_matrix(j) -> PolyMatrix:
     """The Casimir of the spin-j module (equal to j(j+1) times the
-    identity); memoized."""
-    return _casimir_cached(as_half(j).twice)
-
-
-@lru_cache(maxsize=None)
-def _casimir_cached(twice: int) -> PolyMatrix:
-    return casimir_from_gens(irrep(HalfInt.from_twice(twice)).gens())
+    identity); memoized per spin."""
+    return casimir_from_gens(irrep(j).gens())
 
 
 def casimir_ladder_form(j) -> PolyMatrix:

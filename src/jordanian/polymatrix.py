@@ -2,7 +2,11 @@
 
 Matrices carry optional weight labels on rows and columns (the half-integer
 m of each basis vector) so representation-theoretic indexing stays explicit.
-All operations are exact; a zero residual matrix is literally zero.
+They sit beside the bases below, not in them: weighted and unweighted
+matrices (``rep.zp``, ``PolyMatrix.identity(n)``) share one basis, and ``@``
+needs ``a.cb is b.rb``, so weighted bases would send mixed products to
+``_entrywise``.  All operations are exact; a zero residual matrix is
+literally zero.
 
 Storage.  Every matrix the package builds has one monomial per entry, its
 h-power and radical following the bases of the rows and columns: a basis

@@ -33,12 +33,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import perm
 from types import MappingProxyType
 
 from .coupling import alpha_table, coupled_ket, product_labels, slot_sums
-from .halfint import HalfInt, as_half, dim_of, half, weight_index, weight_range
+from .halfint import (HalfInt, as_half, dim_of, half, spin_memo, weight_index,
+                      weight_range)
 from .hpoly import HPoly
 from .irreps import (GenMatrices, Generator, _ladder_map, antipode_matrix,
                      coproduct_terms, irrep, relation_residuals, sinh_hx)
@@ -203,11 +204,11 @@ def fermion_modes() -> dict[str, PolyMatrix]:
     """Two fermionic modes on the basis |0>, c1|0>, c2|0>, c1 c2|0>
     (creation operators applied left to right).  The matrices are memoized
     and immutable; each call returns a fresh dict of them."""
-    return dict(_fermion_modes_cached())
+    return dict(_fermion_modes())
 
 
-@lru_cache(maxsize=None)
-def _fermion_modes_cached() -> dict[str, PolyMatrix]:
+@spin_memo
+def _fermion_modes() -> dict[str, PolyMatrix]:
     # c1+ takes |0>, c2|0> to c1|0>, c1 c2|0>; c2+ takes |0>, c1|0> to
     # c2|0>, -c1 c2|0>; c1, c2 are their transposes.  Every entry is h^0,
     # so the constant shift of c2+ is -1 and that of c2 is 1.
@@ -219,6 +220,7 @@ def _fermion_modes_cached() -> dict[str, PolyMatrix]:
     }
 
 
+@spin_memo
 def fermion_realization() -> tuple[FockBlock, TensorOpFamily, TensorOpFamily]:
     """The four-dimensional fermionic module and its two spin-1/2 families.
 
@@ -228,12 +230,7 @@ def fermion_realization() -> tuple[FockBlock, TensorOpFamily, TensorOpFamily]:
     B on the second; each swaps the spin-1/2 sector with one singlet.
     Memoized; the block and families are immutable.
     """
-    return _fermion_cached()
-
-
-@lru_cache(maxsize=None)
-def _fermion_cached() -> tuple[FockBlock, TensorOpFamily, TensorOpFamily]:
-    modes = _fermion_modes_cached()
+    modes = _fermion_modes()
     n1 = modes["c1+"] @ modes["c1"]
     n2 = modes["c2+"] @ modes["c2"]
     jp = modes["c1+"] @ modes["c2+"]  # quasi-spin raising: pairs the two modes
@@ -352,30 +349,22 @@ def _boson_family(j: HalfInt, jt: HalfInt, a: PolyMatrix,
         ctx=OpSpaceContext(source=irrep(j).gens(), target=rep.gens()))
 
 
+@spin_memo
 def boson_raising_family(j) -> TensorOpFamily:
     """The spin-1/2 family mapping spin j to spin j+1/2:
     t[+1/2] = (1 - (h/2) Zp)^{-1} b1+ and
     t[-1/2] = (1 - (h/2) Zp) b2+ + (h/2)(t[+1/2] - b1+ H).
     Memoized per spin; the family is immutable."""
-    return _boson_raising_cached(as_half(j))
-
-
-@lru_cache(maxsize=None)
-def _boson_raising_cached(j: HalfInt) -> TensorOpFamily:
     b = boson_transfer_matrices(j)
     return _boson_family(j, j + half(1, 2), b["b1+"], b["b2+"])
 
 
+@spin_memo
 def boson_lowering_family(j) -> TensorOpFamily:
     """The spin-1/2 family mapping spin j to spin j-1/2 (j >= 1/2):
     t[+1/2] = -(1 - (h/2) Zp)^{-1} b2 and
     t[-1/2] = (1 - (h/2) Zp) b1 + (h/2)(t[+1/2] + b2 H).
     Memoized per spin; the family is immutable."""
-    return _boson_lowering_cached(as_half(j))
-
-
-@lru_cache(maxsize=None)
-def _boson_lowering_cached(j: HalfInt) -> TensorOpFamily:
     if j.twice < 1:
         raise ValueError("the lowering family needs spin j >= 1/2")
     b = boson_transfer_matrices(j)
@@ -499,14 +488,10 @@ def fermion_wigner_families() -> tuple[TensorOpFamily, TensorOpFamily]:
         source) for fam, name in ((fam_a, "singlet1"), (fam_b, "singlet2")))
 
 
+@spin_memo
 def identity_family(j) -> TensorOpFamily:
     """The rank-0 family whose single component is the identity operator.
     Memoized per spin; the family is immutable."""
-    return _identity_cached(as_half(j))
-
-
-@lru_cache(maxsize=None)
-def _identity_cached(j: HalfInt) -> TensorOpFamily:
     g = irrep(j).gens()
     return TensorOpFamily(
         rank=half(0),
@@ -516,16 +501,12 @@ def _identity_cached(j: HalfInt) -> TensorOpFamily:
 
 # -- rank-1 family in the algebra generators ---------------------------------
 
+@spin_memo
 def rank1_generators(j) -> TensorOpFamily:
     """The rank-1 family on one module, written in the generators:
     t[1] = -e^{hX} sinh(hX)/h, t[0] = e^{hX} H / sqrt(2),
     t[-1] = e^{-hX/2} Y e^{-hX/2} + (h/2) e^{hX/2} H e^{hX/2} - (h/2) H^2.
     Memoized per spin; the family is immutable."""
-    return _rank1_cached(as_half(j))
-
-
-@lru_cache(maxsize=None)
-def _rank1_cached(j: HalfInt) -> TensorOpFamily:
     rep = irrep(j)
     g = rep.gens()
     sh_over_h = sinh_hx(g).divide_h(1)

@@ -152,9 +152,8 @@ def test_single_alpha_request_reads_a_slice_of_k(capsys, monkeypatch):
     # One coefficient reads a 1x1 slice of K: K's HPoly view (1 296 cells
     # at 5/2 (x) 5/2) is not built.  Fresh memos, so that no other test's
     # reads show here.
-    for name in ("_alpha_table_cached", "_cgc_cached"):
-        monkeypatch.setattr(coupling, name, functools.lru_cache(maxsize=None)(
-            getattr(coupling, name).__wrapped__))
+    for memo in (coupling.alpha_table, coupling.cgc_matrix):
+        monkeypatch.setattr(memo, "built", {})
     for fmt in ("pretty", "json", "csv"):
         code, out, _ = run(capsys, "alpha", "--j1", "5/2", "--j2", "5/2",
                            "--k1", "5/2", "--k2", "5/2", "--m1", "-5/2",
@@ -328,9 +327,8 @@ def test_cgc_requests_read_slices_of_the_pair_tables(capsys, monkeypatch):
     # Ket, bra and classical requests read slices of K C, C^T B and C:
     # none of them builds the HPoly view of a whole memoized table.  Fresh
     # memos, so that no other test's reads show here.
-    for name in ("_alpha_table_cached", "_cgc_cached"):
-        monkeypatch.setattr(coupling, name, functools.lru_cache(maxsize=None)(
-            getattr(coupling, name).__wrapped__))
+    for memo in (coupling.alpha_table, coupling.cgc_matrix):
+        monkeypatch.setattr(memo, "built", {})
     pair = ("--j1", "3/2", "--j2", "1", "--j", "3/2")
     for kind in (("--m", "1/2"), ("--m", "1/2", "--bra"), ("--classical",)):
         for single in ((), ("--k1", "1/2", "--k2", "0")):
@@ -690,6 +688,17 @@ def test_merge_negative_values_targets_value_options_only():
         ["--m2", "-1/2", "--verbose", "-1/2", "--max-j", "-2", "--m", "x"])
     assert merged == ["--m2=-1/2", "--verbose", "-1/2", "--max-j=-2",
                       "--m", "x"]
+
+
+def test_an_abbreviated_option_takes_a_negative_weight(capsys):
+    # The option table refuses an abbreviated option (--form), so argparse
+    # parses this request, and takes --m1 -1/2 only once it is merged into
+    # --m1=-1/2: the merge stays for such requests.
+    argv = ["alpha", "--j1", "1/2", "--j2", "1/2", "--k1", "1/2", "--k2",
+            "1/2", "--m1", "-1/2", "--m2", "-1/2"]
+    full = _outcome(capsys, [*argv, "--format", "csv"])
+    assert full[0] == 0
+    assert _outcome(capsys, [*argv, "--form", "csv"]) == full
 
 
 # -- one parser per process -----------------------------------------------------
@@ -1056,7 +1065,7 @@ def test_help_matches_recorded_digests(capsys, monkeypatch, command):
 def test_verify_reports_a_failed_certification(monkeypatch):
     real = coupling.casimir_eigenvalue
     monkeypatch.setattr(coupling, "casimir_eigenvalue", lambda j: real(j) + 1)
-    coupling._certified_decomposition.cache_clear()
+    coupling._certified_decomposition.built.clear()
     report = cli._decompose_report(half(1, 2), half(1, 2))
     assert not report.ok
     assert report.failures()[0].detail.endswith("j=1, m=1")
@@ -1355,7 +1364,7 @@ def test_second_casimir_request_builds_no_casimir(capsys, monkeypatch):
     real = irreps.casimir_from_gens
     monkeypatch.setattr(irreps, "casimir_from_gens",
                         lambda gens: built.append(gens) or real(gens))
-    irreps._casimir_cached.cache_clear()
+    irreps.casimir_matrix.built.clear()
     first = run(capsys, "irrep", "--j", "3/2", "--gen", "casimir")
     assert first[0] == 0 and len(built) == 1
     for fmt in cli.FORMATS:

@@ -277,7 +277,7 @@ def test_coupled_ladder_and_certificate_share_one_coproduct_build(monkeypatch):
 
     monkeypatch.setattr(coupling, "coproduct_matrix", counting)
     coupling._pair_coproducts.cache_clear()
-    coupling._certified_decomposition.cache_clear()
+    coupling._certified_decomposition.built.clear()
     assert verify_intermediate_action(half(1), H12).ok
     assert decompose(half(1), H12) == [(half(3, 2), 1), (H12, 1)]
     assert sorted(built) == ["H", "Y", "expHX", "expmHX"]
@@ -420,7 +420,7 @@ def test_coupling_matrices_and_reduced_elements_need_no_sl2_cgc(monkeypatch):
 
     monkeypatch.setattr(coupling, "sl2_cgc", refuse)
     monkeypatch.setattr(coupling, "sqrt_factorial_ratio", counting)
-    fresh = coupling._cgc_cached.__wrapped__(j1, j2)
+    fresh = coupling.cgc_matrix.__wrapped__(j1, j2)
     assert fresh == cgc_matrix(j1, j2)
     nonzero = sum(1 for row in oracle.canonical_terms(fresh)[1] for _ in row)
     assert len(roots) == len(coupled_spins(j1, j2)) == 4 < nonzero == 58
@@ -604,7 +604,7 @@ def test_casimir_diagonal_is_built_as_the_rebased_diagonal():
 def test_failed_certification_raises_on_every_call(monkeypatch):
     real = coupling.casimir_eigenvalue
     monkeypatch.setattr(coupling, "casimir_eigenvalue", lambda j: real(j) + 1)
-    coupling._certified_decomposition.cache_clear()
+    coupling._certified_decomposition.built.clear()
     for _ in range(2):
         with pytest.raises(ArithmeticError, match=r"j=1, m=1$"):
             decompose(H12, H12)

@@ -266,7 +266,7 @@ def test_perturbed_ket_fails_as_the_difference_would(monkeypatch):
                 if check.status == "fail":
                     expected.append((check.name, check.detail))
     assert failures == expected
-    coupling._certified_decomposition.cache_clear()
+    coupling._certified_decomposition.built.clear()
     try:
         decompose(J1, J2)
     except ArithmeticError as exc:
@@ -274,7 +274,7 @@ def test_perturbed_ket_fails_as_the_difference_would(monkeypatch):
     else:
         raise AssertionError("a perturbed K passed the Casimir certificate")
     finally:
-        coupling._certified_decomposition.cache_clear()
+        coupling._certified_decomposition.built.clear()
 
 
 def test_perturbed_bra_ket_fails_cell_by_cell(monkeypatch):
@@ -328,8 +328,8 @@ def test_fresh_tables_need_no_regauging(monkeypatch):
     monkeypatch.setattr(pm, "_entrywise", counting)
     pairs = [(half(t1, 2), half(t2, 2)) for t1 in range(1, 6)
              for t2 in range(1, 6)]
-    fresh = [(coupling._alpha_table_cached.__wrapped__(j1.twice, j2.twice),
-              coupling._cgc_cached.__wrapped__(j1, j2)) for j1, j2 in pairs]
+    fresh = [(coupling.alpha_table.__wrapped__(j1, j2),
+              coupling.cgc_matrix.__wrapped__(j1, j2)) for j1, j2 in pairs]
     assert calls == []
     for (j1, j2), (table, c) in zip(pairs, fresh):
         assert table.ket == alpha_table(j1, j2).ket

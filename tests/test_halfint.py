@@ -1,6 +1,8 @@
-"""Half-integer labels: arithmetic, ordering, and weight bookkeeping."""
+"""Half-integer labels: arithmetic, ordering, weight bookkeeping, and the
+one memo per spin of every spin-keyed construction."""
 
 import copy
+import itertools
 import pickle
 from fractions import Fraction
 
@@ -8,8 +10,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import examples
+from jordanian import coupling
+from jordanian.coupling import (alpha_table, cgc_matrix, coupled_labels,
+                                product_label_texts, product_labels)
 from jordanian.halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of,
-                               half, weight_index, weight_range)
+                               half, weight_index, weight_range, weight_texts)
+from jordanian.irreps import casimir_matrix, irrep, sl2_irrep
+from jordanian.tensorops import (boson_lowering_family, boson_raising_family,
+                                 identity_family, rank1_generators)
 
 twices = st.integers(min_value=-40, max_value=40)
 
@@ -177,3 +186,60 @@ def test_equality_with_other_types():
     assert half(1, 2) != "1/2"
     assert half(1, 2) != None  # noqa: E711
     assert HalfInt(2) == 2 and HalfInt(2) != half(3, 2)
+
+
+# -- one memo per spin -----------------------------------------------------------
+
+# Every spin-memoized construction, by the number of spins it takes.
+ONE_SPIN = (sl2_irrep, irrep, casimir_matrix, weight_range, weight_texts,
+            boson_raising_family, boson_lowering_family, identity_family,
+            rank1_generators)
+TWO_SPINS = (product_labels, product_label_texts, alpha_table, cgc_matrix,
+             coupled_labels, coupling._coupled_positions,
+             coupling._certified_decomposition)
+
+
+def spellings(twice):
+    """The spin twice/2 as a Fraction, a HalfInt, an int where it is
+    integral, and as text: '3/2' or '2', padded, and decimal ('1.5')."""
+    q = Fraction(twice, 2)
+    ints = [twice // 2] if twice % 2 == 0 else []
+    return [q, HalfInt.from_twice(twice), *ints, str(q), f"  {q} ",
+            str(float(q))]
+
+
+@examples(100)
+@given(st.integers(0, 7), st.integers(0, 5), st.integers(0, 5), st.randoms())
+def test_every_spelling_of_a_spin_reads_one_memo(t, t1, t2, rnd):
+    # Spins 0..7/2, pairs up to 5/2; the spellings are called in a random
+    # order, so any of them may be the one that builds.
+    cases = ([(memo, (t,)) for memo in ONE_SPIN]
+             + [(memo, (t1, t2)) for memo in TWO_SPINS])
+    for memo, twices in cases:
+        if memo is boson_lowering_family and t == 0:
+            continue  # refused (test_a_refused_build_keeps_nothing)
+        calls = list(itertools.product(*map(spellings, twices)))
+        rnd.shuffle(calls)
+        first = memo(*calls[0])
+        assert all(memo(*spins) is first for spins in calls), memo.__name__
+        assert memo.built[twices] is first
+
+
+def test_a_refused_build_keeps_nothing():
+    # coupled_labels of a negative spin is empty by design, so that
+    # coupled_index names the absent vector: it refuses nothing.
+    refused = ([(memo, spins) for memo in ONE_SPIN
+                for spins in (("-1/2",), (-1,))]
+               + [(boson_lowering_family, (0,))]
+               + [(memo, spins) for memo in TWO_SPINS
+                  if memo not in (coupled_labels, coupling._coupled_positions)
+                  for spins in ((Fraction(-1, 2), 1), (half(1, 2), " -1"))])
+    for memo, spins in refused:
+        key = tuple(as_half(j).twice for j in spins)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as excinfo:
+                memo(*spins)
+            errors.append((type(excinfo.value), str(excinfo.value)))
+            assert key not in memo.built, (memo.__name__, spins)
+        assert errors[0] == errors[1], (memo.__name__, spins)

@@ -215,14 +215,10 @@ def wigner_suite_builds(monkeypatch, capsys):
     """Run verify --suite wigner-eckart --max-j 2 on fresh pair tables and
     fresh family memos, and give, per kept matrix, the objects it was
     formed for (in build order; one entry per build)."""
-    for module, name in ((coupling, "_alpha_table_cached"),
-                         (coupling, "_cgc_cached"),
-                         (tensorops, "_boson_raising_cached"),
-                         (tensorops, "_boson_lowering_cached"),
-                         (tensorops, "_rank1_cached"),
-                         (tensorops, "_identity_cached")):
-        monkeypatch.setattr(module, name, functools.lru_cache(maxsize=None)(
-            getattr(module, name).__wrapped__))
+    for memo in (coupling.alpha_table, coupling.cgc_matrix,
+                 tensorops.boson_raising_family, tensorops.boson_lowering_family,
+                 tensorops.rank1_generators, tensorops.identity_family):
+        monkeypatch.setattr(memo, "built", {})
     builds = {"dual": []}
     _count_builds(monkeypatch, AlphaTable, "dual", builds["dual"])
     for name in ("columns", "phi", "ladder_sides"):
