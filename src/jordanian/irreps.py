@@ -73,7 +73,7 @@ def _ladder_map(den: int, rows, nt: int, ns: int, shift: int = 0) -> PolyMatrix:
     """D_t (R / den) D_s^-1 between ladder bases of nt and ns dimensions, no
     weights, for int rows R and d(c) = s sqrt(p) (_slot_gauges): the entry
     R[r, c] / den * s_t(r) / s_s(c) sqrt(p_t(r) / p_s(c)) h**(c - r + shift)
-    in the labels (-c, p); a zero R has the certificate's constant (0, 1)."""
+    in the labels (-c, p); a zero R has the shift 0 of zeros."""
     gt, gs = _slot_gauges(nt - 1), _slot_gauges(ns - 1)
     big = lcm(*(s for _, s in gs))
     return PolyMatrix._labelled(

@@ -18,23 +18,21 @@ h**(a_i + shift - b_c) for the labels (a_i, p_i) and (b_c, q_c).  Bases are
 interned by their labels moved by the gauge of the first label (which
 moves into the constant), so the ladder basis of a spin, the product
 basis of a pair and its coupled basis are one object each, however a
-matrix reaches them: from entries, a slice or a reversal.
+matrix reaches them: from its construction, a slice or a reversal.
 
-The bases are a certificate, not an assumption: ``_fit`` checks every
-entry against offered bases in one pass, and the public constructor offers
-the labels ``_derived`` finds over the nonzero pattern, each component
-starting from the spin (rows-1)/2 ladder gauge (-i, sqfree(i! (rows-1-i)!));
-a construction that knows its labels (the coupling, ladder, boson and Fock
-matrices) builds graded storage from int rows and raw labels
-(``_labelled``), and a family's T from its components' rows (``_beside``).
-Every other construction reads its entries through one reader,
-``_monomials``: each nonzero entry as (h-power, squarefree radicand,
-numerator) over one int denominator, or a refusal when an entry has two or
-more terms.  So there are two storages: a matrix built by the caller with
-such an entry, or that no labels fit, keeps only its HPoly entries.  A
-graded denominator is kept minimal, so ``==`` between graded storages in
-the same bases and constant is plain equality of ``den`` and rows; any
-other ``==``, ``hash`` and pickling read the entries, which are canonical.
+Only the code that builds a matrix decides its storage; nothing infers
+labels from entries.  A construction that knows its labels (the coupling,
+ladder, boson and Fock matrices) builds graded storage from int rows and
+raw labels (``_labelled``), a family's T from its components' rows
+(``_beside``), and ``zeros`` and ``identity`` in the basis of the spin
+(n-1)/2 ladder gauge (``_natural``); the graded kernel below keeps its
+results graded.  The public constructor keeps the HPoly entries it is
+given, and so does ``diagonal``.  So there are two storages.  A graded
+denominator is kept minimal, so ``==`` between graded storages in the same
+bases and constant is plain equality of ``den`` and rows; any other ``==``
+and ``hash`` read the entries, which are canonical.  Pickling keeps the
+storage: a graded matrix comes back in the same interned bases with the
+same den, rows and constant.
 
 Arithmetic.  On graded operands ``@`` (the left column basis is the right
 row basis; constants add), ``+``, ``-`` (the same bases and constant),
@@ -45,9 +43,10 @@ gauge of its first labels into the constant.  Anything else (an operand
 that is not graded, graded bases or constants that differ, a scalar of two
 or more terms, a power of h that does not divide) goes through one
 entrywise fallback, ``_entrywise``: HPoly arithmetic entry by entry, as
-tests/matrix_oracle.py computes, with the result certified again by the
-public constructor.  No construction of the library reaches it, so its
-speed does not matter.  A sum with an all-zero operand returns the other.
+tests/matrix_oracle.py computes, with the result kept as its entries.  No
+construction of the library reaches it, so its speed does not matter.  A
+sum with an all-zero operand returns the other; a product by the scalar 0
+is ``zeros``.
 
 ``HPoly`` is the boundary type.  The public constructor reads HPoly entries
 (or anything ``as_hpoly`` accepts) once.  ``entries`` reads a tuple of
@@ -95,26 +94,16 @@ _ZERO = HPoly.zero()
 _RAD_ZERO = RadScalar.zero()
 
 
-def _monomials(entries):
-    """(den, rows) of rows of HPoly entries: per row a dict {col: (k, n, num)}
-    of its nonzero entries num/den * sqrt(n) * h**k in column order, den
-    their least common denominator (which is minimal); None when an entry
-    has two or more terms."""
-    den, rows = 1, []
-    for row in entries:
-        out = {}
-        for c, p in enumerate(row):
-            if p.coeffs:
-                *low, top = p.coeffs
-                if len(top.terms) != 1 or any(low):
-                    return None
-                (n, q), = top.terms.items()
-                out[c] = (len(low), n, q)
-                if q.denominator != 1:
-                    den = lcm(den, q.denominator)
-        rows.append(out)
-    return den, [{c: (k, n, q.numerator * (den // q.denominator))
-                  for c, (k, n, q) in row.items()} for row in rows]
+def _monomial(p):
+    """(k, n, num, den) of the HPoly p = num/den * sqrt(n) * h**k, num 0 for
+    p = 0; None when p has two or more terms."""
+    if not p.coeffs:
+        return 0, 1, 0, 1
+    *low, top = p.coeffs
+    if len(top.terms) != 1 or any(low):
+        return None
+    (n, q), = top.terms.items()
+    return len(low), n, q.numerator, q.denominator
 
 
 # -- bases ----------------------------------------------------------------------
@@ -128,8 +117,8 @@ def _sf(x, y):
 @lru_cache(maxsize=None)
 def _natural(n):
     """The label (-i, sqfree(i! (n-1-i)!)) of each row i of an n-row
-    matrix: the gauge of the spin (n-1)/2 ladder basis, which the
-    certificate gives the first row of each component."""
+    matrix: the gauge of the spin (n-1)/2 ladder basis, in whose basis
+    zeros and identities are built."""
     primes = _primes_up_to(n)
     out = []
     for i in range(n):
@@ -213,73 +202,6 @@ def _graded(den, rows, rb, cb, shift, rad):
         den //= g
         rows = [{c: v // g for c, v in row.items()} if row else row for row in rows]
     return _Graded(den, tuple(rows), rb, cb, shift, rad)
-
-
-def _fit(den, cells, rb, cb):
-    """Graded storage of the monomial rows (den, cells) that _monomials
-    reads in the bases rb and cb, or None when no one constant fits them
-    all: one pass.  v sqrt(n) = V/rad sqrt(p rad / q), V = v q/y rad/g for
-    g = gcd(p, rad) and y = gcd(sqfree(p rad), q)."""
-    cl = cb.labels
-    shift = rad = None
-    rows = []
-    for (a, p), row in zip(rb.labels, cells):
-        out = {}
-        for c, (k, n, v) in row.items():
-            b, q = cl[c]
-            if shift is None:
-                shift, rad = k - a + b, _sf(_sf(n, p), q)
-            g = gcd(p, rad)
-            x = (p // g) * (rad // g)
-            y = gcd(x, q)
-            if k != a + shift - b or (x // y) * (q // y) != n:
-                return None
-            out[c] = v * (q // y) * (rad // g)
-        rows.append(out)
-    return _graded(den * (rad or 1), rows, rb, cb, shift or 0, rad or 1)
-
-
-def _derived(nrows, ncols, cells):
-    """Row and column labels for the monomial rows cells, propagated
-    breadth first over the nonzero pattern from each entry (k, n, num):
-    h-power k = a_i - b_c and radicand n = sqfree(p_i q_c).  The first row
-    i of a component is labelled with the spin (nrows-1)/2 gauge; an empty
-    row takes it too, and an empty column the spin (ncols-1)/2 gauge moved
-    as far as the first labelled column is.  _fit checks them."""
-    at_col = [[] for _ in range(ncols)]
-    for i, row in enumerate(cells):
-        for c in row:
-            at_col[c].append(i)
-    start, rl, cl = _natural(nrows), [None] * nrows, [None] * ncols
-    for first, row in enumerate(cells):
-        if row and rl[first] is None:
-            rl[first], todo = start[first], [first]
-            while todo:
-                i = todo.pop()
-                a, p = rl[i]
-                for c, (k, n, _) in cells[i].items():
-                    if cl[c] is None:
-                        cl[c] = b, q = a - k, _sf(p, n)
-                        for r in at_col[c]:
-                            if rl[r] is None:
-                                k2, n2, _ = cells[r][c]
-                                rl[r] = (b + k2, _sf(q, n2))
-                                todo.append(r)
-    natural = _natural(ncols)
-    d, r = next(((lab[0] - x, _sf(lab[1], y)) for lab, (x, y) in zip(cl, natural)
-                 if lab is not None), (0, 1))
-    return ([lab or s for lab, s in zip(rl, start)],
-            [lab or (x + d, _sf(y, r)) for lab, (x, y) in zip(cl, natural)])
-
-
-def _certify(ncols, read):
-    """Graded storage of read, the (den, cells) of _monomials, in the bases
-    _derived finds; None when read is None or no labels fit."""
-    if read is None:
-        return None
-    den, cells = read
-    rl, cl = _derived(len(cells), ncols, cells)
-    return _fit(den, cells, _basis(rl), _basis(cl))
 
 
 def _on(den, rows, rl, cl, shift, rad):
@@ -396,32 +318,25 @@ def _gtranspose(g):
     return _graded(g.den * big, out, _dual(g.cb), _dual(g.rb), g.shift, g.rad)
 
 
+@lru_cache(maxsize=None)
+def _unit(basis):
+    """The identity in basis, no weights: den 1, constant (0, 1); one per
+    basis."""
+    n = len(basis.labels)
+    return PolyMatrix._wrap(n, n, _Graded(1, tuple({i: 1} for i in range(n)),
+                                          basis, basis, 0, 1), None, None)
+
+
 def _unit_like(m):
-    """The identity in the row basis of the square matrix m."""
-    g = m._g
-    if g is None:
-        return PolyMatrix.identity(m.rows, m.row_weights)
-    return PolyMatrix._wrap(m.rows, m.rows, _Graded(
-        1, tuple({i: 1} for i in range(m.rows)), g.rb, g.rb, 0, 1),
-        m.row_weights, m.row_weights)
+    """The identity in the row basis of the square matrix m (that of
+    identity(m.rows) when m is not graded), with m's row weights."""
+    basis = _basis(_natural(m.rows)) if m._g is None else m._g.rb
+    return _unit(basis)._relabeled(m.row_weights, m.row_weights)
 
 
 def _bases(m):
     """(row basis, column basis) of a graded matrix, else (None, None)."""
     return (None, None) if m._g is None else (m._g.rb, m._g.cb)
-
-
-def _rebased(m, rows, cols):
-    """m in the bases (or raw labels) rows and cols when the monomials of
-    its entries fit them, else m itself (also when m is not graded or
-    either is None)."""
-    g = m._g
-    if g is None or rows is None or cols is None:
-        return m
-    rb, cb = _basis(rows), _basis(cols)
-    if g.rb is rb and g.cb is cb or (g := _fit(*_monomials(m.entries), rb, cb)) is None:
-        return m
-    return PolyMatrix._wrap(m.rows, m.cols, g, m.row_weights, m.col_weights)
 
 
 def _beside(mats, cb):
@@ -459,10 +374,10 @@ def _beside(mats, cb):
 
 
 def _entrywise(rows, cols, entry, row_weights=None, col_weights=None):
-    """The fallback for operands the graded kernel cannot take (an entry of
-    two or more terms, or graded bases or constants that differ): the
+    """The fallback for operands the graded kernel cannot take (a matrix
+    that is not graded, or graded bases or constants that differ): the
     matrix of the HPoly entry(i, c), computed as tests/matrix_oracle.py
-    computes, and certified again by the public constructor."""
+    computes, kept as its entries by the public constructor."""
     return PolyMatrix([[entry(i, c) for c in range(cols)] for i in range(rows)],
                       row_weights, col_weights)
 
@@ -481,12 +396,6 @@ def _gentry(k, n, num, den):
         p = _ENTRIES[k, n, num, den] = HPoly._canonical((_RAD_ZERO,) * k + (
             RadScalar._canonical({n: Fraction(num, den)}),))
     return p
-
-
-@lru_cache(maxsize=None)
-def _unit(n):
-    """The n x n identity without weights, certified once."""
-    return PolyMatrix._cells(n, 1, [{i: (0, 1, 1)} for i in range(n)], None, None)
 
 
 class _View(Frozen):
@@ -518,9 +427,8 @@ class PolyMatrix(Frozen):
         cols = len(entries[0]) if entries else 0
         if any(len(r) != cols for r in entries):
             raise ShapeError("ragged rows")
-        graded = _certify(cols, _monomials(entries))
-        self._set(len(entries), cols, graded, row_weights, col_weights,
-                  _View(None if graded is not None else entries))
+        self._set(len(entries), cols, None, row_weights, col_weights,
+                  _View(entries))
 
     def _set(self, rows, cols, graded, row_weights, col_weights, view):
         if rows < 1 or cols < 1:
@@ -540,22 +448,12 @@ class PolyMatrix(Frozen):
         init(self, "_view", view)
 
     @classmethod
-    def _cells(cls, cols, den, cells, row_weights, col_weights):
-        """The matrix of the monomial rows (den, cells), as _monomials reads
-        them: graded when they certify, else holding the entries they give."""
-        g = _certify(cols, (den, cells))
-        if g is None:
-            return cls([[_gentry(*row[c], den) if c in row else _ZERO
-                         for c in range(cols)] for row in cells],
-                       row_weights, col_weights)
-        return cls._wrap(len(cells), cols, g, row_weights, col_weights)
-
-    @classmethod
-    def _labelled(cls, den, rows, rl, cl, shift=0, rad=1):
+    def _labelled(cls, den, rows, rl, cl, shift=0, rad=1, row_weights=None,
+                  col_weights=None):
         """Graded storage of int rows over den with the raw labels rl, cl
-        and the constant (shift, rad), as in _on; no certificate."""
+        and the constant (shift, rad), as in _on."""
         return cls._wrap(len(rl), len(cl), _on(den, rows, rl, cl, shift, rad),
-                         None, None)
+                         row_weights, col_weights)
 
     @classmethod
     def _wrap(cls, rows, cols, graded, row_weights, col_weights):
@@ -565,7 +463,12 @@ class PolyMatrix(Frozen):
         return self
 
     def __reduce__(self):
-        return PolyMatrix, (self.entries, self.row_weights, self.col_weights)
+        g, weights = self._g, (self.row_weights, self.col_weights)
+        if g is None:
+            return PolyMatrix, (self.entries, *weights)
+        # A basis's first label is (0, 1), so _on rebuilds the same storage.
+        return PolyMatrix._labelled, (g.den, g.rows, g.rb.labels, g.cb.labels,
+                                      g.shift, g.rad, *weights)
 
     def _relabeled(self, row_weights, col_weights):
         """This matrix with other weights, sharing storage and view."""
@@ -580,24 +483,21 @@ class PolyMatrix(Frozen):
 
     @classmethod
     def zeros(cls, rows: int, cols: int, row_weights=None, col_weights=None):
-        return cls._cells(cols, 1, [{}] * rows, row_weights, col_weights)
+        """The zero matrix, in the bases of _natural(rows) and _natural(cols)."""
+        return cls._wrap(rows, cols, _Graded(
+            1, tuple({} for _ in range(rows)), _basis(_natural(rows)),
+            _basis(_natural(cols)), 0, 1), row_weights, col_weights)
 
     @classmethod
     def identity(cls, n: int, weights=None):
-        return _unit(n)._relabeled(weights, weights)
+        return _unit(_basis(_natural(n)))._relabeled(weights, weights)
 
     @classmethod
     def diagonal(cls, values, weights=None):
-        """diag(values)."""
+        """diag(values), kept as its entries."""
         values = _coerce_row(values)
-        n = len(values)
-        read = _monomials((values,))
-        if read is None:
-            return cls([[v if i == k else _ZERO for k in range(n)]
-                        for i, v in enumerate(values)], weights, weights)
-        den, (row,) = read
-        return cls._cells(n, den, [{i: row[i]} if i in row else {} for i in range(n)],
-                          weights, weights)
+        return cls([[v if i == k else _ZERO for k in range(len(values))]
+                    for i, v in enumerate(values)], weights, weights)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -683,20 +583,18 @@ class PolyMatrix(Frozen):
     def __mul__(self, scalar):
         """Every entry times the scalar, a monomial moving the constant."""
         if isinstance(scalar, (int, Fraction)):
-            read = scalar.denominator, [{0: (0, 1, scalar.numerator)} if scalar else {}]
+            read = 0, 1, scalar.numerator, scalar.denominator
         else:
             scalar = as_hpoly(scalar)
             if scalar is NotImplemented:
                 return NotImplemented
-            read = _monomials(((scalar,),))
+            read = _monomial(scalar)
         if read is not None:
-            den, (cell,) = read
-            if not cell:
+            if not read[2]:
                 return PolyMatrix.zeros(self.rows, self.cols, self.row_weights,
                                         self.col_weights)
             if self._g is not None:
-                return PolyMatrix._wrap(self.rows, self.cols,
-                                        _gscale(self._g, *cell[0], den),
+                return PolyMatrix._wrap(self.rows, self.cols, _gscale(self._g, *read),
                                         self.row_weights, self.col_weights)
         x = self.entries
         return _entrywise(self.rows, self.cols, lambda i, c: x[i][c] * scalar,

@@ -54,6 +54,9 @@ def matrix_to_json(m: PolyMatrix) -> dict:
 
 
 def matrix_from_json(obj) -> PolyMatrix:
+    """The matrix of matrix_to_json's object.  The object carries no basis
+    labels, so the decoded matrix keeps its entries (it is not graded); it
+    is equal to the encoded one, with the same hash."""
     rows, cols = obj["shape"]
     flat = [scalar_from_json(e) for e in obj["entries"]]
     if len(flat) != rows * cols:

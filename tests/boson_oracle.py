@@ -7,19 +7,36 @@ as integer rows in the ladder gauges d(c) = sqrt(c! (2j-c)!)
 components' graded rows side by side in K's row basis
 (polymatrix._beside).  The functions here build the same matrices from
 their defining formulas, with RadScalar and HPoly entries handed to the
-public constructor, which certifies their labels; ``family_columns``
-concatenates the components' entries and refits them into K's row basis.
+public constructor, and put those entries into graded storage in the
+ladder bases by the reference matrix_oracle.fit; ``family_columns``
+concatenates the components' entries and fits them into K's row basis.
 Tests compare the two field by field.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from jordanian.coupling import alpha_table
 from jordanian.halfint import (HalfInt, as_half, dim_of, half, weight_index,
                                weight_range)
 from jordanian.hpoly import HPoly
-from jordanian.polymatrix import PolyMatrix, _bases, _rebased
-from jordanian.radical import RadScalar, sqrt_factorial_ratio
+from jordanian.polymatrix import PolyMatrix, _bases, _basis
+from jordanian.radical import RadScalar, sqrt_factorial_ratio, squarefree_decompose
+from matrix_oracle import fit
+
+
+def ladder_basis(n):
+    """The basis of the ladder labels (-c, sqfree(c! (n-1-c)!)) of an
+    n-dimensional module."""
+    return _basis([(-c, squarefree_decompose(factorial(c) * factorial(n - 1 - c))[0])
+                   for c in range(n)])
+
+
+def _in_ladder_bases(m) -> PolyMatrix:
+    """m's entries in graded storage in the ladder bases of its shape."""
+    out = fit(m, ladder_basis(m.rows), ladder_basis(m.cols))
+    assert out is not None
+    return out
 
 
 def sl2_ladder(j) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
@@ -33,7 +50,7 @@ def sl2_ladder(j) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     zm = PolyMatrix([[RadScalar.sqrt(r * (n - r)) if r == c + 1 else 0
                       for c in range(n)] for r in range(n)], ws, ws)
     hm = PolyMatrix.diagonal([Fraction(m.twice) for m in ws], ws)
-    return zp, zm, hm
+    return tuple(map(_in_ladder_bases, (zp, zm, hm)))
 
 
 def transfer_matrices(j) -> dict[str, PolyMatrix]:
@@ -60,7 +77,7 @@ def transfer_matrices(j) -> dict[str, PolyMatrix]:
             v = weight_fn(m)
             if v:
                 rows[weight_index(jt, target_m)][col] = HPoly.constant(RadScalar.sqrt(v))
-        out[name] = PolyMatrix(rows, weight_range(jt), weight_range(j))
+        out[name] = _in_ladder_bases(PolyMatrix(rows, weight_range(jt), weight_range(j)))
     return out
 
 
@@ -105,14 +122,18 @@ def closed_forms(j, raising: bool) -> tuple[PolyMatrix, PolyMatrix]:
     """Each component's closed-form action on every |j m>, as one matrix
     with column m holding action_entries(j, m, raising)."""
     columns = [action_entries(j, m, raising) for m in weight_range(as_half(j))]
-    return tuple(PolyMatrix(list(zip(*(c[s] for c in columns)))) for s in (0, 1))
+    return tuple(_in_ladder_bases(PolyMatrix(list(zip(*(c[s] for c in columns)))))
+                 for s in (0, 1))
 
 
 def family_columns(fam) -> PolyMatrix:
     """T of a family, t_{m1}|j2 m2> as column (m1, m2): the components'
-    entries side by side, refitted into the target basis of the first
-    component and the product basis of K when they fit there."""
+    entries side by side, in graded storage in the target basis of the
+    first component and the product basis of K when every component is
+    graded and they fit there, else the entries alone."""
     ket = alpha_table(fam.rank, fam.ctx.source_j).ket
-    return _rebased(PolyMatrix([[p for comp in fam.components for p in comp.entries[row]]
-                                for row in range(fam.ctx.target.dim)]),
-                    _bases(fam.components[0])[0], _bases(ket)[0])
+    t = PolyMatrix([[p for comp in fam.components for p in comp.entries[row]]
+                    for row in range(fam.ctx.target.dim)])
+    if any(comp._g is None for comp in fam.components):
+        return t
+    return fit(t, _bases(fam.components[0])[0], _bases(ket)[0]) or t

@@ -3,12 +3,14 @@
 ``PolyMatrix`` stores integer numerators over one denominator and works on
 that storage directly.  The functions here compute the same matrices the slow
 way, one scalar ring operation at a time, and attach weights by the rules
-the library documents.  Tests compare the two.
+the library documents.  Tests compare the two.  ``fit`` is the reference for
+graded storage: the storage a matrix's entries have in given bases.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
+from jordanian import polymatrix
 from jordanian.hpoly import HPoly
 from jordanian.polymatrix import PolyMatrix
 
@@ -129,3 +131,37 @@ def canonical_terms(m) -> tuple:
                                for n, q in r.terms.items())))
               for c, p in enumerate(row) if p)
         for row in m.entries)
+
+
+def fit(m, rb, cb) -> PolyMatrix | None:
+    """m in graded storage in the bases rb and cb, with m's weights: every
+    entry v/den * sqrt(n) * h**k checked against the labels (a, p) of its
+    row and (b, q) of its column in one pass, the first nonzero entry fixing
+    the constant (shift, rad) = (k - a + b, sqfree(n p q)), den minimal; a
+    zero matrix has the constant (0, 1).  None when an entry has two or
+    more terms or no one constant fits them all.  For that constant,
+    v sqrt(n) = V/rad sqrt(p rad / q) with V = v q/y rad/g, g = gcd(p, rad)
+    and y = gcd(sqfree(p rad), q)."""
+    den, data = canonical_terms(m)
+    sf, cl = polymatrix._sf, cb.labels
+    shift = rad = None
+    rows = []
+    for (a, p), row in zip(rb.labels, data):
+        out = {}
+        for c, terms in row:
+            if len(terms) != 1:
+                return None
+            (k, n, v), = terms
+            b, q = cl[c]
+            if shift is None:
+                shift, rad = k - a + b, sf(sf(n, p), q)
+            g = gcd(p, rad)
+            x = (p // g) * (rad // g)
+            y = gcd(x, q)
+            if k != a + shift - b or (x // y) * (q // y) != n:
+                return None
+            out[c] = v * (q // y) * (rad // g)
+        rows.append(out)
+    return PolyMatrix._wrap(m.rows, m.cols, polymatrix._graded(
+        den * (rad or 1), rows, rb, cb, shift or 0, rad or 1),
+        m.row_weights, m.col_weights)

@@ -27,7 +27,7 @@ from jordanian.halfint import (HalfInt, casimir_eigenvalue, dim_of, half,
                                weight_range)
 from jordanian.hpoly import HPoly
 from jordanian.irreps import coproduct_gens, irrep
-from jordanian.polymatrix import PolyMatrix, _bases, _rebased
+from jordanian.polymatrix import PolyMatrix, _bases
 from jordanian.radical import RadScalar, falling_binomial, sqrt_factorial_ratio
 from jordanian.tensorops import boson_raising_family
 from jordanian.wigner import reduced_matrix_element
@@ -589,12 +589,13 @@ def test_decompose_hands_out_a_fresh_list():
 
 def test_casimir_diagonal_is_built_as_the_rebased_diagonal():
     # diag(j(j+1)) of the certificate, built straight into graded storage,
-    # has the storage the public diagonal refitted to the coupled basis had.
+    # has the storage of the public diagonal's entries in the coupled basis
+    # (matrix_oracle.fit), field by field.
     for t1 in range(6):
         for t2 in range(6):
             j1, j2 = HalfInt.from_twice(t1), HalfInt.from_twice(t2)
             labels, basis = coupled_labels(j1, j2), _bases(alpha_table(j1, j2).coupled)[1]
-            former = _rebased(PolyMatrix.diagonal(
+            former = oracle.fit(PolyMatrix.diagonal(
                 [casimir_eigenvalue(j) for j, _ in labels]), basis, basis)
             built = coupling._casimir_diagonal(labels, basis)
             assert _storage_fields(built) == _storage_fields(former), (t1, t2)

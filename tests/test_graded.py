@@ -1,19 +1,23 @@
-"""Graded storage end to end: the certificate decides, and the entries are
+"""Graded storage end to end: the constructions decide, and the entries are
 the oracle.
 
-``PolyMatrix`` keeps a matrix in graded storage only when ``_certify``
-derives row and column labels that every entry fits; otherwise it keeps
-only its entries.  Two whole runs of ``jordanian verify`` pin that down,
-each in a fresh interpreter so that no memoized module or table carries
-storage over from another test:
+``PolyMatrix`` keeps a matrix in graded storage only when the code that
+builds it knows its labels (``_labelled``, ``_beside``, ``zeros``,
+``identity`` and the graded kernel on graded operands, all through
+``PolyMatrix._wrap``); the public constructor keeps the entries it is
+given.  Whole runs of ``jordanian verify`` pin that down, each in a fresh
+interpreter so that no memoized module or table carries storage over from
+another test:
 
-* with the certificate made to refuse everything, every matrix keeps only
-  its entries, every operation goes through the entrywise fallback, and
-  the JSON output must not change (timings aside);
-* with the certificate as it is, every matrix of the four suites is
-  graded, the fallback is never called, every graded matrix fits its
-  interned row and column bases with its one constant, and at most 9
-  comparisons meet graded operands in different bases.
+* with ``_wrap`` made to hand its matrix's entries to the public
+  constructor, every matrix keeps only its entries, every operation goes
+  through the entrywise fallback, and the JSON output must not change
+  (timings aside);
+* as built, every matrix of the four suites is graded, the fallback is
+  never called, every graded matrix has interned row and column bases and
+  its entries have exactly its storage in them (matrix_oracle.fit, the
+  reference), and at most 9 comparisons meet graded operands in different
+  bases.
 
 The residual checks that compare two products slice by slice must report a
 failure exactly as the slice of their difference would.
@@ -25,7 +29,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -43,12 +47,14 @@ from jordanian.coupling import (AlphaTable, alpha_table, coupled_ket,
                                 verify_intermediate_orthonormality)
 from jordanian.halfint import half
 from jordanian.hpoly import HPoly
-from jordanian.irreps import irrep
+from jordanian.irreps import Generator, irrep
 from jordanian.polymatrix import PolyMatrix
-from jordanian.radical import RadScalar
+from jordanian.radical import RadScalar, squarefree_decompose
 from jordanian.report import Check, scalar_check, zero_check
+from jordanian.tensorops import fermion_realization
 
 SRC = str(Path(jordanian.__file__).resolve().parent.parent)
+TESTS = str(Path(__file__).resolve().parent)
 
 VERIFY = 'cli.main(["verify", "--max-j", "2", "--format", "json", "--out", sys.argv[1]])'
 
@@ -75,33 +81,31 @@ pm.PolyMatrix._set = counting_set
 print(json.dumps({"counts": counts, "origins": sorted(origins)}))
 """
 
-# The certificate refuses every matrix; no graded storage may appear.  The
-# constructions that build graded storage straight from their labels
-# (PolyMatrix._labelled) hand its entries to the public constructor
-# instead, which keeps only the entries; the graded matrix they are read
-# from is the one graded storage allowed.
+# Every graded storage is wrapped by PolyMatrix._wrap, which here hands the
+# entries of the matrix it would build to the public constructor instead,
+# which keeps only the entries; the graded matrix they are read from is the
+# one graded storage allowed.
 REFUSE = """
 import sys
 import jordanian.polymatrix as pm
 from jordanian import cli
-pm._certify = lambda *args: None
-labelled, reading = pm.PolyMatrix._labelled, [False]
-def refused_labelled(cls, *args):
+wrap, reading = pm.PolyMatrix._wrap, [False]
+def refused_wrap(cls, rows, cols, graded, row_weights, col_weights):
     reading[0] = True
-    entries = labelled(*args).entries
+    entries = wrap(rows, cols, graded, None, None).entries
     reading[0] = False
-    return cls(entries)
-pm.PolyMatrix._labelled = classmethod(refused_labelled)
+    return cls(entries, row_weights, col_weights)
+pm.PolyMatrix._wrap = classmethod(refused_wrap)
 wrapped = pm.PolyMatrix._set
 def entries_only_set(self, rows, cols, graded, *rest):
-    assert graded is None or reading[0], "graded storage without the certificate"
+    assert graded is None or reading[0], "graded storage from _wrap"
     return wrapped(self, rows, cols, graded, *rest)
 pm.PolyMatrix._set = entries_only_set
 """ + VERIFY
 
 
 def _run(script, out):
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, TESTS)))
     proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
@@ -118,6 +122,8 @@ def _without_timings(value):
 
 
 def test_refusing_the_certificate_changes_no_output(tmp_path):
+    # Graded storage refused everywhere: the entries alone give the same
+    # output.
     graded, entries = tmp_path / "graded.json", tmp_path / "entries.json"
     census = json.loads(_run(CENSUS, graded))
     _run(REFUSE, entries)
@@ -137,13 +143,14 @@ def test_no_verify_matrix_keeps_term_storage(tmp_path):
 
 # Every call of the entrywise fallback, with the innermost frame outside
 # polymatrix.py that reached it; every graded storage checked against its
-# bases: interned, first label (0, 1), and its entries, if any, fit them
-# with its own constant in one pass of the certificate; every == between
-# graded operands in different bases, which compares entries.
+# bases: interned, first label (0, 1), and its entries put into them by the
+# reference (matrix_oracle.fit) give its own storage, field by field; every
+# == between graded operands in different bases, which compares entries.
 BASES_CENSUS = """
 import json, sys, traceback
 import jordanian.polymatrix as pm
 from jordanian import cli
+from matrix_oracle import fit
 fallback, misfits, graded, across = [], [], [0], [0]
 
 entrywise = pm._entrywise
@@ -162,17 +169,19 @@ def counted_eq(self, other):
     return equal(self, other)
 pm.PolyMatrix.__eq__ = counted_eq
 
-wrapped = pm.PolyMatrix._set
+wrapped, fitting = pm.PolyMatrix._set, [False]
 def checking_set(self, rows, cols, g, *rest):
     wrapped(self, rows, cols, g, *rest)
-    if g is not None:
+    if g is not None and not fitting[0]:
         graded[0] += 1
         read = object.__new__(pm.PolyMatrix)  # its entries, not on self's view
         wrapped(read, rows, cols, g, None, None, pm._View())
-        fit = pm._fit(*pm._monomials(read.entries), g.rb, g.cb)
+        fitting[0] = True
+        ref = fit(read, g.rb, g.cb)
+        fitting[0] = False
+        fields = lambda f: (f.den, f.rows) + ((f.shift, f.rad) if any(f.rows) else ())
         if not all(pm._BASES[b.labels] is b and b.labels[:1] in ((), ((0, 1),))
-                   for b in (g.rb, g.cb)) or any(g.rows) and (
-                fit is None or (fit.shift, fit.rad) != (g.shift, g.rad)):
+                   for b in (g.rb, g.cb)) or ref is None or fields(ref._g) != fields(g):
             misfits.append(repr((rows, cols)))
 pm.PolyMatrix._set = checking_set
 """ + VERIFY + """
@@ -206,13 +215,6 @@ def test_zm_shares_the_bases_of_zp():
         assert rep.zm._g is not None
         assert (rep.zm._g.rb, rep.zm._g.cb) == (rep.zp._g.rb, rep.zp._g.cb)
         assert rep.zm == rep.zp.transpose()
-
-
-def test_refused_certificate_keeps_term_storage(monkeypatch):
-    monkeypatch.setattr("jordanian.polymatrix._certify", lambda *args: None)
-    m = PolyMatrix([[1, 2], [0, 3]])
-    assert m._g is None
-    assert (m @ m)._g is None and (m + m)._g is None
 
 
 # -- residual checks that compare slices ----------------------------------------
@@ -315,7 +317,7 @@ def test_perturbed_bra_ket_fails_cell_by_cell(monkeypatch):
 # -- gauges built in the labels of their cores ---------------------------------
 
 def test_fresh_tables_need_no_regauging(monkeypatch):
-    # G, G^-1, D and D_c are certified in the labels of the rational cores
+    # G, G^-1, D and D_c are built in the labels of the rational cores
     # R and Q they multiply, so building K and C meets matching bases in
     # every product and never takes the entrywise fallback.
     calls = []
@@ -362,7 +364,8 @@ def test_a_slice_reads_the_entries_of_its_matrix():
 def test_one_value_over_different_denominators_is_one_object():
     # den is minimal over the whole matrix: the 1 of the first matrix is
     # stored as 2/2, the 1 of the second as 1/1.
-    halves, ones = PolyMatrix([[1, Fraction(1, 2)]]), PolyMatrix([[1]])
+    halves = PolyMatrix._labelled(2, [{0: 2, 1: 1}], [(0, 1)], [(0, 1), (0, 1)])
+    ones = PolyMatrix.identity(1)
     assert halves._g.den == 2 and ones._g.den == 1
     assert halves.entry(0, 0) is ones.entry(0, 0)
 
@@ -461,3 +464,43 @@ def test_labelled_rows_are_kept_when_every_factor_is_1():
     assert all(a is b for a, b in zip(g.rows, rows))
     assert _fields(g) == _fields(_former_on(1, rows, [(0, 1), (-1, 2)],
                                             [(0, 3), (-1, 6)], 0, 1))
+
+
+# -- storages built in known bases ------------------------------------------------
+
+# The row labels of the n-row ladder basis, moved so that the first is (0, 1):
+# (-i, sqfree(i! (n-1-i)! (n-1)!)).  Written out up to n = 4.
+LADDER_LABELS = {1: ((0, 1),), 2: ((0, 1), (-1, 1)),
+                 3: ((0, 1), (-1, 2), (-2, 1)),
+                 4: ((0, 1), (-1, 3), (-2, 3), (-3, 1))}
+
+
+def _ladder_labels(n):
+    return tuple((-i, squarefree_decompose(
+        factorial(i) * factorial(n - 1 - i) * factorial(n - 1))[0]) for i in range(n))
+
+
+def _storage(m):
+    """The interned bases' labels, den, rows and constant of graded m."""
+    g = m._g
+    assert all(pm._BASES[b.labels] is b for b in (g.rb, g.cb))
+    return g.rb.labels, g.cb.labels, g.den, g.rows, g.shift, g.rad
+
+
+def test_zeros_and_identities_are_graded_in_known_bases():
+    assert all(_ladder_labels(n) == labels for n, labels in LADDER_LABELS.items())
+    for n in range(1, 9):
+        labels = _ladder_labels(n)
+        assert _storage(PolyMatrix.identity(n)) == (
+            labels, labels, 1, tuple({i: 1} for i in range(n)), 0, 1)
+        for c in range(1, 9):
+            assert _storage(PolyMatrix.zeros(n, c)) == (
+                labels, _ladder_labels(c), 1, ({},) * n, 0, 1)
+    # The Fock identity, read back as e^{hX} - X h: the graded kernel adds
+    # only in the identity's own bases and constant.  The unit of the Fock
+    # module's generators is the same storage.
+    fock = ((0, 1), (0, 1), (1, 1), (1, 1))
+    gens = fermion_realization()[0].gens
+    want = (fock, fock, 1, tuple({i: 1} for i in range(4)), 0, 1)
+    assert _storage(gens.ep - gens.x * HPoly.h(1)) == want
+    assert _storage(gens.of(Generator.UNIT)) == want

@@ -8,18 +8,18 @@ entry by entry, in canonical form, with the same weight labels.  Its
 graded storage must have a minimal denominator (so equal matrices in the
 same bases hold the same storage), its canonical term form must be well
 formed, and it must round-trip through the public constructor.  That holds
-for both storages: graded matrices (one monomial per entry, certified row
-and column labels) built from random labels and integer cores, the same
-matrices moved to other gauges per component, and matrices that keep only
-their entries, in any mix.  Operands the graded kernel cannot take go
-through the entrywise fallback, so the properties with such operands test
-it against the oracle.
+for both storages: graded matrices (one monomial per entry) built through
+``_labelled`` from random labels and integer cores, the same matrices built
+in other gauges per component, and matrices that keep only their entries
+(every matrix the public constructor builds), in any mix.  Operands the
+graded kernel cannot take go through the entrywise fallback, so the
+properties with such operands test it against the oracle.
 """
 
 import pickle
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -311,13 +311,20 @@ def test_matmul_entry_that_receives_a_second_term(third, want):
      [[RadScalar.sqrt(2)], [Fraction(1, 3)], [RadScalar.sqrt(2)], [Fraction(1, 3)]]),
 ], ids=["single-term", "multi-term"])
 def test_exact_cancellation_gives_the_zero_matrix(a, b):
+    # The operands keep their entries, so the product and the difference
+    # do too; a product by the scalar 0 is zeros, graded with den 1.  (A
+    # graded result that cancels has den 1 and no entries as well: see
+    # test_graded_denominators_are_minimal_and_equal_matrices_share_storage.)
     a, b = PolyMatrix(a), PolyMatrix(b)
     for zero, expected in ((a @ b, oracle.matmul(a, b)),
                            (b - b, oracle.sub(b, b)),
                            (b * 0, oracle.scale(b, 0))):
-        assert zero.is_zero and zero._g.den == 1 and not any(zero._g.rows)
+        assert zero.is_zero
         assert oracle.canonical_terms(zero) == (1, ((),) * zero.rows)
         assert_matches(zero, expected)
+    assert (a @ b)._g is None and (b - b)._g is None
+    zero = (b * 0)._g
+    assert zero.den == 1 and not any(zero.rows)
 
 
 SPIN_ONE = irrep(1)
@@ -361,14 +368,12 @@ def _labels(draw, n, low, high):
 
 def _from_core(rl, cl, den, core, row_weights=None, col_weights=None):
     """The matrix with entry v/den * sqrt(p_i / q_c) * h**(a_i - b_c) for
-    row labels (a_i, p_i), column labels (b_c, q_c) and core entries v, in
-    graded storage over the bases of those labels.  The public constructor
-    must certify it from its entries alone, before it is offered them."""
-    m = PolyMatrix([[HPoly.h(a - b, RadScalar.of(Fraction(v, den * q), p * q))
-                     if v else HPoly.zero() for v, (b, q) in zip(row, cl)]
-                    for row, (a, p) in zip(core, rl)], row_weights, col_weights)
-    assert m._g is not None
-    return polymatrix._rebased(m, rl, cl)
+    row labels (a_i, p_i), column labels (b_c, q_c) and int core entries v,
+    in graded storage over the bases of those labels, built by _labelled."""
+    m = PolyMatrix._labelled(den, [{c: v for c, v in enumerate(row) if v}
+                                   for row in core], rl, cl)
+    assert (m._g.rb, m._g.cb) == (polymatrix._basis(rl), polymatrix._basis(cl))
+    return m._relabeled(row_weights, col_weights)
 
 
 def _core(draw, rows, cols):
@@ -387,8 +392,7 @@ def _graded_parts(draw, rows=None, cols=None, rl=None, cl=None):
 
 @st.composite
 def graded_matrices(draw, rows=None, cols=None, rl=None, cl=None):
-    """Labels times an integer core: matrices the certificate must accept,
-    in the bases of their labels."""
+    """Labels times an integer core, in the bases of the labels."""
     m = _from_core(*_graded_parts(draw, rows, cols, rl, cl))
     assert m._g is not None
     return m
@@ -414,8 +418,9 @@ def _components(core):
 def _regauged(draw, parts):
     """The matrix of _from_core(*parts) with the labels of each component
     moved by a random gauge (d, r): (a, p) -> (a + d, sqfree(p r)) on both
-    sides, and each core entry times gcd(p, r) / gcd(q, r), so that the
-    entries stay the same; then built over the bases of the moved labels."""
+    sides, and each core entry times gcd(p, r) / gcd(q, r) over den times
+    L, the lcm of the gcd(q, r), so that the entries stay the same; then
+    built over the bases of the moved labels."""
     rl, cl, den, core, rw, cw = parts
     comps = _components(core)
     gauges = {u: (draw(st.integers(-3, 3)), draw(st.sampled_from(RADICANDS)))
@@ -426,10 +431,11 @@ def _regauged(draw, parts):
                  polymatrix._sf(p, gauges[comps[offset + i]][1]))
                 for i, (a, p) in enumerate(labels)]
     r = [gauges[u][1] for u in comps]
-    moved_core = [[Fraction(v * gcd(p, r[i]), gcd(q, r[len(rl) + c]))
-                   for c, (v, (_, q)) in enumerate(zip(row, cl))]
+    cg = [gcd(q, r[len(rl) + c]) for c, (_, q) in enumerate(cl)]
+    big = lcm(*cg)
+    moved_core = [[v * gcd(p, r[i]) * (big // f) for v, f in zip(row, cg)]
                   for i, (row, (_, p)) in enumerate(zip(core, rl))]
-    moved = _from_core(move(rl, 0), move(cl, len(rl)), den, moved_core, rw, cw)
+    moved = _from_core(move(rl, 0), move(cl, len(rl)), den * big, moved_core, rw, cw)
     m = _from_core(*parts)
     assert moved == m and hash(moved) == hash(m)
     assert oracle.canonical_terms(moved) == oracle.canonical_terms(m)
@@ -514,11 +520,11 @@ def test_entry_reads_graded_storage_as_the_view_does(data):
 
 @examples(60)
 @given(st.data())
-def test_mismatched_gauges_are_aligned_not_dropped(data):
+def test_mismatched_gauges_fall_back_to_entries(data):
     # A and B share the inner labels (A @ B) or all labels (A + B); each is
     # then moved to its own gauge per component.  Operands whose bases then
-    # differ take the entrywise fallback, and its result is certified again:
-    # it must stay on graded storage, with the oracle's result.
+    # differ take the entrywise fallback, whose result keeps its entries;
+    # either way it is the oracle's result.
     r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
     outer, inner = _labels(data.draw, r, 2, 4), _labels(data.draw, k, 0, 2)
     pa = _graded_parts(data.draw, r, k, outer, inner)
@@ -527,8 +533,7 @@ def test_mismatched_gauges_are_aligned_not_dropped(data):
     a2, b2 = _regauged(data.draw, pa), _regauged(data.draw, pb)
     with _fallback_calls() as calls:
         product = a2 @ b2
-    assert bool(calls) == (a2._g.cb is not b2._g.rb)
-    assert product._g is not None
+    assert bool(calls) == (a2._g.cb is not b2._g.rb) == (product._g is None)
     assert_matches(product, oracle.matmul(a, b))
     ps = _graded_parts(data.draw, r, k, outer, inner)
     same, same2 = _from_core(*ps), _regauged(data.draw, ps)
@@ -536,8 +541,7 @@ def test_mismatched_gauges_are_aligned_not_dropped(data):
         total = a2 + same2
     assert bool(calls) == (not a2.is_zero and not same2.is_zero and (
         _bases(a2) != _bases(same2) or a2._g.shift != same2._g.shift
-        or a2._g.rad != same2._g.rad))
-    assert total._g is not None
+        or a2._g.rad != same2._g.rad)) == (total._g is None)
     assert_matches(total, oracle.add(a, same))
 
 
@@ -613,6 +617,16 @@ def test_matching_bases_take_the_basis_kernel(data):
     assert_matches(a + shifted, oracle.add(a, shifted))
 
 
+def _storage_fields(m):
+    """The interned bases, den, rows and constant of graded m, else its
+    entries."""
+    g = m._g
+    if g is None:
+        return m.entries
+    assert all(polymatrix._BASES[b.labels] is b for b in (g.rb, g.cb))
+    return g.rb, g.cb, g.den, g.rows, g.shift, g.rad
+
+
 def _assert_minimal(m):
     """Graded storage, if any, with gcd(den, numerators) = 1."""
     g = m._g
@@ -668,35 +682,19 @@ def test_column_is_the_one_column_submatrix_in_both_storages():
                 m.column(k)
 
 
-def test_rebased_takes_the_offered_bases_only_when_they_fit():
-    zp = irrep(1).zp
-    rb, cb = _bases(zp)
-    # The transpose is in the dual bases; Zp's own bases fit its entries.
-    t = zp.transpose()
-    assert _bases(t) != (rb, cb)
-    moved = polymatrix._rebased(t, rb, cb)
-    assert _bases(moved) == (rb, cb) and moved is not t
-    assert_matches(moved, oracle.transpose(zp))
-    assert polymatrix._rebased(moved, rb, cb) is moved
-    # Bases that no constant fits (sqrt2 at (0, 1) and (1, 2) would need
-    # radicals 2 and 1): the matrix itself.
-    flat, skew = (polymatrix._basis(((0, 1), (0, 1), (0, q))) for q in (1, 2))
-    assert polymatrix._rebased(zp, flat, skew) is zp
-    assert polymatrix._rebased(zp, None, cb) is zp
-    # Entries only: the matrix itself, whatever is offered.
-    term = PolyMatrix([[RadScalar.sqrt(2) + RadScalar.sqrt(3), 0, 0], [0] * 3, [0] * 3])
-    assert term._g is None
-    assert polymatrix._rebased(term, rb, cb) is term
-
-
 def test_two_radicands_in_one_entry_keep_term_storage():
-    # The certificate refuses an entry with two radicands and an h-power
-    # pattern that no labels fit; both keep only their entries and still
-    # compute.
+    # The public constructor keeps the entries it is given: an entry with
+    # two radicands, an h-power pattern that no labels fit, and one that
+    # labels fit alike; so do their products and sums.  Each computes with
+    # the same matrix built graded from its labels.
     two = PolyMatrix([[RadScalar.sqrt(2) + RadScalar.sqrt(3)]])
     unfit = PolyMatrix([[1, HPoly.h(1)], [1, 1]])
-    graded = PolyMatrix([[1, HPoly.h(1)], [HPoly.h(1), HPoly.h(2)]])
-    assert two._g is None and unfit._g is None and graded._g is not None
+    entries = PolyMatrix([[1, HPoly.h(1)], [HPoly.h(1), HPoly.h(2)]])
+    graded = PolyMatrix._labelled(1, [{0: 1, 1: 1}] * 2, [(0, 1), (1, 1)],
+                                  [(0, 1), (-1, 1)])
+    assert two._g is None and unfit._g is None and entries._g is None
+    assert graded == entries and hash(graded) == hash(entries)
+    assert (entries @ entries)._g is None and (entries + entries)._g is None
     for a in (two, unfit, graded):
         b = unfit if a.rows == 2 else two
         assert_matches(a @ b if a.cols == b.rows else a @ a,
@@ -706,17 +704,6 @@ def test_two_radicands_in_one_entry_keep_term_storage():
 
 
 # -- one value, three storages ---------------------------------------------------
-
-@contextmanager
-def _refused_certificate():
-    """The certificate refuses every matrix while the block runs."""
-    certify = polymatrix._certify
-    polymatrix._certify = lambda *args: None
-    try:
-        yield
-    finally:
-        polymatrix._certify = certify
-
 
 def _other_bases(draw, m):
     """The labels of graded m with each component of its nonzero pattern
@@ -734,26 +721,41 @@ def _other_bases(draw, m):
 @examples(60)
 @given(st.data())
 def test_one_value_in_three_storages(data):
-    # A matrices() draw, or one the certificate accepts, in three forms:
-    # graded in the bases the certificate derives, graded after _rebased
-    # into other bases that fit, and its entries alone with the certificate
-    # refused (the only form of a draw with an entry of two terms).  All
-    # are one value, and so is each one's pickle round trip.
+    # A matrices() draw, or a graded one, in three forms: graded in the
+    # bases of its labels, graded in other bases that its entries fit (each
+    # component of its nonzero pattern in another gauge, rows rebuilt by
+    # the reference fit), and its entries alone, the only form of a draw
+    # with an entry of two terms.  All are one value, and so is each one's
+    # pickle round trip, which keeps its storage.
     m = data.draw(st.one_of(matrices(), graded_matrices()))
-    forms = []
-    derived = PolyMatrix(m.entries, m.row_weights, m.col_weights)
-    if derived._g is not None:
-        rl, cl = _other_bases(data.draw, derived)
-        moved = polymatrix._rebased(derived, rl, cl)
+    forms = [m] if m._g is not None else []
+    if forms:
+        rl, cl = _other_bases(data.draw, m)
+        moved = oracle.fit(m, polymatrix._basis(rl), polymatrix._basis(cl))
         assert _bases(moved) == (polymatrix._basis(rl), polymatrix._basis(cl))
-        forms += [derived, moved]
-    with _refused_certificate():
-        alone = PolyMatrix(m.entries, m.row_weights, m.col_weights)
+        forms.append(moved)
+    alone = PolyMatrix(m.entries, m.row_weights, m.col_weights)
     assert alone._g is None
     forms.append(alone)
     for x in forms:
         back = pickle.loads(pickle.dumps(x))
         assert back.row_weights == x.row_weights and back.col_weights == x.col_weights
+        assert _storage_fields(back) == _storage_fields(x)
         for y in forms + [back]:
             assert x == y and hash(x) == hash(y)
             assert x.max_degree() == y.max_degree() and str(x) == str(y)
+
+
+def test_pickling_keeps_the_storage_of_library_matrices():
+    # A graded matrix comes back in the same interned bases with the same
+    # den, rows, constant and weights: a transpose in the dual bases too.
+    zp = SPIN_ONE.zp
+    for m in (*MODULE_MATRICES.values(), *PAIR_MATRICES.values(), zp.transpose(),
+              TABLE.coupled, TABLE.coupled_bras, PolyMatrix.identity(3),
+              PolyMatrix.zeros(2, 5), kron(zp, PAIR_MATRICES["C"])):
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and hash(back) == hash(m)
+        assert back.row_weights == m.row_weights and back.col_weights == m.col_weights
+        assert m._g is not None and _storage_fields(back) == _storage_fields(m)
+    t = zp.transpose()._g
+    assert (t.rb, t.cb) == (polymatrix._dual(zp._g.cb), polymatrix._dual(zp._g.rb))

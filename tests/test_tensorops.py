@@ -614,7 +614,8 @@ def _families(j):
 @pytest.mark.parametrize("j", SPINS_TO_9_2, ids=str)
 def test_family_columns_match_the_hpoly_oracle(j):
     # T, the components' graded rows side by side in K's row basis, has the
-    # storage of the components' entries refitted there, field by field.
+    # storage of the components' entries fitted there by the reference
+    # (boson_oracle.family_columns), field by field.
     for fam in _families(j):
         assert _beside(fam.components, _bases(fam._ket)[0]) is not None
         assert _bases(fam.columns)[1] is _bases(fam._ket)[0] is not None
@@ -631,13 +632,14 @@ def test_other_family_columns_match_the_hpoly_oracle():
 
 def test_family_columns_refuse_components_off_one_constant():
     # A component moved by h (or by sqrt(2)) stays graded in its bases, but
-    # its constant no longer matches the other's in K's basis: the
-    # components' entries are refitted, as by the oracle.
+    # its constant no longer matches the other's in K's basis: T keeps the
+    # components' entries side by side, as the oracle's does.
     fam = boson_raising_family(half(3, 2))
     for factor in (H, HPoly.constant(RadScalar.sqrt(2))):
         up, dn = fam.components
         moved = TensorOpFamily(fam.rank, (up * factor, dn), fam.ctx)
         assert _beside(moved.components, _bases(fam._ket)[0]) is None
+        assert moved.columns._g is None
         assert _storage(moved.columns) == _storage(boson_oracle.family_columns(moved))
 
 
