@@ -318,20 +318,18 @@ def _gtranspose(g):
     return _graded(g.den * big, out, _dual(g.cb), _dual(g.rb), g.shift, g.rad)
 
 
-@lru_cache(maxsize=None)
-def _unit(basis):
-    """The identity in basis, no weights: den 1, constant (0, 1); one per
-    basis."""
+def _unit(basis, weights=None):
+    """The identity in basis with the weights: den 1, constant (0, 1)."""
     n = len(basis.labels)
     return PolyMatrix._wrap(n, n, _Graded(1, tuple({i: 1} for i in range(n)),
-                                          basis, basis, 0, 1), None, None)
+                                          basis, basis, 0, 1), weights, weights)
 
 
 def _unit_like(m):
     """The identity in the row basis of the square matrix m (that of
     identity(m.rows) when m is not graded), with m's row weights."""
     basis = _basis(_natural(m.rows)) if m._g is None else m._g.rb
-    return _unit(basis)._relabeled(m.row_weights, m.row_weights)
+    return _unit(basis, m.row_weights)
 
 
 def _bases(m):
@@ -490,7 +488,7 @@ class PolyMatrix(Frozen):
 
     @classmethod
     def identity(cls, n: int, weights=None):
-        return _unit(_basis(_natural(n)))._relabeled(weights, weights)
+        return _unit(_basis(_natural(n)), weights)
 
     @classmethod
     def diagonal(cls, values, weights=None):
