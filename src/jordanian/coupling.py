@@ -58,7 +58,7 @@ from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of, spin_memo,
 from .hpoly import HPoly
 from .irreps import (Generator, GenMatrices, _slot_gauges, casimir_from_gens,
                      coproduct_matrix, irrep)
-from .polymatrix import (PolyMatrix, _bases, _dual, _unit_like, kron,
+from .polymatrix import (PolyMatrix, _bases, _dual, _unit_like, kron, lincomb,
                          unipotent_inverse)
 from .radical import RadScalar, sqrt_factorial_ratio
 from .record import Frozen, Record
@@ -377,7 +377,8 @@ def verify_intermediate_action(j1, j2) -> Report:
     sp, sm, sh = slot_sums(j1, j2)
     sides, variant_agrees, variant_applicable = [], True, False
     for sign, z, s in ((0, dh, sh), (1, zp, sp), (-1, zm, sm)):
-        sides += [(z @ k, k @ s, PolyMatrix.column), (b @ z, s @ b, PolyMatrix.row)]
+        sides += [(lincomb(((1, z, k), (-1, k, s))), PolyMatrix.column),
+                  (lincomb(((1, b, z), (-1, s, b))), PolyMatrix.row)]
         if sign and j1 != j2 and (w := _second_slot_variant(j1, j2, sign)):
             variant_applicable = True  # tracked, not asserted
             ladder = (irrep(j2).zp if sign > 0 else irrep(j2).zm).entries
@@ -496,9 +497,10 @@ def _certified_decomposition(j1, j2) -> tuple[tuple[HalfInt, int], ...]:
     cas = casimir_from_gens(GenMatrices(None, *_pair_coproducts(j1, j2)))
     _pair_coproducts.cache_clear()
     labels = coupled_labels(j1, j2)
-    left, right = cas @ kc, kc @ _casimir_diagonal(labels, _bases(kc)[1])
-    if left != right:  # the difference is formed only to name a column
-        bad = (left - right).transpose().first_nonzero()
+    diagonal = _casimir_diagonal(labels, _bases(kc)[1])
+    residual = lincomb(((1, cas, kc), (-1, kc, diagonal)))
+    if not residual.is_zero:
+        bad = residual.transpose().first_nonzero()
         raise ArithmeticError("coupled Casimir eigenvalue mismatch at "
                               "j={}, m={}".format(*labels[bad[0]]))
     return tuple((j, 1) for j in coupled_spins(j1, j2))

@@ -32,8 +32,8 @@ from math import factorial, isqrt, lcm
 from .halfint import (HalfInt, as_half, casimir_eigenvalue, dim_of, spin_memo,
                       weight_range)
 from .hpoly import HPoly
-from .polymatrix import (PolyMatrix, _msum, _natural, _unit_like, commutator,
-                         exp_nilpotent, kron, power_series)
+from .polymatrix import (PolyMatrix, _msum, _natural, _unit_like, exp_nilpotent,
+                         kron, lincomb, power_series)
 from .radical import RadScalar, falling_binomial
 from .record import Frozen, Record
 from .report import Check, Report, zero_check
@@ -207,9 +207,9 @@ def cosh_hx(gens: GenMatrices) -> PolyMatrix:
 
 def casimir_from_gens(gens: GenMatrices) -> PolyMatrix:
     """Casimir (1/2h){Y sinh hX + sinh hX Y} + H^2/4 + (sinh hX)^2/4."""
-    sh = sinh_hx(gens)
-    mixed = (gens.y @ sh + sh @ gens.y).divide_h(1) * Fraction(1, 2)
-    return mixed + (gens.h @ gens.h) * Fraction(1, 4) + (sh @ sh) * Fraction(1, 4)
+    sh, quarter = sinh_hx(gens), Fraction(1, 4)
+    mixed = lincomb(((2, gens.y, sh), (2, sh, gens.y))).divide_h(1)
+    return lincomb(((quarter, mixed), (quarter, gens.h, gens.h), (quarter, sh, sh)))
 
 
 @spin_memo
@@ -282,12 +282,12 @@ def relation_residuals(gens: GenMatrices) -> list[tuple[str, PolyMatrix]]:
     """Residual matrices of the three defining relations, all exactly zero
     when gens is a genuine module."""
     sh_over_h = sinh_hx(gens).divide_h(1)
-    ch = cosh_hx(gens)
+    x, y, h, ch = gens.x, gens.y, gens.h, cosh_hx(gens)
     return [
-        ("[X,Y] = H", commutator(gens.x, gens.y) - gens.h),
-        ("[H,X] = 2 sinh(hX)/h", commutator(gens.h, gens.x) - sh_over_h * 2),
+        ("[X,Y] = H", lincomb(((1, x, y), (-1, y, x), (-1, h)))),
+        ("[H,X] = 2 sinh(hX)/h", lincomb(((1, h, x), (-1, x, h), (-2, sh_over_h)))),
         ("[H,Y] = -{Y, cosh(hX)}",
-         commutator(gens.h, gens.y) + gens.y @ ch + ch @ gens.y),
+         lincomb(((1, h, y), (-1, y, h), (1, y, ch), (1, ch, y)))),
     ]
 
 

@@ -46,7 +46,9 @@ entrywise fallback, ``_entrywise``: HPoly arithmetic entry by entry, as
 tests/matrix_oracle.py computes, with the result kept as its entries.  No
 construction of the library reaches it, so its speed does not matter.  A
 sum with an all-zero operand returns the other; a product by the scalar 0
-is ``zeros``.
+is ``zeros``.  Each graded result is normalized once (``_graded``); ``lincomb``
+adds sum c A B + sum c M, on terms ``@`` and ``+`` would take, into one dict
+per output row, so a residual is normalized once and builds no product.
 
 ``HPoly`` is the boundary type.  The public constructor reads HPoly entries
 (or anything ``as_hpoly`` accepts) once.  ``entries`` reads a tuple of
@@ -65,7 +67,7 @@ its str() and the JSON text of its entries that the CLI writes.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 from math import factorial, gcd, lcm
 
@@ -94,9 +96,14 @@ _ZERO = HPoly.zero()
 _RAD_ZERO = RadScalar.zero()
 
 
-def _monomial(p):
-    """(k, n, num, den) of the HPoly p = num/den * sqrt(n) * h**k, num 0 for
-    p = 0; None when p has two or more terms."""
+def _monomial(scalar):
+    """(k, n, num, den) of the scalar num/den * sqrt(n) * h**k, num 0 for 0;
+    None for two or more terms or a value as_hpoly refuses."""
+    if isinstance(scalar, (int, Fraction)):
+        return 0, 1, scalar.numerator, scalar.denominator
+    p = as_hpoly(scalar)
+    if p is NotImplemented:
+        return None
     if not p.coeffs:
         return 0, 1, 0, 1
     *low, top = p.coeffs
@@ -580,13 +587,7 @@ class PolyMatrix(Frozen):
 
     def __mul__(self, scalar):
         """Every entry times the scalar, a monomial moving the constant."""
-        if isinstance(scalar, (int, Fraction)):
-            read = 0, 1, scalar.numerator, scalar.denominator
-        else:
-            scalar = as_hpoly(scalar)
-            if scalar is NotImplemented:
-                return NotImplemented
-            read = _monomial(scalar)
+        read = _monomial(scalar)
         if read is not None:
             if not read[2]:
                 return PolyMatrix.zeros(self.rows, self.cols, self.row_weights,
@@ -594,6 +595,8 @@ class PolyMatrix(Frozen):
             if self._g is not None:
                 return PolyMatrix._wrap(self.rows, self.cols, _gscale(self._g, *read),
                                         self.row_weights, self.col_weights)
+        if (scalar := as_hpoly(scalar)) is NotImplemented:
+            return NotImplemented
         x = self.entries
         return _entrywise(self.rows, self.cols, lambda i, c: x[i][c] * scalar,
                           self.row_weights, self.col_weights)
@@ -744,24 +747,81 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 
 def commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return a @ b - b @ a
+    return lincomb(((1, a, b), (-1, b, a)))
 
 
 def anticommutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return a @ b + b @ a
+    return lincomb(((1, a, b), (1, b, a)))
 
 
-def _msum(mats, empty: PolyMatrix | None = None) -> PolyMatrix:
-    """The sum of mats, added left to right.  An empty sum gives empty, or
-    raises ValueError when no empty value is given."""
-    acc = None
-    for m in mats:
-        acc = m if acc is None else acc + m
-    if acc is None:
-        if empty is None:
-            raise ValueError("empty sum")
-        return empty
-    return acc
+def _msum(mats) -> PolyMatrix:
+    """The sum of mats (one at least), added left to right."""
+    return reduce(PolyMatrix.__add__, mats)
+
+
+def lincomb(terms) -> PolyMatrix:
+    """sum c A B + sum c M over the terms (c, A, B) and (c, M), each c an
+    int, a Fraction or a one-term scalar: the matrix, storage and weights
+    of _msum((A @ B) * c, M * c, ...), in one pass where the graded kernel
+    takes the terms (see Arithmetic above) and else by those operators."""
+    terms = tuple(terms)
+    return _glincomb(terms) or _msum((a @ b[0] if b else a) * c for c, a, *b in terms)
+
+
+def _glincomb(terms):
+    """lincomb on the graded kernel, or None for the operators.  A term with
+    c = 0 or an all-zero operand adds only its weights, as + drops it; an
+    all-zero sum that such a term leads takes the operators (which keep its
+    zeros when no term adds)."""
+    entries, products, dens, bases, const, lead = [], [], [], None, None, None
+    for c, a, *b in terms:
+        read, ga, gl = _monomial(c), a._g, (b[0] if b else a)._g
+        if read is None or ga is None or gl is None or b and ga.cb is not gl.rb:
+            return None
+        if (here := (ga.rb, gl.cb)) != (bases := bases or here):
+            return None
+        k, n, num, den = read
+        adds = bool(num) and any(ga.rows) and (not b or any(gl.rows))
+        lead = adds if lead is None else lead
+        if not adds:
+            continue
+        f, shift, rad, den = 1, ga.shift + k, ga.rad, ga.den * den
+        if b:
+            f = gcd(rad, gl.rad)
+            shift, rad, den = shift + gl.shift, (rad // f) * (gl.rad // f), den * gl.den
+        g = gcd(rad, n)
+        if (here := (shift, (rad // g) * (n // g))) != (const := const or here):
+            return None
+        (products if b else entries).append((f * g * num, den, ga.rows, b and gl.rows))
+        dens.append(den)
+    if not dens:
+        return None
+    big, out = lcm(*dens), [{} for _ in bases[0].labels]
+    for f, den, arows, brows in entries + products:
+        f *= big // den
+        for acc, row in zip(out, arows):
+            get = acc.get
+            if brows:
+                for k, x in row.items():
+                    x *= f
+                    for c, y in brows[k].items():
+                        acc[c] = get(c, 0) + x * y
+            elif f == 1 and not acc:
+                acc.update(row)
+            elif f == -1 and acc == row:  # a passing left - right
+                acc.clear()
+            else:
+                for c, v in row.items():
+                    acc[c] = get(c, 0) + f * v
+    out = [{c: v for c, v in acc.items() if v} if 0 in acc.values() else acc
+           for acc in out]
+    if not lead and not any(out):
+        return None
+    rw, cw = terms[0][1].row_weights, terms[0][-1].col_weights
+    rw = rw if all(t[1].row_weights == rw for t in terms) else None
+    cw = cw if all(t[-1].col_weights == cw for t in terms) else None
+    return PolyMatrix._wrap(len(out), len(bases[1].labels),
+                            _graded(big, out, *bases, *const), rw, cw)
 
 
 def power_series(a: PolyMatrix, coeff) -> PolyMatrix:

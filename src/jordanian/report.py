@@ -180,30 +180,16 @@ def zero_check(name: str, residual) -> Check:
 
 def residual_checks(sides, templates: Sequence[str],
                     cells: Sequence[tuple]) -> CheckBlock | list[Check]:
-    """The zero_check of part(left - right, a) for each cell a (outer) and
-    each side (left, right, part) with its template (inner), named
-    template.format(*cell); part slices a matrix, as PolyMatrix.column
-    does.  When every left equals its right, one passing block stands for
-    all of them and nothing is sliced.  Otherwise a side whose left equals
-    its right passes slice by slice, and so does a slice on which they
-    agree; a side's difference is formed once, at its first slice that
-    differs."""
-    same = [left == right for left, right, _ in sides]
-    if all(same):
+    """The zero_check of part(residual, a) per cell a (outer) and side
+    (residual, part) with its template (inner), named template.format(*cell):
+    residual is a lincomb left - right, part slices it as PolyMatrix.column
+    does.  One passing block stands for all when every residual is zero."""
+    if all(residual.is_zero for residual, _ in sides):
         return CheckBlock(tuple(templates), cells, "pass", "exact zero")
-    paired = list(zip(same, sides, templates, strict=True))
-    diffs: dict[int, object] = {}
-    checks = []
-    for a, cell in enumerate(cells):
-        for s, (equal, (left, right, part), t) in enumerate(paired):
-            name = t.format(*cell)
-            if equal or part(left, a) == part(right, a):
-                checks.append(Check(name, "pass", "exact zero"))
-            else:
-                if s not in diffs:
-                    diffs[s] = left - right
-                checks.append(zero_check(name, part(diffs[s], a)))
-    return checks
+    paired = list(zip(sides, templates, strict=True))
+    return [Check(t.format(*cell), "pass", "exact zero") if residual.is_zero
+            else zero_check(t.format(*cell), part(residual, a))
+            for a, cell in enumerate(cells) for (residual, part), t in paired]
 
 
 def entry_checks(left, right, templates: Sequence[str],

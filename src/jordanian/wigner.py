@@ -32,7 +32,7 @@ from .halfint import (HalfInt, as_half, dim_of, weight_index, weight_range,
                       weight_texts)
 from .hpoly import HPoly
 from .irreps import irrep
-from .polymatrix import PolyMatrix, _unit_like
+from .polymatrix import PolyMatrix, _unit_like, lincomb
 from .record import Frozen, Record
 from .report import (Check, Report, entry_checks, residual_checks,
                      scalar_check)
@@ -111,7 +111,8 @@ def verify_phi_recurrence(fam: TensorOpFamily, label: str = "") -> Report:
     """
     report = Report(f"intermediate action on operator combinations {label}".rstrip())
     report.extend(residual_checks(
-        [(left, right, PolyMatrix.column) for left, right in _ladder_sides(fam)],
+        [(lincomb(((1, left), (-1, right))), PolyMatrix.column)
+         for left, right in _ladder_sides(fam)],
         _PHI_NAMES, product_label_texts(fam.rank, fam.ctx.source_j)))
     return report
 
@@ -208,7 +209,7 @@ def verify_wigner_eckart(fam: TensorOpFamily, label: str = "") -> Report:
         for m in weight_texts(j)], texts, by_row=False))
 
     report.extend(residual_checks(
-        [(t, phi @ table.bra, PolyMatrix.column)],
+        [(lincomb(((1, t), (-1, phi, table.bra))), PolyMatrix.column)],
         [f"t_({{0}})|{j2} {{1}}> rebuilt from phi via the inverse table"], texts))
 
     bras = table.coupled_bras  # the spin-j rows are the weights W

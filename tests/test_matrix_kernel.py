@@ -2,8 +2,8 @@
 
 Every kernel operation (``@``, ``kron``, ``+``, ``-``, unary ``-``, scalar
 ``*`` and ``/``, ``transpose``, ``submatrix``/``column``/``row``,
-``divide_h``, and through them ``commutator``, ``exp_nilpotent`` and
-``unipotent_inverse``) must give the matrix that HPoly arithmetic gives
+``divide_h``, ``lincomb``, and through them ``commutator``,
+``exp_nilpotent`` and ``unipotent_inverse``) must give the matrix that HPoly arithmetic gives
 entry by entry, in canonical form, with the same weight labels.  Its
 graded storage must have a minimal denominator (so equal matrices in the
 same bases hold the same storage), its canonical term form must be well
@@ -32,8 +32,8 @@ from jordanian.coupling import alpha_table
 from jordanian.halfint import half
 from jordanian.hpoly import HPoly
 from jordanian.irreps import Generator, coproduct_gens, irrep
-from jordanian.polymatrix import (PolyMatrix, _bases, commutator, exp_nilpotent,
-                                  kron, unipotent_inverse)
+from jordanian.polymatrix import (PolyMatrix, _bases, _msum, commutator,
+                                  exp_nilpotent, kron, lincomb, unipotent_inverse)
 from jordanian.radical import RadScalar, squarefree_decompose
 
 RADICANDS = (1, 2, 3, 6)
@@ -548,19 +548,20 @@ def test_mismatched_gauges_fall_back_to_entries(data):
 # -- the basis kernel ------------------------------------------------------------
 
 @contextmanager
-def _fallback_calls():
-    """One item per call of the entrywise fallback while the block runs."""
+def _fallback_calls(name="_entrywise"):
+    """One item per call of the entrywise fallback (or of the polymatrix
+    function of that name) while the block runs."""
     calls = []
-    fallback = polymatrix._entrywise
+    fallback = getattr(polymatrix, name)
 
     def counted(*args):
         calls.append(args[:2])
         return fallback(*args)
-    polymatrix._entrywise = counted
+    setattr(polymatrix, name, counted)
     try:
         yield calls
     finally:
-        polymatrix._entrywise = fallback
+        setattr(polymatrix, name, fallback)
 
 
 def _moved(labels, d, r):
@@ -759,3 +760,121 @@ def test_pickling_keeps_the_storage_of_library_matrices():
         assert m._g is not None and _storage_fields(back) == _storage_fields(m)
     t = zp.transpose()._g
     assert (t.rb, t.cb) == (polymatrix._dual(zp._g.cb), polymatrix._dual(zp._g.rb))
+
+
+# -- sums of products in one pass ----------------------------------------------
+
+def _scalar(draw, k, n):
+    """q sqrt(n) h**k for a random rational q, 0 included: an int or a
+    Fraction when it is rational (some of the time), else an HPoly."""
+    q = Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from(DENOMINATORS)))
+    if (k, n) == (0, 1) and draw(st.booleans()):
+        return int(q) if q.denominator == 1 else q
+    return HPoly.h(k, RadScalar.of(q, n))
+
+
+def _terms_of_one_kernel(draw):
+    """Terms (c, A) and (c, A, B) whose operands share one pair of outer
+    bases and whose scalars are q sqrt(n) h**k for one (k, n), so every
+    term with c != 0 has one constant; some operands all zero, and some
+    draws repeat the terms with negated scalars, for an all-zero sum."""
+    r, inner, c = (draw(st.integers(1, 3)) for _ in range(3))
+    rl, kl, cl = (_labels(draw, r, 4, 6), _labels(draw, inner, 2, 4),
+                  _labels(draw, c, 0, 2))
+    k, n = draw(st.integers(0, 2)), draw(st.sampled_from(RADICANDS))
+
+    def operand(row_labels, col_labels):
+        m = draw(graded_matrices(len(row_labels), len(col_labels),
+                                 row_labels, col_labels))
+        if draw(st.integers(0, 5)):
+            return m
+        zero = PolyMatrix._labelled(1, [{}] * m.rows, row_labels, col_labels)
+        return zero._relabeled(m.row_weights, m.col_weights)
+    terms = [(_scalar(draw, k, n), operand(rl, kl), operand(kl, cl))
+             if draw(st.booleans()) else (_scalar(draw, k, n), operand(rl, cl))
+             for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        terms += [(-s, *ops) for s, *ops in terms]
+    return terms, (r, c, rl, cl, k, n)
+
+
+def _kernel_takes(terms, total):
+    """Whether the terms meet the graded kernel's conditions, read off the
+    operands and the operators' values: every scalar of one term, every
+    operand graded, each product's inner bases matching, one pair of outer
+    bases, one constant over the terms that add (c != 0, no all-zero
+    operand; there is one), and not an all-zero sum whose first term does
+    not add."""
+    if any(isinstance(s, HPoly) and sum(len(r.terms) for r in s.coeffs) > 1
+           for s, *_ in terms):
+        return False
+    ops = [tuple(ms) for _, *ms in terms]
+    if any(m._g is None for ms in ops for m in ms) or any(
+            len(ms) == 2 and ms[0]._g.cb is not ms[1]._g.rb for ms in ops):
+        return False
+    adds = [bool(s) and not any(m.is_zero for m in ms) for s, *ms in terms]
+    consts = {(v._g.shift, v._g.rad) for v in (
+        (a @ b[0] if b else a) * s for (s, a, *b), add in zip(terms, adds) if add)}
+    return (len({(ms[0]._g.rb, ms[-1]._g.cb) for ms in ops}) == 1
+            and len(consts) == 1 and not (total.is_zero and not adds[0]))
+
+
+def _oracle_sum(terms):
+    total = None
+    for s, a, *b in terms:
+        m = oracle.scale(oracle.matmul(a, b[0]) if b else a, s)
+        total = m if total is None else oracle.add(total, m)
+    return total
+
+
+@examples(60)
+@given(st.data())
+def test_lincomb_matches_the_operators_and_the_oracle(data):
+    # lincomb's terms on one graded kernel, or with one term moved off it:
+    # an operand kept as its entries, a term in other bases, a scalar of
+    # another h-power or radical, or one of two terms.  lincomb takes the
+    # operators exactly when the kernel's conditions fail, and either way
+    # gives the operators' storage field by field (den, rows, bases,
+    # constant) and weights, and the oracle's matrix.
+    terms, (r, c, rl, cl, k, n) = _terms_of_one_kernel(data.draw)
+    kind = data.draw(st.sampled_from(
+        ("kernel", "entries", "bases", "constant", "two terms")))
+    i = data.draw(st.integers(0, len(terms) - 1))
+    s, *ops = terms[i]
+    if kind == "entries":
+        at = data.draw(st.integers(0, len(ops) - 1))
+        m = ops[at]
+        ops[at] = PolyMatrix(m.entries, m.row_weights, m.col_weights)
+    elif kind == "bases":
+        ops = [data.draw(graded_matrices(r, c, _labels(data.draw, r, 4, 6),
+                                         _labels(data.draw, c, 0, 2)))]
+    elif kind == "constant":
+        s = _scalar(data.draw, data.draw(st.integers(0, 2)),
+                    data.draw(st.sampled_from(RADICANDS)))
+    elif kind == "two terms":
+        s = HPoly.h(k, RadScalar.of(1, n)) + HPoly.h(k + 1)
+    terms[i] = (s, *ops)
+    expected = _msum((a @ b[0] if b else a) * s for s, a, *b in terms)
+    with _fallback_calls("_msum") as calls:
+        total = lincomb(terms)
+    assert bool(calls) != _kernel_takes(terms, expected)
+    if kind in ("entries", "two terms"):
+        assert calls
+    assert _storage_fields(total) == _storage_fields(expected)
+    assert (total.row_weights, total.col_weights) == (
+        expected.row_weights, expected.col_weights)
+    assert_matches(total, _oracle_sum(terms))
+
+
+def test_lincomb_keeps_the_zeros_of_a_first_term_that_adds_nothing():
+    # A first term with c = 0 is the operators' result while every partial
+    # sum stays zero, here because the next product cancels inside itself
+    # in another constant; lincomb gives the same zeros, not that constant.
+    one = [(0, 1)]
+    m = PolyMatrix._labelled(1, [{0: 5}], one, one)
+    p = PolyMatrix._labelled(1, [{0: 1, 1: 1}], one, one * 2)
+    n = PolyMatrix._labelled(1, [{0: 1}, {0: -1}], one * 2, one)
+    terms = [(0, m), (HPoly.h(1), p, n)]
+    expected = _msum((a @ b[0] if b else a) * s for s, a, *b in terms)
+    assert (expected._g.shift, expected.is_zero) == (0, True)
+    assert _storage_fields(lincomb(terms)) == _storage_fields(expected)

@@ -1,4 +1,6 @@
-"""Check details: a failing zero check says where its residual is nonzero."""
+"""Check details: a failing zero check says where its residual is nonzero,
+and a residual formed in one pass (lincomb) fails with the names and
+details that the difference of its two sides gives."""
 
 import copy
 import pickle
@@ -8,11 +10,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import examples
+from jordanian import coupling
+from jordanian.coupling import AlphaTable, alpha_table, coupled_labels, decompose
+from jordanian.halfint import casimir_eigenvalue, half
 from jordanian.hpoly import HPoly
-from jordanian.irreps import irrep
-from jordanian.polymatrix import PolyMatrix, commutator, kron
+from jordanian.irreps import (Generator, antipode_matrix, casimir_from_gens,
+                              coproduct_gens, coproduct_terms, irrep)
+from jordanian.polymatrix import PolyMatrix, _msum, commutator, kron, lincomb
 from jordanian.report import (Check, CheckBlock, Report, entry_checks,
                               residual_checks, scalar_check, zero_check)
+from jordanian.tensorops import (TensorOpFamily, boson_raising_family,
+                                 rank1_generators, verify_tensor_operator)
 
 
 def _perturbed_relation():
@@ -51,16 +59,56 @@ def _left_right():
     return rep.hm @ rep.hm, good, good + _perturbed_relation() * 2
 
 
+def _eager_residual_checks(sides, templates, cells):
+    """The reference for residual_checks: the same checks from sides
+    (left, right, part) that keep both matrices, each difference formed
+    whole by the operators and sliced."""
+    same = [left == right for left, right, _ in sides]
+    if all(same):
+        return CheckBlock(tuple(templates), cells, "pass", "exact zero")
+    paired = list(zip(same, sides, templates, strict=True))
+    diffs = {}
+    checks = []
+    for a, cell in enumerate(cells):
+        for s, (equal, (left, right, part), t) in enumerate(paired):
+            name = t.format(*cell)
+            if equal or part(left, a) == part(right, a):
+                checks.append(Check(name, "pass", "exact zero"))
+            else:
+                if s not in diffs:
+                    diffs[s] = left - right
+                checks.append(zero_check(name, part(diffs[s], a)))
+    return checks
+
+
+def _residual_sides(sides):
+    """(left, right, part) sides as residual_checks takes them."""
+    return [(lincomb(((1, left), (-1, right))), part) for left, right, part in sides]
+
+
+def _same_checks(sides, templates, cells):
+    """residual_checks on the residuals of sides, asserted to give the
+    reference's checks (a block as a block); the checks."""
+    checks = residual_checks(_residual_sides(sides), templates, cells)
+    want = _eager_residual_checks(sides, templates, cells)
+    assert type(checks) is type(want)
+    if type(want) is CheckBlock:
+        assert (checks.templates, checks.cells, checks.status, checks.detail) == (
+            want.templates, want.cells, want.status, want.detail)
+    assert list(checks) == list(want)
+    return checks
+
+
 def test_residual_checks_report_slices_of_the_difference():
     left, good, bad = _left_right()
     cells = [(c,) for c in range(left.cols)]
     for right in (good, bad):
-        checks = residual_checks([(left, right, PolyMatrix.column)],
-                                 ["column {0}"], cells)
+        checks = _same_checks([(left, right, PolyMatrix.column)],
+                              ["column {0}"], cells)
         for c, check in zip(range(left.cols), checks, strict=True):
             name = f"column {c}"
             assert check == zero_check(name, (left - right).column(c))
-    assert type(residual_checks([(left, good, PolyMatrix.column)],
+    assert type(residual_checks(_residual_sides([(left, good, PolyMatrix.column)]),
                                 ["column {0}"], cells)) is CheckBlock
 
 
@@ -69,15 +117,86 @@ def test_residual_checks_interleave_their_sides_per_cell():
     # through its slices, and the sides that agree still pass.
     left, good, bad = _left_right()
     sides = [(left, good, PolyMatrix.row), (left, bad, PolyMatrix.column)]
-    checks = residual_checks(sides, ["row {0}", "column {0}"],
-                             [(a,) for a in range(3)])
+    checks = _same_checks(sides, ["row {0}", "column {0}"],
+                          [(a,) for a in range(3)])
     assert checks == [
         zero_check(f"{kind} {a}", part(left - right, a))
         for a in range(3)
         for kind, (_, right, part) in zip(("row", "column"), sides)]
     assert [c.status for c in checks[::2]] == ["pass"] * 3
     with pytest.raises(ValueError):  # a side without its template
-        residual_checks(sides, ["row {0}"], [(0,)])
+        residual_checks(_residual_sides(sides), ["row {0}"], [(0,)])
+
+
+def _eager_tensor_operator_checks(fam):
+    """The reference for verify_tensor_operator: each side of ad c(t_m) =
+    sum_k D(c)[k, m] t_k formed whole by the operators (the right side the
+    zero matrix when no D(c)[k, m] is nonzero), a passing check when they
+    are equal and else the zero_check of their difference."""
+    rep, ctx, checks = irrep(fam.rank), fam.ctx, []
+    for gen, dmat in ((Generator.X, rep.x), (Generator.Y, rep.y),
+                      (Generator.H, rep.hm)):
+        d = dmat.entries
+        for col, m in enumerate(fam.weights):
+            lhs = _msum(ctx.target.of(a) @ fam.components[col]
+                        @ antipode_matrix(b, ctx.source)
+                        for a, b in coproduct_terms(gen))
+            terms = [t * d[k][col] for k, t in enumerate(fam.components) if d[k][col]]
+            rhs = _msum(terms) if terms else PolyMatrix.zeros(lhs.rows, lhs.cols)
+            name = f"ad {gen.value} on component m={m}"
+            checks.append(Check(name, "pass", "exact zero") if lhs == rhs
+                          else zero_check(name, lhs - rhs))
+    return checks
+
+
+@pytest.mark.parametrize("build, j", [(boson_raising_family, half(1)),
+                                      (rank1_generators, half(1))],
+                         ids=["boson raising", "rank 1"])
+def test_a_perturbed_tensor_operator_fails_as_its_differences_would(build, j):
+    # One entry of each component raised by h in turn: the checks keep the
+    # names and details of the sides' differences, weights and all,
+    # including those whose right side is zero.
+    fam = build(j)
+    for comp, t in enumerate(fam.components):
+        bump = PolyMatrix([[HPoly.h(1) if (i, k) == (0, t.cols - 1) else 0
+                            for k in range(t.cols)] for i in range(t.rows)],
+                          t.row_weights, t.col_weights)
+        comps = list(fam.components)
+        comps[comp] = t + bump
+        bad = TensorOpFamily(rank=fam.rank, components=tuple(comps), ctx=fam.ctx)
+        report = verify_tensor_operator(bad)
+        assert not report.ok
+        assert report.checks == _eager_tensor_operator_checks(bad)
+    assert verify_tensor_operator(fam).checks == _eager_tensor_operator_checks(fam)
+
+
+def test_a_perturbed_cgc_entry_fails_the_casimir_certificate_as_before(monkeypatch):
+    # C with one entry raised by 1: the certificate raises at the first
+    # column of Cas K C - K C diag(j(j+1)) that is not zero, formed here by
+    # the operators.
+    j1, j2 = half(1), half(1, 2)
+    kept = alpha_table(j1, j2)
+    c = kept.cgc
+    bump = PolyMatrix([[1 if (i, k) == (1, 4) else 0 for k in range(c.cols)]
+                       for i in range(c.rows)])
+    bad = AlphaTable(j1, j2, kept.ket, kept.bra, c + bump)
+    real = coupling.alpha_table
+    monkeypatch.setattr(coupling, "alpha_table",
+                        lambda a, b: bad if (a, b) == (j1, j2) else real(a, b))
+    labels = coupled_labels(j1, j2)
+    g1, g2 = irrep(j1).gens(), irrep(j2).gens()
+    kc = bad.coupled
+    left = casimir_from_gens(coproduct_gens(g1, g2)) @ kc
+    right = kc @ PolyMatrix.diagonal([casimir_eigenvalue(j) for j, _ in labels])
+    i = (left - right).transpose().first_nonzero()[0]
+    want = "coupled Casimir eigenvalue mismatch at j={}, m={}".format(*labels[i])
+    coupling._certified_decomposition.built.clear()
+    try:
+        with pytest.raises(ArithmeticError) as exc:
+            decompose(j1, j2)
+    finally:
+        coupling._certified_decomposition.built.clear()
+    assert str(exc.value) == want
 
 
 def _row_major(n):
