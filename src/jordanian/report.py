@@ -4,7 +4,7 @@ A report holds two kinds of items, in the order they were added:
 
 - a ``Check`` record: one named check, its status and its detail;
 - a ``CheckBlock``: many checks that share one status and one detail, as
-  when one ``==`` between two whole matrices has proved every cell.  A block
+  when a zero residual or one ``==`` has proved every cell.  A block
   keeps name templates and label cells, and formats a check's name only
   when the check is written (JSON, CSV, verbose text) or read through
   ``Report.checks``.  The verifiers build a block only for checks that all
